@@ -27,6 +27,7 @@ T_MAX = 0.5                 # largest t any evaluation accepts
 LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
 _KLOG_MARGIN = 45.0         # e^-45 ~ 3e-20: inner k-sums stop past this decay
 _KMAX_HARD = 10_000_000
+_CHUNK_ELEMS = 1 << 20      # k-by-point elements per inner-sum chunk
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -300,30 +301,48 @@ def _require_t(t: float) -> None:
 
 def _kernel(term: PochTerm, x: np.ndarray, t: float, n: int) -> np.ndarray:
     """sum_{k>=1} (-k alpha t)^n e^{-k(alpha x + gamma) t} / (k (1-e^{-k beta t}))
-    for a vector of x >= 0; truncated at relative 1e-18."""
+    for a vector of x >= 0.  Each point stops its k-sum at its own
+    kmax = 45/w + 10, w = (alpha x + gamma) t, where the terms have decayed
+    by e^-45 relative; each k-chunk covers only the points still active."""
     w = (term.alpha * x + term.gamma) * t
-    wmin = float(w.min())
-    kmax = int(_KLOG_MARGIN / wmin) + 10
+    order = None
+    if len(w) > 1 and np.any(w[1:] < w[:-1]):
+        order = np.argsort(w, kind="stable")
+        w = w[order]
+    kmax = int(_KLOG_MARGIN / float(w[0])) + 10
     if kmax > _KMAX_HARD:
         raise ConvergenceError(
             f"inner sum needs {kmax} terms (alpha*x+gamma too small for this t)")
+    # per-point cut-offs, non-increasing along the ascending w
+    if len(w) == 1:
+        kcut = [kmax]
+    else:
+        kcut = ((_KLOG_MARGIN / w).astype(np.int64) + 10).tolist()
     out = np.zeros_like(w)
-    chunk = max(1, min(kmax, (1 << 22) // max(len(w), 1)))
+    active = len(w)
     k0 = 1
-    while k0 <= kmax:
-        k = np.arange(k0, min(k0 + chunk, kmax + 1), dtype=float)
+    while active:
+        k1 = min(k0 + max(1, _CHUNK_ELEMS // active), kcut[active - 1] + 1)
+        k = np.arange(k0, k1, dtype=float)
+        wa = w[:active]
         denom = -np.expm1(-k * term.beta * t)       # 1 - e^{-k beta t}
         if n == 0:
             coef = 1.0 / (k * denom)
-            out += coef @ np.exp(-np.outer(k, w))
+            out[:active] += coef @ np.exp(-np.outer(k, wa))
         else:
             # (-k alpha t)^n / k = (-1)^n exp(n log(k alpha t) - log k); keep in
             # log space so high orders neither overflow nor underflow early
             logcoef = n * np.log(k * term.alpha * t) - np.log(k) - np.log(denom)
-            contrib = np.exp(logcoef[:, None] - np.outer(k, w))
-            out += ((-1.0) ** n) * contrib.sum(axis=0)
-        k0 += chunk
-    return out
+            contrib = np.exp(logcoef[:, None] - np.outer(k, wa))
+            out[:active] += ((-1.0) ** n) * contrib.sum(axis=0)
+        k0 = k1
+        while active and kcut[active - 1] < k0:
+            active -= 1
+    if order is None:
+        return out
+    unsorted = np.empty_like(out)
+    unsorted[order] = out
+    return unsorted
 
 
 def log_summand(spec: SeriesSpec, x, t: float):
@@ -372,13 +391,17 @@ def series_sum(spec: SeriesSpec, t: float) -> LogValue:
     """sum_m exp(log_summand(m)) accumulated in log space.
 
     Stops once 50 consecutive terms each contribute < 1e-18 relative AND
-    m t > u_stop, where u_stop = 2*max(t*argmax, 1) + 10|log t|/min alpha;
-    this covers both the peak and the slow tail regime.  Raises if the
-    terms keep growing far beyond that bound (domain-triple violation
-    that slipped past the static check).
+    m t > u_stop, where u_stop = 2*max(t*argmax, 1), plus the slow-tail
+    allowance 10|log t|/min alpha when A = v = 0 (the flat-tail branch,
+    whose terms decay only like q^(B m)).  Raises if the terms keep growing
+    far beyond that bound (domain-triple violation that slipped past the
+    static check).
     """
     _require_t(t)
-    min_alpha = min((p.alpha for p in spec.terms), default=1.0)
+    tail_u = 0.0
+    if spec.A == 0 and spec.v == 0:
+        min_alpha = min((p.alpha for p in spec.terms), default=1.0)
+        tail_u = 10.0 * abs(math.log(t)) / min_alpha
     block = 256
     m0 = 0
     run_max = -math.inf          # running max of the logged terms
@@ -403,7 +426,7 @@ def series_sum(spec: SeriesSpec, t: float) -> LogValue:
         else:
             last_big = int(np.nonzero(~small)[0][-1])
             small_run = block - 1 - last_big
-        u_stop = 2.0 * max(t * run_arg, 1.0) + 10.0 * abs(math.log(t)) / min_alpha
+        u_stop = 2.0 * max(t * run_arg, 1.0) + tail_u
         m_end = m0 + block - 1
         if small_run >= 50 and m_end * t > u_stop:
             break

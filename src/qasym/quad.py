@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .logvalue import LogValue
-from .phase import build_phase, check_hypothesis, search_upper_bound, stationary_points
+from .phase import (PhaseFamily, build_phase, check_hypothesis, search_upper_bound,
+                    stationary_points)
 from .qseries import SeriesSpec, log_summand
 
 MAX_PANELS = 1 << 20
@@ -77,10 +78,10 @@ class QuadResult:
     subdivisions: int
 
 
-def _breakpoints(spec: SeriesSpec, t: float, u_hi: float) -> tuple[list[float], float]:
-    """Initial panel edges over (0, u_hi] plus peak/tail seeds; returns the
-    edges and the final upper cutoff."""
-    pf = build_phase(spec)
+def _breakpoints(spec: SeriesSpec, pf: PhaseFamily, t: float,
+                 u_hi: float) -> list[float]:
+    """Initial panel edges over [0, u_hi]: a geometric ladder toward 0 plus
+    the peak and tail seeds of the phase family ``pf`` of ``spec``."""
     seeds: list[float] = []
     sps = []
     if check_hypothesis(pf):
@@ -102,7 +103,7 @@ def _breakpoints(spec: SeriesSpec, t: float, u_hi: float) -> tuple[list[float], 
     edges = [u_hi * 2.0 ** (-j) for j in range(24)]
     edges += [s for s in seeds if 0.0 < s < u_hi]
     edges += [0.0, u_hi]
-    return sorted(set(edges)), u_hi
+    return sorted(set(edges))
 
 
 def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10) -> QuadResult:
@@ -133,7 +134,7 @@ def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10) -> QuadResult:
         gscan = g(more)
         gmax = max(gmax, float(gscan.max()))
 
-    edges, u_hi = _breakpoints(spec, t, u_hi)
+    edges = _breakpoints(spec, pf, t, u_hi)
     gmax = max(gmax, float(g(np.array([u for u in edges if u > 0.0])).max()))
 
     def f(u: np.ndarray) -> np.ndarray:

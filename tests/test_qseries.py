@@ -1,11 +1,14 @@
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qasym.qseries as qs
 from qasym.errors import ConvergenceError, DomainError, SpecError
+from qasym.presets import get_preset
 from qasym.qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
                            log_summand_deriv, mcintosh_asym, normalize,
                            prefactor_asym, prefactor_constants, prefactor_exact,
@@ -206,6 +209,57 @@ class TestLogSummand:
         with pytest.raises(ConvergenceError):
             log_summand(RAM, 1.0, 0.5)
 
+    def test_inner_sum_cap_raises_promptly(self):
+        # gamma t < 4.5e-6 puts kmax past _KMAX_HARD; the smallest w of the
+        # whole call decides, wherever x = 0 sits, before any k-chunk exists
+        x = np.array([3.0, 250.0, 0.0, 1.0, 0.0])
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(ConvergenceError, match="inner sum needs"):
+                log_summand(RAM, x, 4e-6)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 1 << 20
+
+
+def _kernel_whole_block(term, x, t, n):
+    # every point summed to the cut-off of the smallest w in the call
+    w = (term.alpha * x + term.gamma) * t
+    k = np.arange(1, int(45.0 / w.min()) + 11, dtype=float)
+    denom = -np.expm1(-k * term.beta * t)
+    if n == 0:
+        return (1.0 / (k * denom)) @ np.exp(-np.outer(k, w))
+    logcoef = n * np.log(k * term.alpha * t) - np.log(k) - np.log(denom)
+    return (-1.0) ** n * np.exp(logcoef[:, None] - np.outer(k, w)).sum(axis=0)
+
+
+class TestKernel:
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_matches_whole_block_truncation(self, n):
+        rng = np.random.default_rng(20 + n)
+        for _ in range(25):
+            term = qs.PochTerm(rng.uniform(0.3, 3.0), rng.uniform(0.2, 2.5),
+                               rng.uniform(0.2, 3.0), 1.0)
+            t = float(np.exp(rng.uniform(np.log(5e-3), np.log(0.3))))
+            x = rng.uniform(0.01, 40.0 / t, 12)
+            if n == 0:
+                x[[4, 9]] = 0.0
+            x = rng.permutation(np.r_[x, x[:4]])  # unsorted, with duplicates
+            got = qs._kernel(term, x, t, n)
+            want = _kernel_whole_block(term, x, t, n)
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+    def test_sorted_and_shuffled_agree(self):
+        term = RAM.terms[0]
+        x = np.linspace(0.0, 3000.0, 97)
+        perm = np.random.default_rng(5).permutation(len(x))
+        asc = qs._kernel(term, x, 1e-3, 0)
+        assert np.array_equal(qs._kernel(term, x[perm], 1e-3, 0), asc[perm])
+
 
 def _stencil(spec, n, x, t, h):
     f = lambda y: log_summand(spec, y, t)
@@ -277,6 +331,44 @@ class TestSeriesSum:
         oracle = (mx + math.log(sum(math.exp(v - mx) for v in logs))
                   + 2.0 * qpoch_inf(q, q).log_abs)
         assert series_sum(RAM, t).log_abs == pytest.approx(oracle, abs=1e-11)
+
+    @staticmethod
+    def _last_u(spec, t, monkeypatch):
+        # largest m*t at which series_sum evaluated a term
+        seen = []
+
+        def spy(s, x, tt):
+            seen.append(float(np.max(x)))
+            return log_summand(s, x, tt)
+
+        monkeypatch.setattr(qs, "log_summand", spy)
+        series_sum(spec, t)
+        monkeypatch.undo()
+        return max(seen) * t
+
+    @pytest.mark.parametrize("name", ["ramanujan", "f0"])
+    def test_peak_stop_matches_old_range(self, name, monkeypatch):
+        # with A > 0 everything past the peak scale is below 1e-18 relative:
+        # stopping there agrees with summing out to the slow-tail bound
+        spec = get_preset(name).series
+        t = 1e-3
+        min_alpha = min(p.alpha for p in spec.terms)
+        m_end = int((2.0 + 10.0 * abs(math.log(t)) / min_alpha) / t)
+        logs = np.concatenate([log_summand(spec, np.arange(m0, m0 + 256.0), t)
+                               for m0 in range(0, m_end + 1, 256)])
+        mx = float(logs.max())
+        brute = mx + math.log(math.fsum(np.exp(logs - mx)))
+        got = series_sum(spec, t).log_abs
+        assert abs(got - brute) <= 4 * math.ulp(brute)
+        assert self._last_u(spec, t, monkeypatch) < 2.5
+
+    @pytest.mark.parametrize("name", ["phi-minus", "euler"])
+    def test_flat_tail_sums_to_tail_bound(self, name, monkeypatch):
+        spec = get_preset(name).series
+        t = 0.01
+        min_alpha = min(p.alpha for p in spec.terms)
+        assert (self._last_u(spec, t, monkeypatch)
+                > 10.0 * abs(math.log(t)) / min_alpha)
 
     def test_truncation_threshold_insensitive(self, monkeypatch):
         base = series_sum(RAM, 0.05).log_abs
