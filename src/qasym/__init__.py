@@ -12,32 +12,31 @@ expansion -- and cross-validates them against each other.
 from .errors import (BranchError, ConvergenceError, DegenerateError,
                      DomainError, HypothesisError, IndexOverflowError,
                      PoleError, QasymError, SignError, SpecError)
-from .expansion import (AsymptoticResult, CorrectionSeries, asym_from_parts,
-                        asym_total, corrections, leading_constant, peak_value,
-                        tail_leading)
+from .expansion import (Analysis, AsymptoticResult, CorrectionSeries, analyse,
+                        asym_from_parts, asym_total, corrections,
+                        leading_constant, peak_value, tail_leading)
 from .logvalue import LogValue
 from .phase import (HypothesisReport, PhaseFamily, StationaryPoint,
                     build_phase, check_hypothesis, phase_deriv, phase_value,
                     stationary_points)
 from .presets import PRESETS, Preset, Reference, get_preset
 from .quad import QuadResult, integral
-from .qseries import (PochTerm, ProductSpec, QuadTerm, SeriesSpec,
-                      log_summand, log_summand_deriv, mcintosh_asym,
-                      normalize, prefactor_asym, prefactor_exact, qpoch_finite,
-                      qpoch_inf, series_sum)
+from .qseries import (PochTerm, PrefactorLaw, ProductSpec, QuadTerm, SeriesSpec,
+                      log_summand, log_summand_deriv, normalize, prefactor_asym,
+                      prefactor_exact, prefactor_law, qpoch_inf, series_sum)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticResult", "BranchError", "ConvergenceError", "CorrectionSeries",
-    "DegenerateError", "DomainError", "HypothesisError", "HypothesisReport",
-    "IndexOverflowError", "LogValue", "PRESETS", "PhaseFamily", "PochTerm",
-    "PoleError", "Preset", "ProductSpec", "QasymError", "QuadResult",
-    "QuadTerm", "Reference", "SeriesSpec", "SignError", "SpecError",
-    "StationaryPoint", "asym_from_parts", "asym_total", "build_phase",
-    "check_hypothesis", "corrections", "get_preset", "integral",
-    "leading_constant", "log_summand", "log_summand_deriv", "mcintosh_asym",
-    "normalize", "peak_value", "phase_deriv", "phase_value", "prefactor_asym",
-    "prefactor_exact", "qpoch_finite", "qpoch_inf", "series_sum",
-    "stationary_points", "tail_leading",
+    "Analysis", "AsymptoticResult", "BranchError", "ConvergenceError",
+    "CorrectionSeries", "DegenerateError", "DomainError", "HypothesisError",
+    "HypothesisReport", "IndexOverflowError", "LogValue", "PRESETS",
+    "PhaseFamily", "PochTerm", "PoleError", "PrefactorLaw", "Preset",
+    "ProductSpec", "QasymError", "QuadResult", "QuadTerm", "Reference",
+    "SeriesSpec", "SignError", "SpecError", "StationaryPoint", "analyse",
+    "asym_from_parts", "asym_total", "build_phase", "check_hypothesis",
+    "corrections", "get_preset", "integral", "leading_constant", "log_summand",
+    "log_summand_deriv", "normalize", "peak_value", "phase_deriv",
+    "phase_value", "prefactor_asym", "prefactor_exact", "prefactor_law",
+    "qpoch_inf", "series_sum", "stationary_points", "tail_leading",
 ]

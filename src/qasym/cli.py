@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import HypothesisError, QasymError, SpecError
-from .expansion import DEFAULT_L, DEFAULT_M, asym_from_parts
+from .expansion import DEFAULT_L, DEFAULT_M, Analysis, analyse, asym_from_parts
 from .logvalue import LogValue
-from .presets import PRESETS, Preset, get_preset
+from .presets import PRESETS, get_preset
 from .qseries import (T_MAX, ProductSpec, QuadTerm, SeriesSpec, normalize,
                       prefactor_exact, series_sum)
 from .quad import integral as quad_integral
@@ -39,14 +39,33 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def load_spec(path: str) -> ProductSpec | SeriesSpec:
-    """Parse a JSON spec file.
+def _quads(items: list, what: str) -> tuple[QuadTerm, ...]:
+    quads = []
+    for i, q in enumerate(items):
+        missing = [k for k in ("a", "b", "c", "d", "S") if k not in q]
+        if missing:
+            raise SpecError(f"{what} {i}: missing {missing}")
+        try:
+            quads.append(QuadTerm(float(q["a"]), float(q["b"]), float(q["c"]),
+                                  float(q["d"]), float(q["S"])))
+        except SpecError as e:
+            raise SpecError(f"{what} {i}: {e}") from None
+    return tuple(quads)
+
+
+def load_spec(path: str) -> tuple[SeriesSpec, tuple[QuadTerm, ...], float]:
+    """Parse a JSON spec file into (normalized series, prefactor quads,
+    q_power).
 
     Schema: an object with numeric "A", "B", "v" and either an array
-    "quads" of {"a","b","c","d","S"} (raw finite-symbol form) or an array
-    "terms" of {"alpha","beta","gamma","S"} (already-normalized form);
-    exactly one of the two.  Every invariant is validated; violations name
-    the offending entry and inequality.
+    "quads" of {"a","b","c","d","S"} (raw finite-symbol form, normalized
+    here) or an array "terms" of {"alpha","beta","gamma","S"} (already-
+    normalized form); exactly one of the two.  Next to "terms", an array
+    "prefactor_quads" of {"a","b","c","d","S"} gives the constant product
+    prod (q^a;q^b)_inf^(-S) (c and d unused; default empty).  A numeric
+    "q_power" multiplies the total by q^q_power (default 0).  Every
+    invariant is validated; violations name the offending entry and
+    inequality.
     """
     try:
         with open(path) as fh:
@@ -60,27 +79,22 @@ def load_spec(path: str) -> ProductSpec | SeriesSpec:
     for key in ("A", "B", "v"):
         if key not in raw:
             raise SpecError(f"{path}: missing required field {key!r}")
-        if not isinstance(raw[key], (int, float)):
+    for key in ("A", "B", "v", "q_power"):
+        if not isinstance(raw.get(key, 0), (int, float)):
             raise SpecError(f"{path}: field {key!r} must be numeric")
     has_quads = "quads" in raw
     has_terms = "terms" in raw
     if has_quads == has_terms:
         raise SpecError(f"{path}: exactly one of 'quads' or 'terms' is required")
+    if has_quads and "prefactor_quads" in raw:
+        raise SpecError(f"{path}: 'prefactor_quads' goes with 'terms'; "
+                        "'quads' carry their own prefactor")
     A, B, v = float(raw["A"]), float(raw["B"]), float(raw["v"])
+    q_power = float(raw.get("q_power", 0))
     try:
         if has_quads:
-            quads = []
-            for i, q in enumerate(raw["quads"]):
-                missing = [k for k in ("a", "b", "c", "d", "S") if k not in q]
-                if missing:
-                    raise SpecError(f"quad {i}: missing {missing}")
-                try:
-                    quads.append(QuadTerm(float(q["a"]), float(q["b"]),
-                                          float(q["c"]), float(q["d"]),
-                                          float(q["S"])))
-                except SpecError as e:
-                    raise SpecError(f"quad {i}: {e}") from None
-            return ProductSpec(A, B, v, tuple(quads))
+            return (*normalize(ProductSpec(A, B, v, _quads(raw["quads"], "quad"))),
+                    q_power)
         terms = []
         for i, p in enumerate(raw["terms"]):
             missing = [k for k in ("alpha", "beta", "gamma", "S") if k not in p]
@@ -88,7 +102,8 @@ def load_spec(path: str) -> ProductSpec | SeriesSpec:
                 raise SpecError(f"term {i}: missing {missing}")
             terms.append((float(p["alpha"]), float(p["beta"]),
                           float(p["gamma"]), float(p["S"])))
-        return SeriesSpec.make(A, B, v, terms)
+        return (SeriesSpec.make(A, B, v, terms),
+                _quads(raw.get("prefactor_quads", []), "prefactor quad"), q_power)
     except SpecError as e:
         raise SpecError(f"{path}: {e}") from None
 
@@ -99,15 +114,12 @@ class RunConfig:
     spec_source: str
     series: SeriesSpec
     prefactor: tuple[QuadTerm, ...]
+    q_power: float
     t_grid: list[float]
     order_L: int = DEFAULT_L
     order_M: int = DEFAULT_M
     rel_tol: float = 1e-10
     output: Optional[str] = None
-    preset: Optional[Preset] = None
-
-    def extra_log(self, t: float) -> float:
-        return self.preset.extra_log(t) if self.preset is not None else 0.0
 
 
 def _parse_t_grid(args: argparse.Namespace) -> list[float]:
@@ -116,6 +128,8 @@ def _parse_t_grid(args: argparse.Namespace) -> list[float]:
             grid = [float(s) for s in args.t.split(",") if s.strip()]
         except ValueError:
             raise SpecError(f"--t expects comma-separated floats, got {args.t!r}")
+        if not grid:
+            raise SpecError(f"--t lists no value: {args.t!r}")
     elif args.t_grid:
         parts = args.t_grid.split(":")
         if len(parts) not in (3, 4) or (len(parts) == 4 and parts[3] != "log"):
@@ -126,6 +140,8 @@ def _parse_t_grid(args: argparse.Namespace) -> list[float]:
             raise SpecError(f"bad --t-grid {args.t_grid!r}")
         if count < 1:
             raise SpecError("--t-grid COUNT must be >= 1")
+        if len(parts) == 4 and not (start > 0 and stop > 0):
+            raise SpecError("--t-grid log spacing needs START > 0 and STOP > 0")
         if count == 1:
             grid = [start]
         elif len(parts) == 4:
@@ -144,23 +160,19 @@ def _parse_t_grid(args: argparse.Namespace) -> list[float]:
 def _make_config(args: argparse.Namespace) -> RunConfig:
     if bool(args.spec) == bool(args.preset):
         raise SpecError("exactly one of --spec or --preset is required")
-    preset = None
     if args.preset:
-        preset = get_preset(args.preset)
-        series, pref = preset.series, preset.prefactor
+        p = get_preset(args.preset)
+        series, pref, q_power = p.series, p.prefactor, p.q_power
         source = f"preset:{args.preset}"
     else:
-        loaded = load_spec(args.spec)
-        if isinstance(loaded, ProductSpec):
-            series, prefspec = normalize(loaded)
-            pref = prefspec.quads
-        else:
-            series, pref = loaded, ()
+        series, pref, q_power = load_spec(args.spec)
         source = args.spec
+    if args.order_L < 0 or args.order_M < 0:
+        raise SpecError("--order-L and --order-M must be >= 0")
     return RunConfig(command=args.command, spec_source=source, series=series,
-                     prefactor=pref, t_grid=_parse_t_grid(args),
+                     prefactor=pref, q_power=q_power, t_grid=_parse_t_grid(args),
                      order_L=args.order_L, order_M=args.order_M,
-                     rel_tol=args.rel_tol, output=args.out, preset=preset)
+                     rel_tol=args.rel_tol, output=args.out)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -195,13 +207,13 @@ def _json_result(cfg: RunConfig, rows: list[dict], branch: str = "",
 
 def _total_sum(cfg: RunConfig, t: float) -> LogValue:
     total = series_sum(cfg.series, t) * prefactor_exact(cfg.prefactor, t)
-    return total * LogValue.from_log(cfg.extra_log(t))
+    return total * LogValue.from_log(-cfg.q_power * t)
 
 
-def _total_integral(cfg: RunConfig, t: float) -> tuple[LogValue, dict]:
-    res = quad_integral(cfg.series, t, cfg.rel_tol)
+def _total_integral(cfg: RunConfig, an: Analysis, t: float) -> tuple[LogValue, dict]:
+    res = quad_integral(an, t, cfg.rel_tol)
     total = res.value * prefactor_exact(cfg.prefactor, t)
-    total = total * LogValue.from_log(cfg.extra_log(t))
+    total = total * LogValue.from_log(-cfg.q_power * t)
     return total, {"subdivisions": res.subdivisions,
                    "abs_error_log": res.abs_error_log}
 
@@ -216,10 +228,11 @@ def run_eval(cfg: RunConfig) -> int:
 
 
 def run_integral(cfg: RunConfig) -> int:
+    an = analyse(cfg.series, cfg.prefactor, cfg.order_M)
     rows = []
     diag: dict = {}
     for t in cfg.t_grid:
-        lv, d = _total_integral(cfg, t)
+        lv, d = _total_integral(cfg, an, t)
         rows.append({"t": t, "log_value": lv.log_abs, "sign": lv.sign})
         diag[f"t={_fmt(t)}"] = d
     _emit(_json_result(cfg, rows, branch="integral", diagnostics=diag),
@@ -228,11 +241,11 @@ def run_integral(cfg: RunConfig) -> int:
 
 
 def run_asym(cfg: RunConfig) -> int:
+    an = analyse(cfg.series, cfg.prefactor, cfg.order_M)
     rows = []
     branch = ""
     for t in cfg.t_grid:
-        r = asym_from_parts(cfg.series, cfg.prefactor, t, cfg.order_L,
-                            cfg.order_M, extra_log=cfg.extra_log(t))
+        r = asym_from_parts(an, t, cfg.order_L, cfg.q_power)
         branch = r.branch
         rows.append({"t": t, "log_value": r.total.log_abs, "sign": r.total.sign,
                      "rate": r.rate, "t_power": r.t_power,
@@ -247,14 +260,14 @@ def run_verify(cfg: RunConfig) -> int:
     strictly along the (descending) grid.  A deviation of exact 0.0 means
     the two values agree to every bit; once saturated there, staying at
     0.0 counts as shrunk."""
+    an = analyse(cfg.series, cfg.prefactor, cfg.order_M)
     lines = [CSV_HEADER]
     devs = []
     for t in cfg.t_grid:
         try:
             s = _total_sum(cfg, t)
-            i, _ = _total_integral(cfg, t)
-            a = asym_from_parts(cfg.series, cfg.prefactor, t, cfg.order_L,
-                                cfg.order_M, extra_log=cfg.extra_log(t)).total
+            i, _ = _total_integral(cfg, an, t)
+            a = asym_from_parts(an, t, cfg.order_L, cfg.q_power).total
         except HypothesisError:
             raise
         except QasymError as e:
@@ -287,6 +300,7 @@ def run_preset_cmd(args: argparse.Namespace) -> int:
                   for q in p.series.terms],
         "prefactor_quads": [{"a": q.a, "b": q.b, "c": q.c, "d": q.d, "S": q.S}
                             for q in p.prefactor],
+        "q_power": p.q_power,
         "reference": {"rate": p.reference.rate, "t_power": p.reference.t_power,
                       "log_constant": p.reference.log_constant,
                       "notes": p.reference.notes},

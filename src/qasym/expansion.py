@@ -1,6 +1,8 @@
 """Laplace expansion at each interior maximum, the leading tail term, and
 assembly of the full asymptotic value including the constant-product
-prefactor.
+prefactor.  What depends only on the spec (phase, hypothesis, maxima, tail
+flag, prefactor constants) is computed once into an ``Analysis``, which
+the integral and asym routes share for every t.
 
 At a maximum u of order k the logged term expands around x = u/t with
 peak-width normalizer V = (-F^(2k)(u/t)/(2k)!)^(1/(2k)); the reduced
@@ -20,17 +22,59 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import BranchError, DegenerateError, HypothesisError, SignError
 from .logvalue import LogValue
-from .phase import (PhaseFamily, StationaryPoint, build_phase, check_hypothesis,
-                    laplace_constant, phase_value, stationary_points)
-from .qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
-                      log_summand_deriv, normalize, prefactor_asym,
-                      prefactor_constants)
+from .phase import (HypothesisReport, PhaseFamily, StationaryPoint, build_phase,
+                    check_hypothesis, search_upper_bound, stationary_points)
+from .qseries import (PrefactorLaw, ProductSpec, QuadTerm, SeriesSpec,
+                      log_summand, log_summand_deriv, normalize, prefactor_asym,
+                      prefactor_law)
 
 DEFAULT_L = 2   # correction order; round-off dominates past this at desk-scale t
 DEFAULT_M = 8   # prefactor correction order
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything the integral and asym routes need of a normalized series
+    and its prefactor quads that does not depend on t; see ``analyse``.
+
+    ``peaks`` are the interior maxima of the leading phase, found only when
+    the hypothesis holds (empty otherwise); ``u_search`` is the phase's
+    search bound; ``tail`` says whether the flat-tail term applies
+    (A = v = 0 and f(alpha_1) > 0)."""
+    phase: PhaseFamily
+    hypothesis: HypothesisReport
+    u_search: float
+    peaks: tuple[StationaryPoint, ...]
+    tail: bool
+    quads: tuple[QuadTerm, ...]
+    M: int
+
+    @property
+    def series(self) -> SeriesSpec:
+        return self.phase.spec
+
+    @cached_property
+    def prefactor(self) -> PrefactorLaw:
+        # built on first use: the integral route never reads it, so an M
+        # past the Bernoulli table fails the asym route only
+        return prefactor_law(self.quads, self.M)
+
+
+def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
+            M: int = DEFAULT_M) -> Analysis:
+    """Phase family, hypothesis, search bound, maxima and tail flag of
+    ``series``, with the prefactor of ``quads`` expanded to order M."""
+    pf = build_phase(series)
+    hyp = check_hypothesis(pf)
+    tail = (series.A == 0 and series.v == 0 and bool(pf.falpha)
+            and pf.falpha[0][1] > 0)
+    return Analysis(phase=pf, hypothesis=hyp, u_search=search_upper_bound(pf),
+                    peaks=tuple(stationary_points(pf)) if hyp else (),
+                    tail=tail, quads=quads, M=M)
 
 
 @dataclass(frozen=True)
@@ -73,30 +117,6 @@ def _exp_series(lams: dict[int, float], order: int) -> list[float]:
     return b
 
 
-def kappa_by_partitions(lams: dict[int, float], ell: int) -> float:
-    """Direct partition-sum evaluation of kappa_ell = sum over {l_r} with
-    sum r l_r = ell of prod lambda_r^(l_r)/l_r!.  Cross-check oracle for the
-    power-series exponential; practical only for small ell."""
-    rs = sorted(r for r in lams if r <= ell)
-
-    def rec(i: int, remaining: int) -> float:
-        if remaining == 0:
-            return 1.0
-        if i >= len(rs):
-            return 0.0
-        r = rs[i]
-        total = 0.0
-        term = 1.0
-        count = 0
-        while r * count <= remaining:
-            total += term * rec(i + 1, remaining - r * count)
-            count += 1
-            term *= lams[r] / count
-        return total
-
-    return rec(0, ell)
-
-
 def corrections(spec: SeriesSpec, sp: StationaryPoint, t: float,
                 L: int) -> CorrectionSeries:
     """Peak-width normalizer and kappa_0..kappa_{2L} at the maximum sp."""
@@ -124,15 +144,16 @@ def peak_value(spec: SeriesSpec, sp: StationaryPoint, t: float,
     return LogValue(1, f_u - math.log(cs.V) + math.log(s))
 
 
-def leading_constant(pf: PhaseFamily, sp: StationaryPoint) -> tuple[float, float, float]:
+def leading_constant(sp: StationaryPoint) -> tuple[float, float, float]:
     """(C_u, t_power, rate) of the t->0 law C_u t^(-1+1/(2m)) e^(rate/t)."""
-    c_u = laplace_constant(pf, sp.u, sp.order, sp.h2m)
-    return c_u, -1.0 + 1.0 / (2 * sp.order), sp.h_value
+    return sp.c_u, -1.0 + 1.0 / (2 * sp.order), sp.h_value
 
 
-def tail_branch_applies(pf: PhaseFamily) -> bool:
-    s = pf.spec
-    return (s.A == 0 and s.v == 0 and bool(pf.falpha) and pf.falpha[0][1] > 0)
+def _tail_law(pf: PhaseFamily) -> tuple[float, float]:
+    """(log C, t_power) of the far-tail term C t^(B/alpha_1 - 1)."""
+    alpha1, f1 = pf.falpha[0]
+    ba = pf.spec.B / alpha1
+    return math.lgamma(ba) - math.log(alpha1) - ba * math.log(f1), ba - 1.0
 
 
 def tail_leading(pf: PhaseFamily, t: float) -> LogValue:
@@ -143,15 +164,12 @@ def tail_leading(pf: PhaseFamily, t: float) -> LogValue:
         raise BranchError("tail term is zero unless A = 0 and v = 0")
     if not pf.falpha:
         raise BranchError("no Pochhammer terms: tail exponent alpha_1 undefined")
-    alpha1, f1 = pf.falpha[0]
-    if f1 < 0:
+    if pf.falpha[0][1] < 0:
         raise BranchError("f(alpha_1) < 0: tail term is zero")
     if s.B <= 0:
         raise BranchError("tail term needs B > 0")
-    ba = s.B / alpha1
-    log = (math.lgamma(ba) - math.log(alpha1) - ba * math.log(f1)
-           + (ba - 1.0) * math.log(t))
-    return LogValue(1, log)
+    log_c, t_power = _tail_law(pf)
+    return LogValue(1, log_c + t_power * math.log(t))
 
 
 @dataclass(frozen=True)
@@ -172,60 +190,46 @@ class AsymptoticResult:
     t: float
     total: LogValue
 
-    def log_value(self) -> float:
-        return self.total.log_abs
 
-
-def asym_from_parts(series: SeriesSpec, prefactor: tuple[QuadTerm, ...],
-                    t: float, L: int = DEFAULT_L, M: int = DEFAULT_M,
-                    extra_log: float = 0.0) -> AsymptoticResult:
-    """Assemble peaks + tail for a normalized series and multiply by the
-    asymptotic constant-product prefactor (and an optional fixed log factor,
-    applied verbatim on both branches)."""
-    pf = build_phase(series)
-    hyp = check_hypothesis(pf)
-    if not hyp:
-        raise HypothesisError(f"increasing-near-zero hypothesis fails: {hyp.detail}")
-    sps = stationary_points(pf)
+def asym_from_parts(an: Analysis, t: float, L: int = DEFAULT_L,
+                    q_power: float = 0.0) -> AsymptoticResult:
+    """Assemble peaks + tail of the analysed series at t and multiply by the
+    asymptotic constant-product prefactor and the fixed factor q^q_power
+    (applied verbatim on both branches)."""
+    if not an.hypothesis:
+        raise HypothesisError(
+            f"increasing-near-zero hypothesis fails: {an.hypothesis.detail}")
+    sps = an.peaks
     n_val = LogValue.zero()
     for sp in sps:
-        n_val = n_val + peak_value(series, sp, t, L)
-    if tail_branch_applies(pf):
-        i_val = tail_leading(pf, t)
-    else:
-        i_val = LogValue.zero()
+        n_val = n_val + peak_value(an.series, sp, t, L)
+    i_val = tail_leading(an.phase, t) if an.tail else LogValue.zero()
     if n_val.is_zero() and i_val.is_zero():
         raise DegenerateError(
             "no interior maximum and no applicable tail branch; "
             "the expansion machinery does not cover this spec")
-    pre = prefactor_asym(prefactor, t, M)
-    total = (n_val + i_val) * pre * LogValue.from_log(extra_log)
+    law = an.prefactor
+    total = ((n_val + i_val) * prefactor_asym(law, t)
+             * LogValue.from_log(-q_power * t))
 
-    if prefactor:
-        A_H, B_H, logC, _ = prefactor_constants(prefactor)
-    else:
-        A_H, B_H, logC = 0.0, 0.0, 0.0
     tail_only = not sps
     if sps:
         dom = max(sps, key=lambda sp: sp.h_value)
-        c_u, tp, rate = leading_constant(pf, dom)
+        c_u, tp, rate = leading_constant(dom)
         if not i_val.is_zero() and (dom.h_value < 0
                                     or (dom.h_value == 0
-                                        and pf.spec.B / pf.falpha[0][0] - 1.0 < tp)):
+                                        and _tail_law(an.phase)[1] < tp)):
             tail_only = True
     if tail_only:
-        alpha1, f1 = pf.falpha[0]
-        ba = pf.spec.B / alpha1
+        log_cu, tp = _tail_law(an.phase)
         rate = 0.0
-        tp = ba - 1.0
-        log_cu = math.lgamma(ba) - math.log(alpha1) - ba * math.log(f1)
     else:
         log_cu = math.log(c_u)
     branch = ("tail" if not sps else
               ("sum-of-peaks+tail" if not i_val.is_zero() else "peak"))
-    rate_total = A_H + rate
-    t_power = B_H + tp
-    log_constant = logC + log_cu
+    rate_total = law.A_H + rate
+    t_power = law.B_H + tp
+    log_constant = law.log_C + log_cu
     base = rate_total / t + t_power * math.log(t) + log_constant
     corr = math.exp(total.log_abs - base) * total.sign
     return AsymptoticResult(rate=rate_total, t_power=t_power,
@@ -237,5 +241,4 @@ def asym_total(product: ProductSpec, t: float, L: int = DEFAULT_L,
                M: int = DEFAULT_M) -> AsymptoticResult:
     """Full asymptotic value of the raw series: normalize, expand the
     normalized part, multiply by the constant-product asymptotics."""
-    series, pref = normalize(product)
-    return asym_from_parts(series, pref.quads, t, L, M)
+    return asym_from_parts(analyse(*normalize(product), M), t, L)

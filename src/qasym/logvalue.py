@@ -67,9 +67,6 @@ class LogValue:
             return math.inf * self.sign
         return self.sign * math.exp(self.log_abs)
 
-    def __float__(self) -> float:
-        return self.to_float()
-
     def __neg__(self) -> "LogValue":
         return LogValue(-self.sign, self.log_abs, self.err)
 

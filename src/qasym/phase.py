@@ -6,7 +6,7 @@ The logged general term satisfies (as t -> 0+, u = x t fixed)
     t * log_summand(u/t, t)  ->  level(-1):  v u - A u^2 - sum_j f_j Li2(e^{-alpha_j u})
 
 with f_j = -sum_{beta,gamma} S/beta collected over the terms sharing alpha_j.
-Level 0 and the higher levels supply the t^1, t^2, ... coefficients.  The
+Level 0 supplies the t^0 coefficient, which enters the Laplace constant.  The
 maxima of the leading level on (0, inf) dictate every exponential growth
 rate downstream.
 """
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .errors import DegenerateError, DomainError
 from .qseries import SeriesSpec
-from .specfun import bernoulli_poly, dilog, gamma_fn, li1, polylog_nonpos
+from .specfun import dilog, polylog_nonpos
 
 MAX_ORDER = 8            # stationary points classified up to order m_u = 8
 _DEGENERACY_RTOL = 1e-8  # |H^(2m)| below this * scale counts as zero
@@ -28,8 +28,8 @@ _BISECT_RTOL = 1e-15
 @dataclass(frozen=True)
 class PhaseFamily:
     """Series spec plus the (alpha_j, f_j) coefficient list, alpha ascending.
-    Terms whose f sums to zero stay in ``spec`` (they still feed the higher
-    levels) but are excluded from ``falpha``."""
+    Terms whose f sums to zero stay in ``spec`` (they still feed level 0)
+    but are excluded from ``falpha``."""
     spec: SeriesSpec
     falpha: tuple[tuple[float, float], ...]
 
@@ -47,9 +47,8 @@ def build_phase(spec: SeriesSpec) -> PhaseFamily:
 
 def phase_value(pf: PhaseFamily, level: int, u: float) -> float:
     """Level -1: v u - A u^2 - sum_j f_j Li2(e^{-alpha_j u}).
-    Level 0:  -sum_terms (gamma/beta - 1/2) S Li1(e^{-alpha u}) - B u.
-    Level m>=1: (-1)^(m-1)/(m+1)! sum_terms beta^m S B_{m+1}(gamma/beta)
-                Li_{1-m}(e^{-alpha u}).
+    Level 0:  -sum_terms (gamma/beta - 1/2) S Li1(e^{-alpha u}) - B u,
+    with Li1(x) = -log(1-x).
     """
     if not u > 0:
         raise DomainError(f"phase needs u > 0, got {u}")
@@ -58,20 +57,9 @@ def phase_value(pf: PhaseFamily, level: int, u: float) -> float:
         return (s.v * u - s.A * u * u
                 - sum(f * dilog(math.exp(-a * u)) for a, f in pf.falpha))
     if level == 0:
-        return (-sum((p.gamma / p.beta - 0.5) * p.S * li1(math.exp(-p.alpha * u))
-                     for p in s.terms) - s.B * u)
-    m = level
-    sgn = 1.0 if (m - 1) % 2 == 0 else -1.0
-    acc = sum(p.beta ** m * p.S * bernoulli_poly(m + 1, p.gamma / p.beta)
-              * _li_one_minus(m, math.exp(-p.alpha * u)) for p in s.terms)
-    return sgn * acc / math.factorial(m + 1)
-
-
-def _li_one_minus(m: int, x: float) -> float:
-    # Li_{1-m}(x) for m >= 1
-    if m == 1:
-        return polylog_nonpos(0, x)
-    return polylog_nonpos(m - 1, x)
+        return (sum((p.gamma / p.beta - 0.5) * p.S * math.log1p(-math.exp(-p.alpha * u))
+                    for p in s.terms) - s.B * u)
+    raise DomainError(f"phase levels are -1 and 0, got {level}")
 
 
 def phase_deriv(pf: PhaseFamily, k: int, u: float) -> float:
@@ -143,7 +131,7 @@ class StationaryPoint:
 def laplace_constant(pf: PhaseFamily, u: float, order: int, h2m: float) -> float:
     """e^{H0(u)} Gamma(1/(2m))/m * ((2m)!/|H^(2m)(u)|)^(1/(2m))."""
     m = order
-    return (math.exp(phase_value(pf, 0, u)) * gamma_fn(1.0 / (2 * m)) / m
+    return (math.exp(phase_value(pf, 0, u)) * math.gamma(1.0 / (2 * m)) / m
             * (math.factorial(2 * m) / abs(h2m)) ** (1.0 / (2 * m)))
 
 

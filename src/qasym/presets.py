@@ -1,9 +1,10 @@
 """Built-in series with known reference asymptotics.
 
-Each preset bundles the normalized series, the constant-product prefactor
-quads, an optional fixed extra log-factor (phi-minus carries the q = e^{-t}
-left over from re-indexing its sum to start at zero), and the closed-form
-reference law C t^p exp(r/t) its total should approach.
+Each preset is plain data: the normalized series, the constant-product
+prefactor quads, the power q_power of a fixed factor q^q_power (phi-minus
+carries the q = e^{-t} left over from re-indexing its sum to start at
+zero), and the closed-form reference law C t^p exp(r/t) its total should
+approach.
 
 CLI names: ramanujan, f0, phi-minus, rphis, simple-r, euler, euler-b2.
 """
@@ -11,11 +12,12 @@ CLI names: ramanujan, f0, phi-minus, rphis, simple-r, euler, euler-b2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import SpecError
-from .expansion import DEFAULT_L, DEFAULT_M, AsymptoticResult, asym_from_parts
+from .expansion import (DEFAULT_L, DEFAULT_M, AsymptoticResult, analyse,
+                        asym_from_parts)
 from .logvalue import LogValue
 from .qseries import (ProductSpec, QuadTerm, SeriesSpec, normalize,
                       prefactor_exact, series_sum)
@@ -33,9 +35,6 @@ class Reference:
     log_constant: float
     notes: str = ""
 
-    def log_value(self, t: float) -> float:
-        return self.rate / t + self.t_power * math.log(t) + self.log_constant
-
 
 @dataclass(frozen=True)
 class Preset:
@@ -45,22 +44,23 @@ class Preset:
     reference: Reference
     notes: str = ""
     product: Optional[ProductSpec] = None
-    extra_log: Callable[[float], float] = field(default=lambda t: 0.0)
+    q_power: float = 0.0
 
     def series_total(self, t: float) -> LogValue:
-        """Exact value: direct summation times the exact prefactor product."""
+        """Exact value: direct summation times the exact prefactor product
+        and q^q_power."""
         total = series_sum(self.series, t) * prefactor_exact(self.prefactor, t)
-        return total * LogValue.from_log(self.extra_log(t))
+        return total * LogValue.from_log(-self.q_power * t)
 
     def asym(self, t: float, L: int = DEFAULT_L, M: int = DEFAULT_M) -> AsymptoticResult:
-        return asym_from_parts(self.series, self.prefactor, t, L, M,
-                               extra_log=self.extra_log(t))
+        return asym_from_parts(analyse(self.series, self.prefactor, M), t, L,
+                               self.q_power)
 
 
 def _from_product(name: str, product: ProductSpec, reference: Reference,
                   notes: str = "") -> Preset:
-    series, pref = normalize(product)
-    return Preset(name=name, series=series, prefactor=pref.quads,
+    series, quads = normalize(product)
+    return Preset(name=name, series=series, prefactor=quads,
                   reference=reference, notes=notes, product=product)
 
 
@@ -97,7 +97,7 @@ def preset_phi_minus() -> Preset:
     Rewritten as [(-q;q)_inf/(q;q^2)_inf] * q * sum_{m>=0} q^m *
     (q^(2m+3);q^2)_inf (q^(2m+2);q)_inf / (q^(4m+4);q^2)_inf; the prefactor
     is re-expressed through plain symbols via (-q;q)_inf = (q^2;q^2)_inf/(q;q)_inf
-    and the stray q becomes the extra log-factor -t.  No interior peak: the
+    and the stray q becomes q_power = 1.  No interior peak: the
     whole normalized value is the flat tail, Gamma(1/2)/(2 sqrt(3/2)) / sqrt t.
     """
     series = SeriesSpec.make(0.0, 1.0, 0.0,
@@ -110,8 +110,7 @@ def preset_phi_minus() -> Preset:
     ref = Reference(rate=PI2 / 6.0, t_power=-0.5, log_constant=log_c,
                     notes="tail-only branch; equals (1/2) sqrt(pi/(6 t)) e^(pi^2/(6t))")
     return Preset(name="phi-minus", series=series, prefactor=pref, reference=ref,
-                  extra_log=lambda t: -t,
-                  notes="sixth-order mock theta function")
+                  q_power=1.0, notes="sixth-order mock theta function")
 
 
 def preset_rphis(a_vec: tuple[float, ...] = (1.0,),

@@ -1,6 +1,6 @@
 """Series data model and exact (truncated) evaluation.
 
-Covers: finite/infinite q-Pochhammer symbols in log space, the canonical
+Covers: infinite q-Pochhammer symbols in log space, the canonical
 normalization from finite-symbol quadruples to infinite-symbol terms, the
 logged general term of the normalized series and its x-derivatives, direct
 log-space summation of the series, and the small-t product asymptotics of
@@ -121,11 +121,7 @@ class QuadTerm:
 
 @dataclass(frozen=True)
 class ProductSpec:
-    """Raw series sum_m q^(A m^2+B m) z^m / prod (q^a;q^b)_(c m+d)^S.
-
-    Also reused (with c, d ignored) for the m-independent constant product
-    prod (q^a;q^b)_inf^(-S); ``quads`` may then be empty.
-    """
+    """Raw series sum_m q^(A m^2+B m) z^m / prod (q^a;q^b)_(c m+d)^S."""
     A: float
     B: float
     v: float
@@ -142,13 +138,14 @@ class ProductSpec:
         return ProductSpec(A, B, v, tuple(QuadTerm(*q) for q in quads))
 
 
-def normalize(spec: ProductSpec) -> tuple[SeriesSpec, ProductSpec]:
+def normalize(spec: ProductSpec) -> tuple[SeriesSpec, tuple[QuadTerm, ...]]:
     """Rewrite finite symbols through (q^a;q^b)_z = (q^a;q^b)_inf/(q^(a+bz);q^b)_inf.
 
     Each quadruple (a,b,c,d,S) becomes the infinite-symbol term
     (alpha, beta, gamma) = (b*c, b, a+b*d) with denominator exponent -S,
-    plus the m-independent factor (q^a;q^b)_inf^(-S) collected in the
-    returned constant-prefactor ProductSpec (quads merged on (a,b)).
+    plus the m-independent factor (q^a;q^b)_inf^(-S).  Those factors are
+    returned as the prefactor quads, merged on (a,b), with c = 1 and d = 0
+    (the prefactor reads only a, b and S).
     """
     terms = [(q.b * q.c, q.b, q.a + q.b * q.d, -q.S) for q in spec.quads]
     series = SeriesSpec.make(spec.A, spec.B, spec.v, terms)
@@ -156,26 +153,12 @@ def normalize(spec: ProductSpec) -> tuple[SeriesSpec, ProductSpec]:
     for q in spec.quads:
         key = (q.a, q.b)
         pref[key] = pref.get(key, 0.0) + q.S
-    quads = tuple(QuadTerm(a, b, 1.0, 0.0, s)
-                  for (a, b), s in sorted(pref.items()) if s != 0.0)
-    return series, ProductSpec(spec.A, spec.B, spec.v, quads)
+    return series, tuple(QuadTerm(a, b, 1.0, 0.0, s)
+                         for (a, b), s in sorted(pref.items()) if s != 0.0)
 
 
 # ---------------------------------------------------------------------------
 # q-Pochhammer symbols
-
-
-def qpoch_finite(a: float, q: float, m: int) -> LogValue:
-    """(a;q)_m = prod_{k<m} (1 - a q^k), exact in log space; (a;q)_0 = 1."""
-    if m < 0:
-        raise DomainError("finite symbol needs m >= 0")
-    if m == 0:
-        return LogValue.one()
-    factors = 1.0 - a * q ** np.arange(m, dtype=float)
-    if np.any(factors == 0.0):
-        raise PoleError("vanishing factor in finite q-Pochhammer symbol")
-    sign = -1 if int(np.sum(factors < 0)) % 2 else 1
-    return LogValue(sign, float(np.sum(np.log(np.abs(factors)))))
 
 
 def qpoch_inf(a: float, q: float) -> LogValue:
@@ -209,34 +192,6 @@ def _gamma_sign_log(x: float) -> tuple[int, float]:
     return sign, math.lgamma(x)
 
 
-def mcintosh_asym(a: float, b: float, t: float, M: int) -> LogValue:
-    """Small-t asymptotics of log (e^{-at}; e^{-bt})_inf:
-
-        -pi^2/(6bt) + (1/2 - a/b) log(bt) + log(sqrt(2 pi)/Gamma(a/b))
-        - sum_{l=1}^{M} b^l B_l B_{l+1}(a/b) t^l / (l (l+1)!).
-
-    The t-power carries bt, not t alone; the plain-t form fails the direct
-    q-Pochhammer cross-check by (a/b-1/2) log b whenever b != 1.
-    """
-    if not b > 0:
-        raise DomainError(f"need b > 0, got {b}")
-    if not t > 0:
-        raise DomainError(f"need t > 0, got {t}")
-    if b * t >= 2.0 * math.pi:
-        raise ConvergenceError("bt >= 2*pi: expansion radius exceeded")
-    ab = a / b
-    gsign, glog = _gamma_sign_log(ab)
-    out = (-math.pi ** 2 / (6.0 * b * t) + (0.5 - ab) * math.log(b * t)
-           + 0.5 * LOG_2PI - glog)
-    for ell in range(1, M + 1):
-        bn = bernoulli_number(ell)
-        if bn == 0:
-            continue
-        out -= (b ** ell * float(bn) * bernoulli_poly(ell + 1, ab) * t ** ell
-                / (ell * math.factorial(ell + 1)))
-    return LogValue(gsign, out)
-
-
 def prefactor_constants(quads: tuple[QuadTerm, ...]) -> tuple[float, float, float, int]:
     """(A_H, B_H, log C_H, sign) of prod (q^a;q^b)_inf^(-S) ~
     C_H t^{B_H} exp(A_H/t + sum A_l t^l)."""
@@ -257,30 +212,44 @@ def prefactor_constants(quads: tuple[QuadTerm, ...]) -> tuple[float, float, floa
     return A_H, B_H, logC, sign
 
 
-def prefactor_asym(spec: ProductSpec | tuple[QuadTerm, ...], t: float,
-                   M: int) -> LogValue:
-    """log of prod (q^a;q^b)_inf^(-S) via the aggregated constants, with the
-    correction series truncated at order M."""
-    quads = spec.quads if isinstance(spec, ProductSpec) else tuple(spec)
-    if not quads:
-        return LogValue.one()
+@dataclass(frozen=True)
+class PrefactorLaw:
+    """t-independent constants of prod (q^a;q^b)_inf^(-S) ~
+    sign C_H t^{B_H} exp(A_H/t + sum_{l=1}^{M} A_l t^l); ``coeffs`` holds
+    A_1..A_M (empty for an empty product)."""
+    A_H: float
+    B_H: float
+    log_C: float
+    sign: int
+    coeffs: tuple[float, ...]
+
+
+def prefactor_law(quads: tuple[QuadTerm, ...], M: int) -> PrefactorLaw:
+    """The constants of ``prefactor_constants`` plus the Bernoulli
+    coefficients A_l = sum B_l S b^l B_{l+1}(a/b) / (l (l+1)!), l <= M."""
+    coeffs = []
+    # an empty product reads no Bernoulli number, so it accepts any M
+    for ell in range(1, M + 1) if quads else ():
+        bn = bernoulli_number(ell)
+        coeffs.append(0.0 if bn == 0 else sum(
+            float(bn) * q.S * q.b ** ell * bernoulli_poly(ell + 1, q.a / q.b)
+            / (ell * math.factorial(ell + 1)) for q in quads))
+    return PrefactorLaw(*prefactor_constants(quads), tuple(coeffs))
+
+
+def prefactor_asym(law: PrefactorLaw, t: float) -> LogValue:
+    """log of prod (q^a;q^b)_inf^(-S) from its constants, with the
+    correction series truncated where ``law`` was."""
     if not t > 0:
         raise DomainError(f"need t > 0, got {t}")
-    A_H, B_H, logC, sign = prefactor_constants(quads)
-    out = A_H / t + B_H * math.log(t) + logC
-    for ell in range(1, M + 1):
-        bn = bernoulli_number(ell)
-        if bn == 0:
-            continue
-        A_l = sum(float(bn) * q.S * q.b ** ell * bernoulli_poly(ell + 1, q.a / q.b)
-                  / (ell * math.factorial(ell + 1)) for q in quads)
-        out += A_l * t ** ell
-    return LogValue(sign, out)
+    out = law.A_H / t + law.B_H * math.log(t) + law.log_C
+    for ell, a_l in enumerate(law.coeffs, 1):
+        out += a_l * t ** ell
+    return LogValue(law.sign, out)
 
 
-def prefactor_exact(spec: ProductSpec | tuple[QuadTerm, ...], t: float) -> LogValue:
+def prefactor_exact(quads: tuple[QuadTerm, ...], t: float) -> LogValue:
     """prod (q^a;q^b)_inf^(-S) by direct symbol evaluation (needs a > 0)."""
-    quads = spec.quads if isinstance(spec, ProductSpec) else tuple(spec)
     out = LogValue.one()
     for q in quads:
         if q.a <= 0:

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+from .expansion import Analysis
 from .logvalue import LogValue
-from .phase import (PhaseFamily, build_phase, check_hypothesis, search_upper_bound,
-                    stationary_points)
-from .qseries import SeriesSpec, log_summand
+from .qseries import log_summand
 
 MAX_PANELS = 1 << 20
 
@@ -78,22 +77,18 @@ class QuadResult:
     subdivisions: int
 
 
-def _breakpoints(spec: SeriesSpec, pf: PhaseFamily, t: float,
-                 u_hi: float) -> list[float]:
+def _breakpoints(an: Analysis, t: float, u_hi: float) -> list[float]:
     """Initial panel edges over [0, u_hi]: a geometric ladder toward 0 plus
-    the peak and tail seeds of the phase family ``pf`` of ``spec``."""
+    the peak and tail seeds of the analysed series."""
     seeds: list[float] = []
-    sps = []
-    if check_hypothesis(pf):
-        sps = stationary_points(pf)
-    for sp in sps:
+    for sp in an.peaks:
         width = (math.factorial(2 * sp.order) * t
                  / abs(sp.h2m)) ** (1.0 / (2 * sp.order))
         for k in (-5.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 5.0):
             seeds.append(sp.u + k * width)
         seeds.append(sp.u)
-    if (spec.A == 0 and spec.v == 0 and pf.falpha and pf.falpha[0][1] > 0):
-        alpha1 = pf.falpha[0][0]
+    if an.tail:
+        alpha1 = an.phase.falpha[0][0]
         u_tail = math.log(1.0 / t) / alpha1
         for s in (0.3, 1.0, 2.0, 3.0):
             seeds.append(s * u_tail)
@@ -106,14 +101,15 @@ def _breakpoints(spec: SeriesSpec, pf: PhaseFamily, t: float,
     return sorted(set(edges))
 
 
-def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10) -> QuadResult:
-    """Integral over x in (0, inf) of exp(log_summand(x)), computed as
-    (1/t) * int_0^U exp(F(u/t)) du with U chosen so the integrand at U is
-    below rel_tol * peak * 1e-4.  Deterministic for fixed inputs."""
+def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
+    """Integral over x in (0, inf) of exp(log_summand(x)) for the analysed
+    series, computed as (1/t) * int_0^U exp(F(u/t)) du with U chosen so the
+    integrand at U is below rel_tol * peak * 1e-4.  Deterministic for fixed
+    inputs."""
     if rel_tol < 1e-12:
         raise DomainError("rel_tol must be >= 1e-12")
-    pf = build_phase(spec)
-    u_hi = max(search_upper_bound(pf), 1.0)
+    spec = an.series
+    u_hi = max(an.u_search, 1.0)
 
     def g(u: np.ndarray) -> np.ndarray:
         return log_summand(spec, u / t, t)
@@ -134,7 +130,7 @@ def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10) -> QuadResult:
         gscan = g(more)
         gmax = max(gmax, float(gscan.max()))
 
-    edges = _breakpoints(spec, pf, t, u_hi)
+    edges = _breakpoints(an, t, u_hi)
     gmax = max(gmax, float(g(np.array([u for u in edges if u > 0.0])).max()))
 
     def f(u: np.ndarray) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Scalar special functions: Bernoulli numbers/polynomials, integer-order
-polylogarithms (order <= 2), and the Gamma function.
+"""Scalar special functions: Bernoulli numbers/polynomials, the dilogarithm
+and the nonpositive-order polylogarithms.
 
 Bernoulli data is kept in exact rational arithmetic: the product-asymptotic
 tail terms alternate in sign and grow factorially, and a floating recurrence
@@ -83,13 +83,6 @@ def bernoulli_poly(n: int, x: float) -> float:
     return float(acc)
 
 
-def li1(x: float) -> float:
-    """Li_1(x) = -log(1-x) for 0 <= x < 1."""
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"li1 needs 0 <= x < 1, got {x}")
-    return -math.log1p(-x)
-
-
 def dilog(x: float) -> float:
     """Li_2(x) for 0 <= x <= 1.
 
@@ -119,7 +112,7 @@ def dilog(x: float) -> float:
 def polylog_nonpos(r: int, x: float) -> float:
     """Li_{-r}(x) for 0 <= x < 1, via the exact rational-function form."""
     if r < 0:
-        raise DomainError("order must be nonnegative (use li1/dilog for s >= 1)")
+        raise DomainError("order must be nonnegative (use dilog for order 2)")
     if r > POLYLOG_R_MAX:
         raise IndexOverflowError(f"polylog order {r} exceeds table size {POLYLOG_R_MAX}")
     if not 0.0 <= x < 1.0:
@@ -128,40 +121,3 @@ def polylog_nonpos(r: int, x: float) -> float:
     for c in reversed(_LINEG[r]):
         p = p * x + c
     return p / (1.0 - x) ** (r + 1)
-
-
-def _li_int(s: int, x: float) -> float:
-    if s == 2:
-        return dilog(x)
-    if s == 1:
-        return li1(x)
-    return polylog_nonpos(-s, x)
-
-
-def polylog_shift(n: int, a: float, x: float, terms: int) -> float:
-    """Truncated Taylor value of Li_n(a e^x) around x = 0:
-    sum_{k<terms} Li_{n-k}(a) x^k / k!.  Valid for |x| < min(-log a, pi).
-    """
-    if n > 2:
-        raise DomainError("shift expansion defined for integer order n <= 2")
-    if not 0.0 < a < 1.0:
-        raise DomainError(f"need 0 < a < 1, got {a}")
-    if terms < 1:
-        raise DomainError("need at least one term")
-    if abs(x) >= min(-math.log(a), math.pi):
-        raise DomainError(f"|x|={abs(x)} outside convergence radius "
-                          f"{min(-math.log(a), math.pi)}")
-    total = 0.0
-    xk = 1.0
-    for k in range(terms):
-        if k > 0:
-            xk *= x / k
-        total += _li_int(n - k, a) * xk
-    return total
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma(x) for x > 0 (stdlib implementation, ~1e-15 relative)."""
-    if x <= 0.0:
-        raise DomainError(f"gamma_fn needs x > 0, got {x}")
-    return math.gamma(x)

@@ -1,0 +1,76 @@
+"""Independent reference implementations the tests compare the engine
+against.  No route of the package calls them."""
+
+import math
+
+import numpy as np
+
+from qasym.errors import ConvergenceError, DomainError, PoleError
+from qasym.logvalue import LogValue
+from qasym.qseries import LOG_2PI, _gamma_sign_log
+from qasym.specfun import bernoulli_number, bernoulli_poly
+
+
+def kappa_by_partitions(lams: dict[int, float], ell: int) -> float:
+    """Direct partition-sum evaluation of kappa_ell = sum over {l_r} with
+    sum r l_r = ell of prod lambda_r^(l_r)/l_r!.  Cross-check oracle for the
+    power-series exponential; practical only for small ell."""
+    rs = sorted(r for r in lams if r <= ell)
+
+    def rec(i: int, remaining: int) -> float:
+        if remaining == 0:
+            return 1.0
+        if i >= len(rs):
+            return 0.0
+        r = rs[i]
+        total = 0.0
+        term = 1.0
+        count = 0
+        while r * count <= remaining:
+            total += term * rec(i + 1, remaining - r * count)
+            count += 1
+            term *= lams[r] / count
+        return total
+
+    return rec(0, ell)
+
+
+def qpoch_finite(a: float, q: float, m: int) -> LogValue:
+    """(a;q)_m = prod_{k<m} (1 - a q^k), exact in log space; (a;q)_0 = 1."""
+    if m < 0:
+        raise DomainError("finite symbol needs m >= 0")
+    if m == 0:
+        return LogValue.one()
+    factors = 1.0 - a * q ** np.arange(m, dtype=float)
+    if np.any(factors == 0.0):
+        raise PoleError("vanishing factor in finite q-Pochhammer symbol")
+    sign = -1 if int(np.sum(factors < 0)) % 2 else 1
+    return LogValue(sign, float(np.sum(np.log(np.abs(factors)))))
+
+
+def mcintosh_asym(a: float, b: float, t: float, M: int) -> LogValue:
+    """Small-t asymptotics of log (e^{-at}; e^{-bt})_inf:
+
+        -pi^2/(6bt) + (1/2 - a/b) log(bt) + log(sqrt(2 pi)/Gamma(a/b))
+        - sum_{l=1}^{M} b^l B_l B_{l+1}(a/b) t^l / (l (l+1)!).
+
+    The t-power carries bt, not t alone; the plain-t form fails the direct
+    q-Pochhammer cross-check by (a/b-1/2) log b whenever b != 1.
+    """
+    if not b > 0:
+        raise DomainError(f"need b > 0, got {b}")
+    if not t > 0:
+        raise DomainError(f"need t > 0, got {t}")
+    if b * t >= 2.0 * math.pi:
+        raise ConvergenceError("bt >= 2*pi: expansion radius exceeded")
+    ab = a / b
+    gsign, glog = _gamma_sign_log(ab)
+    out = (-math.pi ** 2 / (6.0 * b * t) + (0.5 - ab) * math.log(b * t)
+           + 0.5 * LOG_2PI - glog)
+    for ell in range(1, M + 1):
+        bn = bernoulli_number(ell)
+        if bn == 0:
+            continue
+        out -= (b ** ell * float(bn) * bernoulli_poly(ell + 1, ab) * t ** ell
+                / (ell * math.factorial(ell + 1)))
+    return LogValue(gsign, out)

@@ -37,6 +37,10 @@ def test_preset_listing():
         assert expected in names
 
 
+ALL_PRESETS = ("ramanujan", "f0", "phi-minus", "rphis", "simple-r", "euler",
+               "euler-b2")
+
+
 def test_preset_dump_roundtrips(tmp_path):
     out = tmp_path / "rama.json"
     cp = run_cli("preset", "--preset", "ramanujan", "--out", str(out))
@@ -44,6 +48,17 @@ def test_preset_dump_roundtrips(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["A"] == 0.5
     assert doc["terms"][0]["S"] == -2.0
+    # the dump carries the prefactor quads and q_power, so evaluating it
+    # reproduces the preset exactly (inputs.spec_source differs by design)
+    for name in ALL_PRESETS:
+        dump = tmp_path / f"{name}.json"
+        assert run_cli("preset", "--preset", name, "--out", str(dump)).returncode == 0
+        results = []
+        for source in (("--spec", str(dump)), ("--preset", name)):
+            cp = run_cli("eval", *source, "--t", "0.1,0.05")
+            assert cp.returncode == 0, cp.stderr
+            results.append(json.dumps(json.loads(cp.stdout)["results"]))
+        assert results[0] == results[1], name
 
 
 def test_verify_euler_csv(tmp_path):
@@ -157,6 +172,51 @@ def test_hypothesis_failure_exit_2(tmp_path):
     cp = run_cli("asym", "--spec", spec, "--t", "0.05")
     assert cp.returncode == 2
     assert "hypothesis" in cp.stderr.lower()
+
+
+def test_hypothesis_split_by_route(tmp_path):
+    # the shared analysis records the failed hypothesis without raising:
+    # summation and quadrature still run, the asymptotic routes refuse
+    spec = write_spec(tmp_path, {"A": 0, "B": 0, "v": -1,
+                                 "terms": [{"alpha": 1, "beta": 1, "gamma": 1,
+                                            "S": 1}]})
+    for command, status in (("eval", 0), ("integral", 0), ("asym", 2),
+                            ("verify", 2)):
+        cp = run_cli(command, "--spec", spec, "--t", "0.05")
+        assert cp.returncode == status, (command, cp.stderr)
+
+
+@pytest.mark.parametrize("name", ["ramanujan", "phi-minus"])
+def test_rows_independent_of_grid(name):
+    # one analysis serves every t: each row of a two-point run equals the
+    # row of a run at that t alone (peak branch and tail branch)
+    asym = run_cli("asym", "--preset", name, "--t", "0.05,0.02")
+    verify = run_cli("verify", "--preset", name, "--t", "0.05,0.02")
+    assert asym.returncode == 0, asym.stderr
+    asym_rows = json.loads(asym.stdout)["results"]["rows"]
+    verify_rows = verify.stdout.splitlines()[1:]
+    for i, t in enumerate(("0.05", "0.02")):
+        alone = run_cli("asym", "--preset", name, "--t", t)
+        assert alone.returncode == 0, alone.stderr
+        assert (json.dumps(json.loads(alone.stdout)["results"]["rows"][0])
+                == json.dumps(asym_rows[i]))
+        alone = run_cli("verify", "--preset", name, "--t", t)
+        assert alone.returncode == 0, alone.stderr
+        assert alone.stdout.splitlines()[1] == verify_rows[i]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--order-L", "-1"),
+    ("--t-grid=-0.1:0.1:3:log",),
+    ("--t-grid", "0:0.1:3:log"),
+    ("--t", ","),
+], ids=["negative-order", "log-grid-negative-start", "log-grid-zero-start",
+        "empty-t"])
+def test_bad_input_is_usage_error(flags):
+    cp = run_cli("verify", "--preset", "euler", *flags)
+    assert cp.returncode == 1, cp.stderr
+    assert cp.stderr.startswith("error: ")
+    assert cp.stdout == ""
 
 
 def test_numeric_failure_exit_3():

@@ -2,9 +2,10 @@ import math
 
 import pytest
 
+from oracles import kappa_by_partitions
 from qasym.errors import BranchError, DegenerateError, HypothesisError
-from qasym.expansion import (_exp_series, _lambda_table, asym_from_parts,
-                             asym_total, corrections, kappa_by_partitions,
+from qasym.expansion import (_exp_series, _lambda_table, analyse,
+                             asym_from_parts, asym_total, corrections,
                              leading_constant, peak_value, tail_leading)
 from qasym.phase import build_phase, stationary_points
 from qasym.qseries import ProductSpec, SeriesSpec, series_sum
@@ -84,17 +85,15 @@ class TestPeakValue:
 
 class TestLeadingConstant:
     def test_ramanujan(self):
-        pf = build_phase(RAM)
-        c_u, t_power, rate = leading_constant(pf, _sp(RAM))
+        c_u, t_power, rate = leading_constant(_sp(RAM))
         assert c_u == pytest.approx(math.sqrt(2 * math.pi / math.sqrt(5.0)),
                                     rel=1e-12)
         assert t_power == -0.5
         assert rate == pytest.approx(-2 * math.pi ** 2 / 15.0, abs=1e-13)
 
     def test_f0_closed_form(self):
-        pf = build_phase(F0)
         sp = _sp(F0)
-        c_u, _, _ = leading_constant(pf, sp)
+        c_u, _, _ = leading_constant(sp)
         x = math.exp(-sp.u)
         display = math.sqrt(2 * math.pi) * math.sqrt((1 - x) / (2 - x + x * x))
         assert c_u == pytest.approx(display, rel=1e-12)
@@ -103,16 +102,15 @@ class TestLeadingConstant:
         from qasym.phase import phase_value
         pf = build_phase(RAM)
         sp = _sp(RAM)
-        c_u, _, _ = leading_constant(pf, sp)
+        c_u, _, _ = leading_constant(sp)
         shape = (math.exp(phase_value(pf, 0, sp.u))
                  * math.sqrt(2 * math.pi / abs(sp.h2m)))
         assert c_u == pytest.approx(shape, rel=1e-14)
 
     def test_match_peak_value_limit(self):
         # peak_value(L=0) / (C_u t^(-1/2) e^(rate/t)) -> 1 like O(t)
-        pf = build_phase(RAM)
         sp = _sp(RAM)
-        c_u, t_power, rate = leading_constant(pf, sp)
+        c_u, t_power, rate = leading_constant(sp)
         gaps = []
         for t in (0.04, 0.02, 0.01):
             pv = peak_value(RAM, sp, t, 0)
@@ -164,7 +162,7 @@ class TestAsymTotal:
         assert rebuilt == pytest.approx(r.total.log_abs, abs=1e-12)
 
     def test_euler_is_one(self):
-        r = asym_from_parts(EULER, (), 0.05)
+        r = asym_from_parts(analyse(EULER), 0.05)
         assert r.total.to_float() == pytest.approx(1.0, abs=1e-14)
         assert r.branch == "tail"
 
@@ -176,16 +174,16 @@ class TestAsymTotal:
     def test_geometric_series_refused(self):
         geo = SeriesSpec(0.0, 1.0, 0.0, ())
         with pytest.raises((DegenerateError, BranchError)):
-            asym_from_parts(geo, (), 0.05)
+            asym_from_parts(analyse(geo), 0.05)
 
     def test_vs_series_accuracy_improves(self):
         for spec, pref in ((RAM, RAM_PRODUCT.quads), (F0, ())):
             devs = []
             for t in (0.05, 0.025):
-                a = asym_from_parts(SeriesSpec.make(
+                a = asym_from_parts(analyse(SeriesSpec.make(
                     spec.A, spec.B, spec.v,
-                    [(p.alpha, p.beta, p.gamma, p.S) for p in spec.terms]),
-                    (), t)
+                    [(p.alpha, p.beta, p.gamma, p.S) for p in spec.terms])),
+                    t)
                 s = series_sum(spec, t)
                 devs.append(abs(math.exp(s.log_abs - a.total.log_abs) - 1.0))
             assert devs[1] < devs[0]

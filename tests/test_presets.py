@@ -212,4 +212,4 @@ class TestNormalizeConsistency:
         assert p.product is not None
         series, pref = normalize(p.product)
         assert series == p.series
-        assert pref.quads == p.prefactor
+        assert pref == p.prefactor

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import qasym.qseries as qs
+from oracles import mcintosh_asym, qpoch_finite
 from qasym.errors import ConvergenceError, DomainError, SpecError
 from qasym.presets import get_preset
 from qasym.qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
-                           log_summand_deriv, mcintosh_asym, normalize,
-                           prefactor_asym, prefactor_constants, prefactor_exact,
-                           qpoch_finite, qpoch_inf, series_sum)
+                           log_summand_deriv, normalize, prefactor_asym,
+                           prefactor_constants, prefactor_exact, prefactor_law,
+                           qpoch_inf, series_sum)
 
 RAM = SeriesSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, -2)])
 EULER = SeriesSpec.make(0.0, 1.0, 0.0, [(1, 1, 1, -1)])
@@ -148,12 +149,12 @@ class TestPrefactor:
         assert sign == 1
 
     def test_empty_product(self):
-        assert prefactor_asym((), 0.05, 8).to_float() == 1.0
+        assert prefactor_asym(prefactor_law((), 8), 0.05).to_float() == 1.0
 
     def test_vs_exact_symbol(self):
         t = 0.01
         quads = (QuadTerm(1, 2, 1, 0, 1),)
-        asym = prefactor_asym(quads, t, 8)
+        asym = prefactor_asym(prefactor_law(quads, 8), t)
         exact = -qpoch_inf(math.exp(-t), math.exp(-2 * t)).log_abs
         assert abs(asym.log_abs - exact) <= 1e-8
 
@@ -162,20 +163,20 @@ class TestNormalize:
     def test_ramanujan(self):
         series, pref = normalize(ProductSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, 0, 2)]))
         assert series.terms == (qs.PochTerm(1, 1, 1, -2.0),)
-        assert len(pref.quads) == 1 and pref.quads[0].S == 2.0
+        assert len(pref) == 1 and pref[0].S == 2.0
 
     def test_zero_merge_dropped(self):
         series, pref = normalize(ProductSpec.make(
             1.0, 0.0, 0.0, [(1, 1, 1, 0, 1), (1, 1, 1, 0, -1)]))
         assert series.terms == ()
-        assert pref.quads == ()
+        assert pref == ()
 
     def test_f0_map(self):
         # numerator symbol -> S=-1 term, denominator -> S=+1
         series, pref = normalize(ProductSpec.make(
             1.0, 0.0, 0.0, [(1, 1, 2, 0, 1), (1, 1, 1, 0, -1)]))
         assert series.terms == (qs.PochTerm(1, 1, 1, 1.0), qs.PochTerm(2, 1, 1, -1.0))
-        assert pref.quads == ()   # (q;q)_inf^-1 * (q;q)_inf cancels
+        assert pref == ()   # (q;q)_inf^-1 * (q;q)_inf cancels
 
 
 class TestLogSummand:

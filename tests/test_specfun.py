@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from qasym.errors import DomainError, IndexOverflowError
-from qasym.specfun import (bernoulli_number, bernoulli_poly, dilog, gamma_fn,
-                           li1, polylog_nonpos, polylog_shift)
+from qasym.specfun import bernoulli_number, bernoulli_poly, dilog, polylog_nonpos
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -65,19 +64,6 @@ class TestBernoulliPoly:
             assert abs(s - target) <= 1e-12
 
 
-class TestLi1:
-    def test_values(self):
-        assert li1(0.0) == 0.0
-        assert li1(0.5) == pytest.approx(math.log(2.0), rel=1e-15)
-        assert li1(1 - 1e-8) == pytest.approx(-math.log(1e-8), rel=1e-7)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            li1(1.0)
-        with pytest.raises(DomainError):
-            li1(-0.1)
-
-
 def dilog_series_oracle(x, terms=60):
     return sum(x ** k / k ** 2 for k in range(1, terms + 1))
 
@@ -124,7 +110,7 @@ class TestPolylogNonpos:
             for i in range(1, 10):
                 x = i / 10.0
                 if r == 0:
-                    d = (li1(x + h) - li1(x - h)) / (2 * h)
+                    d = (math.log1p(-(x - h)) - math.log1p(-(x + h))) / (2 * h)
                 else:
                     d = (polylog_nonpos(r - 1, x + h)
                          - polylog_nonpos(r - 1, x - h)) / (2 * h)
@@ -135,33 +121,3 @@ class TestPolylogNonpos:
     def test_pole(self):
         with pytest.raises(DomainError):
             polylog_nonpos(1, 1.0)
-
-
-class TestPolylogShift:
-    def test_at_zero(self):
-        assert polylog_shift(2, 0.5, 0.0, 7) == pytest.approx(dilog(0.5), rel=1e-15)
-
-    def test_dilog_shift(self):
-        target = dilog(0.5 * math.exp(-0.1))
-        assert abs(polylog_shift(2, 0.5, -0.1, 20) - target) <= 1e-12
-
-    def test_li1_shift(self):
-        target = -math.log(1.0 - 0.3 * math.exp(0.2))
-        assert polylog_shift(1, 0.3, 0.2, 20) == pytest.approx(target, rel=1e-12)
-
-    def test_convergence_domain(self):
-        with pytest.raises(DomainError):
-            polylog_shift(2, 0.9, 0.5, 10)   # |x| >= -log(0.9)
-
-
-class TestGamma:
-    def test_values(self):
-        assert gamma_fn(1.0) == 1.0
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
-        assert gamma_fn(5.0) == 24.0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma_fn(0.0)
-        with pytest.raises(DomainError):
-            gamma_fn(-1.5)
