@@ -28,9 +28,10 @@ from .errors import HypothesisError, QasymError, SpecError
 from .expansion import DEFAULT_L, DEFAULT_M, Analysis, analyse, asym_from_parts
 from .logvalue import LogValue
 from .presets import PRESETS, get_preset
-from .qseries import (T_MAX, ProductSpec, QuadTerm, SeriesSpec, normalize,
-                      prefactor_exact, series_sum)
+from .qseries import (MAX_DERIV, T_MAX, ProductSpec, QuadTerm, SeriesSpec,
+                      normalize, prefactor_exact, series_sum)
 from .quad import integral as quad_integral
+from .specfun import N_MAX
 
 CSV_HEADER = "t,log_sum,log_integral,log_asym,ratio_sum_integral,ratio_sum_asym"
 
@@ -240,8 +241,20 @@ def run_integral(cfg: RunConfig) -> int:
     return 0
 
 
+def _check_orders(cfg: RunConfig, an: Analysis) -> None:
+    # orders past the derivative and Bernoulli tables are usage errors
+    l_max = min((MAX_DERIV // (2 * sp.order * (2 * sp.order + 1))
+                 for sp in an.peaks), default=cfg.order_L)
+    if cfg.order_L > l_max:
+        raise SpecError(f"--order-L must be <= {l_max} for this spec")
+    if an.quads and cfg.order_M >= N_MAX:
+        raise SpecError(
+            f"--order-M must be <= {N_MAX - 1} for a spec with a prefactor")
+
+
 def run_asym(cfg: RunConfig) -> int:
     an = analyse(cfg.series, cfg.prefactor, cfg.order_M)
+    _check_orders(cfg, an)
     rows = []
     branch = ""
     for t in cfg.t_grid:
@@ -261,6 +274,7 @@ def run_verify(cfg: RunConfig) -> int:
     the two values agree to every bit; once saturated there, staying at
     0.0 counts as shrunk."""
     an = analyse(cfg.series, cfg.prefactor, cfg.order_M)
+    _check_orders(cfg, an)
     lines = [CSV_HEADER]
     devs = []
     for t in cfg.t_grid:

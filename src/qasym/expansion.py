@@ -90,17 +90,15 @@ class CorrectionSeries:
 def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, t: float,
                   rmax: int) -> tuple[float, dict[int, float]]:
     two_k = 2 * sp.order
-    x = sp.u / t
-    d2k = log_summand_deriv(spec, two_k, x, t)
+    d = log_summand_deriv(spec, tuple(range(1, max(rmax, two_k) + 1)),
+                          sp.u / t, t)
+    d2k = float(d[two_k - 1])
     if d2k >= 0:
         raise SignError(
             f"order-{two_k} derivative nonnegative at the peak (t={t} too large)")
     V = (-d2k / math.factorial(two_k)) ** (1.0 / two_k)
-    lams: dict[int, float] = {}
-    for r in range(1, rmax + 1):
-        if r == two_k:
-            continue
-        lams[r] = log_summand_deriv(spec, r, x, t) / (math.factorial(r) * V ** r)
+    lams = {r: float(d[r - 1]) / (math.factorial(r) * V ** r)
+            for r in range(1, rmax + 1) if r != two_k}
     return V, lams
 
 

@@ -28,6 +28,7 @@ LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
 _KLOG_MARGIN = 45.0         # e^-45 ~ 3e-20: inner k-sums stop past this decay
 _KMAX_HARD = 10_000_000
 _CHUNK_ELEMS = 1 << 20      # k-by-point elements per inner-sum chunk
+MAX_DERIV = 64              # highest x-derivative order log_summand_deriv takes
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -268,11 +269,13 @@ def _require_t(t: float) -> None:
         raise ConvergenceError(f"t must lie in (0, {T_MAX}), got {t}")
 
 
-def _kernel(term: PochTerm, x: np.ndarray, t: float, n: int) -> np.ndarray:
+def _kernel(term: PochTerm, x: np.ndarray, t: float,
+            orders: tuple[int, ...]) -> np.ndarray:
     """sum_{k>=1} (-k alpha t)^n e^{-k(alpha x + gamma) t} / (k (1-e^{-k beta t}))
-    for a vector of x >= 0.  Each point stops its k-sum at its own
-    kmax = 45/w + 10, w = (alpha x + gamma) t, where the terms have decayed
-    by e^-45 relative; each k-chunk covers only the points still active."""
+    for a vector of x >= 0, one row per order n in ``orders``, all from one
+    pass over k.  Each point stops its k-sum at its own kmax = 45/w + 10,
+    w = (alpha x + gamma) t, where the terms have decayed by e^-45 relative;
+    each k-chunk covers only the points still active."""
     w = (term.alpha * x + term.gamma) * t
     order = None
     if len(w) > 1 and np.any(w[1:] < w[:-1]):
@@ -287,31 +290,34 @@ def _kernel(term: PochTerm, x: np.ndarray, t: float, n: int) -> np.ndarray:
         kcut = [kmax]
     else:
         kcut = ((_KLOG_MARGIN / w).astype(np.int64) + 10).tolist()
-    out = np.zeros_like(w)
+    n_all = np.array(orders, dtype=float)
+    n_pos = n_all[n_all > 0][:, None]
+    acc = np.zeros((len(n_pos) + 1, len(w)))    # order 0, then orders >= 1
     active = len(w)
     k0 = 1
     while active:
-        k1 = min(k0 + max(1, _CHUNK_ELEMS // active), kcut[active - 1] + 1)
+        step = max(1, _CHUNK_ELEMS // (active * len(orders)))
+        k1 = min(k0 + step, kcut[active - 1] + 1)
         k = np.arange(k0, k1, dtype=float)
-        wa = w[:active]
+        mkw = np.outer(-k, w[:active])              # -k w; negating k is exact
         denom = -np.expm1(-k * term.beta * t)       # 1 - e^{-k beta t}
-        if n == 0:
-            coef = 1.0 / (k * denom)
-            out[:active] += coef @ np.exp(-np.outer(k, wa))
-        else:
+        if len(n_pos):
             # (-k alpha t)^n / k = (-1)^n exp(n log(k alpha t) - log k); keep in
             # log space so high orders neither overflow nor underflow early
-            logcoef = n * np.log(k * term.alpha * t) - np.log(k) - np.log(denom)
-            contrib = np.exp(logcoef[:, None] - np.outer(k, wa))
-            out[:active] += ((-1.0) ** n) * contrib.sum(axis=0)
+            logcoef = n_pos * np.log(k * term.alpha * t) - np.log(k) - np.log(denom)
+            blk = logcoef[:, :, None] + mkw
+            acc[1:, :active] += ((-1.0) ** n_pos) * np.exp(blk, out=blk).sum(axis=1)
+        if len(n_pos) < len(orders):   # last use of mkw: exponentiate in place
+            acc[0, :active] += (1.0 / (k * denom)) @ np.exp(mkw, out=mkw)
         k0 = k1
         while active and kcut[active - 1] < k0:
             active -= 1
+    rows = np.cumsum(n_all > 0) * (n_all > 0)     # the acc row of each order
     if order is None:
-        return out
-    unsorted = np.empty_like(out)
-    unsorted[order] = out
-    return unsorted
+        return acc[rows]
+    out = np.empty((len(orders), len(w)))
+    out[:, order] = acc[rows]
+    return out
 
 
 def log_summand(spec: SeriesSpec, x, t: float):
@@ -326,30 +332,31 @@ def log_summand(spec: SeriesSpec, x, t: float):
         raise DomainError("log_summand needs x >= 0")
     out = xa * spec.v - spec.A * xa ** 2 * t - spec.B * xa * t
     for term in spec.terms:
-        out = out + term.S * _kernel(term, xa, t, 0)
+        out = out + term.S * _kernel(term, xa, t, (0,))[0]
     return float(out[0]) if scalar else out
 
 
-def log_summand_deriv(spec: SeriesSpec, n: int, x, t: float):
-    """n-th x-derivative of log_summand.  Polynomial part contributes
+def log_summand_deriv(spec: SeriesSpec, n, x, t: float):
+    """n-th x-derivative of log_summand; for a tuple of orders n, one row per
+    order, all from one inner k-sum per term.  Polynomial part contributes
     v - 2Axt - Bt (n=1), -2At (n=2), 0 (n>=3)."""
     _require_t(t)
-    if n < 1 or n > 64:
-        raise DomainError(f"derivative order must lie in [1, 64], got {n}")
+    orders = n if isinstance(n, tuple) else (n,)
+    for r in orders:
+        if r < 1 or r > MAX_DERIV:
+            raise DomainError(f"derivative order must lie in [1, {MAX_DERIV}], got {r}")
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
     if np.any(xa <= 0):
         raise DomainError("log_summand_deriv needs x > 0")
-    if n == 1:
-        out = spec.v - 2.0 * spec.A * xa * t - spec.B * t
-    elif n == 2:
-        out = np.full_like(xa, -2.0 * spec.A * t)
-    else:
-        out = np.zeros_like(xa)
+    poly = {1: spec.v - 2.0 * spec.A * xa * t - spec.B * t,
+            2: np.full_like(xa, -2.0 * spec.A * t)}
+    out = np.array([poly.get(r, np.zeros_like(xa)) for r in orders])
     for term in spec.terms:
-        out = out + term.S * _kernel(term, xa, t, n)
-    return float(out[0]) if scalar else out
+        out = out + term.S * _kernel(term, xa, t, orders)
+    out = out[:, 0] if scalar else out
+    return out if isinstance(n, tuple) else (float(out[0]) if scalar else out[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import math
 
 import numpy as np
 
-from qasym.errors import ConvergenceError, DomainError, PoleError
+from qasym.errors import ConvergenceError, DomainError, PoleError, SignError
 from qasym.logvalue import LogValue
-from qasym.qseries import LOG_2PI, _gamma_sign_log
+from qasym.qseries import LOG_2PI, _gamma_sign_log, log_summand_deriv
 from qasym.specfun import bernoulli_number, bernoulli_poly
 
 
@@ -74,3 +74,22 @@ def mcintosh_asym(a: float, b: float, t: float, M: int) -> LogValue:
         out -= (b ** ell * float(bn) * bernoulli_poly(ell + 1, ab) * t ** ell
                 / (ell * math.factorial(ell + 1)))
     return LogValue(gsign, out)
+
+
+def lambda_table_per_order(spec, sp, t: float,
+                           rmax: int) -> tuple[float, dict[int, float]]:
+    """Peak-width normalizer V and reduced derivatives lambda_r at the
+    maximum sp, with one log_summand_deriv call per derivative order."""
+    two_k = 2 * sp.order
+    x = sp.u / t
+    d2k = log_summand_deriv(spec, two_k, x, t)
+    if d2k >= 0:
+        raise SignError(
+            f"order-{two_k} derivative nonnegative at the peak (t={t} too large)")
+    V = (-d2k / math.factorial(two_k)) ** (1.0 / two_k)
+    lams: dict[int, float] = {}
+    for r in range(1, rmax + 1):
+        if r == two_k:
+            continue
+        lams[r] = log_summand_deriv(spec, r, x, t) / (math.factorial(r) * V ** r)
+    return V, lams

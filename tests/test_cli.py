@@ -219,6 +219,29 @@ def test_bad_input_is_usage_error(flags):
     assert cp.stdout == ""
 
 
+@pytest.mark.parametrize("command,preset,flag,value,status", [
+    ("asym", "ramanujan", "--order-L", "11", 1),
+    ("verify", "ramanujan", "--order-L", "11", 1),
+    ("integral", "ramanujan", "--order-L", "11", 0),
+    ("asym", "ramanujan", "--order-L", "10", 0),
+    ("asym", "euler", "--order-L", "11", 0),
+    ("asym", "ramanujan", "--order-M", "64", 1),
+    ("verify", "ramanujan", "--order-M", "64", 1),
+    ("integral", "ramanujan", "--order-M", "64", 0),
+    ("asym", "ramanujan", "--order-M", "63", 0),
+    ("asym", "euler", "--order-M", "64", 0),
+], ids=["asym-L", "verify-L", "integral-L", "asym-L-largest", "tail-only-L",
+        "asym-M", "verify-M", "integral-M", "asym-M-largest", "no-prefactor-M"])
+def test_order_limits(command, preset, flag, value, status):
+    # an order-1 peak takes derivatives up to 6L <= 64; the prefactor reads
+    # Bernoulli numbers up to index M+1 <= 64
+    cp = run_cli(command, "--preset", preset, "--t", "0.05", flag, value)
+    assert cp.returncode == status, cp.stderr
+    if status:
+        largest = {"--order-L": "10", "--order-M": "63"}[flag]
+        assert cp.stderr.startswith(f"error: {flag} must be <= {largest}")
+        assert cp.stdout == ""
+
 def test_numeric_failure_exit_3():
     cp = run_cli("integral", "--preset", "euler", "--t", "0.05",
                  "--rel-tol", "1e-14")

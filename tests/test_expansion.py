@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from oracles import kappa_by_partitions
+from oracles import kappa_by_partitions, lambda_table_per_order
 from qasym.errors import BranchError, DegenerateError, HypothesisError
 from qasym.expansion import (_exp_series, _lambda_table, analyse,
                              asym_from_parts, asym_total, corrections,
@@ -35,6 +35,16 @@ class TestCorrections:
         for ell in range(7):
             direct = kappa_by_partitions(lams, ell)
             assert abs(coeffs[ell] - direct) <= 1e-12 * max(1.0, abs(direct))
+
+    @pytest.mark.parametrize("spec", [RAM, F0], ids=["ramanujan", "f0"])
+    def test_lambda_table_equals_per_order_calls(self, spec):
+        # one k-sum for every order gives the very bits of one call per order
+        sp = _sp(spec)
+        for t in (0.05, 1e-3, 1e-4):
+            for L in (0, 1, 2):
+                rmax = max(2 * sp.order * (2 * sp.order + 1) * L, 1)
+                assert (_lambda_table(spec, sp, t, rmax)
+                        == lambda_table_per_order(spec, sp, t, rmax))
 
     def test_kappa2_envelope_decreases(self):
         sp = _sp(RAM)

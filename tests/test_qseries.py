@@ -9,6 +9,7 @@ import pytest
 import qasym.qseries as qs
 from oracles import mcintosh_asym, qpoch_finite
 from qasym.errors import ConvergenceError, DomainError, SpecError
+from qasym.expansion import analyse
 from qasym.presets import get_preset
 from qasym.qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
                            log_summand_deriv, normalize, prefactor_asym,
@@ -250,7 +251,7 @@ class TestKernel:
             if n == 0:
                 x[[4, 9]] = 0.0
             x = rng.permutation(np.r_[x, x[:4]])  # unsorted, with duplicates
-            got = qs._kernel(term, x, t, n)
+            got = qs._kernel(term, x, t, (n,))[0]
             want = _kernel_whole_block(term, x, t, n)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -258,9 +259,50 @@ class TestKernel:
         term = RAM.terms[0]
         x = np.linspace(0.0, 3000.0, 97)
         perm = np.random.default_rng(5).permutation(len(x))
-        asc = qs._kernel(term, x, 1e-3, 0)
-        assert np.array_equal(qs._kernel(term, x[perm], 1e-3, 0), asc[perm])
+        asc = qs._kernel(term, x, 1e-3, (0,))[0]
+        assert np.array_equal(qs._kernel(term, x[perm], 1e-3, (0,))[0], asc[perm])
 
+
+    def test_multiple_orders_match_whole_block(self):
+        rng = np.random.default_rng(31)
+        orders = (0, 1, 3, 7)
+        for _ in range(25):
+            term = qs.PochTerm(rng.uniform(0.3, 3.0), rng.uniform(0.2, 2.5),
+                               rng.uniform(0.2, 3.0), 1.0)
+            t = float(np.exp(rng.uniform(np.log(5e-3), np.log(0.3))))
+            x = rng.uniform(0.01, 40.0 / t, 12)
+            x = rng.permutation(np.r_[x, x[:4]])  # unsorted, with duplicates
+            got = qs._kernel(term, x, t, orders)
+            assert got.shape == (len(orders), len(x))
+            for row, n in zip(got, orders):
+                want = _kernel_whole_block(term, x, t, n)
+                assert np.all(np.abs(row - want) <= 1e-12 * np.abs(want))
+
+    @pytest.mark.parametrize("name", ["ramanujan", "f0"])
+    def test_all_orders_finite_at_small_t(self, name):
+        p = get_preset(name)
+        u = analyse(p.series, p.prefactor).peaks[0].u
+        t = 1e-4
+        d = log_summand_deriv(p.series, tuple(range(1, 65)), u / t, t)
+        assert d.shape == (64,)
+        assert np.all(np.isfinite(d))
+
+    def test_order_axis_counts_in_chunk_budget(self):
+        term = RAM.terms[0]
+        t = 1e-3
+        x = np.linspace(0.0, 3.0 / t, 4096)
+        orders = tuple(range(1, 41))
+        kmax = int(45.0 / (term.gamma * t)) + 10
+        # one unchunked k-by-point-by-order block of float64
+        assert 8 * len(orders) * kmax * len(x) > 1 << 30
+        tracemalloc.start()
+        try:
+            got = qs._kernel(term, x, t, orders)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(got))
+        assert peak < 32 << 20
 
 def _stencil(spec, n, x, t, h):
     f = lambda y: log_summand(spec, y, t)
