@@ -13,8 +13,8 @@ from .errors import (BranchError, ConvergenceError, DegenerateError,
                      DomainError, HypothesisError, IndexOverflowError,
                      PoleError, QasymError, SignError, SpecError)
 from .expansion import (Analysis, AsymptoticResult, CorrectionSeries, analyse,
-                        asym_from_parts, asym_total, corrections,
-                        leading_constant, peak_value, tail_leading)
+                        asym_from_parts, corrections, leading_constant,
+                        peak_value, tail_leading)
 from .logvalue import LogValue
 from .phase import (HypothesisReport, PhaseFamily, StationaryPoint,
                     build_phase, check_hypothesis, phase_deriv, phase_value,
@@ -34,8 +34,8 @@ __all__ = [
     "PhaseFamily", "PochTerm", "PoleError", "PrefactorLaw", "Preset",
     "ProductSpec", "QasymError", "QuadResult", "QuadTerm", "Reference",
     "SeriesSpec", "SignError", "SpecError", "StationaryPoint", "analyse",
-    "asym_from_parts", "asym_total", "build_phase", "check_hypothesis",
-    "corrections", "get_preset", "integral", "leading_constant", "log_summand",
+    "asym_from_parts", "build_phase", "check_hypothesis", "corrections",
+    "get_preset", "integral", "leading_constant", "log_summand",
     "log_summand_deriv", "normalize", "peak_value", "phase_deriv",
     "phase_value", "prefactor_asym", "prefactor_exact", "prefactor_law",
     "qpoch_inf", "series_sum", "stationary_points", "tail_leading",

@@ -40,15 +40,41 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _quads(items: list, what: str) -> tuple[QuadTerm, ...]:
-    quads = []
-    for i, q in enumerate(items):
-        missing = [k for k in ("a", "b", "c", "d", "S") if k not in q]
-        if missing:
-            raise SpecError(f"{what} {i}: missing {missing}")
+def _numbers(obj, keys: tuple[str, ...], where: str) -> list[float]:
+    """obj[k] for each k in keys; obj must be an object and each obj[k] a
+    JSON number (not a bool or string) that is finite as a float."""
+    if not isinstance(obj, dict):
+        raise SpecError(f"{where} must be an object")
+    out = []
+    for k in keys:
+        if k not in obj:
+            raise SpecError(f"{where}: missing required field {k!r}")
+        x = obj[k]
         try:
-            quads.append(QuadTerm(float(q["a"]), float(q["b"]), float(q["c"]),
-                                  float(q["d"]), float(q["S"])))
+            ok = (isinstance(x, (int, float)) and not isinstance(x, bool)
+                  and math.isfinite(x))
+        except OverflowError:      # an integer past the float range
+            ok = False
+        if not ok:
+            raise SpecError(f"{where}: field {k!r} must be a finite number, "
+                            f"got {x!r}")
+        out.append(float(x))
+    return out
+
+
+def _entries(raw: dict, key: str, keys: tuple[str, ...],
+             what: str) -> list[list[float]]:
+    items = raw.get(key, [])
+    if not isinstance(items, list):
+        raise SpecError(f"{key!r} must be a list")
+    return [_numbers(item, keys, f"{what} {i}") for i, item in enumerate(items)]
+
+
+def _quads(raw: dict, key: str, what: str) -> tuple[QuadTerm, ...]:
+    quads = []
+    for i, q in enumerate(_entries(raw, key, ("a", "b", "c", "d", "S"), what)):
+        try:
+            quads.append(QuadTerm(*q))
         except SpecError as e:
             raise SpecError(f"{what} {i}: {e}") from None
     return tuple(quads)
@@ -64,9 +90,9 @@ def load_spec(path: str) -> tuple[SeriesSpec, tuple[QuadTerm, ...], float]:
     normalized form); exactly one of the two.  Next to "terms", an array
     "prefactor_quads" of {"a","b","c","d","S"} gives the constant product
     prod (q^a;q^b)_inf^(-S) (c and d unused; default empty).  A numeric
-    "q_power" multiplies the total by q^q_power (default 0).  Every
-    invariant is validated; violations name the offending entry and
-    inequality.
+    "q_power" multiplies the total by q^q_power (default 0).  Every number
+    must be finite and every invariant holds; violations name the offending
+    entry and inequality.
     """
     try:
         with open(path) as fh:
@@ -75,36 +101,21 @@ def load_spec(path: str) -> tuple[SeriesSpec, tuple[QuadTerm, ...], float]:
         raise SpecError(f"cannot read spec file {path!r}: {e}") from None
     except json.JSONDecodeError as e:
         raise SpecError(f"{path}:{e.lineno}:{e.colno}: invalid JSON: {e.msg}") from None
-    if not isinstance(raw, dict):
-        raise SpecError(f"{path}: top level must be an object")
-    for key in ("A", "B", "v"):
-        if key not in raw:
-            raise SpecError(f"{path}: missing required field {key!r}")
-    for key in ("A", "B", "v", "q_power"):
-        if not isinstance(raw.get(key, 0), (int, float)):
-            raise SpecError(f"{path}: field {key!r} must be numeric")
-    has_quads = "quads" in raw
-    has_terms = "terms" in raw
-    if has_quads == has_terms:
-        raise SpecError(f"{path}: exactly one of 'quads' or 'terms' is required")
-    if has_quads and "prefactor_quads" in raw:
-        raise SpecError(f"{path}: 'prefactor_quads' goes with 'terms'; "
-                        "'quads' carry their own prefactor")
-    A, B, v = float(raw["A"]), float(raw["B"]), float(raw["v"])
-    q_power = float(raw.get("q_power", 0))
     try:
-        if has_quads:
-            return (*normalize(ProductSpec(A, B, v, _quads(raw["quads"], "quad"))),
+        A, B, v = _numbers(raw, ("A", "B", "v"), "top level")
+        q_power = (_numbers(raw, ("q_power",), "top level")[0]
+                   if "q_power" in raw else 0.0)
+        if ("quads" in raw) == ("terms" in raw):
+            raise SpecError("exactly one of 'quads' or 'terms' is required")
+        if "quads" in raw:
+            if "prefactor_quads" in raw:
+                raise SpecError("'prefactor_quads' goes with 'terms'; "
+                                "'quads' carry their own prefactor")
+            return (*normalize(ProductSpec(A, B, v, _quads(raw, "quads", "quad"))),
                     q_power)
-        terms = []
-        for i, p in enumerate(raw["terms"]):
-            missing = [k for k in ("alpha", "beta", "gamma", "S") if k not in p]
-            if missing:
-                raise SpecError(f"term {i}: missing {missing}")
-            terms.append((float(p["alpha"]), float(p["beta"]),
-                          float(p["gamma"]), float(p["S"])))
+        terms = _entries(raw, "terms", ("alpha", "beta", "gamma", "S"), "term")
         return (SeriesSpec.make(A, B, v, terms),
-                _quads(raw.get("prefactor_quads", []), "prefactor quad"), q_power)
+                _quads(raw, "prefactor_quads", "prefactor quad"), q_power)
     except SpecError as e:
         raise SpecError(f"{path}: {e}") from None
 
@@ -206,15 +217,20 @@ def _json_result(cfg: RunConfig, rows: list[dict], branch: str = "",
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _total(value: LogValue, prefactor: tuple[QuadTerm, ...], q_power: float,
+           t: float) -> LogValue:
+    """value times the exact constant product and q^q_power at t."""
+    return (value * prefactor_exact(prefactor, t)
+            * LogValue.from_log(-q_power * t))
+
+
 def _total_sum(cfg: RunConfig, t: float) -> LogValue:
-    total = series_sum(cfg.series, t) * prefactor_exact(cfg.prefactor, t)
-    return total * LogValue.from_log(-cfg.q_power * t)
+    return _total(series_sum(cfg.series, t), cfg.prefactor, cfg.q_power, t)
 
 
 def _total_integral(cfg: RunConfig, an: Analysis, t: float) -> tuple[LogValue, dict]:
     res = quad_integral(an, t, cfg.rel_tol)
-    total = res.value * prefactor_exact(cfg.prefactor, t)
-    total = total * LogValue.from_log(-cfg.q_power * t)
+    total = _total(res.value, cfg.prefactor, cfg.q_power, t)
     return total, {"subdivisions": res.subdivisions,
                    "abs_error_log": res.abs_error_log}
 

@@ -28,11 +28,10 @@ from .errors import BranchError, DegenerateError, HypothesisError, SignError
 from .logvalue import LogValue
 from .phase import (HypothesisReport, PhaseFamily, StationaryPoint, build_phase,
                     check_hypothesis, search_upper_bound, stationary_points)
-from .qseries import (PrefactorLaw, ProductSpec, QuadTerm, SeriesSpec,
-                      log_summand, log_summand_deriv, normalize, prefactor_asym,
-                      prefactor_law)
+from .qseries import (PrefactorLaw, QuadTerm, SeriesSpec, log_summand_deriv,
+                      prefactor_asym, prefactor_law)
 
-DEFAULT_L = 2   # correction order; round-off dominates past this at desk-scale t
+DEFAULT_L = 2   # correction order of the peak expansion
 DEFAULT_M = 8   # prefactor correction order
 
 
@@ -79,27 +78,28 @@ def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
 
 @dataclass(frozen=True)
 class CorrectionSeries:
-    """Peak data at one maximum: width normalizer V and the even moment
-    corrections kappa_0=1, kappa_2, ..., kappa_{2L}."""
+    """Peak data at one maximum: the logged term F(u/t), width normalizer V
+    and the even moment corrections kappa_0=1, kappa_2, ..., kappa_{2L}."""
     u: float
     k_u: int
+    log_peak: float
     V: float
     kappas: tuple[float, ...]
 
 
 def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, t: float,
-                  rmax: int) -> tuple[float, dict[int, float]]:
+                  rmax: int) -> tuple[float, float, dict[int, float]]:
+    # F(u/t), V and lambda_r for r <= rmax, from one k-sum over orders 0..
     two_k = 2 * sp.order
-    d = log_summand_deriv(spec, tuple(range(1, max(rmax, two_k) + 1)),
-                          sp.u / t, t)
-    d2k = float(d[two_k - 1])
+    d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)), sp.u / t, t)
+    d2k = float(d[two_k])
     if d2k >= 0:
         raise SignError(
             f"order-{two_k} derivative nonnegative at the peak (t={t} too large)")
     V = (-d2k / math.factorial(two_k)) ** (1.0 / two_k)
-    lams = {r: float(d[r - 1]) / (math.factorial(r) * V ** r)
+    lams = {r: float(d[r]) / (math.factorial(r) * V ** r)
             for r in range(1, rmax + 1) if r != two_k}
-    return V, lams
+    return float(d[0]), V, lams
 
 
 def _exp_series(lams: dict[int, float], order: int) -> list[float]:
@@ -117,14 +117,15 @@ def _exp_series(lams: dict[int, float], order: int) -> list[float]:
 
 def corrections(spec: SeriesSpec, sp: StationaryPoint, t: float,
                 L: int) -> CorrectionSeries:
-    """Peak-width normalizer and kappa_0..kappa_{2L} at the maximum sp."""
+    """Logged peak term, peak-width normalizer and kappa_0..kappa_{2L} at
+    the maximum sp."""
     if L < 0:
         raise ValueError("correction order must be nonnegative")
     k = sp.order
     rmax = max(2 * k * (2 * k + 1) * L, 1)
-    V, lams = _lambda_table(spec, sp, t, rmax)
+    f_u, V, lams = _lambda_table(spec, sp, t, rmax)
     coeffs = _exp_series(lams, 2 * L)
-    return CorrectionSeries(u=sp.u, k_u=k, V=V,
+    return CorrectionSeries(u=sp.u, k_u=k, log_peak=f_u, V=V,
                             kappas=tuple(coeffs[2 * ell] for ell in range(L + 1)))
 
 
@@ -138,8 +139,7 @@ def peak_value(spec: SeriesSpec, sp: StationaryPoint, t: float,
     if s <= 0:
         raise DegenerateError(
             f"correction sum nonpositive ({s}); expansion broke down at t={t}")
-    f_u = log_summand(spec, sp.u / t, t)
-    return LogValue(1, f_u - math.log(cs.V) + math.log(s))
+    return LogValue(1, cs.log_peak - math.log(cs.V) + math.log(s))
 
 
 def leading_constant(sp: StationaryPoint) -> tuple[float, float, float]:
@@ -234,9 +234,3 @@ def asym_from_parts(an: Analysis, t: float, L: int = DEFAULT_L,
                             log_constant=log_constant, correction_factor=corr,
                             branch=branch, t=t, total=total)
 
-
-def asym_total(product: ProductSpec, t: float, L: int = DEFAULT_L,
-               M: int = DEFAULT_M) -> AsymptoticResult:
-    """Full asymptotic value of the raw series: normalize, expand the
-    normalized part, multiply by the constant-product asymptotics."""
-    return asym_from_parts(analyse(*normalize(product), M), t, L)

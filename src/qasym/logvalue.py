@@ -8,7 +8,7 @@ externally visible value is carried as a LogValue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def _sign(x: float) -> int:
@@ -21,16 +21,10 @@ def _sign(x: float) -> int:
 
 @dataclass(frozen=True)
 class LogValue:
-    """A real number r stored as (sign(r), log|r|).
-
-    ``err`` is an optional bound on the absolute error of ``log_abs``,
-    set by producers that truncate infinite sums; arithmetic propagates
-    it conservatively (sums under multiplication, max under addition).
-    """
+    """A real number r stored as (sign(r), log|r|)."""
 
     sign: int
     log_abs: float
-    err: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
         if self.sign not in (-1, 0, 1):
@@ -51,10 +45,10 @@ class LogValue:
         return LogValue(_sign(x), math.log(abs(x)))
 
     @staticmethod
-    def from_log(log_abs: float, sign: int = 1, err: float = 0.0) -> "LogValue":
+    def from_log(log_abs: float, sign: int = 1) -> "LogValue":
         if sign == 0:
             return LogValue.zero()
-        return LogValue(sign, log_abs, err)
+        return LogValue(sign, log_abs)
 
     def is_zero(self) -> bool:
         return self.sign == 0
@@ -68,21 +62,12 @@ class LogValue:
         return self.sign * math.exp(self.log_abs)
 
     def __neg__(self) -> "LogValue":
-        return LogValue(-self.sign, self.log_abs, self.err)
+        return LogValue(-self.sign, self.log_abs)
 
     def __mul__(self, other: "LogValue") -> "LogValue":
         if self.sign == 0 or other.sign == 0:
             return LogValue.zero()
-        return LogValue(self.sign * other.sign, self.log_abs + other.log_abs,
-                        self.err + other.err)
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogValue division by zero")
-        if self.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.sign * other.sign, self.log_abs - other.log_abs,
-                        self.err + other.err)
+        return LogValue(self.sign * other.sign, self.log_abs + other.log_abs)
 
     def __add__(self, other: "LogValue") -> "LogValue":
         if self.sign == 0:
@@ -91,24 +76,12 @@ class LogValue:
             return self
         big, small = (self, other) if self.log_abs >= other.log_abs else (other, self)
         d = small.log_abs - big.log_abs  # <= 0
-        err = max(self.err, other.err)
         if self.sign == other.sign:
-            return LogValue(big.sign, big.log_abs + math.log1p(math.exp(d)), err)
+            return LogValue(big.sign, big.log_abs + math.log1p(math.exp(d)))
         # opposite signs: |big| - |small|
         if d == 0.0:
             return LogValue.zero()
-        return LogValue(big.sign, big.log_abs + math.log1p(-math.exp(d)), err)
+        return LogValue(big.sign, big.log_abs + math.log1p(-math.exp(d)))
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         return self + (-other)
-
-    def powi(self, p: float) -> "LogValue":
-        """self**p for positive values (real powers need sign == +1)."""
-        if self.sign == 0:
-            if p <= 0:
-                raise ZeroDivisionError("0**nonpositive")
-            return LogValue.zero()
-        if self.sign < 0 and p != int(p):
-            raise ValueError("real power of a negative LogValue")
-        s = 1 if self.sign > 0 or int(p) % 2 == 0 else -1
-        return LogValue(s, p * self.log_abs, abs(p) * self.err)

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import SpecError
-from .expansion import (DEFAULT_L, DEFAULT_M, AsymptoticResult, analyse,
-                        asym_from_parts)
-from .logvalue import LogValue
-from .qseries import (ProductSpec, QuadTerm, SeriesSpec, normalize,
-                      prefactor_exact, series_sum)
+from .qseries import ProductSpec, QuadTerm, SeriesSpec, normalize
 from .specfun import dilog
 
 PI = math.pi
@@ -45,16 +41,6 @@ class Preset:
     notes: str = ""
     product: Optional[ProductSpec] = None
     q_power: float = 0.0
-
-    def series_total(self, t: float) -> LogValue:
-        """Exact value: direct summation times the exact prefactor product
-        and q^q_power."""
-        total = series_sum(self.series, t) * prefactor_exact(self.prefactor, t)
-        return total * LogValue.from_log(-self.q_power * t)
-
-    def asym(self, t: float, L: int = DEFAULT_L, M: int = DEFAULT_M) -> AsymptoticResult:
-        return asym_from_parts(analyse(self.series, self.prefactor, M), t, L,
-                               self.q_power)
 
 
 def _from_product(name: str, product: ProductSpec, reference: Reference,

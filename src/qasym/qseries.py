@@ -165,8 +165,7 @@ def normalize(spec: ProductSpec) -> tuple[SeriesSpec, tuple[QuadTerm, ...]]:
 def qpoch_inf(a: float, q: float) -> LogValue:
     """log (a;q)_inf for 0 <= a < 1, 0 < q < 1.
 
-    Truncates once a q^K < 1e-18; the omitted tail is bounded by
-    2 a q^K/(1-q) and reported in the result's err field.
+    Truncates once a q^K < 1e-18.
     """
     if not 0.0 <= a < 1.0:
         raise DomainError(f"qpoch_inf needs 0 <= a < 1, got {a}")
@@ -178,9 +177,7 @@ def qpoch_inf(a: float, q: float) -> LogValue:
         return LogValue.one()
     K = max(int((math.log(1e-18) - math.log(a)) / math.log(q)) + 1, 1)
     k = np.arange(K, dtype=float)
-    total = float(np.sum(np.log1p(-a * q ** k)))
-    err = 2.0 * a * q ** K / (1.0 - q)
-    return LogValue(1, total, err=err)
+    return LogValue(1, float(np.sum(np.log1p(-a * q ** k))))
 
 
 def _gamma_sign_log(x: float) -> tuple[int, float]:
@@ -256,7 +253,7 @@ def prefactor_exact(quads: tuple[QuadTerm, ...], t: float) -> LogValue:
         if q.a <= 0:
             raise DomainError("exact prefactor needs a > 0 in every quad")
         lv = qpoch_inf(math.exp(-q.a * t), math.exp(-q.b * t))
-        out = out * LogValue.from_log(-q.S * lv.log_abs, err=abs(q.S) * lv.err)
+        out = out * LogValue.from_log(-q.S * lv.log_abs)
     return out
 
 
@@ -286,10 +283,7 @@ def _kernel(term: PochTerm, x: np.ndarray, t: float,
         raise ConvergenceError(
             f"inner sum needs {kmax} terms (alpha*x+gamma too small for this t)")
     # per-point cut-offs, non-increasing along the ascending w
-    if len(w) == 1:
-        kcut = [kmax]
-    else:
-        kcut = ((_KLOG_MARGIN / w).astype(np.int64) + 10).tolist()
+    kcut = ((_KLOG_MARGIN / w).astype(np.int64) + 10).tolist()
     n_all = np.array(orders, dtype=float)
     n_pos = n_all[n_all > 0][:, None]
     acc = np.zeros((len(n_pos) + 1, len(w)))    # order 0, then orders >= 1
@@ -324,35 +318,33 @@ def log_summand(spec: SeriesSpec, x, t: float):
     """The logged x-th term of the series: x v - A x^2 t - B x t plus the
     Pochhammer contribution sum_terms S * kernel.  Accepts scalar or array
     x >= 0 and returns matching shape."""
+    return log_summand_deriv(spec, 0, x, t)
+
+
+def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t: float) -> np.ndarray:
+    # n-th x-derivative of x v - A x^2 t - B x t
+    if n == 0:
+        return x * spec.v - spec.A * x ** 2 * t - spec.B * x * t
+    if n == 1:
+        return spec.v - 2.0 * spec.A * x * t - spec.B * t
+    return np.full_like(x, -2.0 * spec.A * t if n == 2 else 0.0)
+
+
+def log_summand_deriv(spec: SeriesSpec, n, x, t: float):
+    """n-th x-derivative of log_summand (n = 0 is log_summand itself); for a
+    tuple of orders n, one row per order, all from one inner k-sum per
+    term.  Accepts scalar or array x >= 0 and returns matching shape."""
     _require_t(t)
+    orders = n if isinstance(n, tuple) else (n,)
+    for r in orders:
+        if r < 0 or r > MAX_DERIV:
+            raise DomainError(f"derivative order must lie in [0, {MAX_DERIV}], got {r}")
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
     if np.any(xa < 0):
         raise DomainError("log_summand needs x >= 0")
-    out = xa * spec.v - spec.A * xa ** 2 * t - spec.B * xa * t
-    for term in spec.terms:
-        out = out + term.S * _kernel(term, xa, t, (0,))[0]
-    return float(out[0]) if scalar else out
-
-
-def log_summand_deriv(spec: SeriesSpec, n, x, t: float):
-    """n-th x-derivative of log_summand; for a tuple of orders n, one row per
-    order, all from one inner k-sum per term.  Polynomial part contributes
-    v - 2Axt - Bt (n=1), -2At (n=2), 0 (n>=3)."""
-    _require_t(t)
-    orders = n if isinstance(n, tuple) else (n,)
-    for r in orders:
-        if r < 1 or r > MAX_DERIV:
-            raise DomainError(f"derivative order must lie in [1, {MAX_DERIV}], got {r}")
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    if np.any(xa <= 0):
-        raise DomainError("log_summand_deriv needs x > 0")
-    poly = {1: spec.v - 2.0 * spec.A * xa * t - spec.B * t,
-            2: np.full_like(xa, -2.0 * spec.A * t)}
-    out = np.array([poly.get(r, np.zeros_like(xa)) for r in orders])
+    out = np.array([_poly_deriv(spec, r, xa, t) for r in orders])
     for term in spec.terms:
         out = out + term.S * _kernel(term, xa, t, orders)
     out = out[:, 0] if scalar else out

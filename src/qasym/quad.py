@@ -106,8 +106,8 @@ def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
     series, computed as (1/t) * int_0^U exp(F(u/t)) du with U chosen so the
     integrand at U is below rel_tol * peak * 1e-4.  Deterministic for fixed
     inputs."""
-    if rel_tol < 1e-12:
-        raise DomainError("rel_tol must be >= 1e-12")
+    if not 1e-12 <= rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be finite and >= 1e-12, got {rel_tol}")
     spec = an.series
     u_hi = max(an.u_search, 1.0)
 

@@ -7,7 +7,7 @@ import numpy as np
 
 from qasym.errors import ConvergenceError, DomainError, PoleError, SignError
 from qasym.logvalue import LogValue
-from qasym.qseries import LOG_2PI, _gamma_sign_log, log_summand_deriv
+from qasym.qseries import LOG_2PI, _gamma_sign_log, log_summand, log_summand_deriv
 from qasym.specfun import bernoulli_number, bernoulli_poly
 
 
@@ -77,9 +77,10 @@ def mcintosh_asym(a: float, b: float, t: float, M: int) -> LogValue:
 
 
 def lambda_table_per_order(spec, sp, t: float,
-                           rmax: int) -> tuple[float, dict[int, float]]:
-    """Peak-width normalizer V and reduced derivatives lambda_r at the
-    maximum sp, with one log_summand_deriv call per derivative order."""
+                           rmax: int) -> tuple[float, float, dict[int, float]]:
+    """Logged peak term F(u/t), peak-width normalizer V and reduced
+    derivatives lambda_r at the maximum sp, with a log_summand call for F and
+    one log_summand_deriv call per derivative order."""
     two_k = 2 * sp.order
     x = sp.u / t
     d2k = log_summand_deriv(spec, two_k, x, t)
@@ -92,4 +93,4 @@ def lambda_table_per_order(spec, sp, t: float,
         if r == two_k:
             continue
         lams[r] = log_summand_deriv(spec, r, x, t) / (math.factorial(r) * V ** r)
-    return V, lams
+    return log_summand(spec, x, t), V, lams

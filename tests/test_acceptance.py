@@ -17,6 +17,7 @@ from qasym.presets import F0_ZETA, get_preset
 from qasym.qseries import SeriesSpec, qpoch_inf, series_sum
 from qasym.quad import integral
 from qasym.specfun import bernoulli_poly, dilog
+from totals import asym, series_total
 
 PI2 = math.pi * math.pi
 ALL_PRESETS = ["ramanujan", "f0", "phi-minus", "rphis", "simple-r",
@@ -38,11 +39,11 @@ def test_criterion_1_ramanujan_exponent():
     t0 = time.monotonic()
     p = get_preset("ramanujan")
     t1, t2 = 0.02, 0.01
-    log1 = p.series_total(t1).log_abs
-    log2 = p.series_total(t2).log_abs
+    log1 = series_total(p, t1).log_abs
+    log2 = series_total(p, t2).log_abs
     measured = (log1 - log2 - 0.5 * math.log(t1 / t2)) / (1.0 / t1 - 1.0 / t2)
     gap = abs(measured - PI2 / 5.0)
-    rate = p.asym(t1).rate
+    rate = asym(p, t1).rate
     rate_gap = abs(rate - PI2 / 5.0)
     elapsed = time.monotonic() - t0
     ok = gap <= 1e-3 and rate_gap <= 1e-10 and elapsed <= 10.0
@@ -57,7 +58,7 @@ def test_criterion_1_ramanujan_exponent():
 
 def test_criterion_2_ramanujan_prefactor_constant():
     p = get_preset("ramanujan")
-    r = p.asym(0.02)
+    r = asym(p, 0.02)
     target = math.log(1.0 / math.sqrt(2.0 * math.pi * math.sqrt(5.0)))
     gap = abs(r.log_constant - target)
     ok = gap <= 1e-8
@@ -102,7 +103,7 @@ def test_criterion_4_phi_minus():
     p = get_preset("phi-minus")
     ratios = {}
     for t in (0.02, 0.01):
-        total = p.series_total(t)
+        total = series_total(p, t)
         law = PI2 / (6.0 * t) + 0.5 * math.log(math.pi / (6.0 * t)) - math.log(2.0)
         ratios[t] = math.exp(total.log_abs - law)
     ok = 0.9 <= ratios[0.02] <= 1.1 and abs(ratios[0.01] - 1) < abs(ratios[0.02] - 1)
@@ -117,11 +118,11 @@ def test_criterion_5_rphis_identity_and_constant():
     p = get_preset("rphis")
     t = 0.02
     q = math.exp(-t)
-    engine = p.series_total(t).log_abs
+    engine = series_total(p, t).log_abs
     ref = (math.log(2.0) + qpoch_inf(q * q, q * q).log_abs
            - qpoch_inf(q, q).log_abs)
     log_rel = abs(engine - ref) / abs(ref)
-    r = p.asym(t)
+    r = asym(p, t)
     const_gap = abs(math.exp(r.log_constant) - math.sqrt(2.0))
     ok = (log_rel <= 0.01 and const_gap <= 1e-8
           and abs(r.rate - PI2 / 12.0) <= 1e-12 and r.t_power == 0.0)
@@ -210,7 +211,7 @@ def test_criterion_9_invariant_bundle():
     fd_ok = abs(log_summand_deriv(ram, 1, x, t) - fd) <= 1e-7
     # kappa double computation
     sp = stationary_points(build_phase(ram))[0]
-    V, lams = _lambda_table(ram, sp, 0.05, 18)
+    _, V, lams = _lambda_table(ram, sp, 0.05, 18)
     coeffs = _exp_series(lams, 6)
     kappa_ok = all(
         abs(coeffs[l] - kappa_by_partitions(lams, l)) <= 1e-12

@@ -108,13 +108,14 @@ def test_verify_asym_ratio_approaches_one(tmp_path):
 
 def test_eval_applies_preset_extra_factor(tmp_path):
     from qasym.presets import get_preset
+    from totals import series_total
     out = tmp_path / "phi.json"
     cp = run_cli("eval", "--preset", "phi-minus", "--t", "0.05",
                  "--out", str(out))
     assert cp.returncode == 0, cp.stderr
     got = json.loads(out.read_text())["results"]["log_value"][0]
-    assert got == pytest.approx(get_preset("phi-minus").series_total(0.05).log_abs,
-                                abs=1e-12)
+    want = series_total(get_preset("phi-minus"), 0.05).log_abs
+    assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_eval_json_fields(tmp_path):
@@ -219,6 +220,31 @@ def test_bad_input_is_usage_error(flags):
     assert cp.stdout == ""
 
 
+RAM_QUAD = '{"a": 1, "b": 1, "c": 1, "d": 0, "S": 2}'
+
+
+@pytest.mark.parametrize("text", [
+    '{"A": 0.5, "B": 0.5, "v": 0, "quads": 5}',
+    '{"A": 0.5, "B": 0.5, "v": 0, "quads": [3]}',
+    '{"A": 0.5, "B": 0.5, "v": 0, "terms": [5]}',
+    '{"A": 0.5, "B": 0.5, "v": 0, "quads": [{"a": "x", "b": 1, "c": 1, "d": 0, "S": 2}]}',
+    '{"A": true, "B": 0.5, "v": 0, "quads": [%s]}' % RAM_QUAD,
+    '{"A": 0.5, "B": 0.5, "v": 0, "quads": [{"a": 1, "b": 1, "c": 1, "d": 0, "S": "2"}]}',
+    '{"A": 1e400, "B": 0.5, "v": 0, "quads": [%s]}' % RAM_QUAD,
+    '{"A": 0.5, "B": 0.5, "v": 0, "q_power": NaN, "quads": [%s]}' % RAM_QUAD,
+    '{"A": 0.5, "B": 0.5, "v": 0, "q_power": %s, "quads": [%s]}' % ("9" * 400, RAM_QUAD),
+], ids=["quads-number", "quad-number", "term-number", "string-a", "bool-A",
+        "string-S", "overflow-A", "nan-q_power", "huge-int-q_power"])
+def test_malformed_spec_is_usage_error(tmp_path, text):
+    # every field must be a finite JSON number, every entry an object
+    p = tmp_path / "spec.json"
+    p.write_text(text)
+    cp = run_cli("eval", "--spec", str(p), "--t", "0.05")
+    assert cp.returncode == 1, cp.stderr
+    assert cp.stderr.startswith("error: ")
+    assert cp.stdout == ""
+
+
 @pytest.mark.parametrize("command,preset,flag,value,status", [
     ("asym", "ramanujan", "--order-L", "11", 1),
     ("verify", "ramanujan", "--order-L", "11", 1),
@@ -243,9 +269,10 @@ def test_order_limits(command, preset, flag, value, status):
         assert cp.stdout == ""
 
 def test_numeric_failure_exit_3():
-    cp = run_cli("integral", "--preset", "euler", "--t", "0.05",
-                 "--rel-tol", "1e-14")
-    assert cp.returncode == 3
+    for rel_tol in ("1e-14", "nan", "inf"):
+        cp = run_cli("integral", "--preset", "euler", "--t", "0.05",
+                     "--rel-tol", rel_tol)
+        assert cp.returncode == 3
 
 
 def test_mutually_exclusive_sources(tmp_path):

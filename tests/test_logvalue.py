@@ -1,8 +1,6 @@
 import math
 import random
 
-import pytest
-
 from qasym.logvalue import LogValue
 
 
@@ -33,7 +31,6 @@ def test_arithmetic_matches_floats():
             continue
         lx, ly = LogValue.from_float(x), LogValue.from_float(y)
         assert math.isclose((lx * ly).to_float(), x * y, rel_tol=1e-13)
-        assert math.isclose((lx / ly).to_float(), x / y, rel_tol=1e-13)
         if x + y != 0.0:
             s = (lx + ly).to_float()
             assert math.isclose(s, x + y, rel_tol=1e-10, abs_tol=1e-12)
@@ -57,19 +54,3 @@ def test_cancellation_to_zero():
     assert (a - a).is_zero()
     assert (a + (-a)).is_zero()
 
-
-def test_pow():
-    a = LogValue.from_float(2.0)
-    assert math.isclose(a.powi(10).to_float(), 1024.0, rel_tol=1e-14)
-    n = LogValue.from_float(-2.0)
-    assert n.powi(2).to_float() == pytest.approx(4.0)
-    assert n.powi(3).to_float() == pytest.approx(-8.0)
-    with pytest.raises(ValueError):
-        n.powi(0.5)
-
-
-def test_err_propagation():
-    a = LogValue.from_log(1.0, err=1e-16)
-    b = LogValue.from_log(2.0, err=3e-16)
-    assert (a * b).err == pytest.approx(4e-16)
-    assert (a + b).err == pytest.approx(3e-16)

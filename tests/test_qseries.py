@@ -319,6 +319,29 @@ def _stencil_rich(spec, n, x, t, h):
 
 
 class TestLogSummandDeriv:
+    def test_order_zero_is_log_summand(self):
+        # order 0 gives log_summand's bits in the int and the tuple form,
+        # also next to another order; 16 points keep the k-sum in chunks
+        # that do not depend on the number of orders
+        f0 = SeriesSpec.make(1.0, 0.0, 0.0, [(2, 1, 1, -1), (1, 1, 1, 1)])
+        rng = np.random.default_rng(41)
+        x = rng.permutation(np.r_[rng.uniform(0.0, 60.0, 12), 0.0, 0.0,
+                                  9.62, 9.62])  # unsorted, duplicates, zeros
+        t = 0.05
+        for spec in (RAM, f0, SeriesSpec(1.0, 2.0, -0.5, ())):
+            want = log_summand(spec, x, t)
+            assert np.array_equal(log_summand_deriv(spec, 0, x, t), want)
+            assert np.array_equal(log_summand_deriv(spec, (0,), x, t)[0], want)
+            assert np.array_equal(log_summand_deriv(spec, (2, 0), x, t)[1], want)
+            assert log_summand_deriv(spec, 0, 0.0, t) == log_summand(spec, 0.0, t)
+
+    @pytest.mark.parametrize("n", [-1, 65])
+    def test_order_out_of_range(self, n):
+        with pytest.raises(DomainError):
+            log_summand_deriv(RAM, n, 1.0, 0.05)
+        with pytest.raises(DomainError):
+            log_summand_deriv(RAM, (0, n), 1.0, 0.05)
+
     def test_no_terms_high_order(self):
         spec = SeriesSpec(1.0, 0.0, 0.0, ())
         assert log_summand_deriv(spec, 3, 2.0, 0.1) == 0.0
