@@ -232,7 +232,8 @@ def _total_integral(cfg: RunConfig, an: Analysis, t: float) -> tuple[LogValue, d
     res = quad_integral(an, t, cfg.rel_tol)
     total = _total(res.value, cfg.prefactor, cfg.q_power, t)
     return total, {"subdivisions": res.subdivisions,
-                   "abs_error_log": res.abs_error_log}
+                   "abs_error_log": res.abs_error_log, "u_cut": res.u_cut,
+                   "cut_mass_log": res.cut_mass_log if res.u_cut else None}
 
 
 def run_eval(cfg: RunConfig) -> int:

@@ -6,10 +6,11 @@ logged general term of the normalized series and its x-derivatives, direct
 log-space summation of the series, and the small-t product asymptotics of
 the constant prefactor.
 
-Truncation policy for every infinite sum: relative threshold 1e-18 with
-consecutive-small-term counting.  Values are LogValue throughout; the
-interesting series reach exp(pi^2/(5t)), which overflows binary64 for
-t < 0.0125.
+Truncation policy for every infinite sum: relative threshold 1e-18, by
+consecutive-small-term counting or by a certified bound on the rest, from
+the closed-form sandwich of the inner sum (``kernel_bounds``).  Values are
+LogValue throughout; the interesting series reach exp(pi^2/(5t)), which
+overflows binary64 for t < 0.0125.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, SpecError
 from .logvalue import LogValue
-from .specfun import bernoulli_number, bernoulli_poly
+from .specfun import bernoulli_number, bernoulli_poly, dilog
 
 T_MAX = 0.5                 # largest t any evaluation accepts
 LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
@@ -290,7 +291,8 @@ def _kernel(term: PochTerm, x: np.ndarray, t: float,
     active = len(w)
     k0 = 1
     while active:
-        step = max(1, _CHUNK_ELEMS // (active * len(orders)))
+        # chunks depend on the points alone: order 0 keeps its bits
+        step = max(1, _CHUNK_ELEMS // active)
         k1 = min(k0 + step, kcut[active - 1] + 1)
         k = np.arange(k0, k1, dtype=float)
         mkw = np.outer(-k, w[:active])              # -k w; negating k is exact
@@ -299,8 +301,10 @@ def _kernel(term: PochTerm, x: np.ndarray, t: float,
             # (-k alpha t)^n / k = (-1)^n exp(n log(k alpha t) - log k); keep in
             # log space so high orders neither overflow nor underflow early
             logcoef = n_pos * np.log(k * term.alpha * t) - np.log(k) - np.log(denom)
-            blk = logcoef[:, :, None] + mkw
-            acc[1:, :active] += ((-1.0) ** n_pos) * np.exp(blk, out=blk).sum(axis=1)
+            sub = max(1, _CHUNK_ELEMS // (active * len(n_pos)))
+            for j in range(0, len(k), sub):         # the order axis fits the budget
+                blk = logcoef[:, j:j + sub, None] + mkw[j:j + sub]
+                acc[1:, :active] += ((-1.0) ** n_pos) * np.exp(blk, out=blk).sum(axis=1)
         if len(n_pos) < len(orders):   # last use of mkw: exponentiate in place
             acc[0, :active] += (1.0 / (k * denom)) @ np.exp(mkw, out=mkw)
         k0 = k1
@@ -351,25 +355,57 @@ def log_summand_deriv(spec: SeriesSpec, n, x, t: float):
     return out if isinstance(n, tuple) else (float(out[0]) if scalar else out[0])
 
 
+def kernel_bounds(term: PochTerm, w: float, t: float) -> tuple[float, float]:
+    """(lo, hi) around the inner sum K(w) = sum_k e^{-kw}/(k(1 - e^{-k beta t}))
+    at w > 0 (w = inf gives (0, 0)): Euler-Maclaurin levels -1, 0 and 1,
+    lo = Li2(e^-w)/(beta t) + Li1(e^-w)/2 and hi = lo + (beta t/12)/(e^w - 1),
+    from 0 <= 1/(1 - e^-s) - 1/s - 1/2 <= s/12 for s = k beta t."""
+    bt = term.beta * t
+    # Li1(e^-w) = -log(1 - e^-w), accurate on both sides of w = log 2
+    li1 = -(math.log(-math.expm1(-w)) if w < 0.69 else math.log1p(-math.exp(-w)))
+    lo = dilog(math.exp(-w)) / bt + 0.5 * li1
+    return lo, lo + bt / 12.0 * math.exp(-w) / -math.expm1(-w)
+
+
+def log_summand_sup(spec: SeriesSpec, ua: float, ub: float, t: float) -> float:
+    """An upper bound of log_summand(spec, u/t, t) over u in [ua, ub] (ub may
+    be inf) without a k-sum: K falls in u, so S > 0 terms take hi at ua and
+    S < 0 terms lo at ub; the polynomial part is taken at its maximum, and
+    1e-12 of the parts' sizes is added for log_summand's rounding."""
+    slope = spec.v / t - spec.B      # x v - A x^2 t - B x t = u (slope - A u/t)
+    quad = 0.0
+    if spec.A > 0:
+        u = min(max(slope * t / (2.0 * spec.A), ua), ub)
+        quad = spec.A * u / t
+    else:
+        u = ua if slope <= 0 else ub
+    out = u * (slope - quad)
+    scale = u * (abs(spec.v) / t + abs(spec.B) + quad)
+    for p in spec.terms:
+        lo, hi = kernel_bounds(p, p.alpha * (ua if p.S > 0 else ub) + p.gamma * t, t)
+        part = p.S * (hi if p.S > 0 else lo)
+        out += part
+        scale += abs(part)
+    return out + 1e-12 * scale
+
+
 # ---------------------------------------------------------------------------
 # Direct summation
 
 
 def series_sum(spec: SeriesSpec, t: float) -> LogValue:
-    """sum_m exp(log_summand(m)) accumulated in log space.
+    """sum_m exp(log_summand(m)) accumulated in log space, 256 terms a block.
 
     Stops once 50 consecutive terms each contribute < 1e-18 relative AND
-    m t > u_stop, where u_stop = 2*max(t*argmax, 1), plus the slow-tail
-    allowance 10|log t|/min alpha when A = v = 0 (the flat-tail branch,
-    whose terms decay only like q^(B m)).  Raises if the terms keep growing
-    far beyond that bound (domain-triple violation that slipped past the
-    static check).
+    m t > 2*max(t*argmax, 1).  On the flat tail A = v = 0, whose terms decay
+    only like q^(B m), it stops once the rest is certified below 1e-18
+    relative, sum_{m >= M} e^F(m) <= e^(sup F on [M t, inf)) / (1 - q^B)
+    (``log_summand_sup``), and past 256 terms its blocks grow to m/4, at
+    most 65536.  Raises if the terms keep growing far beyond that
+    (domain-triple violation that slipped past the static check).
     """
     _require_t(t)
-    tail_u = 0.0
-    if spec.A == 0 and spec.v == 0:
-        min_alpha = min((p.alpha for p in spec.terms), default=1.0)
-        tail_u = 10.0 * abs(math.log(t)) / min_alpha
+    flat = spec.A == 0 and spec.v == 0
     block = 256
     m0 = 0
     run_max = -math.inf          # running max of the logged terms
@@ -387,20 +423,22 @@ def series_sum(spec: SeriesSpec, t: float) -> LogValue:
             run_arg = float(m[int(np.argmax(logs))])
         acc += float(np.exp(logs - run_max).sum())
         total_log = run_max + math.log(acc)
-        small = logs - total_log < LN_EPS
-        # trailing run of negligible terms, carried across blocks
-        if small.all():
-            small_run += block
-        else:
-            last_big = int(np.nonzero(~small)[0][-1])
-            small_run = block - 1 - last_big
-        u_stop = 2.0 * max(t * run_arg, 1.0) + tail_u
         m_end = m0 + block - 1
-        if small_run >= 50 and m_end * t > u_stop:
-            break
+        if flat:    # sum_{m > m_end} e^F(m) <= e^sup / (1 - q^B)
+            if (log_summand_sup(spec, (m_end + 1) * t, math.inf, t)
+                    < total_log + LN_EPS + math.log(-math.expm1(-spec.B * t))):
+                break
+        else:
+            # trailing run of negligible terms, carried across blocks
+            big = np.nonzero(~(logs - total_log < LN_EPS))[0]
+            small_run = small_run + block if big.size == 0 else block - 1 - int(big[-1])
+            if small_run >= 50 and m_end * t > 2.0 * max(t * run_arg, 1.0):
+                break
         if m_end * t > 2000.0:
             raise ConvergenceError(
                 "series terms still significant far past the expected decay "
                 f"(m*t = {m_end * t:.1f}); domain triple violated dynamically?")
         m0 += block
+        if flat:
+            block = min(max(block, m0 // 4), 1 << 16)
     return LogValue(1, total_log)

@@ -4,11 +4,16 @@ integral over (0, inf).
 The substitution x = u/t is applied first: the integrand's peak width is
 O(sqrt t) in u but grows like 1/sqrt(t) in x, so panel counts in u stay
 t-independent.  Panels are seeded at every interior maximum (an adaptive
-scheme alone can miss an O(sqrt t)-wide spike) and at the slow-tail scale
-log(1/t)/alpha_1 when that branch applies; refinement is deterministic
-interval halving driven by the embedded Gauss-Kronrod 7/15 error estimate,
-with all exponentials taken relative to the scanned peak of the log
-integrand.
+scheme alone can miss an O(sqrt t)-wide spike), at the slow-tail scale
+log(1/t)/alpha_1 when that branch applies, and on a geometric ladder
+toward u = 0; refinement is deterministic interval halving driven by the
+embedded Gauss-Kronrod 7/15 error estimate, with all exponentials taken
+relative to the peak of the log integrand.
+
+Near u = 0 the integrand carries e^(-c/t) of the mass, but each node costs
+~45/(gamma t) k-terms, so the initial panels run from the top down and the
+ones below an edge are dropped once their certified mass, the sum of
+(b - a) e^(sup g) with ``log_summand_sup``, is at most 1e-18 of the total.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .expansion import Analysis
 from .logvalue import LogValue
-from .qseries import log_summand
+from .qseries import LN_EPS, log_summand, log_summand_sup
 
 MAX_PANELS = 1 << 20
 
@@ -75,6 +80,8 @@ class QuadResult:
     value: LogValue
     abs_error_log: float   # log of the estimated absolute error
     subdivisions: int
+    u_cut: float           # the panels below u_cut were dropped (0.0: none)
+    cut_mass_log: float    # log of their certified mass (-inf: none)
 
 
 def _breakpoints(an: Analysis, t: float, u_hi: float) -> list[float]:
@@ -115,10 +122,11 @@ def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
         return log_summand(spec, u / t, t)
 
     # coarse scan for the log-integrand's scale, then extend the cutoff
-    # until the boundary value is negligible at the requested tolerance
-    scan = np.linspace(0.0, u_hi, 513)
-    gscan = g(scan)
-    gmax = float(gscan.max())
+    # until the boundary value is negligible at the requested tolerance;
+    # u = 0 costs 45/(gamma t) k-terms and is read only if it could win
+    gmax = float(g(np.linspace(0.0, u_hi, 513)[1:]).max())
+    if log_summand_sup(spec, 0.0, 0.0, t) > gmax:
+        gmax = max(gmax, float(g(np.zeros(1))[0]))
     cutoff_gap = math.log(rel_tol) + math.log(1e-4)
     guard = 0
     while g(np.array([u_hi]))[0] - gmax > cutoff_gap:
@@ -126,28 +134,40 @@ def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
         guard += 1
         if guard > 200:
             raise ConvergenceError("no decaying upper cutoff found")
-        more = np.linspace(0.0, u_hi, 513)
-        gscan = g(more)
-        gmax = max(gmax, float(gscan.max()))
+        gmax = max(gmax, float(g(np.linspace(0.0, u_hi, 513)[1:]).max()))
 
     edges = _breakpoints(an, t, u_hi)
-    gmax = max(gmax, float(g(np.array([u for u in edges if u > 0.0])).max()))
+    spans = list(zip(edges[:-1], edges[1:]))
+    sups = [log_summand_sup(spec, a, b, t) for a, b in spans]
+    # an edge bounded under the scanned peak cannot raise gmax: read the
+    # edges from the lowest one that might, all in one call
+    first = next((j for j, s in enumerate(sups) if s > gmax), len(sups) - 1)
+    gmax = max(gmax, float(g(np.array(edges[first + 1:])).max()))
+    below = np.logaddexp.accumulate(
+        [math.log(b - a) + s for (a, b), s in zip(spans, sups)])
 
     def f(u: np.ndarray) -> np.ndarray:
         return np.exp(g(u) - gmax)
 
-    heap: list[tuple[float, int, float, float, float]] = []
-    total = 0.0
-    err_total = 0.0
-    count = 0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = _gk15(f, a, b)
+    # top down until everything below is certified negligible
+    kept: list[tuple[float, float, float, float]] = []
+    running, u_cut, cut_mass_log = 0.0, 0.0, -math.inf
+    for j in range(len(spans) - 1, -1, -1):
+        if running > 0.0 and below[j] - gmax <= LN_EPS + math.log(running):
+            u_cut, cut_mass_log = spans[j][1], float(below[j]) - math.log(t)
+            break
+        val, err = _gk15(f, *spans[j])
+        running += val
+        kept.append((*spans[j], val, err))
+
+    kept.reverse()             # summed bottom-up, as over the whole ladder
+    total = err_total = 0.0
+    for _, _, val, err in kept:
         total += val
         err_total += err
-        heapq.heappush(heap, (-err, count, a, b, val))
-        count += 1
-
-    panels = len(edges) - 1
+    heap = [(-err, i, a, b, val) for i, (a, b, val, err) in enumerate(kept)]
+    heapq.heapify(heap)
+    count = panels = len(kept)
     while err_total > rel_tol * abs(total) and heap:
         if panels >= MAX_PANELS:
             raise ConvergenceError(
@@ -167,5 +187,5 @@ def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
     log_value = math.log(total) + gmax - math.log(t)
     err_log = (math.log(err_total) + gmax - math.log(t)
                if err_total > 0.0 else -math.inf)
-    return QuadResult(value=LogValue(1, log_value),
-                      abs_error_log=err_log, subdivisions=panels)
+    return QuadResult(value=LogValue(1, log_value), abs_error_log=err_log,
+                      subdivisions=panels, u_cut=u_cut, cut_mass_log=cut_mass_log)

@@ -5,12 +5,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qasym.qseries as qs
 from oracles import mcintosh_asym, qpoch_finite
 from qasym.errors import ConvergenceError, DomainError, SpecError
 from qasym.expansion import analyse
-from qasym.presets import get_preset
+from qasym.presets import PRESETS, get_preset
 from qasym.qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
                            log_summand_deriv, normalize, prefactor_asym,
                            prefactor_constants, prefactor_exact, prefactor_law,
@@ -304,6 +306,66 @@ class TestKernel:
         assert np.all(np.isfinite(got))
         assert peak < 32 << 20
 
+    @pytest.mark.parametrize("t", [1e-3, 1e-4])
+    def test_order_zero_bits_independent_of_order_count(self, t):
+        # x = 0 needs many k-chunks; their edges come from the points alone
+        for orders in (tuple(range(65)), tuple(range(13)), (0, 1)):
+            got = log_summand_deriv(RAM, orders, 0.0, t)[0]
+            assert got == log_summand(RAM, 0.0, t)
+
+
+class TestKernelBounds:
+    @settings(max_examples=150, deadline=None)
+    @given(alpha=st.floats(0.2, 3.0), beta=st.floats(0.2, 3.0),
+           gamma=st.floats(0.2, 3.0), s=st.floats(0.0, 40.0),
+           t=st.floats(1e-3, 0.4))
+    @example(alpha=1.0, beta=1.0, gamma=1.0, s=0.0, t=1e-3)    # x = 0
+    @example(alpha=2.0, beta=0.5, gamma=1.0, s=3.0, t=0.01)    # w > 5
+    def test_sandwich_holds(self, alpha, beta, gamma, s, t):
+        # lo <= K(w) <= hi at x = s/t, up to the k-sum's own rounding
+        term = qs.PochTerm(alpha, beta, gamma, 1.0)
+        x = s / t
+        k = qs._kernel(term, np.array([x]), t, (0,))[0, 0]
+        lo, hi = qs.kernel_bounds(term, (alpha * x + gamma) * t, t)
+        assert lo - 1e-12 * k <= k <= hi + 1e-12 * k
+
+    def test_bounds_at_infinity_vanish(self):
+        assert qs.kernel_bounds(RAM.terms[0], math.inf, 0.01) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("t", [0.1, 1e-3, 1e-4])
+    @pytest.mark.parametrize("name", sorted(PRESETS) + ["s-positive"])
+    def test_sup_bounds_log_summand_on_ladder(self, name, t):
+        # 200 points on each of the top 19 rungs [u_hi 2^-(j+1), u_hi 2^-j]
+        # of the quadrature's ladder toward u = 0; "s-positive" has only an
+        # S > 0 symbol, so its bound must be taken at the lower end
+        spec = (SeriesSpec.make(1.0, 0.0, 0.0, [(1, 1, 1, 1)]) if name == "s-positive"
+                else get_preset(name).series)
+        u_hi = max(analyse(spec).u_search, 1.0)
+        rungs = [(u_hi * 2.0 ** -(j + 1), u_hi * 2.0 ** -j) for j in range(19)]
+        u = np.concatenate([np.linspace(a, b, 200) for a, b in rungs])
+        g = log_summand(spec, u / t, t).reshape(len(rungs), 200)
+        sup = [qs.log_summand_sup(spec, a, b, t) for a, b in rungs]
+        assert np.all(np.array(sup) >= g.max(axis=1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(A=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
+           B=st.floats(-1.0, 1.0, allow_subnormal=False),
+           v=st.floats(-1.0, 1.0, allow_subnormal=False), t=st.floats(1e-4, 0.4),
+           ua=st.floats(0.0, 3.0, allow_subnormal=False), du=st.floats(0.0, 1.0))
+    @example(A=0.01, B=4.737309156023287e-12, v=1e-4, t=0.25, ua=0.01, du=0.0)
+    def test_sup_covers_rounding_of_polynomial(self, A, B, v, t, ua, du):
+        # no symbol: the bound is the exact maximum, so only its padding
+        # keeps it above log_summand's differently rounded value, also
+        # where u v / t and A u^2 / t nearly cancel
+        if A == 0 and not v < 0:
+            v = -0.5
+        spec = SeriesSpec(A, B, v)
+        ub = ua + du
+        u = np.linspace(ua, ub, 50)
+        if A > 0:
+            u = np.r_[u, min(max((v - B * t) / (2 * A), ua), ub)]
+        assert qs.log_summand_sup(spec, ua, ub, t) >= log_summand(spec, u / t, t).max()
+
 def _stencil(spec, n, x, t, h):
     f = lambda y: log_summand(spec, y, t)
     if n == 1:
@@ -428,13 +490,31 @@ class TestSeriesSum:
         assert abs(got - brute) <= 4 * math.ulp(brute)
         assert self._last_u(spec, t, monkeypatch) < 2.5
 
-    @pytest.mark.parametrize("name", ["phi-minus", "euler"])
+    @pytest.mark.parametrize("name", ["phi-minus", "euler", "euler-b2"])
     def test_flat_tail_sums_to_tail_bound(self, name, monkeypatch):
+        # the certified tail stop agrees with a brute-force sum out to the
+        # old stop 2 + 10|log t|/min alpha and on until a whole block lies
+        # e^-70 below the largest term, and at small t it stops short of
+        # the old stop; the values are log-space sums run_max + log(acc),
+        # so the ulps are those of the larger operand
         spec = get_preset(name).series
-        t = 0.01
-        min_alpha = min(p.alpha for p in spec.terms)
-        assert (self._last_u(spec, t, monkeypatch)
-                > 10.0 * abs(math.log(t)) / min_alpha)
+        old_stop = lambda t: 2.0 + 10.0 * abs(math.log(t)) / min(
+            p.alpha for p in spec.terms)
+        for t in (0.01, 1e-3):
+            blocks = []
+            while (256 * len(blocks) * t <= old_stop(t)
+                   or blocks[-1].max() > max(b.max() for b in blocks) - 70.0):
+                m0 = 256.0 * len(blocks)
+                blocks.append(log_summand(spec, np.arange(m0, m0 + 256.0), t))
+            logs = np.concatenate(blocks)
+            mx = float(logs.max())
+            brute = mx + math.log(math.fsum(np.exp(logs - mx)))
+            got = series_sum(spec, t).log_abs
+            assert abs(got - brute) <= 4 * math.ulp(max(abs(brute), abs(mx)))
+            # what the stop left out is below 1e-18 of the total
+            m_stop = round(self._last_u(spec, t, monkeypatch) / t)
+            assert math.fsum(np.exp(logs[m_stop + 1:] - brute)) <= 1e-18
+        assert self._last_u(spec, 1e-4, monkeypatch) < old_stop(1e-4)
 
     def test_truncation_threshold_insensitive(self, monkeypatch):
         base = series_sum(RAM, 0.05).log_abs
