@@ -217,20 +217,15 @@ def _json_result(cfg: RunConfig, rows: list[dict], branch: str = "",
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _total(value: LogValue, prefactor: tuple[QuadTerm, ...], q_power: float,
-           t: float) -> LogValue:
-    """value times the exact constant product and q^q_power at t."""
-    return (value * prefactor_exact(prefactor, t)
-            * LogValue.from_log(-q_power * t))
+def _total(value: LogValue, pref: LogValue, q_power: float, t: float) -> LogValue:
+    """value times the exact constant product pref and q^q_power at t."""
+    return value * pref * LogValue.from_log(-q_power * t)
 
 
-def _total_sum(cfg: RunConfig, t: float) -> LogValue:
-    return _total(series_sum(cfg.series, t), cfg.prefactor, cfg.q_power, t)
-
-
-def _total_integral(cfg: RunConfig, an: Analysis, t: float) -> tuple[LogValue, dict]:
+def _total_integral(cfg: RunConfig, an: Analysis, t: float,
+                    pref: LogValue) -> tuple[LogValue, dict]:
     res = quad_integral(an, t, cfg.rel_tol)
-    total = _total(res.value, cfg.prefactor, cfg.q_power, t)
+    total = _total(res.value, pref, cfg.q_power, t)
     return total, {"subdivisions": res.subdivisions,
                    "abs_error_log": res.abs_error_log, "u_cut": res.u_cut,
                    "cut_mass_log": res.cut_mass_log if res.u_cut else None}
@@ -239,7 +234,9 @@ def _total_integral(cfg: RunConfig, an: Analysis, t: float) -> tuple[LogValue, d
 def run_eval(cfg: RunConfig) -> int:
     rows = []
     for t in cfg.t_grid:
-        lv = _total_sum(cfg, t)
+        # the product first: a t past its reach fails before the sum is paid for
+        pref = prefactor_exact(cfg.prefactor, t)
+        lv = _total(series_sum(cfg.series, t), pref, cfg.q_power, t)
         rows.append({"t": t, "log_value": lv.log_abs, "sign": lv.sign})
     _emit(_json_result(cfg, rows, branch="series_sum"), cfg.output)
     return 0
@@ -250,7 +247,7 @@ def run_integral(cfg: RunConfig) -> int:
     rows = []
     diag: dict = {}
     for t in cfg.t_grid:
-        lv, d = _total_integral(cfg, an, t)
+        lv, d = _total_integral(cfg, an, t, prefactor_exact(cfg.prefactor, t))
         rows.append({"t": t, "log_value": lv.log_abs, "sign": lv.sign})
         diag[f"t={_fmt(t)}"] = d
     _emit(_json_result(cfg, rows, branch="integral", diagnostics=diag),
@@ -296,8 +293,9 @@ def run_verify(cfg: RunConfig) -> int:
     devs = []
     for t in cfg.t_grid:
         try:
-            s = _total_sum(cfg, t)
-            i, _ = _total_integral(cfg, an, t)
+            pref = prefactor_exact(cfg.prefactor, t)    # one product for both
+            s = _total(series_sum(cfg.series, t), pref, cfg.q_power, t)
+            i, _ = _total_integral(cfg, an, t, pref)
             a = asym_from_parts(an, t, cfg.order_L, cfg.q_power).total
         except HypothesisError:
             raise

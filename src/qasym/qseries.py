@@ -8,13 +8,16 @@ the constant prefactor.
 
 Truncation policy for every infinite sum: relative threshold 1e-18, by
 consecutive-small-term counting or by a certified bound on the rest, from
-the closed-form sandwich of the inner sum (``kernel_bounds``).  Values are
-LogValue throughout; the interesting series reach exp(pi^2/(5t)), which
-overflows binary64 for t < 0.0125.
+the closed-form sandwich of the inner sum (``kernel_bounds``).  The inner
+sum itself costs the same at every t: a closed form below w = 0.1, at most
+451 k-terms above (``_kernel``).  Values are LogValue throughout; the
+interesting series reach exp(pi^2/(5t)), which overflows binary64 for
+t < 0.0125.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -22,16 +25,24 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, SpecError
 from .logvalue import LogValue
-from .specfun import bernoulli_number, bernoulli_poly, dilog
+from .specfun import PI2_6, bernoulli_number, bernoulli_poly, dilog_exp1m
 
 T_MAX = 0.5                 # largest t any evaluation accepts
 LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
 _KLOG_MARGIN = 45.0         # e^-45 ~ 3e-20: inner k-sums stop past this decay
-_KMAX_HARD = 10_000_000
-_CHUNK_ELEMS = 1 << 20      # k-by-point elements per inner-sum chunk
+_KMAX_HARD = 10_000_000     # most terms of a derivative k-sum or factors of qpoch_inf
+_CHUNK_ELEMS = 1 << 16      # k-by-point elements per inner-sum chunk (fits L2)
 MAX_DERIV = 64              # highest x-derivative order log_summand_deriv takes
+_W_A = 0.1                  # order 0: closed form below this w, k-sum above
+_R0 = 0.1                   # the closed form peels factors until beta t/w <= _R0
+_EM_J = 6                   # Euler-Maclaurin levels j = 1.._EM_J of the closed form
 
 LOG_2PI = math.log(2.0 * math.pi)
+# row j, column m - 1: the v^m coefficient of B_2j/(2j)! Li_(2-2j)(e^-w), with
+# v = 1/expm1(w) and Li_-n = sum_m (m-1)! S(n+1, m) v^m (S: Stirling, 2nd kind)
+_EM_V = np.array([[float(bernoulli_number(2 * j)) / math.factorial(2 * j) / m * sum(
+    (-1) ** i * math.comb(m, i) * (m - i) ** (2 * j - 1) for i in range(m + 1))
+    for m in range(1, 2 * _EM_J)] for j in range(1, _EM_J + 1)])
 
 
 def _check_domain_triple(A: float, v: float, B: float) -> None:
@@ -166,8 +177,8 @@ def normalize(spec: ProductSpec) -> tuple[SeriesSpec, tuple[QuadTerm, ...]]:
 def qpoch_inf(a: float, q: float) -> LogValue:
     """log (a;q)_inf for 0 <= a < 1, 0 < q < 1.
 
-    Truncates once a q^K < 1e-18.
-    """
+    Truncates once a q^K < 1e-18, sums 2^20 factors at a time and raises
+    past _KMAX_HARD factors."""
     if not 0.0 <= a < 1.0:
         raise DomainError(f"qpoch_inf needs 0 <= a < 1, got {a}")
     if not 0.0 < q < 1.0:
@@ -177,8 +188,11 @@ def qpoch_inf(a: float, q: float) -> LogValue:
     if a == 0.0:
         return LogValue.one()
     K = max(int((math.log(1e-18) - math.log(a)) / math.log(q)) + 1, 1)
-    k = np.arange(K, dtype=float)
-    return LogValue(1, float(np.sum(np.log1p(-a * q ** k))))
+    if K > _KMAX_HARD:
+        raise ConvergenceError(f"exact prefactor: (a;q)_inf needs {K} factors, "
+                               f"more than {_KMAX_HARD}")
+    return LogValue(1, sum(float(np.sum(np.log1p(-a * q ** np.arange(
+        k0, min(k0 + (1 << 20), K), dtype=float)))) for k0 in range(0, K, 1 << 20)))
 
 
 def _gamma_sign_log(x: float) -> tuple[int, float]:
@@ -267,55 +281,118 @@ def _require_t(t: float) -> None:
         raise ConvergenceError(f"t must lie in (0, {T_MAX}), got {t}")
 
 
+@functools.lru_cache(maxsize=256)
+def _rows(orders: tuple[int, ...]) -> tuple:
+    # per row of _kernel: n, (-1)^n, whether n = 0, and the span s > m =
+    # max(n-1, 0) with s - m - m log(s/m) = 45: past k = s/w, k^m e^{-kw}
+    # lies e^-45 below its maximum at k = m/w; then the rows of extreme span
+    spans = []
+    for m in (max(n - 1, 0) for n in orders):
+        s = _KLOG_MARGIN + m
+        for _ in range(60):             # fixed point, rising to the root
+            s = _KLOG_MARGIN + m + m * math.log(s / max(m, 1))
+        spans.append(s)
+    n_col = np.array(orders, dtype=float)[:, None]
+    rows = (n_col, (-1.0) ** n_col, n_col[:, 0] == 0, np.array(spans)[:, None])
+    for a in rows:
+        a.flags.writeable = False       # shared by every call with these orders
+    return (*rows, int(np.argmax(spans)), int(np.argmin(spans)))
+
+
+def _li21(w):
+    """(Li2(e^-w), Li1(e^-w)) at w > 0, elementwise on arrays, each within
+    about 2 ulp.  Li1 = log1p(1/expm1(w)) on arrays; on scalars it switches
+    from -log(-expm1(-w)) to -log1p(-e^-w) at w = 0.69, which also takes
+    w = inf.  Below 0.69, Li2(e^-w) = pi^2/6 - w Li1 - Li2(1 - e^-w); above,
+    Li2(e^-w) = Li2(1 - e^-Li1)."""
+    if isinstance(w, np.ndarray):
+        near = w < 0.69
+        li1 = np.log1p(1.0 / np.expm1(w))
+        li2 = dilog_exp1m(np.where(near, w, li1))
+        return np.where(near, PI2_6 - w * li1 - li2, li2), li1
+    if w < 0.69:
+        li1 = -math.log(-math.expm1(-w))
+        return PI2_6 - w * li1 - dilog_exp1m(w), li1
+    li1 = -math.log1p(-math.exp(-w))
+    return dilog_exp1m(li1), li1
+
+
+def _kernel_closed(w: np.ndarray, bt: float) -> np.ndarray:
+    """K(w) = sum_k e^{-kw}/(k(1 - e^{-k bt})) without a k-sum: the product
+    form K(w) = -sum_n log(1 - e^{-(w + n bt)}) peels the fewest N factors
+    that leave w' = w + N bt >= bt/_R0, then Euler-Maclaurin gives K(w') =
+    Li2(e^-w')/bt + Li1(e^-w')/2 + sum_{j<=J} B_2j bt^(2j-1)/(2j)! Li_(2-2j)(e^-w').
+    The first omitted level is about 2 (2J)! (_R0/2pi)^(2J+1)/(2pi) ~ 6e-16,
+    absolute, against K(w') >= Li2(e^-w')/bt."""
+    N = np.maximum(np.ceil(1.0 / _R0 - w / bt), 0.0)
+    n = np.arange(N.max())[:, None]      # a product runs along n in order
+    peel = np.log(np.prod(-np.expm1(-np.where(n < N, w + n * bt, np.inf)), axis=0))
+    wp = w + N * bt
+    li2, li1 = _li21(wp)
+    v = 1.0 / np.expm1(wp)
+    em = v * np.polyval((bt ** np.arange(1.0, 2 * _EM_J, 2.0) @ _EM_V)[::-1], v)
+    return li2 / bt + (0.5 * li1 + em - peel)
+
+
 def _kernel(term: PochTerm, x: np.ndarray, t: float,
             orders: tuple[int, ...]) -> np.ndarray:
-    """sum_{k>=1} (-k alpha t)^n e^{-k(alpha x + gamma) t} / (k (1-e^{-k beta t}))
-    for a vector of x >= 0, one row per order n in ``orders``, all from one
-    pass over k.  Each point stops its k-sum at its own kmax = 45/w + 10,
-    w = (alpha x + gamma) t, where the terms have decayed by e^-45 relative;
-    each k-chunk covers only the points still active."""
+    """sum_{k>=1} (-k alpha t)^n e^{-kw} / (k (1-e^{-k beta t})),
+    w = (alpha x + gamma) t, for a vector of x >= 0, one row per order n.
+
+    Order 0 costs the same at every t: below w = _W_A it is
+    ``_kernel_closed``; above, a k-sum cut at kc = floor(45/w) + 1, which
+    leaves out less than e^-45/((kc+1)(1 - e^-w)) of it.  Order n >= 1 is
+    a k-sum cut where k^(n-1) e^{-kw} has fallen e^-45 below its maximum,
+    and raises past _KMAX_HARD terms.  The rows share one pass over k; each
+    point sums each row from its cut down to k = 1, so no value depends on
+    the other points or orders of the call."""
     w = (term.alpha * x + term.gamma) * t
     order = None
     if len(w) > 1 and np.any(w[1:] < w[:-1]):
         order = np.argsort(w, kind="stable")
         w = w[order]
-    kmax = int(_KLOG_MARGIN / float(w[0])) + 10
-    if kmax > _KMAX_HARD:
-        raise ConvergenceError(
-            f"inner sum needs {kmax} terms (alpha*x+gamma too small for this t)")
-    # per-point cut-offs, non-increasing along the ascending w
-    kcut = ((_KLOG_MARGIN / w).astype(np.int64) + 10).tolist()
-    n_all = np.array(orders, dtype=float)
-    n_pos = n_all[n_all > 0][:, None]
-    acc = np.zeros((len(n_pos) + 1, len(w)))    # order 0, then orders >= 1
-    active = len(w)
-    k0 = 1
-    while active:
-        # chunks depend on the points alone: order 0 keeps its bits
-        step = max(1, _CHUNK_ELEMS // active)
-        k1 = min(k0 + step, kcut[active - 1] + 1)
-        k = np.arange(k0, k1, dtype=float)
-        mkw = np.outer(-k, w[:active])              # -k w; negating k is exact
-        denom = -np.expm1(-k * term.beta * t)       # 1 - e^{-k beta t}
-        if len(n_pos):
-            # (-k alpha t)^n / k = (-1)^n exp(n log(k alpha t) - log k); keep in
-            # log space so high orders neither overflow nor underflow early
-            logcoef = n_pos * np.log(k * term.alpha * t) - np.log(k) - np.log(denom)
-            sub = max(1, _CHUNK_ELEMS // (active * len(n_pos)))
-            for j in range(0, len(k), sub):         # the order axis fits the budget
-                blk = logcoef[:, j:j + sub, None] + mkw[j:j + sub]
-                acc[1:, :active] += ((-1.0) ** n_pos) * np.exp(blk, out=blk).sum(axis=1)
-        if len(n_pos) < len(orders):   # last use of mkw: exponentiate in place
-            acc[0, :active] += (1.0 / (k * denom)) @ np.exp(mkw, out=mkw)
-        k0 = k1
-        while active and kcut[active - 1] < k0:
-            active -= 1
-    rows = np.cumsum(n_all > 0) * (n_all > 0)     # the acc row of each order
-    if order is None:
-        return acc[rows]
-    out = np.empty((len(orders), len(w)))
-    out[:, order] = acc[rows]
-    return out
+    n_col, sign, zero, spans, imax, imin = _rows(orders)
+    near = int(np.searchsorted(w, _W_A))        # w < _W_A: order 0 in closed form
+    first = near if max(orders) == 0 else 0     # the points the k-sum covers
+    wk = w[first:]
+    if len(wk) and spans[imax, 0] / wk[0] >= _KMAX_HARD:
+        raise ConvergenceError(f"inner sum needs {int(spans[imax, 0] / wk[0]) + 1} "
+                               "terms (alpha*x+gamma too small for this t)")
+    kc = (spans / wk).astype(np.int64) + 1      # per row and point
+    kmax, kmin = kc[imax].tolist(), kc[imin].tolist()   # non-increasing
+    budget = max(1, _CHUNK_ELEMS // len(orders))
+    acc = np.zeros((len(orders), len(w)))
+    acc_k = acc[:, first:]
+    p0 = 0
+    while p0 < len(wk):
+        # points p0 .. p1-1 with all their rows fit the budget; a point that
+        # alone does not takes its rows in chunks, carrying its sums
+        p1 = min(p0 + max(1, budget // kmax[p0]), len(wk))
+        k1 = kmax[p0] + 1
+        while k1 > 1:
+            k0 = max(k1 - budget, 1)
+            k = np.arange(k1 - 1, k0 - 1, -1, dtype=float)   # descending
+            # (-k alpha t)^n / k = (-1)^n exp(n log(k alpha t) - log k); keep
+            # in log space so high orders neither overflow nor underflow early
+            logcoef = np.log(k * term.alpha * t)[:, None] * n_col[:, 0]
+            logcoef -= np.log(k * -np.expm1(-k * term.beta * t))[:, None]
+            blk = np.outer(-k, wk[p0:p1])[:, None]         # k by row by point
+            blk = np.add(blk, logcoef[:, :, None], out=blk if len(orders) == 1 else None)
+            top = k1 - 1 - kmin[p1 - 1]     # rows past some cut: zero terms there
+            if top > 0:
+                np.putmask(blk[:top], k[:top, None, None] > kc[:, p0:p1], -np.inf)
+            blk = np.exp(blk, out=blk)
+            blk[0] += acc_k[:, p0:p1]
+            # in order along k: reducing the outer axis adds one k at a
+            # time, and so does cumsum, which a single row of one point needs
+            acc_k[:, p0:p1] = (np.add.reduce(blk, axis=0) if blk[0].size > 1
+                               else np.cumsum(blk, axis=0)[-1])
+            k1 = k0
+        p0 = p1
+    acc *= sign
+    if near and zero.any():
+        acc[zero, :near] = _kernel_closed(w[:near], term.beta * t)
+    return acc if order is None else acc[:, np.argsort(order)]
 
 
 def log_summand(spec: SeriesSpec, x, t: float):
@@ -325,13 +402,13 @@ def log_summand(spec: SeriesSpec, x, t: float):
     return log_summand_deriv(spec, 0, x, t)
 
 
-def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t: float) -> np.ndarray:
-    # n-th x-derivative of x v - A x^2 t - B x t
+def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t: float):
+    # n-th x-derivative of x v - A x^2 t - B x t, n <= 2
     if n == 0:
         return x * spec.v - spec.A * x ** 2 * t - spec.B * x * t
     if n == 1:
         return spec.v - 2.0 * spec.A * x * t - spec.B * t
-    return np.full_like(x, -2.0 * spec.A * t if n == 2 else 0.0)
+    return -2.0 * spec.A * t
 
 
 def log_summand_deriv(spec: SeriesSpec, n, x, t: float):
@@ -348,7 +425,10 @@ def log_summand_deriv(spec: SeriesSpec, n, x, t: float):
     xa = np.atleast_1d(xa)
     if np.any(xa < 0):
         raise DomainError("log_summand needs x >= 0")
-    out = np.array([_poly_deriv(spec, r, xa, t) for r in orders])
+    out = np.zeros((len(orders), len(xa)))
+    for i, r in enumerate(orders):
+        if r <= 2:
+            out[i] = _poly_deriv(spec, r, xa, t)
     for term in spec.terms:
         out = out + term.S * _kernel(term, xa, t, orders)
     out = out[:, 0] if scalar else out
@@ -361,9 +441,8 @@ def kernel_bounds(term: PochTerm, w: float, t: float) -> tuple[float, float]:
     lo = Li2(e^-w)/(beta t) + Li1(e^-w)/2 and hi = lo + (beta t/12)/(e^w - 1),
     from 0 <= 1/(1 - e^-s) - 1/s - 1/2 <= s/12 for s = k beta t."""
     bt = term.beta * t
-    # Li1(e^-w) = -log(1 - e^-w), accurate on both sides of w = log 2
-    li1 = -(math.log(-math.expm1(-w)) if w < 0.69 else math.log1p(-math.exp(-w)))
-    lo = dilog(math.exp(-w)) / bt + 0.5 * li1
+    li2, li1 = _li21(w)
+    lo = li2 / bt + 0.5 * li1
     return lo, lo + bt / 12.0 * math.exp(-w) / -math.expm1(-w)
 
 

@@ -10,10 +10,10 @@ toward u = 0; refinement is deterministic interval halving driven by the
 embedded Gauss-Kronrod 7/15 error estimate, with all exponentials taken
 relative to the peak of the log integrand.
 
-Near u = 0 the integrand carries e^(-c/t) of the mass, but each node costs
-~45/(gamma t) k-terms, so the initial panels run from the top down and the
-ones below an edge are dropped once their certified mass, the sum of
-(b - a) e^(sup g) with ``log_summand_sup``, is at most 1e-18 of the total.
+Near u = 0 the integrand carries e^(-c/t) of the mass, so the initial
+panels run from the top down and the ones below an edge are dropped once
+their certified mass, the sum of (b - a) e^(sup g) with
+``log_summand_sup``, is at most 1e-18 of the total.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
 
     # coarse scan for the log-integrand's scale, then extend the cutoff
     # until the boundary value is negligible at the requested tolerance;
-    # u = 0 costs 45/(gamma t) k-terms and is read only if it could win
+    # u = 0 costs a closed-form evaluation per symbol, read only if it could win
     gmax = float(g(np.linspace(0.0, u_hi, 513)[1:]).max())
     if log_summand_sup(spec, 0.0, 0.0, t) > gmax:
         gmax = max(gmax, float(g(np.zeros(1))[0]))

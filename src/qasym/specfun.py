@@ -1,5 +1,6 @@
-"""Scalar special functions: Bernoulli numbers/polynomials, the dilogarithm
-and the nonpositive-order polylogarithms.
+"""Special functions: Bernoulli numbers/polynomials, the dilogarithm (also
+elementwise on arrays, as ``dilog_exp1m``) and the nonpositive-order
+polylogarithms.
 
 Bernoulli data is kept in exact rational arithmetic: the product-asymptotic
 tail terms alternate in sign and grow factorially, and a floating recurrence
@@ -60,6 +61,9 @@ def _build_lineg_polys(r_max: int) -> list[list[int]]:
 
 _LINEG: list[list[int]] = _build_lineg_polys(POLYLOG_R_MAX)
 
+# B_2j/(2j+1)!, j = 10..1, for dilog_exp1m
+_LI2_EXP = [float(_BERNOULLI[2 * j] / math.factorial(2 * j + 1)) for j in range(10, 0, -1)]
+
 
 def bernoulli_number(n: int) -> Fraction:
     """Exact B_n (convention B_1 = -1/2)."""
@@ -107,6 +111,17 @@ def dilog(x: float) -> float:
         if term < 1e-17 * total:
             break
     return total
+
+
+def dilog_exp1m(u):
+    """Li_2(1 - e^-u) for 0 <= u <= log 2, elementwise on arrays: the
+    Bernoulli series u - u^2/4 + sum_j B_2j u^(2j+1)/(2j+1)!, whose terms fall
+    like (u/2pi)^(2j), through B_20.  No argument check."""
+    v = u * u
+    p = 0.0
+    for c in _LI2_EXP:
+        p = (p + c) * v
+    return u - 0.25 * v + u * p
 
 
 def polylog_nonpos(r: int, x: float) -> float:

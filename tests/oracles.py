@@ -131,3 +131,23 @@ def integral_whole_ladder(an, t: float, rel_tol: float = 1e-10) -> float:
         heapq.heappush(heap, (-e2, count + 1, mid, b, v2))
         count += 2
     return math.log(total) + gmax - math.log(t)
+
+
+def kernel_ksum(term, x: float, t: float) -> float:
+    """The inner sum K(w) = sum_k e^{-kw}/(k (1 - e^{-k beta t})) at
+    w = (alpha x + gamma) t as the engine summed it before its closed form:
+    one block of k = 1 .. 45/w + 10, whatever w."""
+    w = (term.alpha * x + term.gamma) * t
+    k = np.arange(1, int(45.0 / w) + 11, dtype=float)
+    return float(np.sum(np.exp(-k * w) / (k * -np.expm1(-k * term.beta * t))))
+
+
+def kernel_deriv_fsum(term, n: int, x: float, t: float, kmax: int = 5000) -> float:
+    """The order-n x-derivative of the inner sum,
+    sum_k (-k alpha t)^n e^{-kw}/(k (1 - e^{-k beta t})) over k < kmax,
+    each term taken in log space and the terms added exactly (fsum)."""
+    w = (term.alpha * x + term.gamma) * t
+    return (-1.0) ** n * math.fsum(
+        math.exp(n * math.log(k * term.alpha * t) - math.log(k)
+                 - math.log(-math.expm1(-k * term.beta * t)) - k * w)
+        for k in range(1, kmax))

@@ -2,14 +2,16 @@ import math
 import random
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import qasym.qseries as qs
-from oracles import mcintosh_asym, qpoch_finite
+from oracles import kernel_deriv_fsum, kernel_ksum, mcintosh_asym, qpoch_finite
+from qasym.cli import main
 from qasym.errors import ConvergenceError, DomainError, SpecError
 from qasym.expansion import analyse
 from qasym.presets import PRESETS, get_preset
@@ -17,6 +19,7 @@ from qasym.qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
                            log_summand_deriv, normalize, prefactor_asym,
                            prefactor_constants, prefactor_exact, prefactor_law,
                            qpoch_inf, series_sum)
+from qasym.specfun import bernoulli_number, polylog_nonpos
 
 RAM = SeriesSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, -2)])
 EULER = SeriesSpec.make(0.0, 1.0, 0.0, [(1, 1, 1, -1)])
@@ -99,6 +102,14 @@ class TestQPochInf:
     def test_q_near_one_refused(self):
         with pytest.raises(ConvergenceError):
             qpoch_inf(0.5, 1.0 - 1e-13)
+
+    def test_streamed_past_one_chunk(self):
+        # t = 1e-5 needs 4.1M factors, summed 2^20 at a time; the direct
+        # product's own rounding grows like eps/t^2 (about 6e-13 here)
+        t = 1e-5
+        d = qpoch_inf(math.exp(-t), math.exp(-t)).log_abs
+        m = mcintosh_asym(1, 1, t, 4).log_abs
+        assert abs(d - m) <= 5e-12 * abs(m)
 
 
 class TestMcintosh:
@@ -213,21 +224,28 @@ class TestLogSummand:
         with pytest.raises(ConvergenceError):
             log_summand(RAM, 1.0, 0.5)
 
-    def test_inner_sum_cap_raises_promptly(self):
-        # gamma t < 4.5e-6 puts kmax past _KMAX_HARD; the smallest w of the
-        # whole call decides, wherever x = 0 sits, before any k-chunk exists
+    def test_inner_sum_cap_raises_promptly(self, capsys):
+        # order 0 needs no k-sum near x = 0, so only the derivative k-sums
+        # and the exact prefactor's product keep a cap; past it they raise
+        # before allocating, and eval names the prefactor
         x = np.array([3.0, 250.0, 0.0, 1.0, 0.0])
-        tracemalloc.start()
-        start = time.perf_counter()
-        try:
-            with pytest.raises(ConvergenceError, match="inner sum needs"):
-                log_summand(RAM, x, 4e-6)
-            elapsed = time.perf_counter() - start
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert elapsed < 1.0
-        assert peak < 1 << 20
+        assert np.all(np.isfinite(log_summand(RAM, x, 4e-6)))
+        for call, match in ((lambda: log_summand_deriv(RAM, 1, x, 4e-6), "inner sum needs"),
+                            (lambda: qpoch_inf(math.exp(-1e-6), math.exp(-1e-6)),
+                             "exact prefactor.*factors")):
+            tracemalloc.start()
+            start = time.perf_counter()
+            try:
+                with pytest.raises(ConvergenceError, match=match):
+                    call()
+                elapsed = time.perf_counter() - start
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert elapsed < 1.0
+            assert peak < 1 << 20
+        assert main(["eval", "--preset", "ramanujan", "--t", "0.000001"]) == 3
+        assert "exact prefactor" in capsys.readouterr().err
 
 
 def _kernel_whole_block(term, x, t, n):
@@ -312,6 +330,87 @@ class TestKernel:
         for orders in (tuple(range(65)), tuple(range(13)), (0, 1)):
             got = log_summand_deriv(RAM, orders, 0.0, t)[0]
             assert got == log_summand(RAM, 0.0, t)
+
+
+class TestKernelBands:
+    """Order 0 below w = _W_A in closed form, above it a short k-sum;
+    derivative orders on a k-sum cut by their own decay."""
+
+    @pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_closed_form_exact_at_zero(self, t):
+        # alpha = beta = gamma = 1, x = 0: K = -log (q;q)_inf
+        #   = pi^2/(6t) - log(2pi/t)/2 - t/24 + O(e^(-4pi^2/t)), here in
+        # 40-digit decimals
+        with localcontext() as ctx:
+            ctx.prec = 40
+            pi = Decimal("3.1415926535897932384626433832795028841972")
+            T = Decimal(t)
+            exact = float(pi * pi / (6 * T) - (2 * pi / T).ln() / 2 - T / 24)
+        got = qs._kernel(qs.PochTerm(1.0, 1.0, 1.0, 1.0), np.array([0.0]), t, (0,))[0, 0]
+        assert abs(got - exact) <= 2 * math.ulp(exact)
+
+    def test_levels_in_v_match_polylogs(self):
+        # row j of _EM_V in v = 1/expm1(w) is B_2j/(2j)! Li_(2-2j)(e^-w)
+        for w in (0.01, 0.3, 2.0, 9.0):
+            v = 1.0 / math.expm1(w)
+            for j, row in enumerate(qs._EM_V, 1):
+                got = sum(c * v ** m for m, c in enumerate(row, 1))
+                want = (float(bernoulli_number(2 * j)) / math.factorial(2 * j)
+                        * polylog_nonpos(2 * j - 2, math.exp(-w)))
+                assert got == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=150, deadline=None)
+    @given(w=st.floats(2e-3, 0.6), ratio=st.floats(0.0, 12.0),
+           beta=st.floats(0.2, 3.0))
+    @example(w=qs._W_A, ratio=2.0, beta=1.0)                 # at w_a
+    @example(w=math.nextafter(qs._W_A, 0.0), ratio=2.0, beta=1.0)
+    @example(w=0.05, ratio=3.0, beta=1.0)                    # N = 7 exactly
+    @example(w=0.05, ratio=math.nextafter(3.0, 4.0), beta=1.0)
+    @example(w=0.05, ratio=10.0, beta=1.0)                   # N = 0
+    @example(w=0.05, ratio=math.nextafter(10.0, 0.0), beta=1.0)
+    def test_closed_form_matches_ksum(self, w, ratio, beta):
+        # w/(beta t) = ratio sets the peel count N = ceil(10 - ratio), 0..10;
+        # the closed form holds at every w, and _kernel uses it below w_a
+        t = w / (max(ratio, 1e-3) * beta)
+        assume(t < 0.45)
+        term = qs.PochTerm(1.0, beta, w / t, 1.0)
+        want = kernel_ksum(term, 0.0, t)
+        closed = qs._kernel_closed(np.array([term.gamma * t]), beta * t)[0]
+        got = qs._kernel(term, np.array([0.0]), t, (0,))[0, 0]
+        assert abs(closed - want) <= 1e-13 * want
+        assert abs(got - want) <= 1e-13 * want
+
+    def test_derivative_cut_matches_fsum(self):
+        # ramanujan's peak at t = 1e-3 (w = 0.963): 45/w + 10 terms missed
+        # 9e-10 of order 18 and 0.72 of order 60; each order alone and all
+        # 64 together, against 5000 terms added exactly
+        term = RAM.terms[0]
+        t = 1e-3
+        x = analyse(RAM).peaks[0].u / t
+        together = qs._kernel(term, np.array([x]), t, tuple(range(1, 65)))[:, 0]
+        for n in range(1, 65):
+            want = kernel_deriv_fsum(term, n, x, t)
+            alone = qs._kernel(term, np.array([x]), t, (n,))[0, 0]
+            assert alone == together[n - 1]
+            assert abs(alone - want) <= 1e-12 * abs(want)
+
+    def test_long_derivative_sum_in_chunks(self):
+        # at x = 0, t = 1e-4 order 1 needs 450,001 k-terms: several chunks,
+        # each carrying the sum of the rows above it
+        term = RAM.terms[0]
+        got = qs._kernel(term, np.array([0.0]), 1e-4, (1,))[0, 0]
+        want = kernel_deriv_fsum(term, 1, 0.0, 1e-4, kmax=460_000)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("t", [1e-3, 1e-4])
+    def test_values_independent_of_call_mates(self, t):
+        # phi-minus's alpha = 4 symbol leaves the closed form at m = 24 for
+        # t = 1e-3 and at m = 249 for t = 1e-4, so slices mix both bands
+        spec = get_preset("phi-minus").series
+        m = np.arange(256.0)
+        whole = log_summand(spec, m, t)
+        for part in (slice(0, 64), slice(200, 256), slice(255, 256), slice(0, 1)):
+            assert np.array_equal(log_summand(spec, m[part], t), whole[part])
 
 
 class TestKernelBounds:

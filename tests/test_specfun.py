@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from qasym.errors import DomainError, IndexOverflowError
-from qasym.specfun import bernoulli_number, bernoulli_poly, dilog, polylog_nonpos
+from qasym.specfun import (bernoulli_number, bernoulli_poly, dilog, dilog_exp1m,
+                           polylog_nonpos)
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -88,6 +90,16 @@ class TestDilog:
     def test_domain(self):
         with pytest.raises(DomainError):
             dilog(1.0 + 1e-12)
+
+    def test_exp1m_matches_power_series(self):
+        # Li_2(1 - e^-u) on u in [0, log 2], scalars and arrays alike,
+        # against the scalar power series at x = 1 - e^-u <= 1/2
+        u = np.r_[0.0, np.geomspace(1e-12, math.log(2.0), 400)]
+        got = dilog_exp1m(u)
+        for ui, gi in zip(u, got):
+            want = dilog(-math.expm1(-ui))
+            assert gi == dilog_exp1m(float(ui))
+            assert abs(gi - want) <= 4 * math.ulp(want)
 
 
 class TestPolylogNonpos:

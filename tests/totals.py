@@ -3,12 +3,12 @@ tests that check a preset end to end without a subprocess."""
 
 from qasym.cli import _total
 from qasym.expansion import DEFAULT_L, DEFAULT_M, analyse, asym_from_parts
-from qasym.qseries import series_sum
+from qasym.qseries import prefactor_exact, series_sum
 
 
 def series_total(p, t: float):
     """LogValue of preset p at t by direct summation, as `qasym eval` gives it."""
-    return _total(series_sum(p.series, t), p.prefactor, p.q_power, t)
+    return _total(series_sum(p.series, t), prefactor_exact(p.prefactor, t), p.q_power, t)
 
 
 def asym(p, t: float, L: int = DEFAULT_L, M: int = DEFAULT_M):
