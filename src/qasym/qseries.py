@@ -6,13 +6,12 @@ logged general term of the normalized series and its x-derivatives, direct
 log-space summation of the series, and the small-t product asymptotics of
 the constant prefactor.
 
-Truncation policy for every infinite sum: relative threshold 1e-18, by
-consecutive-small-term counting or by a certified bound on the rest, from
-the closed-form sandwich of the inner sum (``kernel_bounds``).  The inner
-sum itself costs the same at every t: a closed form below w = 0.1, at most
-451 k-terms above (``_kernel``).  Values are LogValue throughout; the
-interesting series reach exp(pi^2/(5t)), which overflows binary64 for
-t < 0.0125.
+Truncation policy for the outer sum: relative threshold 1e-18, by a
+certified bound on the rest, from the closed-form sandwich of the inner sum
+(``kernel_bounds``).  The inner sum itself costs the same at every t: a
+closed form below w = 0.1, at most 451 k-terms above (``_kernel``).  Values
+are LogValue throughout; the interesting series reach exp(pi^2/(5t)), which
+overflows binary64 for t < 0.0125.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, SpecError
 from .logvalue import LogValue
-from .specfun import PI2_6, bernoulli_number, bernoulli_poly, dilog_exp1m
+from .specfun import PI2_6, bernoulli_number, bernoulli_poly, dilog_exp1m, lineg_coeffs
 
 T_MAX = 0.5                 # largest t any evaluation accepts
 LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
@@ -39,10 +38,11 @@ _EM_J = 6                   # Euler-Maclaurin levels j = 1.._EM_J of the closed 
 
 LOG_2PI = math.log(2.0 * math.pi)
 # row j, column m - 1: the v^m coefficient of B_2j/(2j)! Li_(2-2j)(e^-w), with
-# v = 1/expm1(w) and Li_-n = sum_m (m-1)! S(n+1, m) v^m (S: Stirling, 2nd kind)
-_EM_V = np.array([[float(bernoulli_number(2 * j)) / math.factorial(2 * j) / m * sum(
-    (-1) ** i * math.comb(m, i) * (m - i) ** (2 * j - 1) for i in range(m + 1))
-    for m in range(1, 2 * _EM_J)] for j in range(1, _EM_J + 1)])
+# v = 1/expm1(w) and Li_-n = sum_m m! S(n+1, m) v^m / m (``lineg_coeffs``)
+_EM_V = np.array([[float(bernoulli_number(2 * j)) / math.factorial(2 * j) / m * c
+                   for m, c in enumerate(lineg_coeffs(2 * j - 2)
+                                         + (0,) * (2 * _EM_J - 2 * j), 1)]
+                  for j in range(1, _EM_J + 1)])
 
 
 def _check_domain_triple(A: float, v: float, B: float) -> None:
@@ -473,51 +473,41 @@ def log_summand_sup(spec: SeriesSpec, ua: float, ub: float, t: float) -> float:
 
 
 def series_sum(spec: SeriesSpec, t: float) -> LogValue:
-    """sum_m exp(log_summand(m)) accumulated in log space, 256 terms a block.
+    """sum_m exp(log_summand(m)) accumulated in log space, in blocks of 256
+    terms that past m = 1024 grow to m/4, at most 65536.
 
-    Stops once 50 consecutive terms each contribute < 1e-18 relative AND
-    m t > 2*max(t*argmax, 1).  On the flat tail A = v = 0, whose terms decay
-    only like q^(B m), it stops once the rest is certified below 1e-18
-    relative, sum_{m >= M} e^F(m) <= e^(sup F on [M t, inf)) / (1 - q^B)
-    (``log_summand_sup``), and past 256 terms its blocks grow to m/4, at
-    most 65536.  Raises if the terms keep growing far beyond that
-    (domain-triple violation that slipped past the static check).
+    Stops once the rest is certified below 1e-18 relative.  The polynomial
+    part P(m) = m v - (A m^2 + B m) t is concave, so past an M with slope
+    P'(M) < 0 each step lowers it by at least -P'(M), and
+    sum_{m >= M} e^F(m) <= e^(sup F on [M t, inf)) / (1 - e^P'(M))
+    (``log_summand_sup``); on the flat tail A = v = 0 the factor is
+    1/(1 - q^B).  The factor is needed: stopping at the last term above
+    1e-18 relative would leave out far more than that, about 1e-14 of the
+    total for phi-minus at t = 1e-4.  Raises if the sum has not stopped by
+    m t = 2000 (domain-triple violation that slipped past the static check).
     """
     _require_t(t)
-    flat = spec.A == 0 and spec.v == 0
     block = 256
     m0 = 0
     run_max = -math.inf          # running max of the logged terms
-    run_arg = 0.0                # its location
     acc = 0.0                    # sum of exp(log - run_max)
-    small_run = 0
     while True:
-        m = np.arange(m0, m0 + block, dtype=float)
-        logs = log_summand(spec, m, t)
+        logs = log_summand(spec, np.arange(m0, m0 + block, dtype=float), t)
         bmax = float(logs.max())
         if bmax > run_max:
             if run_max > -math.inf:
                 acc *= math.exp(run_max - bmax)
             run_max = bmax
-            run_arg = float(m[int(np.argmax(logs))])
         acc += float(np.exp(logs - run_max).sum())
         total_log = run_max + math.log(acc)
-        m_end = m0 + block - 1
-        if flat:    # sum_{m > m_end} e^F(m) <= e^sup / (1 - q^B)
-            if (log_summand_sup(spec, (m_end + 1) * t, math.inf, t)
-                    < total_log + LN_EPS + math.log(-math.expm1(-spec.B * t))):
-                break
-        else:
-            # trailing run of negligible terms, carried across blocks
-            big = np.nonzero(~(logs - total_log < LN_EPS))[0]
-            small_run = small_run + block if big.size == 0 else block - 1 - int(big[-1])
-            if small_run >= 50 and m_end * t > 2.0 * max(t * run_arg, 1.0):
-                break
-        if m_end * t > 2000.0:
+        m0 += block
+        slope = spec.v - (2.0 * spec.A * m0 + spec.B) * t      # P'(m0)
+        if slope < 0 and (log_summand_sup(spec, m0 * t, math.inf, t)
+                          < total_log + LN_EPS + math.log(-math.expm1(slope))):
+            break
+        if (m0 - 1) * t > 2000.0:
             raise ConvergenceError(
                 "series terms still significant far past the expected decay "
-                f"(m*t = {m_end * t:.1f}); domain triple violated dynamically?")
-        m0 += block
-        if flat:
-            block = min(max(block, m0 // 4), 1 << 16)
+                f"(m*t = {(m0 - 1) * t:.1f}); domain triple violated dynamically?")
+        block = min(max(block, m0 // 4), 1 << 16)
     return LogValue(1, total_log)

@@ -5,23 +5,25 @@ polylogarithms.
 Bernoulli data is kept in exact rational arithmetic: the product-asymptotic
 tail terms alternate in sign and grow factorially, and a floating recurrence
 loses every digit past n ~ 20.  The nonpositive-order polylogarithms are
-stored as integer-coefficient polynomials over (1-x)^(r+1) because the
-defining series diverges numerically exactly where the expansion machinery
-needs them (x -> 1).
+integer-coefficient polynomials in v = x/(1-x) because the defining series
+diverges numerically exactly where the expansion machinery needs them
+(x -> 1); ``qseries`` writes its Euler-Maclaurin levels with the same
+coefficients.
 
-All tables are built eagerly at import, after which every function here is
-pure and safe for concurrent callers.
+The Bernoulli table is built at import and the polylogarithm coefficients on
+first use, after which every function here is pure and safe for concurrent
+callers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 from .errors import DomainError, IndexOverflowError
 
 N_MAX = 64          # largest tabulated Bernoulli index
-POLYLOG_R_MAX = 128  # largest tabulated Li_{-r} order
 
 PI2_6 = math.pi * math.pi / 6.0
 
@@ -39,27 +41,6 @@ def _build_bernoulli(n_max: int) -> list[Fraction]:
 
 _BERNOULLI: list[Fraction] = _build_bernoulli(N_MAX)
 
-
-def _build_lineg_polys(r_max: int) -> list[list[int]]:
-    # Li_{-r}(x) = P_r(x)/(1-x)^{r+1} with P_0 = x and
-    # P_r = x * ((1-x) P_{r-1}' + r P_{r-1})
-    polys = [[0, 1]]
-    for r in range(1, r_max + 1):
-        p = polys[r - 1]
-        dp = [j * p[j] for j in range(1, len(p))]
-        q = [0] * (len(p) + 1)
-        for j, c in enumerate(dp):          # (1-x) P'
-            q[j] += c
-            q[j + 1] -= c
-        for j, c in enumerate(p):           # + r P
-            q[j] += r * c
-        while q and q[-1] == 0:
-            q.pop()
-        polys.append([0] + q)               # multiply by x
-    return polys
-
-
-_LINEG: list[list[int]] = _build_lineg_polys(POLYLOG_R_MAX)
 
 # B_2j/(2j+1)!, j = 10..1, for dilog_exp1m
 _LI2_EXP = [float(_BERNOULLI[2 * j] / math.factorial(2 * j + 1)) for j in range(10, 0, -1)]
@@ -124,15 +105,25 @@ def dilog_exp1m(u):
     return u - 0.25 * v + u * p
 
 
+@functools.lru_cache(maxsize=None)
+def lineg_coeffs(n: int) -> tuple[int, ...]:
+    """m! S(n+1, m) for m = 1 .. n+1 (S: Stirling numbers of the second
+    kind, from m! S(N, m) = sum_i (-1)^i C(m, i) (m-i)^N), so that
+    Li_-n(x) = sum_m m! S(n+1, m) v^m / m with v = x/(1-x)."""
+    return tuple(sum((-1) ** i * math.comb(m, i) * (m - i) ** (n + 1) for i in range(m + 1))
+                 for m in range(1, n + 2))
+
+
 def polylog_nonpos(r: int, x: float) -> float:
-    """Li_{-r}(x) for 0 <= x < 1, via the exact rational-function form."""
+    """Li_{-r}(x) for 0 <= x < 1, as sum_m (m-1)! S(r+1, m) v^m in
+    v = x/(1-x) (``lineg_coeffs``); every term is positive, so nothing
+    cancels as x -> 1."""
     if r < 0:
         raise DomainError("order must be nonnegative (use dilog for order 2)")
-    if r > POLYLOG_R_MAX:
-        raise IndexOverflowError(f"polylog order {r} exceeds table size {POLYLOG_R_MAX}")
     if not 0.0 <= x < 1.0:
         raise DomainError(f"polylog_nonpos needs 0 <= x < 1 (pole at 1), got {x}")
+    v = x / (1.0 - x)
     p = 0.0
-    for c in reversed(_LINEG[r]):
-        p = p * x + c
-    return p / (1.0 - x) ** (r + 1)
+    for m, c in reversed(tuple(enumerate(lineg_coeffs(r), 1))):
+        p = (p + c // m) * v
+    return p

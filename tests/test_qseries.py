@@ -3,6 +3,8 @@ import random
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 import qasym.qseries as qs
 from oracles import kernel_deriv_fsum, kernel_ksum, mcintosh_asym, qpoch_finite
-from qasym.cli import main
+from qasym.cli import load_spec, main
 from qasym.errors import ConvergenceError, DomainError, SpecError
 from qasym.expansion import analyse
 from qasym.presets import PRESETS, get_preset
@@ -19,10 +21,32 @@ from qasym.qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
                            log_summand_deriv, normalize, prefactor_asym,
                            prefactor_constants, prefactor_exact, prefactor_law,
                            qpoch_inf, series_sum)
-from qasym.specfun import bernoulli_number, polylog_nonpos
+from qasym.specfun import PI2_6, bernoulli_number, polylog_nonpos
 
 RAM = SeriesSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, -2)])
 EULER = SeriesSpec.make(0.0, 1.0, 0.0, [(1, 1, 1, -1)])
+V_NEGATIVE = SeriesSpec.make(0.0, -0.5, -0.05, [(1, 1, 1, -2), (2, 1, 0.5, 1)])
+DATA = Path(__file__).parent / "data"
+
+
+@st.composite
+def admissible_specs(draw):
+    """(spec, t): 1-2 terms on a random branch of the domain triple, at a t
+    in [0.01, 0.1] where the series converges."""
+    t = draw(st.floats(0.01, 0.1))
+    terms = draw(st.lists(st.tuples(
+        st.floats(0.5, 3.0), st.floats(0.5, 2.0), st.floats(0.3, 2.0),
+        st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)), min_size=1, max_size=2))
+    branch = draw(st.sampled_from(["A>0", "flat", "v<0"]))
+    if branch == "A>0":
+        A, B, v = (draw(st.floats(0.05, 1.0)), draw(st.floats(-0.5, 1.0)),
+                   draw(st.floats(-0.5, 0.5)))
+    elif branch == "flat":
+        A, B, v = 0.0, draw(st.floats(0.2, 2.0)), 0.0
+    else:
+        A, B, v = 0.0, draw(st.floats(-0.5, 1.0)), draw(st.floats(-0.5, -0.05))
+        assume(v - B * t <= -0.01)
+    return SeriesSpec.make(A, B, v, terms), t
 
 
 class TestSpecValidation:
@@ -560,60 +584,90 @@ class TestSeriesSum:
         assert series_sum(RAM, t).log_abs == pytest.approx(oracle, abs=1e-11)
 
     @staticmethod
-    def _last_u(spec, t, monkeypatch):
-        # largest m*t at which series_sum evaluated a term
+    def _last_m(spec, t):
+        # largest m at which series_sum evaluated a term
         seen = []
 
         def spy(s, x, tt):
             seen.append(float(np.max(x)))
             return log_summand(s, x, tt)
 
-        monkeypatch.setattr(qs, "log_summand", spy)
-        series_sum(spec, t)
-        monkeypatch.undo()
-        return max(seen) * t
+        with mock.patch.object(qs, "log_summand", spy):
+            series_sum(spec, t)
+        return round(max(seen))
 
-    @pytest.mark.parametrize("name", ["ramanujan", "f0"])
-    def test_peak_stop_matches_old_range(self, name, monkeypatch):
-        # with A > 0 everything past the peak scale is below 1e-18 relative:
-        # stopping there agrees with summing out to the slow-tail bound
-        spec = get_preset(name).series
-        t = 1e-3
-        min_alpha = min(p.alpha for p in spec.terms)
-        m_end = int((2.0 + 10.0 * abs(math.log(t)) / min_alpha) / t)
-        logs = np.concatenate([log_summand(spec, np.arange(m0, m0 + 256.0), t)
-                               for m0 in range(0, m_end + 1, 256)])
+    def _check_stop(self, spec, t, logs):
+        # series_sum against the log-space fsum of ``logs``, the terms from
+        # m = 0 on: the values are log-space sums run_max + log(acc), so the
+        # ulps are those of the larger operand; and what the stop left out is
+        # below 1e-18 of the total
         mx = float(logs.max())
         brute = mx + math.log(math.fsum(np.exp(logs - mx)))
         got = series_sum(spec, t).log_abs
-        assert abs(got - brute) <= 4 * math.ulp(brute)
-        assert self._last_u(spec, t, monkeypatch) < 2.5
+        assert abs(got - brute) <= 4 * math.ulp(max(abs(brute), abs(mx)))
+        m_stop = self._last_m(spec, t)
+        assert math.fsum(np.exp(logs[m_stop + 1:] - brute)) <= 1e-18
 
-    @pytest.mark.parametrize("name", ["phi-minus", "euler", "euler-b2"])
-    def test_flat_tail_sums_to_tail_bound(self, name, monkeypatch):
-        # the certified tail stop agrees with a brute-force sum out to the
-        # old stop 2 + 10|log t|/min alpha and on until a whole block lies
-        # e^-70 below the largest term, and at small t it stops short of
-        # the old stop; the values are log-space sums run_max + log(acc),
-        # so the ulps are those of the larger operand
-        spec = get_preset(name).series
+    @pytest.mark.parametrize("name", ["ramanujan", "f0", "phi-minus", "euler",
+                                      "euler-b2", "two-peak", "v-negative"])
+    def test_sums_to_tail_bound(self, name):
+        # the certified stop agrees with a brute-force sum out to
+        # 2 + 10|log t|/min alpha and on until a whole block lies e^-70
+        # below the largest term, and at t = 1e-4 it stops short of that
+        # bound.  two-peak has a larger maximum at u = 7.1 past one at
+        # u = 0.58; v-negative is on the branch A = 0, v < 0
+        if name == "two-peak":
+            spec = load_spec(str(DATA / "two_peak.json"))[0]
+        elif name == "v-negative":
+            spec = V_NEGATIVE
+        else:
+            spec = get_preset(name).series
         old_stop = lambda t: 2.0 + 10.0 * abs(math.log(t)) / min(
             p.alpha for p in spec.terms)
-        for t in (0.01, 1e-3):
+        for t in (0.01, 2e-3, 1e-3):
             blocks = []
             while (256 * len(blocks) * t <= old_stop(t)
                    or blocks[-1].max() > max(b.max() for b in blocks) - 70.0):
                 m0 = 256.0 * len(blocks)
                 blocks.append(log_summand(spec, np.arange(m0, m0 + 256.0), t))
-            logs = np.concatenate(blocks)
-            mx = float(logs.max())
-            brute = mx + math.log(math.fsum(np.exp(logs - mx)))
-            got = series_sum(spec, t).log_abs
-            assert abs(got - brute) <= 4 * math.ulp(max(abs(brute), abs(mx)))
-            # what the stop left out is below 1e-18 of the total
-            m_stop = round(self._last_u(spec, t, monkeypatch) / t)
-            assert math.fsum(np.exp(logs[m_stop + 1:] - brute)) <= 1e-18
-        assert self._last_u(spec, 1e-4, monkeypatch) < old_stop(1e-4)
+            self._check_stop(spec, t, np.concatenate(blocks))
+        assert self._last_m(spec, 1e-4) * 1e-4 < old_stop(1e-4)
+        if name in ("ramanujan", "f0"):
+            # no later than the peak-scale stop 2 max(u*, 1) it replaces
+            assert self._last_m(spec, 1e-3) * 1e-3 < 2.5
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=admissible_specs())
+    # the peak-scale stop this replaced left out 1.4e-18 of this one
+    @example(case=(SeriesSpec.make(0.0, -0.3125, -0.0625,
+                                   [(1, 0.6875, 2, 0.25), (1, 2, 1.5, 1.46875)]), 0.05))
+    def test_random_spec_matches_brute_force(self, case):
+        # the brute-force sum runs out to m_end, found from the draw alone:
+        # from m_end on P(m) = m v - (A m^2 + B m) t falls by at least 1e-3 a
+        # step, and P(m_end) plus an elementary bound of the S > 0 inner sums
+        # there, K(w) <= -log(1 - e^-w) + e^-w pi^2/(6 beta t), lies e^-80
+        # below the largest term
+        spec, t = case
+        A, B, v = spec.A, spec.B, spec.v
+
+        def head_room(m):
+            # P(m) plus the bound of the S > 0 inner sums at m
+            out = m * v - (A * m * m + B * m) * t
+            for p in spec.terms:
+                w = (p.alpha * m + p.gamma) * t
+                if p.S > 0:
+                    out += p.S * (-math.log(-math.expm1(-w))
+                                  + math.exp(-w) * PI2_6 / (p.beta * t))
+            return out
+
+        m_end = 256
+        while True:
+            logs = log_summand(spec, np.arange(float(m_end)), t)
+            if (v - (2.0 * A * m_end + B) * t <= -1e-3
+                    and head_room(m_end) <= logs.max() - 80.0):
+                break
+            m_end *= 2
+        self._check_stop(spec, t, logs)
 
     def test_truncation_threshold_insensitive(self, monkeypatch):
         base = series_sum(RAM, 0.05).log_abs
