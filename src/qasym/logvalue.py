@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .specfun import polylog
+
 
 def _sign(x: float) -> int:
     if x > 0:
@@ -81,7 +83,7 @@ class LogValue:
         # opposite signs: |big| - |small|
         if d == 0.0:
             return LogValue.zero()
-        return LogValue(big.sign, big.log_abs + math.log1p(-math.exp(d)))
+        return LogValue(big.sign, big.log_abs - polylog(1, -d))   # log(1 - e^d)
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         return self + (-other)

@@ -16,9 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateError, DomainError
 from .qseries import SeriesSpec
-from .specfun import dilog, polylog_nonpos
+from .specfun import polylog
 
 MAX_ORDER = 8            # stationary points classified up to order m_u = 8
 _DEGENERACY_RTOL = 1e-8  # |H^(2m)| below this * scale counts as zero
@@ -47,36 +49,30 @@ def build_phase(spec: SeriesSpec) -> PhaseFamily:
 
 def phase_value(pf: PhaseFamily, level: int, u: float) -> float:
     """Level -1: v u - A u^2 - sum_j f_j Li2(e^{-alpha_j u}).
-    Level 0:  -sum_terms (gamma/beta - 1/2) S Li1(e^{-alpha u}) - B u,
-    with Li1(x) = -log(1-x).
+    Level 0:  -sum_terms (gamma/beta - 1/2) S Li1(e^{-alpha u}) - B u.
     """
     if not u > 0:
         raise DomainError(f"phase needs u > 0, got {u}")
     s = pf.spec
     if level == -1:
-        return (s.v * u - s.A * u * u
-                - sum(f * dilog(math.exp(-a * u)) for a, f in pf.falpha))
+        return s.v * u - s.A * u * u - sum(f * polylog(2, a * u) for a, f in pf.falpha)
     if level == 0:
-        return (sum((p.gamma / p.beta - 0.5) * p.S * math.log1p(-math.exp(-p.alpha * u))
-                    for p in s.terms) - s.B * u)
+        return (-sum((p.gamma / p.beta - 0.5) * p.S * polylog(1, p.alpha * u)
+                     for p in s.terms) - s.B * u)
     raise DomainError(f"phase levels are -1 and 0, got {level}")
 
 
-def phase_deriv(pf: PhaseFamily, k: int, u: float) -> float:
-    """k-th u-derivative of the leading level (analytic, no differencing)."""
-    if not u > 0:
+def phase_deriv(pf: PhaseFamily, k: int, u):
+    """k-th u-derivative of the leading level (analytic, no differencing),
+    at u > 0 or elementwise on an array of such u:
+    d^k/du^k (v u - A u^2) - sum_j (-alpha_j)^k f_j Li_(2-k)(e^{-alpha_j u})."""
+    if not np.all(u > 0):
         raise DomainError(f"phase needs u > 0, got {u}")
     if k < 1:
         raise DomainError("derivative order must be >= 1")
     s = pf.spec
-    if k == 1:
-        return (s.v - 2.0 * s.A * u
-                - sum(a * f * math.log1p(-math.exp(-a * u)) for a, f in pf.falpha))
-    if k == 2:
-        return (-2.0 * s.A
-                - sum(a * a * f / math.expm1(a * u) for a, f in pf.falpha))
-    return -sum((-a) ** k * f * polylog_nonpos(k - 2, math.exp(-a * u))
-                for a, f in pf.falpha)
+    poly = s.v - 2.0 * s.A * u if k == 1 else (-2.0 * s.A if k == 2 else 0.0)
+    return poly - sum((-a) ** k * f * polylog(2 - k, a * u) for a, f in pf.falpha)
 
 
 @dataclass(frozen=True)
@@ -144,8 +140,7 @@ def search_upper_bound(pf: PhaseFamily) -> float:
         u_hi = (abs(s.v) + sum_abs_f * math.pi ** 2 / 6.0 + 1.0) / s.A + 1.0
     elif s.v < 0:
         u_hi = 1.0
-        while (s.v + sum(abs(a * f) * max(-math.log1p(-math.exp(-a * u_hi)), 0.0)
-                         for a, f in pf.falpha) >= 0):
+        while s.v + sum(abs(a * f) * polylog(1, a * u_hi) for a, f in pf.falpha) >= 0:
             u_hi *= 2.0
             if u_hi > 1e9:
                 raise DegenerateError("no decreasing-dominance bound found")
@@ -194,37 +189,34 @@ def stationary_points(pf: PhaseFamily) -> list[StationaryPoint]:
     u_lo = 1e-8
     u_hi = search_upper_bound(pf)
     grid = _grid(pf, u_lo, u_hi)
-    vals = [phase_deriv(pf, 1, u) for u in grid]
+    vals = phase_deriv(pf, 1, np.array(grid))
     scale = sum(a * a * abs(f) for a, f in pf.falpha) + 2.0 * pf.spec.A
     out = []
-    for i in range(len(grid) - 1):
-        if vals[i] > 0.0 >= vals[i + 1]:
-            a, b = grid[i], grid[i + 1]
-            fa = vals[i]
-            while b - a > _BISECT_RTOL * max(1.0, b):
-                mid = 0.5 * (a + b)
-                fm = phase_deriv(pf, 1, mid)
-                if fm > 0.0:
-                    a, fa = mid, fm
-                else:
-                    b = mid
-            u = 0.5 * (a + b)
-            order = None
-            h2m = 0.0
-            for m in range(1, MAX_ORDER + 1):
-                h2m = phase_deriv(pf, 2 * m, u)
-                if abs(h2m) > _DEGENERACY_RTOL * scale:
-                    order = m
-                    break
-            if order is None:
-                raise DegenerateError(
-                    f"no even derivative up to order {2 * MAX_ORDER} exceeds "
-                    f"tolerance at u={u}")
-            if h2m > 0:
-                raise DegenerateError(
-                    f"classified even derivative positive at bracketed "
-                    f"maximum u={u}")
-            out.append(StationaryPoint(
-                u=u, order=order, h_value=phase_value(pf, -1, u), h2m=h2m,
-                c_u=laplace_constant(pf, u, order, h2m)))
+    for i in np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0)):
+        a, b = grid[i], grid[i + 1]
+        while b - a > _BISECT_RTOL * max(1.0, b):
+            mid = 0.5 * (a + b)
+            if phase_deriv(pf, 1, mid) > 0.0:
+                a = mid
+            else:
+                b = mid
+        u = 0.5 * (a + b)
+        order = None
+        h2m = 0.0
+        for m in range(1, MAX_ORDER + 1):
+            h2m = phase_deriv(pf, 2 * m, u)
+            if abs(h2m) > _DEGENERACY_RTOL * scale:
+                order = m
+                break
+        if order is None:
+            raise DegenerateError(
+                f"no even derivative up to order {2 * MAX_ORDER} exceeds "
+                f"tolerance at u={u}")
+        if h2m > 0:
+            raise DegenerateError(
+                f"classified even derivative positive at bracketed "
+                f"maximum u={u}")
+        out.append(StationaryPoint(
+            u=u, order=order, h_value=phase_value(pf, -1, u), h2m=h2m,
+            c_u=laplace_constant(pf, u, order, h2m)))
     return out

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from .errors import SpecError
 from .qseries import ProductSpec, QuadTerm, SeriesSpec, normalize
-from .specfun import dilog
+from .specfun import polylog
 
 PI = math.pi
 PI2 = math.pi * math.pi
@@ -70,8 +70,8 @@ def preset_f0() -> Preset:
     (q;q)_(2m)/(q;q)_m; the constant prefactor cancels exactly."""
     product = ProductSpec.make(1.0, 0.0, 0.0, [(1, 1, 1, 0, -1), (1, 1, 2, 0, 1)])
     x = math.exp(-F0_ZETA)
-    rate = dilog(x) - F0_ZETA ** 2 - dilog(x * x)
-    log_c = 0.5 * (math.log1p(-x) - math.log(2.0 - x + x * x)) + 0.5 * math.log(2.0 * PI)
+    rate = polylog(2, F0_ZETA) - F0_ZETA ** 2 - polylog(2, 2.0 * F0_ZETA)
+    log_c = -0.5 * (polylog(1, F0_ZETA) + math.log(2.0 - x + x * x)) + 0.5 * math.log(2.0 * PI)
     ref = Reference(rate=rate, t_power=-0.5, log_constant=log_c,
                     notes="peak at the root of x^3+2x^2-x-1, x = e^(-u)")
     return _from_product("f0", product, ref)
@@ -117,7 +117,7 @@ def preset_rphis(a_vec: tuple[float, ...] = (1.0,),
     product = ProductSpec.make(ell / 2.0, -ell / 2.0, v, quads)
     u_star = math.log1p(math.exp(v / ell))
     rate = (0.5 * ell * (2.0 * v / ell * u_star - u_star ** 2 + PI2 / 3.0
-                         - 2.0 * dilog(1.0 / (1.0 + math.exp(v / ell)))))
+                         - 2.0 * polylog(2, u_star)))
     t_power = sum(b_vec) - sum(a_vec) - (ell + 1) / 2.0
     log_c = ((1.0 - ell) / 2.0 * math.log(2.0 * PI)
              + 0.5 * ell * (math.log1p(math.exp(v / ell))
@@ -155,7 +155,7 @@ def preset_simple_r(A: float = 1.0, B: float = 0.0, C: float = 1.0,
             lo = mid
     x = 0.5 * (lo + hi)
     zeta = -math.log(x)
-    rate = -A * zeta ** 2 + (G / D) * (PI2 / 6.0 - dilog(x ** (D * E)))
+    rate = -A * zeta ** 2 + (G / D) * (PI2 / 6.0 - polylog(2, D * E * zeta))
     t_power = C * G / D - (G + 1) / 2.0
     log_c = (-(G - 1) / 2.0 * math.log(2.0 * PI)
              + G * math.lgamma(C / D)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, PoleError, SpecError
 from .logvalue import LogValue
-from .specfun import PI2_6, bernoulli_number, bernoulli_poly, dilog_exp1m, lineg_coeffs
+from .specfun import bernoulli_number, bernoulli_poly, lineg_coeffs, polylog
 
 T_MAX = 0.5                 # largest t any evaluation accepts
 LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
@@ -299,24 +299,6 @@ def _rows(orders: tuple[int, ...]) -> tuple:
     return (*rows, int(np.argmax(spans)), int(np.argmin(spans)))
 
 
-def _li21(w):
-    """(Li2(e^-w), Li1(e^-w)) at w > 0, elementwise on arrays, each within
-    about 2 ulp.  Li1 = log1p(1/expm1(w)) on arrays; on scalars it switches
-    from -log(-expm1(-w)) to -log1p(-e^-w) at w = 0.69, which also takes
-    w = inf.  Below 0.69, Li2(e^-w) = pi^2/6 - w Li1 - Li2(1 - e^-w); above,
-    Li2(e^-w) = Li2(1 - e^-Li1)."""
-    if isinstance(w, np.ndarray):
-        near = w < 0.69
-        li1 = np.log1p(1.0 / np.expm1(w))
-        li2 = dilog_exp1m(np.where(near, w, li1))
-        return np.where(near, PI2_6 - w * li1 - li2, li2), li1
-    if w < 0.69:
-        li1 = -math.log(-math.expm1(-w))
-        return PI2_6 - w * li1 - dilog_exp1m(w), li1
-    li1 = -math.log1p(-math.exp(-w))
-    return dilog_exp1m(li1), li1
-
-
 def _kernel_closed(w: np.ndarray, bt: float) -> np.ndarray:
     """K(w) = sum_k e^{-kw}/(k(1 - e^{-k bt})) without a k-sum: the product
     form K(w) = -sum_n log(1 - e^{-(w + n bt)}) peels the fewest N factors
@@ -327,9 +309,7 @@ def _kernel_closed(w: np.ndarray, bt: float) -> np.ndarray:
     N = np.maximum(np.ceil(1.0 / _R0 - w / bt), 0.0)
     n = np.arange(N.max())[:, None]      # a product runs along n in order
     peel = np.log(np.prod(-np.expm1(-np.where(n < N, w + n * bt, np.inf)), axis=0))
-    wp = w + N * bt
-    li2, li1 = _li21(wp)
-    v = 1.0 / np.expm1(wp)
+    li2, li1, v = polylog((2, 1, 0), w + N * bt)
     em = v * np.polyval((bt ** np.arange(1.0, 2 * _EM_J, 2.0) @ _EM_V)[::-1], v)
     return li2 / bt + (0.5 * li1 + em - peel)
 
@@ -441,9 +421,9 @@ def kernel_bounds(term: PochTerm, w: float, t: float) -> tuple[float, float]:
     lo = Li2(e^-w)/(beta t) + Li1(e^-w)/2 and hi = lo + (beta t/12)/(e^w - 1),
     from 0 <= 1/(1 - e^-s) - 1/s - 1/2 <= s/12 for s = k beta t."""
     bt = term.beta * t
-    li2, li1 = _li21(w)
+    li2, li1, li0 = polylog((2, 1, 0), w)
     lo = li2 / bt + 0.5 * li1
-    return lo, lo + bt / 12.0 * math.exp(-w) / -math.expm1(-w)
+    return lo, lo + bt / 12.0 * li0
 
 
 def log_summand_sup(spec: SeriesSpec, ua: float, ub: float, t: float) -> float:

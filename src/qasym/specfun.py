@@ -1,14 +1,14 @@
-"""Special functions: Bernoulli numbers/polynomials, the dilogarithm (also
-elementwise on arrays, as ``dilog_exp1m``) and the nonpositive-order
-polylogarithms.
+"""Special functions: Bernoulli numbers/polynomials and the polylogarithms
+Li_s(e^-w) of integer order s <= 2, taken at w (``polylog``), elementwise on
+arrays.
 
 Bernoulli data is kept in exact rational arithmetic: the product-asymptotic
 tail terms alternate in sign and grow factorially, and a floating recurrence
-loses every digit past n ~ 20.  The nonpositive-order polylogarithms are
-integer-coefficient polynomials in v = x/(1-x) because the defining series
-diverges numerically exactly where the expansion machinery needs them
-(x -> 1); ``qseries`` writes its Euler-Maclaurin levels with the same
-coefficients.
+loses every digit past n ~ 20.  The polylogarithms are taken at w, not at
+x = e^-w: 1 - x keeps only the digits of w that survive the rounding of x,
+and the asymptotics live at w -> 0.  The nonpositive orders are positive
+integer-coefficient polynomials in v = 1/expm1(w), which ``qseries`` also
+uses for its Euler-Maclaurin levels.
 
 The Bernoulli table is built at import and the polylogarithm coefficients on
 first use, after which every function here is pure and safe for concurrent
@@ -20,6 +20,8 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError, IndexOverflowError
 
@@ -69,29 +71,16 @@ def bernoulli_poly(n: int, x: float) -> float:
 
 
 def dilog(x: float) -> float:
-    """Li_2(x) for 0 <= x <= 1.
-
-    Power series for x <= 1/2; the reflection
-    Li_2(x) + Li_2(1-x) = pi^2/6 - log(x) log(1-x) otherwise, so the
-    series is never summed for arguments above 1/2.
-    """
+    """Li_2(x) for 0 <= x <= 1: Li_2(1 - e^-u) at u = -log(1 - x) <= log 2
+    for x <= 1/2, else the reflection
+    Li_2(x) = pi^2/6 - log(x) log(1-x) - Li_2(1-x)."""
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"dilog needs 0 <= x <= 1, got {x}")
-    if x == 0.0:
-        return 0.0
     if x == 1.0:
         return PI2_6
-    if x > 0.5:
-        return PI2_6 - math.log(x) * math.log1p(-x) - dilog(1.0 - x)
-    p = x
-    total = x
-    for k in range(2, 200):
-        p *= x
-        term = p / (k * k)
-        total += term
-        if term < 1e-17 * total:
-            break
-    return total
+    if x <= 0.5:
+        return dilog_exp1m(-math.log1p(-x))
+    return PI2_6 - math.log(x) * math.log1p(-x) - dilog_exp1m(-math.log(x))
 
 
 def dilog_exp1m(u):
@@ -109,21 +98,46 @@ def dilog_exp1m(u):
 def lineg_coeffs(n: int) -> tuple[int, ...]:
     """m! S(n+1, m) for m = 1 .. n+1 (S: Stirling numbers of the second
     kind, from m! S(N, m) = sum_i (-1)^i C(m, i) (m-i)^N), so that
-    Li_-n(x) = sum_m m! S(n+1, m) v^m / m with v = x/(1-x)."""
+    Li_-n(e^-w) = sum_m m! S(n+1, m) v^m / m with v = 1/expm1(w)."""
     return tuple(sum((-1) ** i * math.comb(m, i) * (m - i) ** (n + 1) for i in range(m + 1))
                  for m in range(1, n + 2))
 
 
-def polylog_nonpos(r: int, x: float) -> float:
-    """Li_{-r}(x) for 0 <= x < 1, as sum_m (m-1)! S(r+1, m) v^m in
-    v = x/(1-x) (``lineg_coeffs``); every term is positive, so nothing
-    cancels as x -> 1."""
-    if r < 0:
-        raise DomainError("order must be nonnegative (use dilog for order 2)")
-    if not 0.0 <= x < 1.0:
-        raise DomainError(f"polylog_nonpos needs 0 <= x < 1 (pole at 1), got {x}")
-    v = x / (1.0 - x)
-    p = 0.0
-    for m, c in reversed(tuple(enumerate(lineg_coeffs(r), 1))):
-        p = (p + c // m) * v
-    return p
+def polylog(s, w):
+    """Li_s(e^-w) for integer s <= 2 at w > 0 (w = inf gives 0), elementwise
+    on arrays; for a tuple of orders, one value per order, all from one
+    v = 1/expm1(w) = Li_0(e^-w).  Li_-r = sum_m (m-1)! S(r+1, m) v^m
+    (``lineg_coeffs``), every term positive; Li1 = log1p(v).  Li2 is
+    pi^2/6 - w Li1 - Li2(1 - e^-w) below w = 0.69 and Li2(1 - e^-Li1) above,
+    both from ``dilog_exp1m``.  Li2 and Li1 are within about 2 ulp."""
+    orders = s if isinstance(s, tuple) else (s,)
+    top = max(orders)
+    if top > 2:
+        raise DomainError(f"polylog orders must be <= 2, got {s}")
+    arr = isinstance(w, np.ndarray)
+    if arr:
+        with np.errstate(over="ignore"):        # w > 709.78: v = 1/inf = 0
+            v = 1.0 / np.expm1(w)
+    elif not w > 0:
+        raise DomainError(f"polylog needs w > 0, got {w}")
+    else:       # numpy's expm1 and log1p, as on arrays: Li_-r carries about
+        # r times the rounding of v, and scalars take the same roundings
+        v = 1.0 / float(np.expm1(w)) if w < 709.0 else math.exp(-w)
+    li1 = (np.log1p(v) if arr else float(np.log1p(v))) if top > 0 else None
+    out = []
+    for r in orders:
+        if r == 2 and arr:
+            near = w < 0.69
+            u = np.where(near, w, li1)          # no inf * 0 at w = inf
+            li2 = dilog_exp1m(u)
+            out.append(np.where(near, PI2_6 - u * li1 - li2, li2))
+        elif r == 2:
+            out.append(PI2_6 - w * li1 - dilog_exp1m(w) if w < 0.69 else dilog_exp1m(li1))
+        elif r >= 0:
+            out.append(li1 if r else v)
+        else:
+            p = 0.0
+            for m, c in reversed(tuple(enumerate(lineg_coeffs(-r), 1))):
+                p = (p + c // m) * v
+            out.append(p)
+    return tuple(out) if isinstance(s, tuple) else out[0]

@@ -151,3 +151,22 @@ def kernel_deriv_fsum(term, n: int, x: float, t: float, kmax: int = 5000) -> flo
         math.exp(n * math.log(k * term.alpha * t) - math.log(k)
                  - math.log(-math.expm1(-k * term.beta * t)) - k * w)
         for k in range(1, kmax))
+
+
+def dilog_power_series(x: float) -> float:
+    """Li_2(x) for 0 <= x <= 1 as the engine summed it before its Bernoulli
+    series: sum_k x^k/k^2 for x <= 1/2, the reflection
+    Li_2(x) = pi^2/6 - log(x) log(1-x) - Li_2(1-x) above."""
+    if x == 1.0:
+        return math.pi ** 2 / 6.0
+    if x > 0.5:
+        return (math.pi ** 2 / 6.0 - math.log(x) * math.log1p(-x)
+                - dilog_power_series(1.0 - x))
+    p = total = x
+    for k in range(2, 200):
+        p *= x
+        term = p / (k * k)
+        total += term
+        if term < 1e-17 * total:
+            break
+    return total

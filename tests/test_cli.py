@@ -287,3 +287,39 @@ def test_t_grid_log_spacing(tmp_path):
     assert cp.returncode == 0, cp.stderr
     grid = json.loads(out.read_text())["inputs"]["t_grid"]
     assert grid == pytest.approx([0.1, 0.05, 0.025], rel=1e-9)
+
+
+@pytest.mark.parametrize("source,grid", [
+    (("--preset", "f0"), "0.02,0.01,0.005,0.0025"),
+    (("--preset", "rphis"), "0.02,0.01,0.005,0.0025"),
+    (("--preset", "euler"), "0.02,0.01,0.005,0.0025"),
+    (("--preset", "euler-b2"), "0.02,0.01,0.005,0.0025"),
+    (("--preset", "simple-r"), "0.001,0.0001"),
+    (("--preset", "euler-b2"), "0.001,0.0001"),
+    (("--preset", "euler-b2"), "0.00001,0.000001"),
+    (("--spec", str(Path(__file__).parent / "data" / "two_peak.json")), "0.01,0.001"),
+], ids=["f0", "rphis", "euler", "euler-b2", "simple-r-small", "euler-b2-small",
+        "euler-b2-reach", "two-peak"])
+def test_verify_round_off_passes(source, grid):
+    # every row agrees to 1-4 ulp of its logs, so deviations that do not
+    # shrink sit under their floors: exit 0, nothing on stderr
+    cp = run_cli("verify", *source, "--t", grid)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stderr == ""
+    rows = cp.stdout.splitlines()[1:]
+    assert len(rows) == len(grid.split(","))
+
+
+def test_verdict_floor():
+    from qasym.cli import _verdict
+    ts = [0.1, 0.01, 0.001]
+    floors = [1e-11, 1e-11, 1e-11]
+    assert _verdict(ts, [1e-5, 1e-8, 1e-12], floors) is None     # shrinking
+    assert _verdict(ts, [1e-5, 0.0, 3e-12], floors) is None       # under floors
+    msg = _verdict(ts, [1e-5, 1e-9, 1e-8], floors)                # grows above
+    assert msg.startswith("verify: sum/integral deviations are not strictly shrinking: ")
+    assert msg.endswith("row t=0.001: deviation 1e-08, floor 1e-11 "
+                        "(row t=0.01: 1e-09, floor 1e-11)")
+    # one deviation under its floor does not excuse a step the other is above
+    assert _verdict(ts[:2], [1e-12, 5e-11], floors[:2]) is not None
+    assert "\n" not in msg

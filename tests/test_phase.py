@@ -1,5 +1,7 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from qasym.errors import DomainError
@@ -84,6 +86,38 @@ class TestPhaseDeriv:
             fd = (4 * stencil(k, h / 2) - stencil(k, h)) / 3
             an = phase_deriv(pf, k, u)
             assert abs(an - fd) <= 1e-7 * max(1.0, abs(an))
+
+
+class TestPhasePrecision:
+    # Li_s taken at w = alpha u keeps every digit as u -> 0; taken at
+    # x = e^-w, 1 - x keeps only those of w that survive the rounding of x
+    @staticmethod
+    def _li1(w):
+        return -mp.log1p(-mp.exp(-w))
+
+    @pytest.mark.parametrize("spec", [RAM, F0], ids=["ramanujan", "f0"])
+    @pytest.mark.parametrize("u", [1e-4, 1e-8, 1e-12])
+    def test_against_mpmath(self, spec, u):
+        pf = build_phase(spec)
+        with mp.workdps(40):
+            U = mp.mpf(u)
+            slope = float(spec.v - 2 * mp.mpf(spec.A) * U + sum(
+                mp.mpf(a) * f * self._li1(a * U) for a, f in pf.falpha))
+            level0 = float(-sum((mp.mpf(p.gamma) / p.beta - mp.mpf(0.5)) * p.S
+                                * self._li1(p.alpha * U) for p in spec.terms)
+                           - spec.B * U)
+        assert abs(phase_deriv(pf, 1, u) - slope) <= 2 * math.ulp(slope)
+        assert abs(phase_value(pf, 0, u) - level0) <= 32 * math.ulp(level0)
+
+    @pytest.mark.parametrize("spec", [RAM, F0, EULER], ids=["ramanujan", "f0", "euler"])
+    def test_array_matches_scalars(self, spec):
+        pf = build_phase(spec)
+        u = np.geomspace(1e-8, 800.0, 60)
+        for k in (1, 2, 5, 16):
+            got = phase_deriv(pf, k, u)
+            for ui, gi in zip(u, got):
+                want = phase_deriv(pf, k, float(ui))
+                assert abs(gi - want) <= 2 * math.ulp(want)
 
 
 class TestHypothesis:

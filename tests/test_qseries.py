@@ -21,7 +21,7 @@ from qasym.qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
                            log_summand_deriv, normalize, prefactor_asym,
                            prefactor_constants, prefactor_exact, prefactor_law,
                            qpoch_inf, series_sum)
-from qasym.specfun import PI2_6, bernoulli_number, polylog_nonpos
+from qasym.specfun import PI2_6, bernoulli_number, polylog
 
 RAM = SeriesSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, -2)])
 EULER = SeriesSpec.make(0.0, 1.0, 0.0, [(1, 1, 1, -1)])
@@ -380,7 +380,7 @@ class TestKernelBands:
             for j, row in enumerate(qs._EM_V, 1):
                 got = sum(c * v ** m for m, c in enumerate(row, 1))
                 want = (float(bernoulli_number(2 * j)) / math.factorial(2 * j)
-                        * polylog_nonpos(2 * j - 2, math.exp(-w)))
+                        * polylog(2 - 2 * j, w))
                 assert got == pytest.approx(want, rel=1e-13)
 
     @settings(max_examples=150, deadline=None)

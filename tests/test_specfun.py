@@ -1,12 +1,15 @@
 import math
+import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from oracles import dilog_power_series
 from qasym.errors import DomainError, IndexOverflowError
-from qasym.specfun import (bernoulli_number, bernoulli_poly, dilog, dilog_exp1m,
-                           polylog_nonpos)
+from qasym.qseries import PochTerm, kernel_bounds
+from qasym.specfun import bernoulli_number, bernoulli_poly, dilog, dilog_exp1m, polylog
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -80,6 +83,11 @@ class TestDilog:
         assert dilog(0.5) == pytest.approx(closed, rel=1e-14)
         assert dilog(0.5) == pytest.approx(dilog_series_oracle(0.5), rel=1e-14)
 
+    def test_matches_power_series(self):
+        for x in np.r_[np.linspace(0.0, 1.0, 201), 1e-300, 1e-8, 1.0 - 1e-12]:
+            want = dilog_power_series(float(x))
+            assert abs(dilog(float(x)) - want) <= 4 * math.ulp(want)
+
     def test_reflection_residual(self):
         for i in range(1, 100):
             x = i / 100.0
@@ -93,43 +101,104 @@ class TestDilog:
 
     def test_exp1m_matches_power_series(self):
         # Li_2(1 - e^-u) on u in [0, log 2], scalars and arrays alike,
-        # against the scalar power series at x = 1 - e^-u <= 1/2
+        # against the power series at x = 1 - e^-u <= 1/2
         u = np.r_[0.0, np.geomspace(1e-12, math.log(2.0), 400)]
         got = dilog_exp1m(u)
         for ui, gi in zip(u, got):
-            want = dilog(-math.expm1(-ui))
+            want = dilog_power_series(-math.expm1(-ui))
             assert gi == dilog_exp1m(float(ui))
             assert abs(gi - want) <= 4 * math.ulp(want)
 
 
+def _li_oracle(s, w):
+    # Li_s(e^-w) at 40 digits; order 1 through log1p, which mpmath's
+    # polylog(1, z) = -log(1 - z) leaves at 0 once z < 1e-40
+    with mp.workdps(40):
+        w = mp.mpf(w)
+        if s == 1:
+            return float(-mp.log1p(-mp.exp(-w)))
+        return float(mp.polylog(s, mp.exp(-w)))
+
+
+ORDERS = [2, 1] + list(range(0, -15, -1))
+
+
 class TestPolylogNonpos:
+    # the nonpositive orders of polylog and the ladder that joins them to Li1
     def test_examples(self):
-        assert polylog_nonpos(0, 0.5) == pytest.approx(1.0, rel=1e-15)
-        assert polylog_nonpos(1, 0.5) == pytest.approx(2.0, rel=1e-15)
-        assert polylog_nonpos(2, 0.5) == pytest.approx(6.0, rel=1e-15)
+        # Li_0, Li_-1, Li_-2 at x = 1/2
+        assert polylog(0, math.log(2.0)) == pytest.approx(1.0, rel=1e-15)
+        assert polylog(-1, math.log(2.0)) == pytest.approx(2.0, rel=1e-15)
+        assert polylog(-2, math.log(2.0)) == pytest.approx(6.0, rel=1e-15)
+        assert polylog(2, math.log(2.0)) == pytest.approx(
+            math.pi ** 2 / 12.0 - math.log(2.0) ** 2 / 2.0, rel=1e-15)
 
     def test_series_oracle(self):
         # Li_{-r}(x) = sum k^r x^k, for every order the phase derivatives use
         for r in range(15):
             for x in (0.2, 0.5, 0.7):
                 oracle = math.fsum(k ** r * x ** k for k in range(1, 400))
-                assert polylog_nonpos(r, x) == pytest.approx(oracle, rel=1e-13)
+                assert polylog(-r, -math.log(x)) == pytest.approx(oracle, rel=1e-13)
 
     def test_derivative_ladder(self):
-        # x d/dx Li_{1-r}(x) == Li_{-r}(x), derivative by central difference
+        # -d/dw Li_{s+1}(e^-w) == Li_s(e^-w), derivative by central difference
         h = 1e-6
-        for r in range(4):
+        for s in range(1, -4, -1):
             for i in range(1, 10):
-                x = i / 10.0
-                if r == 0:
-                    d = (math.log1p(-(x - h)) - math.log1p(-(x + h))) / (2 * h)
-                else:
-                    d = (polylog_nonpos(r - 1, x + h)
-                         - polylog_nonpos(r - 1, x - h)) / (2 * h)
-                lhs = x * d
-                rhs = polylog_nonpos(r, x)
-                assert abs(lhs - rhs) <= 1e-8 * max(1.0, abs(rhs))
+                w = -math.log(i / 10.0)
+                d = (polylog(s + 1, w - h) - polylog(s + 1, w + h)) / (2 * h)
+                rhs = polylog(s, w)
+                assert abs(d - rhs) <= 1e-8 * max(1.0, abs(rhs))
 
     def test_pole(self):
+        # Li_s(e^-w) for s <= 1 has its pole at w = 0
         with pytest.raises(DomainError):
-            polylog_nonpos(1, 1.0)
+            polylog(1, 0.0)
+        with pytest.raises(DomainError):
+            polylog(0, 0.0)
+
+
+class TestPolylog:
+    @pytest.mark.parametrize("s", ORDERS)
+    def test_mpmath_oracle(self, s):
+        # Li2 and Li1 within 3 ulp; Li_-r carries about r times the rounding
+        # of v = 1/expm1(w), so its bound grows with r
+        ws = np.r_[np.geomspace(1e-12, 700.0, 97), 0.69, np.nextafter(0.69, 0.0)]
+        arr = polylog(s, ws)
+        tol = 3 if s > 0 else 4 - 2 * s
+        for w, a in zip(ws, arr):
+            got = polylog(s, float(w))
+            want = _li_oracle(s, w)
+            assert abs(got - want) <= tol * math.ulp(want), (s, w)
+            assert abs(a - got) <= 2 * math.ulp(want), (s, w)
+
+    def test_tuple_of_orders(self):
+        # one value per order, each as from a call with that order alone
+        for w in (1e-9, 0.3, 0.69, 2.0, np.geomspace(1e-6, 50.0, 7)):
+            together = polylog((2, 1, 0, -3), w)
+            for s, got in zip((2, 1, 0, -3), together):
+                assert np.array_equal(got, polylog(s, w))
+
+    def test_infinity(self):
+        for s in ORDERS:
+            assert polylog(s, math.inf) == 0.0
+            assert np.array_equal(polylog(s, np.array([math.inf, math.inf])), [0.0, 0.0])
+        assert kernel_bounds(PochTerm(1.0, 1.0, 1.0, -2.0), math.inf, 0.01) == (0.0, 0.0)
+
+    def test_large_w_quiet(self):
+        # e^w overflows past w = 709.78: no warning on arrays, no
+        # OverflowError on scalars, and Li_s below the smallest normal
+        w = np.array([700.0, 709.5, 710.0, 745.0, 1e4, math.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in ORDERS:
+                arr = polylog(s, w)
+                assert np.all(arr[2:] <= 2.3e-308) and np.all(arr >= 0.0)
+                for wi, ai in zip(w, arr):
+                    got = polylog(s, float(wi))
+                    assert got == pytest.approx(ai, rel=1e-15, abs=1e-300)
+
+    def test_domain(self):
+        for s, w in ((0, -1.0), (2, math.nan), (3, 1.0), ((1, 3), 1.0)):
+            with pytest.raises(DomainError):
+                polylog(s, w)
