@@ -22,8 +22,9 @@ from .phase import (HypothesisReport, PhaseFamily, StationaryPoint,
 from .presets import PRESETS, Preset, Reference, get_preset
 from .quad import QuadResult, integral
 from .qseries import (PochTerm, PrefactorLaw, ProductSpec, QuadTerm, SeriesSpec,
-                      log_summand, log_summand_deriv, normalize, prefactor_asym,
-                      prefactor_exact, prefactor_law, qpoch_inf, series_sum)
+                      SumResult, log_summand, log_summand_deriv, normalize,
+                      prefactor_asym, prefactor_exact, prefactor_law, qpoch_inf,
+                      series_sum)
 
 __version__ = "0.1.0"
 
@@ -33,8 +34,8 @@ __all__ = [
     "HypothesisReport", "IndexOverflowError", "LogValue", "PRESETS",
     "PhaseFamily", "PochTerm", "PoleError", "PrefactorLaw", "Preset",
     "ProductSpec", "QasymError", "QuadResult", "QuadTerm", "Reference",
-    "SeriesSpec", "SignError", "SpecError", "StationaryPoint", "analyse",
-    "asym_from_parts", "build_phase", "check_hypothesis", "corrections",
+    "SeriesSpec", "SignError", "SpecError", "StationaryPoint", "SumResult",
+    "analyse", "asym_from_parts", "build_phase", "check_hypothesis", "corrections",
     "get_preset", "integral", "leading_constant", "log_summand",
     "log_summand_deriv", "normalize", "peak_value", "phase_deriv",
     "phase_value", "prefactor_asym", "prefactor_exact", "prefactor_law",

@@ -167,6 +167,8 @@ def _parse_t_grid(args: argparse.Namespace) -> list[float]:
         grid = [0.1, 0.05, 0.025]
     if any(not 0.0 < t < T_MAX for t in grid):
         raise SpecError(f"every t must lie in (0, {T_MAX})")
+    if len(set(grid)) < len(grid):      # verify would compare a row with itself
+        raise SpecError("every t must be distinct")
     return sorted(grid, reverse=True)
 
 
@@ -225,12 +227,16 @@ def _total(value: LogValue, pref: LogValue, q_power: float, t: float) -> LogValu
 
 def run_eval(cfg: RunConfig) -> int:
     rows = []
+    diag: dict = {}
     for t in cfg.t_grid:
         # the product first: a t past its reach fails before the sum is paid for
         pref = prefactor_exact(cfg.prefactor, t)
-        lv = _total(series_sum(cfg.series, t), pref, cfg.q_power, t)
+        res = series_sum(cfg.series, t)
+        lv = _total(res.value, pref, cfg.q_power, t)
         rows.append({"t": t, "log_value": lv.log_abs, "sign": lv.sign})
-    _emit(_json_result(cfg, rows, branch="series_sum"), cfg.output)
+        diag[f"t={_fmt(t)}"] = {"m_lo": res.m_lo, "m_hi": res.m_hi,
+                                "left_out_log": res.left_out_log}
+    _emit(_json_result(cfg, rows, branch="series_sum", diagnostics=diag), cfg.output)
     return 0
 
 
@@ -303,7 +309,7 @@ def run_verify(cfg: RunConfig) -> int:
     for t in cfg.t_grid:
         try:
             pref = prefactor_exact(cfg.prefactor, t)    # one product for both
-            s = _total(series_sum(cfg.series, t), pref, cfg.q_power, t)
+            s = _total(series_sum(cfg.series, t).value, pref, cfg.q_power, t)
             res = quad_integral(an, t, cfg.rel_tol)
             i = _total(res.value, pref, cfg.q_power, t)
             a = asym_from_parts(an, t, cfg.order_L, cfg.q_power).total

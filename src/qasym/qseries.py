@@ -6,12 +6,12 @@ logged general term of the normalized series and its x-derivatives, direct
 log-space summation of the series, and the small-t product asymptotics of
 the constant prefactor.
 
-Truncation policy for the outer sum: relative threshold 1e-18, by a
-certified bound on the rest, from the closed-form sandwich of the inner sum
-(``kernel_bounds``).  The inner sum itself costs the same at every t: a
-closed form below w = 0.1, at most 451 k-terms above (``_kernel``).  Values
-are LogValue throughout; the interesting series reach exp(pi^2/(5t)), which
-overflows binary64 for t < 0.0125.
+Truncation policy for the outer sum: a window [m_lo, m_hi) that leaves
+out at most 1e-18 of the total at both ends together, certified from the
+closed-form sandwich of the inner sum (``kernel_bounds``).  The inner sum
+costs the same at every t: a closed form below w = 0.1, at most 451
+k-terms above (``_kernel``).  Values are LogValue throughout; the series
+reach exp(pi^2/(5t)), which overflows binary64 for t < 0.0125.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ MAX_DERIV = 64              # highest x-derivative order log_summand_deriv takes
 _W_A = 0.1                  # order 0: closed form below this w, k-sum above
 _R0 = 0.1                   # the closed form peels factors until beta t/w <= _R0
 _EM_J = 6                   # Euler-Maclaurin levels j = 1.._EM_J of the closed form
+_LADDER = 2.0 ** (1.0 / 32)  # edge ratio of series_sum's certificate ladder
+U_END = 2000.0              # series_sum raises if not stopped by m t = U_END
 
 LOG_2PI = math.log(2.0 * math.pi)
 # row j, column m - 1: the v^m coefficient of B_2j/(2j)! Li_(2-2j)(e^-w), with
@@ -339,7 +341,7 @@ def _kernel(term: PochTerm, x: np.ndarray, t: float,
         raise ConvergenceError(f"inner sum needs {int(spans[imax, 0] / wk[0]) + 1} "
                                "terms (alpha*x+gamma too small for this t)")
     kc = (spans / wk).astype(np.int64) + 1      # per row and point
-    kmax, kmin = kc[imax].tolist(), kc[imin].tolist()   # non-increasing
+    kmax, kmin = kc[imax], kc[imin]             # non-increasing
     budget = max(1, _CHUNK_ELEMS // len(orders))
     acc = np.zeros((len(orders), len(w)))
     acc_k = acc[:, first:]
@@ -347,8 +349,8 @@ def _kernel(term: PochTerm, x: np.ndarray, t: float,
     while p0 < len(wk):
         # points p0 .. p1-1 with all their rows fit the budget; a point that
         # alone does not takes its rows in chunks, carrying its sums
-        p1 = min(p0 + max(1, budget // kmax[p0]), len(wk))
-        k1 = kmax[p0] + 1
+        p1 = min(p0 + max(1, budget // int(kmax[p0])), len(wk))
+        k1 = int(kmax[p0]) + 1
         while k1 > 1:
             k0 = max(k1 - budget, 1)
             k = np.arange(k1 - 1, k0 - 1, -1, dtype=float)   # descending
@@ -358,7 +360,7 @@ def _kernel(term: PochTerm, x: np.ndarray, t: float,
             logcoef -= np.log(k * -np.expm1(-k * term.beta * t))[:, None]
             blk = np.outer(-k, wk[p0:p1])[:, None]         # k by row by point
             blk = np.add(blk, logcoef[:, :, None], out=blk if len(orders) == 1 else None)
-            top = k1 - 1 - kmin[p1 - 1]     # rows past some cut: zero terms there
+            top = k1 - 1 - int(kmin[p1 - 1])    # rows past a cut: zero terms
             if top > 0:
                 np.putmask(blk[:top], k[:top, None, None] > kc[:, p0:p1], -np.inf)
             blk = np.exp(blk, out=blk)
@@ -426,15 +428,16 @@ def kernel_bounds(term: PochTerm, w: float, t: float) -> tuple[float, float]:
     return lo, lo + bt / 12.0 * li0
 
 
-def log_summand_sup(spec: SeriesSpec, ua: float, ub: float, t: float) -> float:
+def log_summand_sup(spec: SeriesSpec, ua, ub, t: float):
     """An upper bound of log_summand(spec, u/t, t) over u in [ua, ub] (ub may
     be inf) without a k-sum: K falls in u, so S > 0 terms take hi at ua and
     S < 0 terms lo at ub; the polynomial part is taken at its maximum, and
-    1e-12 of the parts' sizes is added for log_summand's rounding."""
+    1e-12 of the parts' sizes is added for log_summand's rounding.  On
+    arrays of edges, one bound per piece, each the bits of the scalar form."""
     slope = spec.v / t - spec.B      # x v - A x^2 t - B x t = u (slope - A u/t)
     quad = 0.0
     if spec.A > 0:
-        u = min(max(slope * t / (2.0 * spec.A), ua), ub)
+        u = np.minimum(np.maximum(slope * t / (2.0 * spec.A), ua), ub)
         quad = spec.A * u / t
     else:
         u = ua if slope <= 0 else ub
@@ -452,42 +455,72 @@ def log_summand_sup(spec: SeriesSpec, ua: float, ub: float, t: float) -> float:
 # Direct summation
 
 
-def series_sum(spec: SeriesSpec, t: float) -> LogValue:
-    """sum_m exp(log_summand(m)) accumulated in log space, in blocks of 256
-    terms that past m = 1024 grow to m/4, at most 65536.
+@dataclass(frozen=True)
+class SumResult:
+    value: LogValue
+    m_lo: int              # the terms m_lo <= m < m_hi were summed
+    m_hi: int
+    left_out_log: float    # log of the certified mass of the others
 
-    Stops once the rest is certified below 1e-18 relative.  The polynomial
-    part P(m) = m v - (A m^2 + B m) t is concave, so past an M with slope
-    P'(M) < 0 each step lowers it by at least -P'(M), and
-    sum_{m >= M} e^F(m) <= e^(sup F on [M t, inf)) / (1 - e^P'(M))
-    (``log_summand_sup``); on the flat tail A = v = 0 the factor is
-    1/(1 - q^B).  The factor is needed: stopping at the last term above
-    1e-18 relative would leave out far more than that, about 1e-14 of the
-    total for phi-minus at t = 1e-4.  Raises if the sum has not stopped by
-    m t = 2000 (domain-triple violation that slipped past the static check).
+
+def series_sum(spec: SeriesSpec, t: float) -> SumResult:
+    """sum_m exp(log_summand(m)) over a certified window [m_lo, m_hi),
+    accumulated in log space in blocks of 256 terms that grow to m/4 past
+    m = 1024 and to 65536 past m = 2^18.
+
+    A ladder of integer edges up to m t = U_END (unit steps, ratio _LADDER,
+    and the block ends below 2^18) cuts the terms into pieces, each holding
+    at most its count times e^(sup of its terms) (``log_summand_sup``).  The
+    head [0, m_lo) is the longest run of pieces from m = 0 whose mass is at
+    most half of 1e-18 of one exact term, taken in the piece of most mass.
+    The rest past M is at most the pieces from the edge at or below M on,
+    and, once the concave P(m) = m v - (A m^2 + B m) t falls at M,
+    e^(sup F on [M t, inf)) / (1 - e^P'(M)); on the flat tail A = v = 0 that
+    factor 1/(1 - q^B) is needed (the terms above 1e-18 relative alone
+    leave out 1e-14 of phi-minus at t = 1e-4).  A block ends early at the
+    first edge the sum so far certifies, and the sum stops at the first
+    block end past the exact term where head plus rest are below 1e-18 of
+    the sum so far.  Raises if nothing certifies a stop by m t = U_END.
     """
     _require_t(t)
-    block = 256
-    m0 = 0
-    run_max = -math.inf          # running max of the logged terms
-    acc = 0.0                    # sum of exp(log - run_max)
+    ends = [0]
+    while ends[-1] < min(U_END / t, 1 << 18):
+        ends.append(ends[-1] + max(256, ends[-1] // 4))
+    steps = np.ceil(_LADDER ** np.arange(math.log(U_END / t, _LADDER)))
+    e = np.sort(np.r_[ends, steps, math.ceil(U_END / t)])
+    e = e[np.r_[True, e[1:] > e[:-1]]].astype(np.int64)   # np.unique imports numpy.ma
+    mass = np.log(np.diff(e)) + log_summand_sup(spec, e[:-1] * t, (e[1:] - 1) * t, t)
+    top = int(np.argmax(mass))
+    probe = int(e[top] + e[top + 1] - 1) // 2
+    cum = np.logaddexp.accumulate(mass)
+    cut = int(np.searchsorted(cum, log_summand(spec, float(probe), t)
+                              + LN_EPS - math.log(2.0), side="right"))
+    head = cum[cut - 1] if cut else -math.inf
+
+    def tail(m):    # the one-sup bound of the terms from m on (inf while P rises)
+        slope = spec.v - (2.0 * spec.A * m + spec.B) * t      # P'(m)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(slope < 0, log_summand_sup(spec, m * t, math.inf, t)
+                            - np.log(-np.expm1(slope)), np.inf)
+
+    tails = tail(e)
+    pieces = np.logaddexp.accumulate(np.r_[tails[-1], mass[::-1]])[::-1]  # from e_j on
+    left = np.where(e > probe, np.logaddexp(head, np.minimum(tails, pieces)), np.inf)
+    m0, run_max, acc, total_log = int(e[cut]), -math.inf, 0.0, -math.inf
     while True:
-        logs = log_summand(spec, np.arange(m0, m0 + block, dtype=float), t)
-        bmax = float(logs.max())
-        if bmax > run_max:
-            if run_max > -math.inf:
-                acc *= math.exp(run_max - bmax)
-            run_max = bmax
-        acc += float(np.exp(logs - run_max).sum())
-        total_log = run_max + math.log(acc)
-        m0 += block
-        slope = spec.v - (2.0 * spec.A * m0 + spec.B) * t      # P'(m0)
-        if slope < 0 and (log_summand_sup(spec, m0 * t, math.inf, t)
-                          < total_log + LN_EPS + math.log(-math.expm1(slope))):
+        j = int(np.searchsorted(e, m0, side="right")) - 1     # e_j <= m0 < e_j+1
+        left_out = np.logaddexp(head, min(tail(m0), pieces[j]))
+        if m0 > probe and left_out <= total_log + LN_EPS:
             break
-        if (m0 - 1) * t > 2000.0:
-            raise ConvergenceError(
-                "series terms still significant far past the expected decay "
-                f"(m*t = {(m0 - 1) * t:.1f}); domain triple violated dynamically?")
-        block = min(max(block, m0 // 4), 1 << 16)
-    return LogValue(1, total_log)
+        if j == len(e) - 1:
+            raise ConvergenceError(f"series terms still significant at m*t = "
+                                   f"{m0 * t:.1f}; domain triple violated dynamically?")
+        end = (ends[np.searchsorted(ends, m0, side="right")] if m0 < ends[-1]
+               else m0 + (1 << 16) - (m0 - ends[-1]) % (1 << 16))   # next block end
+        ok = np.flatnonzero(left[j + 1:] <= total_log + LN_EPS)   # edges certified now
+        m1 = min(end, int(e[j + 1 + ok[0]])) if len(ok) else end
+        logs = log_summand(spec, np.arange(m0, m1, dtype=float), t)
+        new_max = max(run_max, float(logs.max()))
+        acc = acc * math.exp(run_max - new_max) + float(np.exp(logs - new_max).sum())
+        run_max, total_log, m0 = new_max, new_max + math.log(acc), m1
+    return SumResult(LogValue(1, total_log), int(e[cut]), m0, float(left_out))

@@ -138,13 +138,13 @@ def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
 
     edges = _breakpoints(an, t, u_hi)
     spans = list(zip(edges[:-1], edges[1:]))
-    sups = [log_summand_sup(spec, a, b, t) for a, b in spans]
+    sups = log_summand_sup(spec, np.array(edges[:-1]), np.array(edges[1:]), t)
     # an edge bounded under the scanned peak cannot raise gmax: read the
     # edges from the lowest one that might, all in one call
-    first = next((j for j, s in enumerate(sups) if s > gmax), len(sups) - 1)
+    first = next(iter(np.flatnonzero(sups > gmax)), len(spans) - 1)
     gmax = max(gmax, float(g(np.array(edges[first + 1:])).max()))
     below = np.logaddexp.accumulate(
-        [math.log(b - a) + s for (a, b), s in zip(spans, sups)])
+        np.array([math.log(b - a) for a, b in spans]) + sups)
 
     def f(u: np.ndarray) -> np.ndarray:
         return np.exp(g(u) - gmax)

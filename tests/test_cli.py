@@ -127,6 +127,10 @@ def test_eval_json_fields(tmp_path):
     assert doc["inputs"]["t_grid"] == [0.05]
     assert doc["results"]["sign"] == [1]
     assert abs(doc["results"]["log_value"][0]) < 1e-10
+    # the summed window and the certified mass it leaves out, per t
+    diag = doc["results"]["diagnostics"]["t=0.050000000000000003"]
+    assert 0 <= diag["m_lo"] < diag["m_hi"]
+    assert diag["left_out_log"] <= math.log(1e-18)
 
 
 def test_asym_json_fields(tmp_path):
@@ -211,8 +215,10 @@ def test_rows_independent_of_grid(name):
     ("--t-grid=-0.1:0.1:3:log",),
     ("--t-grid", "0:0.1:3:log"),
     ("--t", ","),
+    ("--t", "0.05,0.05"),
+    ("--t-grid", "0.1:0.1:3"),
 ], ids=["negative-order", "log-grid-negative-start", "log-grid-zero-start",
-        "empty-t"])
+        "empty-t", "repeated-t", "repeated-t-grid"])
 def test_bad_input_is_usage_error(flags):
     cp = run_cli("verify", "--preset", "euler", *flags)
     assert cp.returncode == 1, cp.stderr

@@ -27,6 +27,11 @@ RAM = SeriesSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, -2)])
 EULER = SeriesSpec.make(0.0, 1.0, 0.0, [(1, 1, 1, -1)])
 V_NEGATIVE = SeriesSpec.make(0.0, -0.5, -0.05, [(1, 1, 1, -2), (2, 1, 0.5, 1)])
 DATA = Path(__file__).parent / "data"
+# m_hi at t = 1e-4 of the sum over [0, stop) that the certified window
+# replaced: blocks from m = 0 checked by the one-sup bound alone
+WHOLE_RANGE_STOP = {"ramanujan": 18618, "f0": 7627, "phi-minus": 467516,
+                    "euler": 533052, "euler-b2": 336444, "two-peak": 88772,
+                    "v-negative": 56815}
 
 
 @st.composite
@@ -469,6 +474,11 @@ class TestKernelBounds:
         g = log_summand(spec, u / t, t).reshape(len(rungs), 200)
         sup = [qs.log_summand_sup(spec, a, b, t) for a, b in rungs]
         assert np.all(np.array(sup) >= g.max(axis=1))
+        # on arrays of edges, the bits of the scalar form
+        ua, ub = np.array(rungs).T
+        assert qs.log_summand_sup(spec, ua, ub, t).tolist() == sup
+        tails = [qs.log_summand_sup(spec, a, math.inf, t) for a in ua]
+        assert qs.log_summand_sup(spec, ua, math.inf, t).tolist() == tails
 
     @settings(max_examples=300, deadline=None)
     @given(A=st.one_of(st.just(0.0), st.floats(0.01, 2.0)),
@@ -562,12 +572,12 @@ class TestLogSummandDeriv:
 class TestSeriesSum:
     def test_euler_identity(self):
         for t in (0.1, 0.05):
-            assert abs(series_sum(EULER, t).to_float() - 1.0) <= 1e-12
+            assert abs(series_sum(EULER, t).value.to_float() - 1.0) <= 1e-12
 
     def test_euler_b2(self):
         spec = SeriesSpec.make(0.0, 2.0, 0.0, [(1, 1, 1, -1)])
         t = 0.05
-        assert series_sum(spec, t).to_float() == pytest.approx(
+        assert series_sum(spec, t).value.to_float() == pytest.approx(
             1.0 - math.exp(-t), rel=1e-12)
 
     def test_direct_symbol_oracle(self):
@@ -581,7 +591,7 @@ class TestSeriesSum:
         mx = max(logs)
         oracle = (mx + math.log(sum(math.exp(v - mx) for v in logs))
                   + 2.0 * qpoch_inf(q, q).log_abs)
-        assert series_sum(RAM, t).log_abs == pytest.approx(oracle, abs=1e-11)
+        assert series_sum(RAM, t).value.log_abs == pytest.approx(oracle, abs=1e-11)
 
     @staticmethod
     def _last_m(spec, t):
@@ -596,26 +606,33 @@ class TestSeriesSum:
             series_sum(spec, t)
         return round(max(seen))
 
-    def _check_stop(self, spec, t, logs):
+    def _check_window(self, spec, t, logs):
         # series_sum against the log-space fsum of ``logs``, the terms from
         # m = 0 on: the values are log-space sums run_max + log(acc), so the
-        # ulps are those of the larger operand; and what the stop left out is
-        # below 1e-18 of the total
+        # ulps are those of the larger operand.  What the window [m_lo, m_hi)
+        # leaves out at both ends is below 1e-18 of the total and below its
+        # certificate, and no term past m_hi is evaluated
         mx = float(logs.max())
         brute = mx + math.log(math.fsum(np.exp(logs - mx)))
-        got = series_sum(spec, t).log_abs
-        assert abs(got - brute) <= 4 * math.ulp(max(abs(brute), abs(mx)))
-        m_stop = self._last_m(spec, t)
-        assert math.fsum(np.exp(logs[m_stop + 1:] - brute)) <= 1e-18
+        r = series_sum(spec, t)
+        assert abs(r.value.log_abs - brute) <= 4 * math.ulp(max(abs(brute), abs(mx)))
+        out = math.fsum(np.exp(np.r_[logs[:r.m_lo], logs[r.m_hi:]] - brute))
+        assert out <= 1e-18
+        assert r.left_out_log <= r.value.log_abs + qs.LN_EPS
+        assert out == 0.0 or math.log(out) + brute <= r.left_out_log
+        assert self._last_m(spec, t) < r.m_hi
+        return r, brute
 
     @pytest.mark.parametrize("name", ["ramanujan", "f0", "phi-minus", "euler",
                                       "euler-b2", "two-peak", "v-negative"])
     def test_sums_to_tail_bound(self, name):
-        # the certified stop agrees with a brute-force sum out to
+        # the certified window agrees with a brute-force sum out to
         # 2 + 10|log t|/min alpha and on until a whole block lies e^-70
         # below the largest term, and at t = 1e-4 it stops short of that
-        # bound.  two-peak has a larger maximum at u = 7.1 past one at
-        # u = 0.58; v-negative is on the branch A = 0, v < 0
+        # bound and no later than the sum over [0, stop) it replaced, whose
+        # stops WHOLE_RANGE_STOP lists.  two-peak has a larger maximum at
+        # u = 7.1 past one at u = 0.58, and stays exact to the bit;
+        # v-negative is on the branch A = 0, v < 0
         if name == "two-peak":
             spec = load_spec(str(DATA / "two_peak.json"))[0]
         elif name == "v-negative":
@@ -630,8 +647,14 @@ class TestSeriesSum:
                    or blocks[-1].max() > max(b.max() for b in blocks) - 70.0):
                 m0 = 256.0 * len(blocks)
                 blocks.append(log_summand(spec, np.arange(m0, m0 + 256.0), t))
-            self._check_stop(spec, t, np.concatenate(blocks))
+            r, brute = self._check_window(spec, t, np.concatenate(blocks))
+            if name == "two-peak":
+                assert r.value.log_abs == brute
         assert self._last_m(spec, 1e-4) * 1e-4 < old_stop(1e-4)
+        assert series_sum(spec, 1e-4).m_hi <= WHOLE_RANGE_STOP[name]
+        if name in ("ramanujan", "f0", "phi-minus", "euler"):
+            # the head below the mass is left out
+            assert r.m_lo > 0
         if name in ("ramanujan", "f0"):
             # no later than the peak-scale stop 2 max(u*, 1) it replaces
             assert self._last_m(spec, 1e-3) * 1e-3 < 2.5
@@ -641,6 +664,8 @@ class TestSeriesSum:
     # the peak-scale stop this replaced left out 1.4e-18 of this one
     @example(case=(SeriesSpec.make(0.0, -0.3125, -0.0625,
                                    [(1, 0.6875, 2, 0.25), (1, 2, 1.5, 1.46875)]), 0.05))
+    # every term falls from m = 0 on, so the window must start there
+    @example(case=(SeriesSpec.make(0.5, 0.25, -0.5, [(1, 1, 1, 1.0)]), 0.01))
     def test_random_spec_matches_brute_force(self, case):
         # the brute-force sum runs out to m_end, found from the draw alone:
         # from m_end on P(m) = m v - (A m^2 + B m) t falls by at least 1e-3 a
@@ -667,13 +692,20 @@ class TestSeriesSum:
                     and head_room(m_end) <= logs.max() - 80.0):
                 break
             m_end *= 2
-        self._check_stop(spec, t, logs)
+        self._check_window(spec, t, logs)
+
+    def test_divergent_series_raises(self):
+        # A = 0 and v < 0, but v - B t > 0: the terms grow and no bound
+        # certifies a stop by m t = U_END
+        spec = SeriesSpec.make(0.0, -1.0, -0.05, [(1, 1, 1, 1)])
+        with pytest.raises(ConvergenceError, match="dynamically"):
+            series_sum(spec, 0.1)
 
     def test_truncation_threshold_insensitive(self, monkeypatch):
-        base = series_sum(RAM, 0.05).log_abs
+        base = series_sum(RAM, 0.05).value.log_abs
         monkeypatch.setattr(qs, "_KLOG_MARGIN", 90.0)
         monkeypatch.setattr(qs, "LN_EPS", 2 * math.log(1e-18))
-        tight = series_sum(RAM, 0.05).log_abs
+        tight = series_sum(RAM, 0.05).value.log_abs
         assert abs(tight - base) <= 1e-12 * max(1.0, abs(base))
 
 

@@ -8,7 +8,8 @@ from qasym.qseries import prefactor_exact, series_sum
 
 def series_total(p, t: float):
     """LogValue of preset p at t by direct summation, as `qasym eval` gives it."""
-    return _total(series_sum(p.series, t), prefactor_exact(p.prefactor, t), p.q_power, t)
+    return _total(series_sum(p.series, t).value, prefactor_exact(p.prefactor, t),
+                  p.q_power, t)
 
 
 def asym(p, t: float, L: int = DEFAULT_L, M: int = DEFAULT_M):
