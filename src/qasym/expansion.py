@@ -27,7 +27,7 @@ from functools import cached_property
 from .errors import BranchError, DegenerateError, HypothesisError, SignError
 from .logvalue import LogValue
 from .phase import (HypothesisReport, PhaseFamily, StationaryPoint, build_phase,
-                    check_hypothesis, search_upper_bound, stationary_points)
+                    check_hypothesis, stationary_points)
 from .qseries import (PrefactorLaw, QuadTerm, SeriesSpec, log_summand_deriv,
                       prefactor_asym, prefactor_law)
 
@@ -41,12 +41,10 @@ class Analysis:
     and its prefactor quads that does not depend on t; see ``analyse``.
 
     ``peaks`` are the interior maxima of the leading phase, found only when
-    the hypothesis holds (empty otherwise); ``u_search`` is the phase's
-    search bound; ``tail`` says whether the flat-tail term applies
-    (A = v = 0 and f(alpha_1) > 0)."""
+    the hypothesis holds (empty otherwise); ``tail`` says whether the
+    flat-tail term applies (A = v = 0 and f(alpha_1) > 0)."""
     phase: PhaseFamily
     hypothesis: HypothesisReport
-    u_search: float
     peaks: tuple[StationaryPoint, ...]
     tail: bool
     quads: tuple[QuadTerm, ...]
@@ -65,13 +63,13 @@ class Analysis:
 
 def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
             M: int = DEFAULT_M) -> Analysis:
-    """Phase family, hypothesis, search bound, maxima and tail flag of
-    ``series``, with the prefactor of ``quads`` expanded to order M."""
+    """Phase family, hypothesis, maxima and tail flag of ``series``, with
+    the prefactor of ``quads`` expanded to order M."""
     pf = build_phase(series)
     hyp = check_hypothesis(pf)
     tail = (series.A == 0 and series.v == 0 and bool(pf.falpha)
             and pf.falpha[0][1] > 0)
-    return Analysis(phase=pf, hypothesis=hyp, u_search=search_upper_bound(pf),
+    return Analysis(phase=pf, hypothesis=hyp,
                     peaks=tuple(stationary_points(pf)) if hyp else (),
                     tail=tail, quads=quads, M=M)
 

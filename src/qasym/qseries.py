@@ -6,12 +6,12 @@ logged general term of the normalized series and its x-derivatives, direct
 log-space summation of the series, and the small-t product asymptotics of
 the constant prefactor.
 
-Truncation policy for the outer sum: a window [m_lo, m_hi) that leaves
-out at most 1e-18 of the total at both ends together, certified from the
-closed-form sandwich of the inner sum (``kernel_bounds``).  The inner sum
-costs the same at every t: a closed form below w = 0.1, at most 451
-k-terms above (``_kernel``).  Values are LogValue throughout; the series
-reach exp(pi^2/(5t)), which overflows binary64 for t < 0.0125.
+Truncation policy for the outer sum and its integral: one ladder of pieces
+(``mass_ladder``) certifies a window that leaves out at most 1e-18 of the
+total, from the closed-form sandwich of the inner sum (``kernel_bounds``).
+The inner sum costs the same at every t: a closed form below w = 0.1, at
+most 451 k-terms above (``_kernel``).  Values are LogValue throughout; the
+series reach exp(pi^2/(5t)), which overflows binary64 for t < 0.0125.
 """
 
 from __future__ import annotations
@@ -207,26 +207,6 @@ def _gamma_sign_log(x: float) -> tuple[int, float]:
     return sign, math.lgamma(x)
 
 
-def prefactor_constants(quads: tuple[QuadTerm, ...]) -> tuple[float, float, float, int]:
-    """(A_H, B_H, log C_H, sign) of prod (q^a;q^b)_inf^(-S) ~
-    C_H t^{B_H} exp(A_H/t + sum A_l t^l)."""
-    A_H = 0.0
-    B_H = 0.0
-    logC = 0.0
-    sign = 1
-    for q in quads:
-        ab = q.a / q.b
-        A_H += math.pi ** 2 * q.S / (6.0 * q.b)
-        B_H += (ab - 0.5) * q.S
-        gsign, glog = _gamma_sign_log(ab)
-        logC += q.S * (glog - 0.5 * LOG_2PI + (ab - 0.5) * math.log(q.b))
-        if gsign < 0:
-            if q.S != int(q.S):
-                raise DomainError("negative Gamma with non-integer exponent")
-            sign *= -1 if int(q.S) % 2 else 1
-    return A_H, B_H, logC, sign
-
-
 @dataclass(frozen=True)
 class PrefactorLaw:
     """t-independent constants of prod (q^a;q^b)_inf^(-S) ~
@@ -240,8 +220,22 @@ class PrefactorLaw:
 
 
 def prefactor_law(quads: tuple[QuadTerm, ...], M: int) -> PrefactorLaw:
-    """The constants of ``prefactor_constants`` plus the Bernoulli
-    coefficients A_l = sum B_l S b^l B_{l+1}(a/b) / (l (l+1)!), l <= M."""
+    """A_H = sum pi^2 S/(6b), B_H = sum (a/b - 1/2) S, log C_H = sum S (log
+    Gamma(a/b) - log(2 pi)/2 + (a/b - 1/2) log b) with its sign, and the
+    Bernoulli coefficients A_l = sum B_l S b^l B_{l+1}(a/b) / (l (l+1)!),
+    l <= M."""
+    A_H = B_H = logC = 0.0
+    sign = 1
+    for q in quads:
+        ab = q.a / q.b
+        A_H += math.pi ** 2 * q.S / (6.0 * q.b)
+        B_H += (ab - 0.5) * q.S
+        gsign, glog = _gamma_sign_log(ab)
+        logC += q.S * (glog - 0.5 * LOG_2PI + (ab - 0.5) * math.log(q.b))
+        if gsign < 0:
+            if q.S != int(q.S):
+                raise DomainError("negative Gamma with non-integer exponent")
+            sign *= -1 if int(q.S) % 2 else 1
     coeffs = []
     # an empty product reads no Bernoulli number, so it accepts any M
     for ell in range(1, M + 1) if quads else ():
@@ -249,7 +243,7 @@ def prefactor_law(quads: tuple[QuadTerm, ...], M: int) -> PrefactorLaw:
         coeffs.append(0.0 if bn == 0 else sum(
             float(bn) * q.S * q.b ** ell * bernoulli_poly(ell + 1, q.a / q.b)
             / (ell * math.factorial(ell + 1)) for q in quads))
-    return PrefactorLaw(*prefactor_constants(quads), tuple(coeffs))
+    return PrefactorLaw(A_H, B_H, logC, sign, tuple(coeffs))
 
 
 def prefactor_asym(law: PrefactorLaw, t: float) -> LogValue:
@@ -456,6 +450,66 @@ def log_summand_sup(spec: SeriesSpec, ua, ub, t: float):
 
 
 @dataclass(frozen=True)
+class MassLadder:
+    """The certificate both exact routes take their window from.  Integer
+    ``edges`` run from 0 to m t = U_END (unit steps, ratio _LADDER, and
+    series_sum's block ends below 2^18).  ``mass[j]``, log(e_j+1 - e_j) plus
+    the sup of F over the closed piece [e_j t, e_j+1 t] of u, bounds its
+    terms and its integral over x alike; ``rest[j]`` bounds the mass from
+    e_j on.  ``probe`` lies in the piece of most mass; ``probe_log`` is its
+    exact logged term."""
+    edges: np.ndarray
+    mass: np.ndarray
+    rest: np.ndarray
+    probe: int
+    probe_log: float
+
+    def window(self, level: float) -> tuple[int, float, np.ndarray]:
+        """(cut, head, left) at e^level: the pieces below e_cut, the longest run
+        from 0 holding at most half of 1e-18 of e^level, hold e^head at most;
+        left[j] bounds head plus the rest from e_j (inf up to the probe)."""
+        cum = np.logaddexp.accumulate(self.mass)
+        cut = int(np.searchsorted(cum, level + LN_EPS - math.log(2.0), side="right"))
+        head = float(cum[cut - 1]) if cut else -math.inf
+        return cut, head, np.where(self.edges > self.probe,
+                                   np.logaddexp(head, self.rest), np.inf)
+
+
+def _block_ends(t: float) -> list[int]:
+    # series_sum's block ends below min(U_END/t, 2^18): 256 terms, m/4 past 1024
+    ends = [0]
+    while ends[-1] < min(U_END / t, 1 << 18):
+        ends.append(ends[-1] + max(256, ends[-1] // 4))
+    return ends
+
+
+def _tail_sup(spec: SeriesSpec, m, t: float):
+    """e^(sup F on [m t, inf)) / (1 - e^P'(m)), with the concave P(x) = x v -
+    (A x^2 + B x) t, bounds the terms from m on and, as 1 - e^s <= -s, the
+    integral past x = m; inf while P rises."""
+    slope = spec.v - (2.0 * spec.A * m + spec.B) * t      # P'(m)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(slope < 0, log_summand_sup(spec, m * t, math.inf, t)
+                        - np.log(-np.expm1(slope)), np.inf)
+
+
+def mass_ladder(spec: SeriesSpec, t: float) -> MassLadder:
+    """The ``MassLadder`` of ``spec`` at t: ``log_summand_sup`` over its
+    pieces and edges, in one call each, and ``log_summand`` at the probe."""
+    _require_t(t)
+    steps = np.ceil(_LADDER ** np.arange(math.log(U_END / t, _LADDER)))
+    e = np.sort(np.r_[_block_ends(t), steps, math.ceil(U_END / t)])
+    e = e[np.r_[True, e[1:] > e[:-1]]].astype(np.int64)   # np.unique imports numpy.ma
+    mass = np.log(np.diff(e)) + log_summand_sup(spec, e[:-1] * t, e[1:] * t, t)
+    tails = _tail_sup(spec, e, t)
+    pieces = np.logaddexp.accumulate(np.r_[tails[-1], mass[::-1]])[::-1]
+    top = int(np.argmax(mass))
+    probe = int(e[top] + e[top + 1] - 1) // 2
+    return MassLadder(e, mass, np.minimum(tails, pieces), probe,
+                      float(log_summand(spec, float(probe), t)))
+
+
+@dataclass(frozen=True)
 class SumResult:
     value: LogValue
     m_lo: int              # the terms m_lo <= m < m_hi were summed
@@ -468,49 +522,23 @@ def series_sum(spec: SeriesSpec, t: float) -> SumResult:
     accumulated in log space in blocks of 256 terms that grow to m/4 past
     m = 1024 and to 65536 past m = 2^18.
 
-    A ladder of integer edges up to m t = U_END (unit steps, ratio _LADDER,
-    and the block ends below 2^18) cuts the terms into pieces, each holding
-    at most its count times e^(sup of its terms) (``log_summand_sup``).  The
-    head [0, m_lo) is the longest run of pieces from m = 0 whose mass is at
-    most half of 1e-18 of one exact term, taken in the piece of most mass.
-    The rest past M is at most the pieces from the edge at or below M on,
-    and, once the concave P(m) = m v - (A m^2 + B m) t falls at M,
-    e^(sup F on [M t, inf)) / (1 - e^P'(M)); on the flat tail A = v = 0 that
-    factor 1/(1 - q^B) is needed (the terms above 1e-18 relative alone
-    leave out 1e-14 of phi-minus at t = 1e-4).  A block ends early at the
-    first edge the sum so far certifies, and the sum stops at the first
-    block end past the exact term where head plus rest are below 1e-18 of
-    the sum so far.  Raises if nothing certifies a stop by m t = U_END.
+    m_lo is the cut of ``mass_ladder``'s window at the exact term.  Past M
+    the rest is at most the ladder's rest from the edge at or below M and
+    the one-sup bound at M, whose factor 1/(1 - q^B) the flat tail A = v = 0
+    needs (the terms above 1e-18 relative alone leave out 1e-14 of
+    phi-minus at t = 1e-4).  A block ends early at the first edge the sum so
+    far certifies; the sum stops at the first block end past the probe where
+    head plus rest are below 1e-18 of the sum so far, and raises if none
+    does by m t = U_END.
     """
-    _require_t(t)
-    ends = [0]
-    while ends[-1] < min(U_END / t, 1 << 18):
-        ends.append(ends[-1] + max(256, ends[-1] // 4))
-    steps = np.ceil(_LADDER ** np.arange(math.log(U_END / t, _LADDER)))
-    e = np.sort(np.r_[ends, steps, math.ceil(U_END / t)])
-    e = e[np.r_[True, e[1:] > e[:-1]]].astype(np.int64)   # np.unique imports numpy.ma
-    mass = np.log(np.diff(e)) + log_summand_sup(spec, e[:-1] * t, (e[1:] - 1) * t, t)
-    top = int(np.argmax(mass))
-    probe = int(e[top] + e[top + 1] - 1) // 2
-    cum = np.logaddexp.accumulate(mass)
-    cut = int(np.searchsorted(cum, log_summand(spec, float(probe), t)
-                              + LN_EPS - math.log(2.0), side="right"))
-    head = cum[cut - 1] if cut else -math.inf
-
-    def tail(m):    # the one-sup bound of the terms from m on (inf while P rises)
-        slope = spec.v - (2.0 * spec.A * m + spec.B) * t      # P'(m)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(slope < 0, log_summand_sup(spec, m * t, math.inf, t)
-                            - np.log(-np.expm1(slope)), np.inf)
-
-    tails = tail(e)
-    pieces = np.logaddexp.accumulate(np.r_[tails[-1], mass[::-1]])[::-1]  # from e_j on
-    left = np.where(e > probe, np.logaddexp(head, np.minimum(tails, pieces)), np.inf)
+    lad = mass_ladder(spec, t)
+    e, ends = lad.edges, _block_ends(t)
+    cut, head, left = lad.window(lad.probe_log)
     m0, run_max, acc, total_log = int(e[cut]), -math.inf, 0.0, -math.inf
     while True:
         j = int(np.searchsorted(e, m0, side="right")) - 1     # e_j <= m0 < e_j+1
-        left_out = np.logaddexp(head, min(tail(m0), pieces[j]))
-        if m0 > probe and left_out <= total_log + LN_EPS:
+        left_out = np.logaddexp(head, min(_tail_sup(spec, m0, t), lad.rest[j]))
+        if m0 > lad.probe and left_out <= total_log + LN_EPS:
             break
         if j == len(e) - 1:
             raise ConvergenceError(f"series terms still significant at m*t = "

@@ -1,19 +1,14 @@
 """Log-space adaptive quadrature of the series' continuous companion
-integral over (0, inf).
-
-The substitution x = u/t is applied first: the integrand's peak width is
-O(sqrt t) in u but grows like 1/sqrt(t) in x, so panel counts in u stay
-t-independent.  Panels are seeded at every interior maximum (an adaptive
-scheme alone can miss an O(sqrt t)-wide spike), at the slow-tail scale
-log(1/t)/alpha_1 when that branch applies, and on a geometric ladder
-toward u = 0; refinement is deterministic interval halving driven by the
-embedded Gauss-Kronrod 7/15 error estimate, with all exponentials taken
-relative to the peak of the log integrand.
-
-Near u = 0 the integrand carries e^(-c/t) of the mass, so the initial
-panels run from the top down and the ones below an edge are dropped once
-their certified mass, the sum of (b - a) e^(sup g) with
-``log_summand_sup``, is at most 1e-18 of the total.
+integral over (0, inf), in u = x t: the peak width is O(sqrt t) in u, so
+panel counts stay t-independent.  The range is a window of
+``qseries.mass_ladder``, the certificate series_sum's window comes from,
+and leaves out at most 1e-18 of the integral whatever the tolerance, which
+drives only the refinement.  Panels are seeded at every interior maximum
+(an adaptive scheme alone can miss an O(sqrt t)-wide spike), at the
+slow-tail scale log(1/t)/alpha_1 when that branch applies, and on a
+geometric ladder down from the window's top, then halved by the embedded
+Gauss-Kronrod 7/15 error estimate, with all exponentials taken relative to
+the largest logged value on the initial nodes.
 """
 
 from __future__ import annotations
@@ -27,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 from .expansion import Analysis
 from .logvalue import LogValue
-from .qseries import LN_EPS, log_summand, log_summand_sup
+from .qseries import LN_EPS, U_END, SeriesSpec, log_summand, mass_ladder
 
 MAX_PANELS = 1 << 20
 
@@ -61,18 +56,20 @@ _WG = np.array([
 ])
 
 
-def _gk15(f, a: float, b: float) -> tuple[float, float]:
-    """(Kronrod-15 value, |K15-G7| error estimate) of f over [a, b]."""
-    c = 0.5 * (a + b)
-    h = 0.5 * (b - a)
-    x = np.concatenate((c - h * _XGK[:-1], [c], c + h * _XGK[-2::-1]))
-    y = f(x)
-    wk = np.concatenate((_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]))
-    resk = h * float(wk @ y)
-    yg = y[1:-1:2]
-    wg = np.concatenate((_WG[:-1], [_WG[-1]], _WG[-2::-1]))
-    resg = h * float(wg @ yg)
-    return resk, abs(resk - resg)
+# the 15 nodes in ascending order, their Kronrod and (odd-indexed) Gauss-7 weights
+_X = np.r_[-_XGK[:-1], _XGK[::-1]]
+_WK = np.r_[_WGK[:-1], _WGK[::-1]]
+_WG7 = np.r_[_WG[:-1], _WG[::-1]]
+
+
+def _gk15(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Kronrod-15 values, |K15-G7| error estimates) of f over the panels
+    [a_i, b_i], with f called once on all their nodes; a panel's values do
+    not depend on the others (row sums, not a matrix product)."""
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    y = f((c[:, None] + h[:, None] * _X).ravel()).reshape(len(a), len(_X))
+    resk = h * (y * _WK).sum(axis=1)
+    return resk, np.abs(resk - h * (y[:, 1::2] * _WG7).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -80,102 +77,56 @@ class QuadResult:
     value: LogValue
     abs_error_log: float   # log of the estimated absolute error
     subdivisions: int
-    u_cut: float           # the panels below u_cut were dropped (0.0: none)
-    cut_mass_log: float    # log of their certified mass (-inf: none)
+    u_cut: float           # the window's lower end (0.0: from u = 0)
+    cut_mass_log: float    # log of the certified mass outside the window
 
 
-def _breakpoints(an: Analysis, t: float, u_hi: float) -> list[float]:
-    """Initial panel edges over [0, u_hi]: a geometric ladder toward 0 plus
+def _breakpoints(an: Analysis, t: float, u_lo: float, u_hi: float) -> np.ndarray:
+    """Initial panel edges over [u_lo, u_hi]: a geometric ladder toward 0 plus
     the peak and tail seeds of the analysed series."""
     seeds: list[float] = []
     for sp in an.peaks:
         width = (math.factorial(2 * sp.order) * t
                  / abs(sp.h2m)) ** (1.0 / (2 * sp.order))
-        for k in (-5.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 5.0):
-            seeds.append(sp.u + k * width)
-        seeds.append(sp.u)
+        seeds += [sp.u + k * width for k in (-5, -3, -2, -1, 0, 1, 2, 3, 5)]
     if an.tail:
         alpha1 = an.phase.falpha[0][0]
         u_tail = math.log(1.0 / t) / alpha1
-        for s in (0.3, 1.0, 2.0, 3.0):
-            seeds.append(s * u_tail)
+        seeds += [s * u_tail for s in (0.3, 1.0, 2.0, 3.0)]
         seeds.append(t * math.log(1.0 / t) / alpha1)
 
     # geometric ladder toward 0 so a boundary-hugging integrand is resolved
-    edges = [u_hi * 2.0 ** (-j) for j in range(24)]
-    edges += [s for s in seeds if 0.0 < s < u_hi]
-    edges += [0.0, u_hi]
-    return sorted(set(edges))
+    edges = [u_hi * 2.0 ** (-j) for j in range(24)] + seeds
+    return np.array(sorted({u for u in edges if u_lo < u < u_hi} | {u_lo, u_hi}))
 
 
-def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
-    """Integral over x in (0, inf) of exp(log_summand(x)) for the analysed
-    series, computed as (1/t) * int_0^U exp(F(u/t)) du with U chosen so the
-    integrand at U is below rel_tol * peak * 1e-4.  Deterministic for fixed
-    inputs."""
-    if not 1e-12 <= rel_tol < math.inf:
-        raise DomainError(f"rel_tol must be finite and >= 1e-12, got {rel_tol}")
-    spec = an.series
-    u_hi = max(an.u_search, 1.0)
-
-    def g(u: np.ndarray) -> np.ndarray:
-        return log_summand(spec, u / t, t)
-
-    # coarse scan for the log-integrand's scale, then extend the cutoff
-    # until the boundary value is negligible at the requested tolerance;
-    # u = 0 costs a closed-form evaluation per symbol, read only if it could win
-    gmax = float(g(np.linspace(0.0, u_hi, 513)[1:]).max())
-    if log_summand_sup(spec, 0.0, 0.0, t) > gmax:
-        gmax = max(gmax, float(g(np.zeros(1))[0]))
-    cutoff_gap = math.log(rel_tol) + math.log(1e-4)
-    guard = 0
-    while g(np.array([u_hi]))[0] - gmax > cutoff_gap:
-        u_hi *= 1.5
-        guard += 1
-        if guard > 200:
-            raise ConvergenceError("no decaying upper cutoff found")
-        gmax = max(gmax, float(g(np.linspace(0.0, u_hi, 513)[1:]).max()))
-
-    edges = _breakpoints(an, t, u_hi)
-    spans = list(zip(edges[:-1], edges[1:]))
-    sups = log_summand_sup(spec, np.array(edges[:-1]), np.array(edges[1:]), t)
-    # an edge bounded under the scanned peak cannot raise gmax: read the
-    # edges from the lowest one that might, all in one call
-    first = next(iter(np.flatnonzero(sups > gmax)), len(spans) - 1)
-    gmax = max(gmax, float(g(np.array(edges[first + 1:])).max()))
-    below = np.logaddexp.accumulate(
-        np.array([math.log(b - a) for a, b in spans]) + sups)
+def _adaptive(spec: SeriesSpec, edges: np.ndarray, t: float,
+              rel_tol: float) -> tuple[LogValue, float, int]:
+    """(value, log error estimate, panels) of (1/t) int exp(F(u/t)) du
+    over the initial panels between ``edges``, halving the panel of largest
+    estimate until the estimates add up to at most rel_tol of the value."""
+    gmax = None
 
     def f(u: np.ndarray) -> np.ndarray:
-        return np.exp(g(u) - gmax)
+        nonlocal gmax           # read once, from the initial panels' nodes
+        g = log_summand(spec, u / t, t)
+        gmax = float(g.max()) if gmax is None else gmax
+        return np.exp(g - gmax)
 
-    # top down until everything below is certified negligible
-    kept: list[tuple[float, float, float, float]] = []
-    running, u_cut, cut_mass_log = 0.0, 0.0, -math.inf
-    for j in range(len(spans) - 1, -1, -1):
-        if running > 0.0 and below[j] - gmax <= LN_EPS + math.log(running):
-            u_cut, cut_mass_log = spans[j][1], float(below[j]) - math.log(t)
-            break
-        val, err = _gk15(f, *spans[j])
-        running += val
-        kept.append((*spans[j], val, err))
-
-    kept.reverse()             # summed bottom-up, as over the whole ladder
-    total = err_total = 0.0
-    for _, _, val, err in kept:
-        total += val
-        err_total += err
-    heap = [(-err, i, a, b, val) for i, (a, b, val, err) in enumerate(kept)]
+    vals, errs = _gk15(f, edges[:-1], edges[1:])
+    total, err_total = sum(vals.tolist()), sum(errs.tolist())
+    heap = [(-err, i, a, b, val) for i, (a, b, val, err) in enumerate(zip(
+        edges[:-1].tolist(), edges[1:].tolist(), vals.tolist(), errs.tolist()))]
     heapq.heapify(heap)
-    count = panels = len(kept)
+    count = panels = len(heap)
     while err_total > rel_tol * abs(total) and heap:
         if panels >= MAX_PANELS:
             raise ConvergenceError(
                 f"subdivision limit {MAX_PANELS} reached (err ~ {err_total:.2e})")
         neg_err, _, a, b, old_val = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        v1, e1 = _gk15(f, a, mid)
-        v2, e2 = _gk15(f, mid, b)
+        (v1, v2), (e1, e2) = (r.tolist() for r in _gk15(f, np.array([a, mid]),
+                                                         np.array([mid, b])))
         total += v1 + v2 - old_val
         err_total += e1 + e2 + neg_err   # neg_err = -old_err
         heapq.heappush(heap, (-e1, count, a, mid, v1)); count += 1
@@ -184,8 +135,30 @@ def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
 
     if total <= 0.0:
         raise ConvergenceError("integral evaluated to a nonpositive value")
-    log_value = math.log(total) + gmax - math.log(t)
-    err_log = (math.log(err_total) + gmax - math.log(t)
-               if err_total > 0.0 else -math.inf)
-    return QuadResult(value=LogValue(1, log_value), abs_error_log=err_log,
-                      subdivisions=panels, u_cut=u_cut, cut_mass_log=cut_mass_log)
+    err_log = math.log(err_total) + gmax - math.log(t) if err_total > 0.0 else -math.inf
+    return LogValue(1, math.log(total) + gmax - math.log(t)), err_log, panels
+
+
+def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
+    """Integral over x in (0, inf) of exp(log_summand(x)) for the analysed
+    series, computed as (1/t) * int exp(F(u/t)) du over the window of
+    ``mass_ladder`` that leaves out at most 1e-18 of its exact term.  If
+    that is more than 1e-18 of the integral, the window is widened once on
+    the same ladder, to 1e-18 of the integral itself; if it still is, it
+    raises ConvergenceError.  Deterministic for fixed inputs."""
+    if not 1e-12 <= rel_tol < math.inf:
+        raise DomainError(f"rel_tol must be finite and >= 1e-12, got {rel_tol}")
+    lad = mass_ladder(an.series, t)
+    level = lad.probe_log
+    for _ in range(2):
+        cut, _, left = lad.window(level)
+        ok = np.flatnonzero(left <= level + LN_EPS)
+        if not len(ok):
+            raise ConvergenceError(f"integrand still significant at u = {U_END}")
+        u_lo, u_hi = float(lad.edges[cut] * t), float(lad.edges[ok[0]] * t)
+        value, err_log, panels = _adaptive(an.series, _breakpoints(an, t, u_lo, u_hi),
+                                           t, rel_tol)
+        if left[ok[0]] <= value.log_abs + LN_EPS:
+            return QuadResult(value, err_log, panels, u_lo, float(left[ok[0]]))
+        level = value.log_abs
+    raise ConvergenceError("the window leaves out more than 1e-18 of the integral")

@@ -10,6 +10,7 @@ import qasym.quad as quad
 
 from qasym.errors import ConvergenceError, DomainError, PoleError, SignError
 from qasym.logvalue import LogValue
+from qasym.phase import search_upper_bound
 from qasym.qseries import LOG_2PI, _gamma_sign_log, log_summand, log_summand_deriv
 from qasym.specfun import bernoulli_number, bernoulli_poly
 
@@ -99,38 +100,55 @@ def lambda_table_per_order(spec, sp, t: float,
     return log_summand(spec, x, t), V, lams
 
 
-def integral_whole_ladder(an, t: float, rel_tol: float = 1e-10) -> float:
-    """log of ``quad.integral``'s value as computed before the near-zero
-    cut: every initial panel, summed bottom-up, with the peak read at every
-    edge.  The cut must reproduce it bit for bit."""
+def _gk15_scalar(f, a: float, b: float) -> tuple[float, float]:
+    # (Kronrod-15 value, |K15-G7| error estimate) of f over [a, b]
+    c = 0.5 * (a + b)
+    h = 0.5 * (b - a)
+    x = np.concatenate((c - h * quad._XGK[:-1], [c], c + h * quad._XGK[-2::-1]))
+    y = f(x)
+    wk = np.concatenate((quad._WGK[:-1], [quad._WGK[-1]], quad._WGK[-2::-1]))
+    resk = h * float(wk @ y)
+    wg = np.concatenate((quad._WG[:-1], [quad._WG[-1]], quad._WG[-2::-1]))
+    return resk, abs(resk - h * float(wg @ y[1:-1:2]))
+
+
+def integral_whole_ladder(an, t: float, rel_tol: float = 1e-10) -> tuple[float, float, int]:
+    """(log value, log error estimate, panels) of the integral over the whole
+    panel ladder from u = 0, without a certified window: up to a cutoff
+    grown from the phase's search bound by 1.5 until the integrand there is
+    below rel_tol * 1e-4 of its peak on a 513-point scan, every panel summed
+    bottom-up, the peak also read at every edge, and the panels refined one
+    at a time with a scalar Gauss-Kronrod rule."""
     spec = an.series
-    u_hi = max(an.u_search, 1.0)
+    u_hi = max(search_upper_bound(an.phase), 1.0)
     g = lambda u: log_summand(spec, u / t, t)
     gmax = float(g(np.linspace(0.0, u_hi, 513)).max())
     while g(np.array([u_hi]))[0] - gmax > math.log(rel_tol) + math.log(1e-4):
         u_hi *= 1.5
         gmax = max(gmax, float(g(np.linspace(0.0, u_hi, 513)).max()))
-    edges = quad._breakpoints(an, t, u_hi)
+    edges = quad._breakpoints(an, t, 0.0, u_hi)
     gmax = max(gmax, float(g(np.array(edges[1:])).max()))
     f = lambda u: np.exp(g(u) - gmax)
     heap, total, err_total = [], 0.0, 0.0
     for i, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
-        val, err = quad._gk15(f, a, b)
+        val, err = _gk15_scalar(f, a, b)
         total += val
         err_total += err
         heapq.heappush(heap, (-err, i, a, b, val))
-    count = len(heap)
+    count = panels = len(heap)
     while err_total > rel_tol * abs(total):
         neg_err, _, a, b, old = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        v1, e1 = quad._gk15(f, a, mid)
-        v2, e2 = quad._gk15(f, mid, b)
+        v1, e1 = _gk15_scalar(f, a, mid)
+        v2, e2 = _gk15_scalar(f, mid, b)
         total += v1 + v2 - old
         err_total += e1 + e2 + neg_err
         heapq.heappush(heap, (-e1, count, a, mid, v1))
         heapq.heappush(heap, (-e2, count + 1, mid, b, v2))
         count += 2
-    return math.log(total) + gmax - math.log(t)
+        panels += 1
+    err_log = math.log(err_total) if err_total > 0.0 else -math.inf
+    return math.log(total) + gmax - math.log(t), err_log + gmax - math.log(t), panels
 
 
 def kernel_ksum(term, x: float, t: float) -> float:

@@ -16,11 +16,11 @@ from oracles import kernel_deriv_fsum, kernel_ksum, mcintosh_asym, qpoch_finite
 from qasym.cli import load_spec, main
 from qasym.errors import ConvergenceError, DomainError, SpecError
 from qasym.expansion import analyse
+from qasym.phase import search_upper_bound
 from qasym.presets import PRESETS, get_preset
 from qasym.qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
                            log_summand_deriv, normalize, prefactor_asym,
-                           prefactor_constants, prefactor_exact, prefactor_law,
-                           qpoch_inf, series_sum)
+                           prefactor_exact, prefactor_law, qpoch_inf, series_sum)
 from qasym.specfun import PI2_6, bernoulli_number, polylog
 
 RAM = SeriesSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, -2)])
@@ -185,11 +185,11 @@ class TestPrefactor:
     def test_hand_constants(self):
         # single quad (1,1,1,0,S=2): A_H = pi^2/3, B_H = 1, C_H = 1/(2 pi)
         quads = (QuadTerm(1, 1, 1, 0, 2),)
-        A_H, B_H, logC, sign = prefactor_constants(quads)
-        assert A_H == pytest.approx(math.pi ** 2 / 3.0, rel=1e-15)
-        assert B_H == pytest.approx(1.0)
-        assert logC == pytest.approx(math.log(1.0 / (2 * math.pi)), rel=1e-15)
-        assert sign == 1
+        law = prefactor_law(quads, 0)
+        assert law.A_H == pytest.approx(math.pi ** 2 / 3.0, rel=1e-15)
+        assert law.B_H == pytest.approx(1.0)
+        assert law.log_C == pytest.approx(math.log(1.0 / (2 * math.pi)), rel=1e-15)
+        assert law.sign == 1 and law.coeffs == ()
 
     def test_empty_product(self):
         assert prefactor_asym(prefactor_law((), 8), 0.05).to_float() == 1.0
@@ -462,13 +462,28 @@ class TestKernelBounds:
 
     @pytest.mark.parametrize("t", [0.1, 1e-3, 1e-4])
     @pytest.mark.parametrize("name", sorted(PRESETS) + ["s-positive"])
+    def test_ladder_pieces_are_closed(self, name, t):
+        # a piece's sup covers both its ends, so its mass bounds its terms
+        # and its integral over x alike: 9 points on each piece up to 4x
+        # the probe, both edges among them
+        spec = (SeriesSpec.make(1.0, 0.0, 0.0, [(1, 1, 1, 1)]) if name == "s-positive"
+                else get_preset(name).series)
+        lad = qs.mass_ladder(spec, t)
+        n = int(np.searchsorted(lad.edges, 4 * lad.probe + 8))
+        a, b = lad.edges[:n].astype(float), lad.edges[1:n + 1].astype(float)
+        x = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 9)
+        g = log_summand(spec, x.ravel(), t).reshape(x.shape).max(axis=1)
+        assert np.all(g <= lad.mass[:n] - np.log(b - a))
+
+    @pytest.mark.parametrize("t", [0.1, 1e-3, 1e-4])
+    @pytest.mark.parametrize("name", sorted(PRESETS) + ["s-positive"])
     def test_sup_bounds_log_summand_on_ladder(self, name, t):
         # 200 points on each of the top 19 rungs [u_hi 2^-(j+1), u_hi 2^-j]
         # of the quadrature's ladder toward u = 0; "s-positive" has only an
         # S > 0 symbol, so its bound must be taken at the lower end
         spec = (SeriesSpec.make(1.0, 0.0, 0.0, [(1, 1, 1, 1)]) if name == "s-positive"
                 else get_preset(name).series)
-        u_hi = max(analyse(spec).u_search, 1.0)
+        u_hi = max(search_upper_bound(analyse(spec).phase), 1.0)
         rungs = [(u_hi * 2.0 ** -(j + 1), u_hi * 2.0 ** -j) for j in range(19)]
         u = np.concatenate([np.linspace(a, b, 200) for a, b in rungs])
         g = log_summand(spec, u / t, t).reshape(len(rungs), 200)
