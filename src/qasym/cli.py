@@ -241,12 +241,11 @@ def run_eval(cfg: RunConfig) -> int:
 
 
 def run_integral(cfg: RunConfig) -> int:
-    an = analyse(cfg.series, cfg.prefactor, cfg.order_M)
     rows = []
     diag: dict = {}
     for t in cfg.t_grid:
         pref = prefactor_exact(cfg.prefactor, t)
-        res = quad_integral(an, t, cfg.rel_tol)
+        res = quad_integral(cfg.series, t, cfg.rel_tol)
         lv = _total(res.value, pref, cfg.q_power, t)
         rows.append({"t": t, "log_value": lv.log_abs, "sign": lv.sign})
         diag[f"t={_fmt(t)}"] = {
@@ -257,20 +256,21 @@ def run_integral(cfg: RunConfig) -> int:
     return 0
 
 
-def _check_orders(cfg: RunConfig, an: Analysis) -> None:
-    # orders past the derivative and Bernoulli tables are usage errors
+def _analyse(cfg: RunConfig) -> Analysis:
+    # orders past the Bernoulli and derivative tables are usage errors
+    if cfg.prefactor and cfg.order_M >= N_MAX:
+        raise SpecError(
+            f"--order-M must be <= {N_MAX - 1} for a spec with a prefactor")
+    an = analyse(cfg.series, cfg.prefactor, cfg.order_M)
     l_max = min((MAX_DERIV // (2 * sp.order * (2 * sp.order + 1))
                  for sp in an.peaks), default=cfg.order_L)
     if cfg.order_L > l_max:
         raise SpecError(f"--order-L must be <= {l_max} for this spec")
-    if an.quads and cfg.order_M >= N_MAX:
-        raise SpecError(
-            f"--order-M must be <= {N_MAX - 1} for a spec with a prefactor")
+    return an
 
 
 def run_asym(cfg: RunConfig) -> int:
-    an = analyse(cfg.series, cfg.prefactor, cfg.order_M)
-    _check_orders(cfg, an)
+    an = _analyse(cfg)
     rows = []
     branch = ""
     for t in cfg.t_grid:
@@ -302,15 +302,14 @@ def run_verify(cfg: RunConfig) -> int:
     passes ``_verdict``.  A row's floor is 4 ulp of each log plus the
     quadrature's relative error estimate: deviations under it are round-off,
     and need not shrink."""
-    an = analyse(cfg.series, cfg.prefactor, cfg.order_M)
-    _check_orders(cfg, an)
+    an = _analyse(cfg)
     lines = [CSV_HEADER]
     devs, floors = [], []
     for t in cfg.t_grid:
         try:
             pref = prefactor_exact(cfg.prefactor, t)    # one product for both
             s = _total(series_sum(cfg.series, t).value, pref, cfg.q_power, t)
-            res = quad_integral(an, t, cfg.rel_tol)
+            res = quad_integral(cfg.series, t, cfg.rel_tol)
             i = _total(res.value, pref, cfg.q_power, t)
             a = asym_from_parts(an, t, cfg.order_L, cfg.q_power).total
         except HypothesisError:

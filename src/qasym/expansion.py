@@ -1,8 +1,8 @@
 """Laplace expansion at each interior maximum, the leading tail term, and
 assembly of the full asymptotic value including the constant-product
 prefactor.  What depends only on the spec (phase, hypothesis, maxima, tail
-flag, prefactor constants) is computed once into an ``Analysis``, which
-the integral and asym routes share for every t.
+flag, prefactor law) is computed once into an ``Analysis``, which the asym
+route reuses for every t.
 
 At a maximum u of order k the logged term expands around x = u/t with
 peak-width normalizer V = (-F^(2k)(u/t)/(2k)!)^(1/(2k)); the reduced
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import BranchError, DegenerateError, HypothesisError, SignError
 from .logvalue import LogValue
@@ -37,8 +36,8 @@ DEFAULT_M = 8   # prefactor correction order
 
 @dataclass(frozen=True)
 class Analysis:
-    """Everything the integral and asym routes need of a normalized series
-    and its prefactor quads that does not depend on t; see ``analyse``.
+    """Everything the asym route needs of a normalized series and its
+    prefactor quads that does not depend on t; see ``analyse``.
 
     ``peaks`` are the interior maxima of the leading phase, found only when
     the hypothesis holds (empty otherwise); ``tail`` says whether the
@@ -47,18 +46,11 @@ class Analysis:
     hypothesis: HypothesisReport
     peaks: tuple[StationaryPoint, ...]
     tail: bool
-    quads: tuple[QuadTerm, ...]
-    M: int
+    prefactor: PrefactorLaw
 
     @property
     def series(self) -> SeriesSpec:
         return self.phase.spec
-
-    @cached_property
-    def prefactor(self) -> PrefactorLaw:
-        # built on first use: the integral route never reads it, so an M
-        # past the Bernoulli table fails the asym route only
-        return prefactor_law(self.quads, self.M)
 
 
 def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
@@ -71,7 +63,7 @@ def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
             and pf.falpha[0][1] > 0)
     return Analysis(phase=pf, hypothesis=hyp,
                     peaks=tuple(stationary_points(pf)) if hyp else (),
-                    tail=tail, quads=quads, M=M)
+                    tail=tail, prefactor=prefactor_law(quads, M))
 
 
 @dataclass(frozen=True)

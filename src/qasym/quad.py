@@ -3,12 +3,10 @@ integral over (0, inf), in u = x t: the peak width is O(sqrt t) in u, so
 panel counts stay t-independent.  The range is a window of
 ``qseries.mass_ladder``, the certificate series_sum's window comes from,
 and leaves out at most 1e-18 of the integral whatever the tolerance, which
-drives only the refinement.  Panels are seeded at every interior maximum
-(an adaptive scheme alone can miss an O(sqrt t)-wide spike), at the
-slow-tail scale log(1/t)/alpha_1 when that branch applies, and on a
-geometric ladder down from the window's top, then halved by the embedded
-Gauss-Kronrod 7/15 error estimate, with all exponentials taken relative to
-the largest logged value on the initial nodes.
+drives only the refinement.  The initial panels run between every
+PANEL_STRIDE-th edge of that ladder in the window, then are halved by the
+embedded Gauss-Kronrod 7/15 error estimate, with all exponentials taken
+relative to the largest logged value on the initial nodes.
 """
 
 from __future__ import annotations
@@ -20,11 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .expansion import Analysis
 from .logvalue import LogValue
 from .qseries import LN_EPS, U_END, SeriesSpec, log_summand, mass_ladder
 
-MAX_PANELS = 1 << 20
+MAX_PANELS = 1 << 14
+PANEL_STRIDE = 4   # ladder pieces per initial panel: 4 terms, or ratio 2^(1/8)
 
 # Gauss-Kronrod 7/15 nodes and weights on [-1, 1] (Kronrod abscissae;
 # odd-indexed entries are the embedded Gauss-7 points).
@@ -81,25 +79,6 @@ class QuadResult:
     cut_mass_log: float    # log of the certified mass outside the window
 
 
-def _breakpoints(an: Analysis, t: float, u_lo: float, u_hi: float) -> np.ndarray:
-    """Initial panel edges over [u_lo, u_hi]: a geometric ladder toward 0 plus
-    the peak and tail seeds of the analysed series."""
-    seeds: list[float] = []
-    for sp in an.peaks:
-        width = (math.factorial(2 * sp.order) * t
-                 / abs(sp.h2m)) ** (1.0 / (2 * sp.order))
-        seeds += [sp.u + k * width for k in (-5, -3, -2, -1, 0, 1, 2, 3, 5)]
-    if an.tail:
-        alpha1 = an.phase.falpha[0][0]
-        u_tail = math.log(1.0 / t) / alpha1
-        seeds += [s * u_tail for s in (0.3, 1.0, 2.0, 3.0)]
-        seeds.append(t * math.log(1.0 / t) / alpha1)
-
-    # geometric ladder toward 0 so a boundary-hugging integrand is resolved
-    edges = [u_hi * 2.0 ** (-j) for j in range(24)] + seeds
-    return np.array(sorted({u for u in edges if u_lo < u < u_hi} | {u_lo, u_hi}))
-
-
 def _adaptive(spec: SeriesSpec, edges: np.ndarray, t: float,
               rel_tol: float) -> tuple[LogValue, float, int]:
     """(value, log error estimate, panels) of (1/t) int exp(F(u/t)) du
@@ -139,8 +118,8 @@ def _adaptive(spec: SeriesSpec, edges: np.ndarray, t: float,
     return LogValue(1, math.log(total) + gmax - math.log(t)), err_log, panels
 
 
-def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
-    """Integral over x in (0, inf) of exp(log_summand(x)) for the analysed
+def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10) -> QuadResult:
+    """Integral over x in (0, inf) of exp(log_summand(x)) for the normalized
     series, computed as (1/t) * int exp(F(u/t)) du over the window of
     ``mass_ladder`` that leaves out at most 1e-18 of its exact term.  If
     that is more than 1e-18 of the integral, the window is widened once on
@@ -148,17 +127,18 @@ def integral(an: Analysis, t: float, rel_tol: float = 1e-10) -> QuadResult:
     raises ConvergenceError.  Deterministic for fixed inputs."""
     if not 1e-12 <= rel_tol < math.inf:
         raise DomainError(f"rel_tol must be finite and >= 1e-12, got {rel_tol}")
-    lad = mass_ladder(an.series, t)
+    lad = mass_ladder(spec, t)
     level = lad.probe_log
     for _ in range(2):
         cut, _, left = lad.window(level)
         ok = np.flatnonzero(left <= level + LN_EPS)
         if not len(ok):
             raise ConvergenceError(f"integrand still significant at u = {U_END}")
-        u_lo, u_hi = float(lad.edges[cut] * t), float(lad.edges[ok[0]] * t)
-        value, err_log, panels = _adaptive(an.series, _breakpoints(an, t, u_lo, u_hi),
-                                           t, rel_tol)
+        e = lad.edges[cut:ok[0] + 1]
+        edges = np.r_[e[:-1:PANEL_STRIDE], e[-1]] * t
+        value, err_log, panels = _adaptive(spec, edges, t, rel_tol)
         if left[ok[0]] <= value.log_abs + LN_EPS:
-            return QuadResult(value, err_log, panels, u_lo, float(left[ok[0]]))
+            return QuadResult(value, err_log, panels, float(edges[0]),
+                              float(left[ok[0]]))
         level = value.log_abs
     raise ConvergenceError("the window leaves out more than 1e-18 of the integral")

@@ -112,9 +112,29 @@ def _gk15_scalar(f, a: float, b: float) -> tuple[float, float]:
     return resk, abs(resk - h * float(wg @ y[1:-1:2]))
 
 
+def seeded_edges(an, t: float, u_lo: float, u_hi: float) -> np.ndarray:
+    """Panel edges over [u_lo, u_hi] laid out from the expansion's analysis
+    rather than the mass ladder: a geometric ladder u_hi 2^-j (j < 24)
+    toward 0, seeds at 0, +-1, 2, 3 and 5 peak widths around every interior
+    maximum, and, when the flat tail applies, at 0.3, 1, 2 and 3 times
+    log(1/t)/alpha_1 and at t log(1/t)/alpha_1."""
+    seeds: list[float] = []
+    for sp in an.peaks:
+        width = (math.factorial(2 * sp.order) * t
+                 / abs(sp.h2m)) ** (1.0 / (2 * sp.order))
+        seeds += [sp.u + k * width for k in (-5, -3, -2, -1, 0, 1, 2, 3, 5)]
+    if an.tail:
+        alpha1 = an.phase.falpha[0][0]
+        u_tail = math.log(1.0 / t) / alpha1
+        seeds += [s * u_tail for s in (0.3, 1.0, 2.0, 3.0)]
+        seeds.append(t * math.log(1.0 / t) / alpha1)
+    edges = [u_hi * 2.0 ** (-j) for j in range(24)] + seeds
+    return np.array(sorted({u for u in edges if u_lo < u < u_hi} | {u_lo, u_hi}))
+
+
 def integral_whole_ladder(an, t: float, rel_tol: float = 1e-10) -> tuple[float, float, int]:
     """(log value, log error estimate, panels) of the integral over the whole
-    panel ladder from u = 0, without a certified window: up to a cutoff
+    seeded panel ladder from u = 0, without a certified window: up to a cutoff
     grown from the phase's search bound by 1.5 until the integrand there is
     below rel_tol * 1e-4 of its peak on a 513-point scan, every panel summed
     bottom-up, the peak also read at every edge, and the panels refined one
@@ -126,7 +146,7 @@ def integral_whole_ladder(an, t: float, rel_tol: float = 1e-10) -> tuple[float, 
     while g(np.array([u_hi]))[0] - gmax > math.log(rel_tol) + math.log(1e-4):
         u_hi *= 1.5
         gmax = max(gmax, float(g(np.linspace(0.0, u_hi, 513)).max()))
-    edges = quad._breakpoints(an, t, 0.0, u_hi)
+    edges = seeded_edges(an, t, 0.0, u_hi)
     gmax = max(gmax, float(g(np.array(edges[1:])).max()))
     f = lambda u: np.exp(g(u) - gmax)
     heap, total, err_total = [], 0.0, 0.0
