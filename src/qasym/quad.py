@@ -6,7 +6,7 @@ and leaves out at most 1e-18 of the integral whatever the tolerance, which
 drives only the refinement.  The initial panels run between every
 PANEL_STRIDE-th edge of that ladder in the window, then are halved by the
 embedded Gauss-Kronrod 7/15 error estimate, with all exponentials taken
-relative to the largest logged value on the initial nodes.
+relative to the largest logged value on any node so far.
 """
 
 from __future__ import annotations
@@ -60,14 +60,18 @@ _WK = np.r_[_WGK[:-1], _WGK[::-1]]
 _WG7 = np.r_[_WG[:-1], _WG[::-1]]
 
 
-def _gk15(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Kronrod-15 values, |K15-G7| error estimates) of f over the panels
-    [a_i, b_i], with f called once on all their nodes; a panel's values do
-    not depend on the others (row sums, not a matrix product)."""
+def _gk15(logf, a: np.ndarray, b: np.ndarray,
+          shift: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """(Kronrod-15 values, |K15-G7| error estimates, shift') of e^logf over
+    the panels [a_i, b_i], relative to e^shift', the larger of shift and the
+    top of logf, called once on all their nodes; at one shift', a panel's
+    values do not depend on the others (row sums, not a matrix product)."""
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    y = f((c[:, None] + h[:, None] * _X).ravel()).reshape(len(a), len(_X))
+    g = logf((c[:, None] + h[:, None] * _X).ravel()).reshape(len(a), len(_X))
+    shift = max(shift, float(g.max()))
+    y = np.exp(g - shift)
     resk = h * (y * _WK).sum(axis=1)
-    return resk, np.abs(resk - h * (y[:, 1::2] * _WG7).sum(axis=1))
+    return resk, np.abs(resk - h * (y[:, 1::2] * _WG7).sum(axis=1)), shift
 
 
 @dataclass(frozen=True)
@@ -83,16 +87,10 @@ def _adaptive(spec: SeriesSpec, edges: np.ndarray, t: float,
               rel_tol: float) -> tuple[LogValue, float, int]:
     """(value, log error estimate, panels) of (1/t) int exp(F(u/t)) du
     over the initial panels between ``edges``, halving the panel of largest
-    estimate until the estimates add up to at most rel_tol of the value."""
-    gmax = None
-
-    def f(u: np.ndarray) -> np.ndarray:
-        nonlocal gmax           # read once, from the initial panels' nodes
-        g = log_summand(spec, u / t, t)
-        gmax = float(g.max()) if gmax is None else gmax
-        return np.exp(g - gmax)
-
-    vals, errs = _gk15(f, edges[:-1], edges[1:])
+    estimate until they add up to at most rel_tol of the value; it also
+    holds rounding: 50 eps (QUADPACK's) and an ulp of each part of the log."""
+    logf = lambda u: log_summand(spec, u / t, t)
+    vals, errs, gmax = _gk15(logf, edges[:-1], edges[1:], -math.inf)
     total, err_total = sum(vals.tolist()), sum(errs.tolist())
     heap = [(-err, i, a, b, val) for i, (a, b, val, err) in enumerate(zip(
         edges[:-1].tolist(), edges[1:].tolist(), vals.tolist(), errs.tolist()))]
@@ -104,18 +102,22 @@ def _adaptive(spec: SeriesSpec, edges: np.ndarray, t: float,
                 f"subdivision limit {MAX_PANELS} reached (err ~ {err_total:.2e})")
         neg_err, _, a, b, old_val = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        (v1, v2), (e1, e2) = (r.tolist() for r in _gk15(f, np.array([a, mid]),
-                                                         np.array([mid, b])))
-        total += v1 + v2 - old_val
-        err_total += e1 + e2 + neg_err   # neg_err = -old_err
+        vals, errs, top = _gk15(logf, np.array([a, mid]), np.array([mid, b]), gmax)
+        s, gmax = math.exp(gmax - top), top   # 1 unless a node tops all before
+        if s < 1.0:   # rescale what is kept; the heap's order stays
+            heap = [(e * s, i, a_, b_, v * s) for e, i, a_, b_, v in heap]
+        (v1, v2), (e1, e2) = vals.tolist(), errs.tolist()
+        total = total * s + (v1 + v2 - old_val * s)
+        err_total = err_total * s + (e1 + e2 + neg_err * s)   # neg_err = -old_err
         heapq.heappush(heap, (-e1, count, a, mid, v1)); count += 1
         heapq.heappush(heap, (-e2, count, mid, b, v2)); count += 1
         panels += 1
 
     if total <= 0.0:
         raise ConvergenceError("integral evaluated to a nonpositive value")
-    err_log = math.log(err_total) + gmax - math.log(t) if err_total > 0.0 else -math.inf
-    return LogValue(1, math.log(total) + gmax - math.log(t)), err_log, panels
+    parts = (math.log(total), gmax, -math.log(t))
+    rel_err = err_total / total + 50.0 * math.ulp(1.0) + sum(map(math.ulp, parts))
+    return LogValue(1, sum(parts)), sum(parts) + math.log(rel_err), panels
 
 
 def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10) -> QuadResult:

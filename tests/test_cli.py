@@ -315,8 +315,14 @@ def test_t_grid_log_spacing(tmp_path):
     (("--preset", "euler-b2"), "0.001,0.0001"),
     (("--preset", "euler-b2"), "0.00001,0.000001"),
     (("--spec", str(Path(__file__).parent / "data" / "two_peak.json")), "0.01,0.001"),
+    (("--preset", "euler"), "0.01,0.001"),
+    (("--preset", "euler"), "0.02,0.002"),
+    (("--preset", "euler"), "0.001,0.0001"),
+    (("--preset", "euler"), "0.01,0.001,0.0001"),
+    (("--preset", "euler"), "0.1,0.05,0.025,0.0125"),
 ], ids=["f0", "rphis", "euler", "euler-b2", "simple-r-small", "euler-b2-small",
-        "euler-b2-reach", "two-peak"])
+        "euler-b2-reach", "two-peak", "euler-decade", "euler-2-decade",
+        "euler-small", "euler-3-rows", "euler-halving"])
 def test_verify_round_off_passes(source, grid):
     # every row agrees to 1-4 ulp of its logs, so deviations that do not
     # shrink sit under their floors: exit 0, nothing on stderr

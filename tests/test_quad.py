@@ -24,12 +24,12 @@ S_POSITIVE = SeriesSpec.make(1.0, 0.0, 0.0, [(1, 1, 1, 1)])  # largest at u = 0
 DATA = Path(__file__).parent / "data"
 
 
-def assert_matches_whole_ladder(spec, t):
+def assert_matches_whole_ladder(spec, t, rel_tol=1e-10):
     # the window leaves out at most 1e-18 of the value, so against the
     # integral over the whole seeded ladder from u = 0 the log moves by at
     # most that share plus both error estimates and round-off
-    r = integral(spec, t)
-    want, want_err, _ = integral_whole_ladder(analyse(spec), t)
+    r = integral(spec, t, rel_tol)
+    want, want_err, _ = integral_whole_ladder(analyse(spec), t, rel_tol)
     got = r.value.log_abs
     assert r.cut_mass_log <= got + LN_EPS
     bound = (math.exp(r.cut_mass_log - got) + math.exp(r.abs_error_log - got)
@@ -101,8 +101,9 @@ class TestSumIntegralAgreement:
 class TestNearZeroCut:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_cut_keeps_bits(self, name, monkeypatch):
-        # a panel's nodes keep their bits whichever panels share the call,
-        # so the panels cut away move no kept value; the initial panels run
+        # at one shift, a panel's nodes keep their bits whichever panels
+        # share the call, so the panels cut away below the top node move no
+        # kept value; the initial panels run
         # between ladder edges, and at t = 1e-4 the window starts above
         # u = 0 and leaves out at most 1e-18 of the value
         p = get_preset(name)
@@ -110,10 +111,10 @@ class TestNearZeroCut:
             edges = mass_ladder(p.series, t).edges[::quad.PANEL_STRIDE] * t
             edges = edges[edges <= 2.0]
             f = lambda u: log_summand(p.series, u / t, t)
-            vals, errs = quad._gk15(f, edges[:-1], edges[1:])
+            vals, errs, top = quad._gk15(f, edges[:-1], edges[1:], -math.inf)
             for i in range(len(vals)):
-                one = quad._gk15(f, edges[i:i + 1], edges[i + 1:i + 2])
-                assert (one[0][0], one[1][0]) == (vals[i], errs[i])
+                one = quad._gk15(f, edges[i:i + 1], edges[i + 1:i + 2], top)
+                assert (one[0][0], one[1][0], one[2]) == (vals[i], errs[i], top)
         initial = []
         adaptive = quad._adaptive
         monkeypatch.setattr(quad, "_adaptive", lambda spec, edges, *args: (
@@ -138,6 +139,13 @@ class TestNearZeroCut:
         spec = (load_spec(str(DATA / "two_peak.json"))[0] if name == "two_peak"
                 else get_preset(name).series)
         assert_matches_whole_ladder(spec, t)
+
+    def test_peak_above_initial_nodes(self):
+        # at t = 1e-8 Ramanujan's maximum lies about e^1700 above every
+        # initial node: the values kept are rescaled to each new top node,
+        # so none overflows, and the log meets the seeded layout's
+        spec = get_preset("ramanujan").series
+        assert_matches_whole_ladder(spec, 1e-8, 1e-6)
 
     @pytest.mark.parametrize("spec", [GAUSS, S_POSITIVE], ids=["gauss", "s-positive"])
     def test_boundary_hugging_mass_not_cut(self, spec):
