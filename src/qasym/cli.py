@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .errors import HypothesisError, QasymError, SpecError
@@ -225,34 +225,20 @@ def _total(value: LogValue, pref: LogValue, q_power: float, t: float) -> LogValu
     return value * pref * LogValue.from_log(-q_power * t)
 
 
-def run_eval(cfg: RunConfig) -> int:
-    rows = []
-    diag: dict = {}
+def run_exact(cfg: RunConfig) -> int:
+    """eval (direct summation) or integral (adaptive quadrature) at each t."""
+    rows, diag = [], {}
     for t in cfg.t_grid:
         # the product first: a t past its reach fails before the sum is paid for
         pref = prefactor_exact(cfg.prefactor, t)
-        res = series_sum(cfg.series, t)
+        res = (series_sum(cfg.series, t) if cfg.command == "eval"
+               else quad_integral(cfg.series, t, cfg.rel_tol))
+        # the window and, for the integral, its error estimate and panels
+        diag[f"t={_fmt(t)}"] = {k: v for k, v in asdict(res).items() if k != "value"}
         lv = _total(res.value, pref, cfg.q_power, t)
         rows.append({"t": t, "log_value": lv.log_abs, "sign": lv.sign})
-        diag[f"t={_fmt(t)}"] = {"m_lo": res.m_lo, "m_hi": res.m_hi,
-                                "left_out_log": res.left_out_log}
-    _emit(_json_result(cfg, rows, branch="series_sum", diagnostics=diag), cfg.output)
-    return 0
-
-
-def run_integral(cfg: RunConfig) -> int:
-    rows = []
-    diag: dict = {}
-    for t in cfg.t_grid:
-        pref = prefactor_exact(cfg.prefactor, t)
-        res = quad_integral(cfg.series, t, cfg.rel_tol)
-        lv = _total(res.value, pref, cfg.q_power, t)
-        rows.append({"t": t, "log_value": lv.log_abs, "sign": lv.sign})
-        diag[f"t={_fmt(t)}"] = {
-            "subdivisions": res.subdivisions, "abs_error_log": res.abs_error_log,
-            "u_cut": res.u_cut, "cut_mass_log": res.cut_mass_log}
-    _emit(_json_result(cfg, rows, branch="integral", diagnostics=diag),
-          cfg.output)
+    branch = "series_sum" if cfg.command == "eval" else "integral"
+    _emit(_json_result(cfg, rows, branch=branch, diagnostics=diag), cfg.output)
     return 0
 
 
@@ -273,8 +259,8 @@ def run_asym(cfg: RunConfig) -> int:
     an = _analyse(cfg)
     rows = []
     branch = ""
-    for t in cfg.t_grid:
-        r = asym_from_parts(an, t, cfg.order_L, cfg.q_power)
+    for t, r in zip(cfg.t_grid, asym_from_parts(an, tuple(cfg.t_grid), cfg.order_L,
+                                                cfg.q_power)):
         branch = r.branch
         rows.append({"t": t, "log_value": r.total.log_abs, "sign": r.total.sign,
                      "rate": r.rate, "t_power": r.t_power,
@@ -303,15 +289,20 @@ def run_verify(cfg: RunConfig) -> int:
     quadrature's relative error estimate: deviations under it are round-off,
     and need not shrink."""
     an = _analyse(cfg)
+    try:        # one call; if a row fails, rows alone below label the first
+        asym = asym_from_parts(an, tuple(cfg.t_grid), cfg.order_L, cfg.q_power)
+    except QasymError:
+        asym = None
     lines = [CSV_HEADER]
     devs, floors = [], []
-    for t in cfg.t_grid:
+    for j, t in enumerate(cfg.t_grid):
         try:
             pref = prefactor_exact(cfg.prefactor, t)    # one product for both
             s = _total(series_sum(cfg.series, t).value, pref, cfg.q_power, t)
             res = quad_integral(cfg.series, t, cfg.rel_tol)
             i = _total(res.value, pref, cfg.q_power, t)
-            a = asym_from_parts(an, t, cfg.order_L, cfg.q_power).total
+            a = (asym[j] if asym else
+                 asym_from_parts(an, t, cfg.order_L, cfg.q_power)).total
         except HypothesisError:
             raise
         except QasymError as e:
@@ -339,14 +330,10 @@ def run_preset_cmd(args: argparse.Namespace) -> int:
     doc = {
         "name": p.name,
         "A": p.series.A, "B": p.series.B, "v": p.series.v,
-        "terms": [{"alpha": q.alpha, "beta": q.beta, "gamma": q.gamma, "S": q.S}
-                  for q in p.series.terms],
-        "prefactor_quads": [{"a": q.a, "b": q.b, "c": q.c, "d": q.d, "S": q.S}
-                            for q in p.prefactor],
+        "terms": [asdict(q) for q in p.series.terms],
+        "prefactor_quads": [asdict(q) for q in p.prefactor],
         "q_power": p.q_power,
-        "reference": {"rate": p.reference.rate, "t_power": p.reference.t_power,
-                      "log_constant": p.reference.log_constant,
-                      "notes": p.reference.notes},
+        "reference": asdict(p.reference),
         "notes": p.notes,
     }
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
@@ -384,10 +371,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "preset":
             return run_preset_cmd(args)
         cfg = _make_config(args)
-        if args.command == "eval":
-            return run_eval(cfg)
-        if args.command == "integral":
-            return run_integral(cfg)
+        if args.command in ("eval", "integral"):
+            return run_exact(cfg)
         if args.command == "asym":
             return run_asym(cfg)
         return run_verify(cfg)

@@ -77,19 +77,32 @@ class CorrectionSeries:
     kappas: tuple[float, ...]
 
 
-def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, t: float,
-                  rmax: int) -> tuple[float, float, dict[int, float]]:
-    # F(u/t), V and lambda_r for r <= rmax, from one k-sum over orders 0..
+def _grid(t) -> tuple:
+    return t if isinstance(t, tuple) else (t,)      # a float t as a 1-tuple
+
+
+def _each(t, rows: list):
+    return tuple(rows) if isinstance(t, tuple) else rows[0]     # as t came
+
+
+def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, t, rmax: int):
+    # F(u/t), V and lambda_r for r <= rmax at t, or at each t of a tuple,
+    # from one k-sum over orders 0.. and the points u/t
     two_k = 2 * sp.order
-    d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)), sp.u / t, t)
-    d2k = float(d[two_k])
-    if d2k >= 0:
-        raise SignError(
-            f"order-{two_k} derivative nonnegative at the peak (t={t} too large)")
-    V = (-d2k / math.factorial(two_k)) ** (1.0 / two_k)
-    lams = {r: float(d[r]) / (math.factorial(r) * V ** r)
-            for r in range(1, rmax + 1) if r != two_k}
-    return float(d[0]), V, lams
+    ts = _grid(t)
+    d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)),
+                          [sp.u / tj for tj in ts], list(ts))
+    rows = []
+    for j, tj in enumerate(ts):
+        d2k = float(d[two_k, j])
+        if d2k >= 0:
+            raise SignError(f"order-{two_k} derivative nonnegative at the peak "
+                            f"(t={tj} too large)")
+        V = (-d2k / math.factorial(two_k)) ** (1.0 / two_k)
+        lams = {r: float(d[r, j]) / (math.factorial(r) * V ** r)
+                for r in range(1, rmax + 1) if r != two_k}
+        rows.append((float(d[0, j]), V, lams))
+    return _each(t, rows)
 
 
 def _exp_series(lams: dict[int, float], order: int) -> list[float]:
@@ -105,31 +118,31 @@ def _exp_series(lams: dict[int, float], order: int) -> list[float]:
     return b
 
 
-def corrections(spec: SeriesSpec, sp: StationaryPoint, t: float,
-                L: int) -> CorrectionSeries:
+def corrections(spec: SeriesSpec, sp: StationaryPoint, t, L: int):
     """Logged peak term, peak-width normalizer and kappa_0..kappa_{2L} at
-    the maximum sp."""
+    the maximum sp, at t or, one ``CorrectionSeries`` each, at every t of a
+    tuple; the derivatives at all of them come from one k-sum."""
     if L < 0:
         raise ValueError("correction order must be nonnegative")
     k = sp.order
     rmax = max(2 * k * (2 * k + 1) * L, 1)
-    f_u, V, lams = _lambda_table(spec, sp, t, rmax)
-    coeffs = _exp_series(lams, 2 * L)
-    return CorrectionSeries(u=sp.u, k_u=k, log_peak=f_u, V=V,
-                            kappas=tuple(coeffs[2 * ell] for ell in range(L + 1)))
+    return _each(t, [CorrectionSeries(u=sp.u, k_u=k, log_peak=f_u, V=V,
+                                      kappas=tuple(_exp_series(lams, 2 * L)[::2]))
+                     for f_u, V, lams in _lambda_table(spec, sp, _grid(t), rmax)])
 
 
-def peak_value(spec: SeriesSpec, sp: StationaryPoint, t: float,
-               L: int = DEFAULT_L) -> LogValue:
-    """exp(F(u/t,t))/V * sum_{l<=L} Gamma((2l+1)/(2k)) kappa_{2l}/k."""
-    cs = corrections(spec, sp, t, L)
-    k = cs.k_u
-    s = sum(math.gamma((2 * ell + 1) / (2 * k)) * cs.kappas[ell] / k
-            for ell in range(L + 1))
-    if s <= 0:
-        raise DegenerateError(
-            f"correction sum nonpositive ({s}); expansion broke down at t={t}")
-    return LogValue(1, cs.log_peak - math.log(cs.V) + math.log(s))
+def peak_value(spec: SeriesSpec, sp: StationaryPoint, t, L: int = DEFAULT_L):
+    """exp(F(u/t,t))/V * sum_{l<=L} Gamma((2l+1)/(2k)) kappa_{2l}/k (per t)."""
+    rows = []
+    for tj, cs in zip(_grid(t), corrections(spec, sp, _grid(t), L)):
+        k = cs.k_u
+        s = sum(math.gamma((2 * ell + 1) / (2 * k)) * cs.kappas[ell] / k
+                for ell in range(L + 1))
+        if s <= 0:
+            raise DegenerateError(
+                f"correction sum nonpositive ({s}); expansion broke down at t={tj}")
+        rows.append(LogValue(1, cs.log_peak - math.log(cs.V) + math.log(s)))
+    return _each(t, rows)
 
 
 def leading_constant(sp: StationaryPoint) -> tuple[float, float, float]:
@@ -179,48 +192,46 @@ class AsymptoticResult:
     total: LogValue
 
 
-def asym_from_parts(an: Analysis, t: float, L: int = DEFAULT_L,
-                    q_power: float = 0.0) -> AsymptoticResult:
+def asym_from_parts(an: Analysis, t, L: int = DEFAULT_L, q_power: float = 0.0):
     """Assemble peaks + tail of the analysed series at t and multiply by the
     asymptotic constant-product prefactor and the fixed factor q^q_power
-    (applied verbatim on both branches)."""
+    (applied verbatim on both branches); at a tuple of t, one result each,
+    with the bits it has alone, from one k-sum per peak."""
     if not an.hypothesis:
         raise HypothesisError(
             f"increasing-near-zero hypothesis fails: {an.hypothesis.detail}")
     sps = an.peaks
-    n_val = LogValue.zero()
-    for sp in sps:
-        n_val = n_val + peak_value(an.series, sp, t, L)
-    i_val = tail_leading(an.phase, t) if an.tail else LogValue.zero()
-    if n_val.is_zero() and i_val.is_zero():
+    if not sps and not an.tail:
         raise DegenerateError(
             "no interior maximum and no applicable tail branch; "
             "the expansion machinery does not cover this spec")
-    law = an.prefactor
-    total = ((n_val + i_val) * prefactor_asym(law, t)
-             * LogValue.from_log(-q_power * t))
-
+    peaks = [peak_value(an.series, sp, _grid(t), L) for sp in sps]
     tail_only = not sps
     if sps:
         dom = max(sps, key=lambda sp: sp.h_value)
         c_u, tp, rate = leading_constant(dom)
-        if not i_val.is_zero() and (dom.h_value < 0
-                                    or (dom.h_value == 0
-                                        and _tail_law(an.phase)[1] < tp)):
+        if an.tail and (dom.h_value < 0 or (dom.h_value == 0
+                                            and _tail_law(an.phase)[1] < tp)):
             tail_only = True
     if tail_only:
         log_cu, tp = _tail_law(an.phase)
         rate = 0.0
     else:
         log_cu = math.log(c_u)
-    branch = ("tail" if not sps else
-              ("sum-of-peaks+tail" if not i_val.is_zero() else "peak"))
+    branch = "tail" if not sps else ("sum-of-peaks+tail" if an.tail else "peak")
+    law = an.prefactor
     rate_total = law.A_H + rate
     t_power = law.B_H + tp
     log_constant = law.log_C + log_cu
-    base = rate_total / t + t_power * math.log(t) + log_constant
-    corr = math.exp(total.log_abs - base) * total.sign
-    return AsymptoticResult(rate=rate_total, t_power=t_power,
-                            log_constant=log_constant, correction_factor=corr,
-                            branch=branch, t=t, total=total)
-
+    rows = []
+    for j, tj in enumerate(_grid(t)):
+        n_val = sum((values[j] for values in peaks), LogValue.zero())
+        i_val = tail_leading(an.phase, tj) if an.tail else LogValue.zero()
+        total = ((n_val + i_val) * prefactor_asym(law, tj)
+                 * LogValue.from_log(-q_power * tj))
+        base = rate_total / tj + t_power * math.log(tj) + log_constant
+        corr = math.exp(total.log_abs - base) * total.sign
+        rows.append(AsymptoticResult(rate=rate_total, t_power=t_power,
+                                     log_constant=log_constant, correction_factor=corr,
+                                     branch=branch, t=tj, total=total))
+    return _each(t, rows)

@@ -201,14 +201,11 @@ def stationary_points(pf: PhaseFamily) -> list[StationaryPoint]:
             else:
                 b = mid
         u = 0.5 * (a + b)
-        order = None
-        h2m = 0.0
-        for m in range(1, MAX_ORDER + 1):
-            h2m = phase_deriv(pf, 2 * m, u)
+        for order in range(1, MAX_ORDER + 1):
+            h2m = phase_deriv(pf, 2 * order, u)
             if abs(h2m) > _DEGENERACY_RTOL * scale:
-                order = m
                 break
-        if order is None:
+        else:
             raise DegenerateError(
                 f"no even derivative up to order {2 * MAX_ORDER} exceeds "
                 f"tolerance at u={u}")

@@ -272,9 +272,10 @@ def prefactor_exact(quads: tuple[QuadTerm, ...], t: float) -> LogValue:
 # The logged general term and its derivatives
 
 
-def _require_t(t: float) -> None:
-    if not 0.0 < t < T_MAX:
-        raise ConvergenceError(f"t must lie in (0, {T_MAX}), got {t}")
+def _require_t(t) -> None:
+    for s in np.asarray(t).flat:        # one t, or one per point
+        if not 0.0 < s < T_MAX:
+            raise ConvergenceError(f"t must lie in (0, {T_MAX}), got {s}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -295,45 +296,51 @@ def _rows(orders: tuple[int, ...]) -> tuple:
     return (*rows, int(np.argmax(spans)), int(np.argmin(spans)))
 
 
-def _kernel_closed(w: np.ndarray, bt: float) -> np.ndarray:
+def _kernel_closed(w: np.ndarray, bt) -> np.ndarray:
     """K(w) = sum_k e^{-kw}/(k(1 - e^{-k bt})) without a k-sum: the product
     form K(w) = -sum_n log(1 - e^{-(w + n bt)}) peels the fewest N factors
     that leave w' = w + N bt >= bt/_R0, then Euler-Maclaurin gives K(w') =
     Li2(e^-w')/bt + Li1(e^-w')/2 + sum_{j<=J} B_2j bt^(2j-1)/(2j)! Li_(2-2j)(e^-w').
     The first omitted level is about 2 (2J)! (_R0/2pi)^(2J+1)/(2pi) ~ 6e-16,
-    absolute, against K(w') >= Li2(e^-w')/bt."""
+    absolute, against K(w') >= Li2(e^-w')/bt.  bt is one float or one per w."""
     N = np.maximum(np.ceil(1.0 / _R0 - w / bt), 0.0)
     n = np.arange(N.max())[:, None]      # a product runs along n in order
     peel = np.log(np.prod(-np.expm1(-np.where(n < N, w + n * bt, np.inf)), axis=0))
     li2, li1, v = polylog((2, 1, 0), w + N * bt)
-    em = v * np.polyval((bt ** np.arange(1.0, 2 * _EM_J, 2.0) @ _EM_V)[::-1], v)
+    odd = np.arange(1.0, 2 * _EM_J, 2.0)     # v^m coefficients, per bt its own product
+    c = (np.array([b ** odd @ _EM_V for b in bt]).T if isinstance(bt, np.ndarray)
+         else bt ** odd @ _EM_V)
+    em = v * np.polyval(c[::-1], v)
     return li2 / bt + (0.5 * li1 + em - peel)
 
 
-def _kernel(term: PochTerm, x: np.ndarray, t: float,
+def _kernel(term: PochTerm, x: np.ndarray, t,
             orders: tuple[int, ...]) -> np.ndarray:
     """sum_{k>=1} (-k alpha t)^n e^{-kw} / (k (1-e^{-k beta t})),
-    w = (alpha x + gamma) t, for a vector of x >= 0, one row per order n.
+    w = (alpha x + gamma) t, for a vector of x >= 0 and t one float or one
+    per point, one row per order n.
 
     Order 0 costs the same at every t: below w = _W_A it is
     ``_kernel_closed``; above, a k-sum cut at kc = floor(45/w) + 1, which
     leaves out less than e^-45/((kc+1)(1 - e^-w)) of it.  Order n >= 1 is
     a k-sum cut where k^(n-1) e^{-kw} has fallen e^-45 below its maximum,
     and raises past _KMAX_HARD terms.  The rows share one pass over k; each
-    point sums each row from its cut down to k = 1, so no value depends on
-    the other points or orders of the call."""
+    point sums each row at its t from its cut down to k = 1, so no value
+    depends on the other points or orders of the call."""
+    per = isinstance(t, np.ndarray)             # one t per point
     w = (term.alpha * x + term.gamma) * t
     order = None
     if len(w) > 1 and np.any(w[1:] < w[:-1]):
         order = np.argsort(w, kind="stable")
         w = w[order]
+        t = t[order] if per else t
     n_col, sign, zero, spans, imax, imin = _rows(orders)
     near = int(np.searchsorted(w, _W_A))        # w < _W_A: order 0 in closed form
     first = near if max(orders) == 0 else 0     # the points the k-sum covers
-    wk = w[first:]
+    wk, tk = w[first:], (t[first:] if per else t)
     if len(wk) and spans[imax, 0] / wk[0] >= _KMAX_HARD:
         raise ConvergenceError(f"inner sum needs {int(spans[imax, 0] / wk[0]) + 1} "
-                               "terms (alpha*x+gamma too small for this t)")
+                               f"terms at t={np.ravel(tk)[0]} (alpha*x+gamma too small)")
     kc = (spans / wk).astype(np.int64) + 1      # per row and point
     kmax, kmin = kc[imax], kc[imin]             # non-increasing
     budget = max(1, _CHUNK_ELEMS // len(orders))
@@ -344,19 +351,21 @@ def _kernel(term: PochTerm, x: np.ndarray, t: float,
         # points p0 .. p1-1 with all their rows fit the budget; a point that
         # alone does not takes its rows in chunks, carrying its sums
         p1 = min(p0 + max(1, budget // int(kmax[p0])), len(wk))
+        tp = tk[p0:p1] if per else tk           # the points' t, or the one t
         k1 = int(kmax[p0]) + 1
         while k1 > 1:
             k0 = max(k1 - budget, 1)
-            k = np.arange(k1 - 1, k0 - 1, -1, dtype=float)   # descending
-            # (-k alpha t)^n / k = (-1)^n exp(n log(k alpha t) - log k); keep
-            # in log space so high orders neither overflow nor underflow early
-            logcoef = np.log(k * term.alpha * t)[:, None] * n_col[:, 0]
-            logcoef -= np.log(k * -np.expm1(-k * term.beta * t))[:, None]
+            k = np.arange(k1 - 1, k0 - 1, -1, dtype=float)[:, None]   # descending
+            # (-k alpha t)^n / k = (-1)^n exp(n log(k alpha t) - log k) by k, row
+            # and t; in log space high orders neither overflow nor underflow early
+            logcoef = np.log(k * term.alpha * tp)[:, None] * n_col
+            logcoef -= np.log(k * -np.expm1(-k * term.beta * tp))[:, None]
             blk = np.outer(-k, wk[p0:p1])[:, None]         # k by row by point
-            blk = np.add(blk, logcoef[:, :, None], out=blk if len(orders) == 1 else None)
+            blk = np.add(blk, logcoef, out=blk if len(orders) == 1 else (
+                logcoef if per else None))    # into an operand of the sum's shape
             top = k1 - 1 - int(kmin[p1 - 1])    # rows past a cut: zero terms
             if top > 0:
-                np.putmask(blk[:top], k[:top, None, None] > kc[:, p0:p1], -np.inf)
+                np.putmask(blk[:top], k[:top, None] > kc[:, p0:p1], -np.inf)
             blk = np.exp(blk, out=blk)
             blk[0] += acc_k[:, p0:p1]
             # in order along k: reducing the outer axis adds one k at a
@@ -364,21 +373,23 @@ def _kernel(term: PochTerm, x: np.ndarray, t: float,
             acc_k[:, p0:p1] = (np.add.reduce(blk, axis=0) if blk[0].size > 1
                                else np.cumsum(blk, axis=0)[-1])
             k1 = k0
+            del blk, logcoef                    # before the next chunk's are made
         p0 = p1
     acc *= sign
     if near and zero.any():
-        acc[zero, :near] = _kernel_closed(w[:near], term.beta * t)
+        acc[zero, :near] = _kernel_closed(
+            w[:near], term.beta * (t[:near] if per else t))
     return acc if order is None else acc[:, np.argsort(order)]
 
 
-def log_summand(spec: SeriesSpec, x, t: float):
+def log_summand(spec: SeriesSpec, x, t):
     """The logged x-th term of the series: x v - A x^2 t - B x t plus the
     Pochhammer contribution sum_terms S * kernel.  Accepts scalar or array
-    x >= 0 and returns matching shape."""
+    x >= 0 and returns matching shape; t as in ``log_summand_deriv``."""
     return log_summand_deriv(spec, 0, x, t)
 
 
-def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t: float):
+def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t):
     # n-th x-derivative of x v - A x^2 t - B x t, n <= 2
     if n == 0:
         return x * spec.v - spec.A * x ** 2 * t - spec.B * x * t
@@ -387,16 +398,21 @@ def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t: float):
     return -2.0 * spec.A * t
 
 
-def log_summand_deriv(spec: SeriesSpec, n, x, t: float):
+def log_summand_deriv(spec: SeriesSpec, n, x, t):
     """n-th x-derivative of log_summand (n = 0 is log_summand itself); for a
     tuple of orders n, one row per order, all from one inner k-sum per
-    term.  Accepts scalar or array x >= 0 and returns matching shape."""
-    _require_t(t)
+    term.  Accepts scalar or array x >= 0 and returns matching shape; t is one
+    float or an array matching x, each point with the bits of a call at its t."""
+    ta = np.asarray(t, dtype=float)         # one t, or one per point
+    _require_t(ta)
     orders = n if isinstance(n, tuple) else (n,)
     for r in orders:
         if r < 0 or r > MAX_DERIV:
             raise DomainError(f"derivative order must lie in [0, {MAX_DERIV}], got {r}")
     xa = np.asarray(x, dtype=float)
+    if ta.ndim and ta.shape != xa.shape:
+        raise DomainError(f"t must be one value or of x's shape, got {ta.shape}")
+    t = ta if ta.ndim else float(ta)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
     if np.any(xa < 0):
@@ -426,8 +442,9 @@ def log_summand_sup(spec: SeriesSpec, ua, ub, t: float):
     """An upper bound of log_summand(spec, u/t, t) over u in [ua, ub] (ub may
     be inf) without a k-sum: K falls in u, so S > 0 terms take hi at ua and
     S < 0 terms lo at ub; the polynomial part is taken at its maximum, and
-    1e-12 of the parts' sizes is added for log_summand's rounding.  On
-    arrays of edges, one bound per piece, each the bits of the scalar form."""
+    1e-12 of the parts' sizes is added for log_summand's rounding, and 1e-300
+    where that underflows (it moves no bound above 1e-284).  On arrays of
+    edges, one bound per piece, each the bits of the scalar form."""
     slope = spec.v / t - spec.B      # x v - A x^2 t - B x t = u (slope - A u/t)
     quad = 0.0
     if spec.A > 0:
@@ -442,7 +459,7 @@ def log_summand_sup(spec: SeriesSpec, ua, ub, t: float):
         part = p.S * (hi if p.S > 0 else lo)
         out += part
         scale += abs(part)
-    return out + 1e-12 * scale
+    return out + 1e-12 * scale + 1e-300
 
 
 # ---------------------------------------------------------------------------
@@ -493,9 +510,11 @@ def _tail_sup(spec: SeriesSpec, m, t: float):
                         - np.log(-np.expm1(slope)), np.inf)
 
 
+@functools.lru_cache(maxsize=4)
 def mass_ladder(spec: SeriesSpec, t: float) -> MassLadder:
     """The ``MassLadder`` of ``spec`` at t: ``log_summand_sup`` over its
-    pieces and edges, in one call each, and ``log_summand`` at the probe."""
+    pieces and edges, in one call each, and ``log_summand`` at the probe;
+    memoized for series_sum and integral at one (spec, t), arrays read-only."""
     _require_t(t)
     steps = np.ceil(_LADDER ** np.arange(math.log(U_END / t, _LADDER)))
     e = np.sort(np.r_[_block_ends(t), steps, math.ceil(U_END / t)])
@@ -505,8 +524,10 @@ def mass_ladder(spec: SeriesSpec, t: float) -> MassLadder:
     pieces = np.logaddexp.accumulate(np.r_[tails[-1], mass[::-1]])[::-1]
     top = int(np.argmax(mass))
     probe = int(e[top] + e[top + 1] - 1) // 2
-    return MassLadder(e, mass, np.minimum(tails, pieces), probe,
-                      float(log_summand(spec, float(probe), t)))
+    rest = np.minimum(tails, pieces)
+    for a in (e, mass, rest):
+        a.flags.writeable = False       # shared by every caller at (spec, t)
+    return MassLadder(e, mass, rest, probe, float(log_summand(spec, float(probe), t)))
 
 
 @dataclass(frozen=True)

@@ -292,6 +292,27 @@ def test_numeric_failure_exit_3():
         assert cp.returncode == 3
 
 
+SIGN_DOC = {"A": 0.25, "B": -0.2, "v": -0.9,
+            "terms": [{"alpha": 0.75, "beta": 2, "gamma": 2.3, "S": -3},
+                      {"alpha": 1.7, "beta": 2.2, "gamma": 0.7, "S": 2},
+                      {"alpha": 0.45, "beta": 2.3, "gamma": 2.85, "S": -3}]}
+
+
+def test_verify_labels_the_failing_row(tmp_path):
+    # the expansion takes the whole grid in one call; its curvature at the
+    # peak is still >= 0 at t = 0.4, and verify names that row as a run of
+    # that row alone would
+    spec = write_spec(tmp_path, SIGN_DOC)
+    message = "order-2 derivative nonnegative at the peak (t=0.4 too large)\n"
+    cp = run_cli("verify", "--spec", spec, "--t", "0.05,0.4,0.1")
+    assert cp.returncode == 3
+    assert cp.stdout == ""
+    assert cp.stderr == "numeric failure: row t=0.40000000000000002: " + message
+    cp = run_cli("asym", "--spec", spec, "--t", "0.05,0.4,0.1")
+    assert (cp.returncode, cp.stderr) == (3, "numeric failure: " + message)
+    assert run_cli("verify", "--spec", spec, "--t", "0.1,0.05").returncode == 0
+
+
 def test_mutually_exclusive_sources(tmp_path):
     cp = run_cli("eval", "--preset", "euler", "--spec", "x.json")
     assert cp.returncode == 1

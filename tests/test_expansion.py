@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from oracles import kappa_by_partitions, lambda_table_per_order
-from qasym.errors import BranchError, DegenerateError, HypothesisError
+from qasym.cli import load_spec
+from qasym.errors import BranchError, DegenerateError, HypothesisError, SignError
 from qasym.expansion import (_exp_series, _lambda_table, analyse,
                              asym_from_parts, corrections, leading_constant,
                              peak_value, tail_leading)
 from qasym.phase import build_phase, stationary_points
+from qasym.presets import PRESETS, get_preset
 from qasym.qseries import ProductSpec, SeriesSpec, normalize, series_sum
 
 RAM_PRODUCT = ProductSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, 0, 2)])
@@ -198,3 +201,47 @@ class TestAsymTotal:
                 s = series_sum(spec, t).value
                 devs.append(abs(math.exp(s.log_abs - a.total.log_abs) - 1.0))
             assert devs[1] < devs[0]
+
+
+class TestAsymGrid:
+    """asym_from_parts at a tuple of t: one k-sum per peak for the whole
+    grid, and each row the bits of a call at its t alone."""
+
+    GRID = tuple(0.1 * 0.001 ** (i / 9) for i in range(10))     # 0.1 .. 1e-4
+
+    @staticmethod
+    def _analysis(name):
+        if name == "two-peak":
+            series, quads, _ = load_spec(str(Path(__file__).parent / "data"
+                                             / "two_peak.json"))
+            return analyse(series, quads)
+        p = get_preset(name)
+        return analyse(p.series, p.prefactor)
+
+    @pytest.mark.parametrize("name", [*PRESETS, "two-peak"])
+    def test_rows_independent_of_grid_mates(self, name):
+        an = self._analysis(name)
+        g = self.GRID
+        alone = {t: asym_from_parts(an, t) for t in g}
+        for ts in (g, g[::-1], g[2:7], g[3:4], (g[5], g[0], g[9])):
+            assert asym_from_parts(an, ts) == tuple(alone[t] for t in ts)
+        assert asym_from_parts(an, ()) == ()
+
+    @pytest.mark.parametrize("name", ["ramanujan", "f0", "two-peak"])
+    def test_peak_layers_take_a_grid(self, name):
+        an = self._analysis(name)
+        for sp in an.peaks:
+            for L in (0, 2):
+                assert (corrections(an.series, sp, self.GRID, L)
+                        == tuple(corrections(an.series, sp, t, L) for t in self.GRID))
+                assert (peak_value(an.series, sp, self.GRID, L)
+                        == tuple(peak_value(an.series, sp, t, L) for t in self.GRID))
+
+    def test_failing_row_named(self):
+        # the curvature at this spec's peak is still >= 0 at t = 0.4
+        spec = SeriesSpec.make(0.25, -0.2, -0.9, [(0.75, 2, 2.3, -3), (1.7, 2.2, 0.7, 2),
+                                                  (0.45, 2.3, 2.85, -3)])
+        an = analyse(spec)
+        asym_from_parts(an, (0.1, 0.05))
+        with pytest.raises(SignError, match=r"\(t=0.4 too large\)"):
+            asym_from_parts(an, (0.1, 0.4, 0.05))

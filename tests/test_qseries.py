@@ -18,6 +18,7 @@ from qasym.errors import ConvergenceError, DomainError, SpecError
 from qasym.expansion import analyse
 from qasym.phase import search_upper_bound
 from qasym.presets import PRESETS, get_preset
+from qasym.quad import integral
 from qasym.qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
                            log_summand_deriv, normalize, prefactor_asym,
                            prefactor_exact, prefactor_law, qpoch_inf, series_sum)
@@ -501,6 +502,8 @@ class TestKernelBounds:
            v=st.floats(-1.0, 1.0, allow_subnormal=False), t=st.floats(1e-4, 0.4),
            ua=st.floats(0.0, 3.0, allow_subnormal=False), du=st.floats(0.0, 1.0))
     @example(A=0.01, B=4.737309156023287e-12, v=1e-4, t=0.25, ua=0.01, du=0.0)
+    @example(A=0.25, B=-8.64333008747402e-161, v=0.0, t=0.015488302183140295,
+             ua=0.0, du=1.0)                   # a maximum of 1.2e-322: padding underflows
     def test_sup_covers_rounding_of_polynomial(self, A, B, v, t, ua, du):
         # no symbol: the bound is the exact maximum, so only its padding
         # keeps it above log_summand's differently rounded value, also
@@ -582,6 +585,101 @@ class TestLogSummandDeriv:
         assert errs[0] > errs[1] > errs[2]
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
         assert all(1.5 < r < 2.5 for r in ratios)
+
+
+def _peak_or_one(spec):
+    # the first interior maximum of the leading phase, or u = 1 without one
+    peaks = analyse(spec).peaks
+    return peaks[0].u if peaks else 1.0
+
+
+@st.composite
+def peak_specs(draw):
+    """(spec, ts, us): A > 0 and 1-3 symbols, 1-4 values of t in [1e-4,
+    0.45] and as many u = x t in [0, 3]."""
+    terms = draw(st.lists(st.tuples(
+        st.floats(0.3, 3.0), st.floats(0.3, 2.5), st.floats(0.3, 3.0),
+        st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)), min_size=1, max_size=3))
+    spec = SeriesSpec.make(draw(st.floats(0.05, 1.5)), draw(st.floats(-0.5, 1.0)),
+                           draw(st.floats(-0.5, 0.5)), terms)
+    n = draw(st.integers(1, 4))
+    ts = draw(st.lists(st.floats(1e-4, 0.45), min_size=n, max_size=n))
+    us = draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n))
+    return spec, np.array(ts), np.array(us)
+
+
+class TestPerPointT:
+    """log_summand_deriv with one t per point: every point has the bits of
+    a call at its own t alone, whatever its call-mates."""
+
+    ORDERS = ((0,), (0, 1), (2, 0, 5), (1, 2), tuple(range(13)))
+
+    @staticmethod
+    def _check(spec, orders, x, t):
+        got = log_summand_deriv(spec, orders, x, t)
+        assert got.shape == (len(orders), len(x))
+        for j in range(len(x)):
+            alone = log_summand_deriv(spec, orders, float(x[j]), float(t[j]))
+            assert np.array_equal(got[:, j], alone), (orders, x[j], t[j])
+
+    @pytest.mark.parametrize("name", [*PRESETS, "two-peak"])
+    def test_matches_calls_at_each_t(self, name):
+        # at the peak x = u/t, at u = 0.01 (w < 0.1, where order 0 takes the
+        # closed form at the point's own beta t) and at x = 0, on a shuffled
+        # grid of t; the last points repeat a t next to a different x
+        spec = (load_spec(str(DATA / "two_peak.json"))[0] if name == "two-peak"
+                else get_preset(name).series)
+        ts = np.geomspace(0.3, 1e-3, 7)
+        x = np.r_[_peak_or_one(spec) / ts, 0.01 / ts, np.zeros(len(ts))]
+        t = np.r_[ts, ts, ts]
+        perm = np.random.default_rng(7).permutation(len(x))
+        for orders in self.ORDERS:
+            self._check(spec, orders, x[perm], t[perm])
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=peak_specs(), orders=st.sampled_from(ORDERS[:4]))
+    def test_random_specs(self, drawn, orders):
+        spec, ts, us = drawn
+        self._check(spec, orders, us / ts, ts)
+
+    def test_inner_sum_cap_names_the_t(self):
+        # at x = 0 order 1 needs 45/(gamma t) terms: only the point at
+        # t = 4e-6 needs more than the cap
+        with pytest.raises(ConvergenceError, match="at t=4e-06 "):
+            log_summand_deriv(RAM, 1, np.zeros(3), np.array([0.1, 4e-6, 0.01]))
+
+    def test_t_shape_must_match_x(self):
+        with pytest.raises(DomainError, match="shape"):
+            log_summand_deriv(RAM, 1, np.ones(3), np.array([0.1, 0.2]))
+        with pytest.raises(ConvergenceError, match="got 0.5"):
+            log_summand_deriv(RAM, 1, np.ones(2), np.array([0.1, 0.5]))
+
+
+class TestMassLadderMemo:
+    def test_verify_row_builds_one_ladder(self, capsys):
+        # series_sum builds the row's ladder, the integral reuses it
+        qs.mass_ladder.cache_clear()
+        assert main(["verify", "--preset", "ramanujan", "--t", "0.05"]) == 0
+        info = qs.mass_ladder.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_arrays_are_read_only(self):
+        lad = qs.mass_ladder(RAM, 0.05)
+        for a in (lad.edges, lad.mass, lad.rest):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+
+    @pytest.mark.parametrize("name", ["ramanujan", "phi-minus"])
+    def test_cold_and_warm_cache_agree(self, name):
+        spec = get_preset(name).series
+        for t in (0.05, 1e-3):
+            qs.mass_ladder.cache_clear()
+            cold_sum = series_sum(spec, t)
+            qs.mass_ladder.cache_clear()
+            cold_integral = integral(spec, t)
+            assert qs.mass_ladder.cache_info().currsize == 1
+            assert series_sum(spec, t) == cold_sum
+            assert integral(spec, t) == cold_integral
 
 
 class TestSeriesSum:
