@@ -9,12 +9,11 @@ of the continuous companion integral, and a stationary-phase asymptotic
 expansion -- and cross-validates them against each other.
 """
 
-from .errors import (BranchError, ConvergenceError, DegenerateError,
-                     DomainError, HypothesisError, IndexOverflowError,
-                     PoleError, QasymError, SignError, SpecError)
+from .errors import (ConvergenceError, DegenerateError, DomainError,
+                     HypothesisError, IndexOverflowError, PoleError,
+                     QasymError, SignError, SpecError)
 from .expansion import (Analysis, AsymptoticResult, CorrectionSeries, analyse,
-                        asym_from_parts, corrections, leading_constant,
-                        peak_value, tail_leading)
+                        asym_from_parts, corrections, peak_value)
 from .logvalue import LogValue
 from .phase import (HypothesisReport, PhaseFamily, StationaryPoint,
                     build_phase, check_hypothesis, phase_deriv, phase_value,
@@ -29,15 +28,14 @@ from .qseries import (PochTerm, PrefactorLaw, ProductSpec, QuadTerm, SeriesSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Analysis", "AsymptoticResult", "BranchError", "ConvergenceError",
-    "CorrectionSeries", "DegenerateError", "DomainError", "HypothesisError",
-    "HypothesisReport", "IndexOverflowError", "LogValue", "PRESETS",
-    "PhaseFamily", "PochTerm", "PoleError", "PrefactorLaw", "Preset",
-    "ProductSpec", "QasymError", "QuadResult", "QuadTerm", "Reference",
-    "SeriesSpec", "SignError", "SpecError", "StationaryPoint", "SumResult",
-    "analyse", "asym_from_parts", "build_phase", "check_hypothesis", "corrections",
-    "get_preset", "integral", "leading_constant", "log_summand",
-    "log_summand_deriv", "normalize", "peak_value", "phase_deriv",
-    "phase_value", "prefactor_asym", "prefactor_exact", "prefactor_law",
-    "qpoch_inf", "series_sum", "stationary_points", "tail_leading",
+    "Analysis", "AsymptoticResult", "ConvergenceError", "CorrectionSeries",
+    "DegenerateError", "DomainError", "HypothesisError", "HypothesisReport",
+    "IndexOverflowError", "LogValue", "PRESETS", "PhaseFamily", "PochTerm",
+    "PoleError", "PrefactorLaw", "Preset", "ProductSpec", "QasymError",
+    "QuadResult", "QuadTerm", "Reference", "SeriesSpec", "SignError",
+    "SpecError", "StationaryPoint", "SumResult", "analyse", "asym_from_parts",
+    "build_phase", "check_hypothesis", "corrections", "get_preset", "integral",
+    "log_summand", "log_summand_deriv", "normalize", "peak_value",
+    "phase_deriv", "phase_value", "prefactor_asym", "prefactor_exact",
+    "prefactor_law", "qpoch_inf", "series_sum", "stationary_points",
 ]

@@ -243,7 +243,9 @@ def run_exact(cfg: RunConfig) -> int:
 
 
 def _analyse(cfg: RunConfig) -> Analysis:
-    # orders past the Bernoulli and derivative tables are usage errors
+    # orders past the Bernoulli table are usage errors; --order-L keeps the
+    # documented cap MAX_DERIV // (2k(2k+1)) until the expansion is graded by
+    # powers of t (the derivatives it reads, 0..max(2L, 2k), need far less)
     if cfg.prefactor and cfg.order_M >= N_MAX:
         raise SpecError(
             f"--order-M must be <= {N_MAX - 1} for a spec with a prefactor")
@@ -258,15 +260,13 @@ def _analyse(cfg: RunConfig) -> Analysis:
 def run_asym(cfg: RunConfig) -> int:
     an = _analyse(cfg)
     rows = []
-    branch = ""
     for t, r in zip(cfg.t_grid, asym_from_parts(an, tuple(cfg.t_grid), cfg.order_L,
                                                 cfg.q_power)):
-        branch = r.branch
         rows.append({"t": t, "log_value": r.total.log_abs, "sign": r.total.sign,
                      "rate": r.rate, "t_power": r.t_power,
                      "log_constant": r.log_constant,
                      "correction_factor": r.correction_factor})
-    _emit(_json_result(cfg, rows, branch=branch), cfg.output)
+    _emit(_json_result(cfg, rows, branch=an.branch), cfg.output)
     return 0
 
 
@@ -302,7 +302,7 @@ def run_verify(cfg: RunConfig) -> int:
             res = quad_integral(cfg.series, t, cfg.rel_tol)
             i = _total(res.value, pref, cfg.q_power, t)
             a = (asym[j] if asym else
-                 asym_from_parts(an, t, cfg.order_L, cfg.q_power)).total
+                 asym_from_parts(an, (t,), cfg.order_L, cfg.q_power)[0]).total
         except HypothesisError:
             raise
         except QasymError as e:

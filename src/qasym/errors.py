@@ -31,10 +31,6 @@ class SpecError(QasymError):
     """Invalid series description: violated invariant or unparseable input."""
 
 
-class BranchError(QasymError):
-    """Tail-term preconditions unmet; the tail contribution is zero instead."""
-
-
 class HypothesisError(QasymError):
     """The increasing-near-zero hypothesis fails; asymptotics are refused."""
 

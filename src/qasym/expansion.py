@@ -1,8 +1,8 @@
-"""Laplace expansion at each interior maximum, the leading tail term, and
+"""Laplace expansion at each interior maximum, the flat-tail term, and
 assembly of the full asymptotic value including the constant-product
 prefactor.  What depends only on the spec (phase, hypothesis, maxima, tail
-flag, prefactor law) is computed once into an ``Analysis``, which the asym
-route reuses for every t.
+law, branch and dominant law) is computed once into an ``Analysis``; the
+asym route only assembles it at each t.
 
 At a maximum u of order k the logged term expands around x = u/t with
 peak-width normalizer V = (-F^(2k)(u/t)/(2k)!)^(1/(2k)); the reduced
@@ -13,17 +13,17 @@ only even indices survive the symmetric integral:
     sum over terms near the peak ~ e^{F(u/t)}/V *
         sum_l Gamma((2l+1)/(2k)) kappa_{2l}(u,t)/k.
 
-When no interior maximum exists and the flat tail applies, the leading
-contribution is Gamma(B/alpha_1)/(alpha_1 f(alpha_1)^(B/alpha_1)) *
-t^(B/alpha_1 - 1).
+When A = v = 0 and f(alpha_1) > 0 the flat tail adds
+Gamma(B/alpha_1)/(alpha_1 f(alpha_1)^(B/alpha_1)) * t^(B/alpha_1 - 1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from .errors import BranchError, DegenerateError, HypothesisError, SignError
+from .errors import DegenerateError, HypothesisError, SignError
 from .logvalue import LogValue
 from .phase import (HypothesisReport, PhaseFamily, StationaryPoint, build_phase,
                     check_hypothesis, stationary_points)
@@ -40,13 +40,19 @@ class Analysis:
     prefactor quads that does not depend on t; see ``analyse``.
 
     ``peaks`` are the interior maxima of the leading phase, found only when
-    the hypothesis holds (empty otherwise); ``tail`` says whether the
-    flat-tail term applies (A = v = 0 and f(alpha_1) > 0)."""
+    the hypothesis holds (empty otherwise).  ``tail`` is (log C, t_power) of
+    the flat-tail term C t^t_power when it applies (A = v = 0 and
+    f(alpha_1) > 0), else None.  ``branch`` is "peak", "tail" or
+    "sum-of-peaks+tail", and ``law`` the dominant branch's t->0 law
+    C t^t_power e^(rate/t) as (rate, t_power, log C) with the prefactor
+    folded in; "" and None when neither a peak nor the tail applies."""
     phase: PhaseFamily
     hypothesis: HypothesisReport
     peaks: tuple[StationaryPoint, ...]
-    tail: bool
+    tail: Optional[tuple[float, float]]
     prefactor: PrefactorLaw
+    branch: str
+    law: Optional[tuple[float, float, float]]
 
     @property
     def series(self) -> SeriesSpec:
@@ -55,15 +61,29 @@ class Analysis:
 
 def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
             M: int = DEFAULT_M) -> Analysis:
-    """Phase family, hypothesis, maxima and tail flag of ``series``, with
-    the prefactor of ``quads`` expanded to order M."""
+    """Phase family, hypothesis, maxima, tail term, branch and dominant law
+    of ``series``, with the prefactor of ``quads`` expanded to order M."""
     pf = build_phase(series)
     hyp = check_hypothesis(pf)
-    tail = (series.A == 0 and series.v == 0 and bool(pf.falpha)
-            and pf.falpha[0][1] > 0)
-    return Analysis(phase=pf, hypothesis=hyp,
-                    peaks=tuple(stationary_points(pf)) if hyp else (),
-                    tail=tail, prefactor=prefactor_law(quads, M))
+    peaks = tuple(stationary_points(pf)) if hyp else ()
+    tail = law = None
+    if series.A == 0 and series.v == 0 and pf.falpha and pf.falpha[0][1] > 0:
+        alpha1, f1 = pf.falpha[0]       # B > 0 by the domain triple
+        ba = series.B / alpha1
+        tail = (math.lgamma(ba) - math.log(alpha1) - ba * math.log(f1), ba - 1.0)
+    if peaks:       # C_u t^(-1+1/(2k)) e^(H(u)/t) of the highest maximum
+        dom = max(peaks, key=lambda sp: sp.h_value)
+        law = (dom.h_value, -1.0 + 1.0 / (2 * dom.order), math.log(dom.c_u))
+    # the tail, of rate 0, beats lower maxima, and at height 0 a smaller t power
+    if tail and (law is None or law[0] < 0 or (law[0] == 0 and tail[1] < law[1])):
+        law = (0.0, tail[1], tail[0])
+    pre = prefactor_law(quads, M)
+    if law:
+        law = (pre.A_H + law[0], pre.B_H + law[1], pre.log_C + law[2])
+    branch = (("sum-of-peaks+tail" if tail else "peak") if peaks
+              else ("tail" if tail else ""))
+    return Analysis(phase=pf, hypothesis=hyp, peaks=peaks, tail=tail,
+                    prefactor=pre, branch=branch, law=law)
 
 
 @dataclass(frozen=True)
@@ -77,32 +97,23 @@ class CorrectionSeries:
     kappas: tuple[float, ...]
 
 
-def _grid(t) -> tuple:
-    return t if isinstance(t, tuple) else (t,)      # a float t as a 1-tuple
-
-
-def _each(t, rows: list):
-    return tuple(rows) if isinstance(t, tuple) else rows[0]     # as t came
-
-
-def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, t, rmax: int):
-    # F(u/t), V and lambda_r for r <= rmax at t, or at each t of a tuple,
-    # from one k-sum over orders 0.. and the points u/t
+def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, ts: tuple, rmax: int):
+    # F(u/t), V and lambda_r for r <= rmax at each t of ts, from one k-sum
+    # over orders 0..max(rmax, 2k) and the points u/t
     two_k = 2 * sp.order
-    ts = _grid(t)
     d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)),
-                          [sp.u / tj for tj in ts], list(ts))
+                          [sp.u / t for t in ts], list(ts))
     rows = []
-    for j, tj in enumerate(ts):
+    for j, t in enumerate(ts):
         d2k = float(d[two_k, j])
         if d2k >= 0:
             raise SignError(f"order-{two_k} derivative nonnegative at the peak "
-                            f"(t={tj} too large)")
+                            f"(t={t} too large)")
         V = (-d2k / math.factorial(two_k)) ** (1.0 / two_k)
         lams = {r: float(d[r, j]) / (math.factorial(r) * V ** r)
                 for r in range(1, rmax + 1) if r != two_k}
         rows.append((float(d[0, j]), V, lams))
-    return _each(t, rows)
+    return rows
 
 
 def _exp_series(lams: dict[int, float], order: int) -> list[float]:
@@ -118,59 +129,32 @@ def _exp_series(lams: dict[int, float], order: int) -> list[float]:
     return b
 
 
-def corrections(spec: SeriesSpec, sp: StationaryPoint, t, L: int):
+def corrections(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
+                L: int) -> tuple[CorrectionSeries, ...]:
     """Logged peak term, peak-width normalizer and kappa_0..kappa_{2L} at
-    the maximum sp, at t or, one ``CorrectionSeries`` each, at every t of a
-    tuple; the derivatives at all of them come from one k-sum."""
+    the maximum sp, one ``CorrectionSeries`` per t of ts; the derivatives
+    they read, orders 0..max(2L, 2k), come from one k-sum."""
     if L < 0:
         raise ValueError("correction order must be nonnegative")
-    k = sp.order
-    rmax = max(2 * k * (2 * k + 1) * L, 1)
-    return _each(t, [CorrectionSeries(u=sp.u, k_u=k, log_peak=f_u, V=V,
-                                      kappas=tuple(_exp_series(lams, 2 * L)[::2]))
-                     for f_u, V, lams in _lambda_table(spec, sp, _grid(t), rmax)])
+    return tuple(CorrectionSeries(u=sp.u, k_u=sp.order, log_peak=f_u, V=V,
+                                  kappas=tuple(_exp_series(lams, 2 * L)[::2]))
+                 for f_u, V, lams in _lambda_table(spec, sp, ts, 2 * L))
 
 
-def peak_value(spec: SeriesSpec, sp: StationaryPoint, t, L: int = DEFAULT_L):
-    """exp(F(u/t,t))/V * sum_{l<=L} Gamma((2l+1)/(2k)) kappa_{2l}/k (per t)."""
+def peak_value(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
+               L: int = DEFAULT_L) -> tuple[LogValue, ...]:
+    """exp(F(u/t,t))/V * sum_{l<=L} Gamma((2l+1)/(2k)) kappa_{2l}/k at each
+    t of ts."""
     rows = []
-    for tj, cs in zip(_grid(t), corrections(spec, sp, _grid(t), L)):
+    for t, cs in zip(ts, corrections(spec, sp, ts, L)):
         k = cs.k_u
         s = sum(math.gamma((2 * ell + 1) / (2 * k)) * cs.kappas[ell] / k
                 for ell in range(L + 1))
         if s <= 0:
             raise DegenerateError(
-                f"correction sum nonpositive ({s}); expansion broke down at t={tj}")
+                f"correction sum nonpositive ({s}); expansion broke down at t={t}")
         rows.append(LogValue(1, cs.log_peak - math.log(cs.V) + math.log(s)))
-    return _each(t, rows)
-
-
-def leading_constant(sp: StationaryPoint) -> tuple[float, float, float]:
-    """(C_u, t_power, rate) of the t->0 law C_u t^(-1+1/(2m)) e^(rate/t)."""
-    return sp.c_u, -1.0 + 1.0 / (2 * sp.order), sp.h_value
-
-
-def _tail_law(pf: PhaseFamily) -> tuple[float, float]:
-    """(log C, t_power) of the far-tail term C t^(B/alpha_1 - 1)."""
-    alpha1, f1 = pf.falpha[0]
-    ba = pf.spec.B / alpha1
-    return math.lgamma(ba) - math.log(alpha1) - ba * math.log(f1), ba - 1.0
-
-
-def tail_leading(pf: PhaseFamily, t: float) -> LogValue:
-    """Gamma(B/alpha_1)/(alpha_1 f(alpha_1)^(B/alpha_1)) * t^(B/alpha_1 - 1),
-    the leading far-tail contribution when A = v = 0 and f(alpha_1) > 0."""
-    s = pf.spec
-    if s.A != 0 or s.v != 0:
-        raise BranchError("tail term is zero unless A = 0 and v = 0")
-    if not pf.falpha:
-        raise BranchError("no Pochhammer terms: tail exponent alpha_1 undefined")
-    if pf.falpha[0][1] < 0:
-        raise BranchError("f(alpha_1) < 0: tail term is zero")
-    if s.B <= 0:
-        raise BranchError("tail term needs B > 0")
-    log_c, t_power = _tail_law(pf)
-    return LogValue(1, log_c + t_power * math.log(t))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -192,46 +176,31 @@ class AsymptoticResult:
     total: LogValue
 
 
-def asym_from_parts(an: Analysis, t, L: int = DEFAULT_L, q_power: float = 0.0):
-    """Assemble peaks + tail of the analysed series at t and multiply by the
-    asymptotic constant-product prefactor and the fixed factor q^q_power
-    (applied verbatim on both branches); at a tuple of t, one result each,
-    with the bits it has alone, from one k-sum per peak."""
+def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
+                    q_power: float = 0.0) -> tuple[AsymptoticResult, ...]:
+    """Peaks + tail of the analysed series times the asymptotic
+    constant-product prefactor and the fixed factor q^q_power (applied
+    verbatim on both branches), one result per t of ts, each with the bits
+    it has alone, from one k-sum per peak."""
     if not an.hypothesis:
         raise HypothesisError(
             f"increasing-near-zero hypothesis fails: {an.hypothesis.detail}")
-    sps = an.peaks
-    if not sps and not an.tail:
+    if an.law is None:
         raise DegenerateError(
             "no interior maximum and no applicable tail branch; "
             "the expansion machinery does not cover this spec")
-    peaks = [peak_value(an.series, sp, _grid(t), L) for sp in sps]
-    tail_only = not sps
-    if sps:
-        dom = max(sps, key=lambda sp: sp.h_value)
-        c_u, tp, rate = leading_constant(dom)
-        if an.tail and (dom.h_value < 0 or (dom.h_value == 0
-                                            and _tail_law(an.phase)[1] < tp)):
-            tail_only = True
-    if tail_only:
-        log_cu, tp = _tail_law(an.phase)
-        rate = 0.0
-    else:
-        log_cu = math.log(c_u)
-    branch = "tail" if not sps else ("sum-of-peaks+tail" if an.tail else "peak")
-    law = an.prefactor
-    rate_total = law.A_H + rate
-    t_power = law.B_H + tp
-    log_constant = law.log_C + log_cu
+    peaks = [peak_value(an.series, sp, ts, L) for sp in an.peaks]
+    rate, t_power, log_constant = an.law
     rows = []
-    for j, tj in enumerate(_grid(t)):
+    for j, t in enumerate(ts):
         n_val = sum((values[j] for values in peaks), LogValue.zero())
-        i_val = tail_leading(an.phase, tj) if an.tail else LogValue.zero()
-        total = ((n_val + i_val) * prefactor_asym(law, tj)
-                 * LogValue.from_log(-q_power * tj))
-        base = rate_total / tj + t_power * math.log(tj) + log_constant
+        i_val = (LogValue(1, an.tail[0] + an.tail[1] * math.log(t)) if an.tail
+                 else LogValue.zero())
+        total = ((n_val + i_val) * prefactor_asym(an.prefactor, t)
+                 * LogValue.from_log(-q_power * t))
+        base = rate / t + t_power * math.log(t) + log_constant
         corr = math.exp(total.log_abs - base) * total.sign
-        rows.append(AsymptoticResult(rate=rate_total, t_power=t_power,
+        rows.append(AsymptoticResult(rate=rate, t_power=t_power,
                                      log_constant=log_constant, correction_factor=corr,
-                                     branch=branch, t=tj, total=total))
-    return _each(t, rows)
+                                     branch=an.branch, t=t, total=total))
+    return tuple(rows)

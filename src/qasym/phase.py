@@ -89,8 +89,10 @@ class HypothesisReport:
 def check_hypothesis(pf: PhaseFamily) -> HypothesisReport:
     """True iff the leading phase is nondecreasing on some (0, eps].
 
-    As u -> 0+ the derivative behaves like -(sum_j alpha_j f_j) log u + O(1),
-    so the sign of sum alpha_j f_j decides; the balanced case falls back to
+    As u -> 0+ the derivative behaves like -(sum_j alpha_j f_j) log u
+    + v - sum_j alpha_j f_j log alpha_j + O(u), so the sign of
+    sum alpha_j f_j decides, and in the balanced case that of the limit
+    v - sum_j alpha_j f_j log alpha_j; when both vanish it falls back to
     sign sampling on a geometric grid.
     """
     slope = sum(a * f for a, f in pf.falpha)
@@ -101,6 +103,11 @@ def check_hypothesis(pf: PhaseFamily) -> HypothesisReport:
                                     "sum alpha_j f_j > 0 forces +inf slope at 0+")
         return HypothesisReport(False, "limit", slope,
                                 "sum alpha_j f_j < 0 forces -inf slope at 0+")
+    terms = [a * f * math.log(a) for a, f in pf.falpha]
+    limit = pf.spec.v - sum(terms)
+    if abs(limit) > 1e-13 * max(abs(pf.spec.v) + sum(map(abs, terms)), 1.0):
+        return HypothesisReport(limit > 0, "limit", slope,
+                                f"balanced log coefficient; slope -> {limit:.3e} at 0+")
     max_alpha = max((a for a, _ in pf.falpha), default=1.0)
     eps = min(1.0, 1.0 / (2.0 * max_alpha))
     for i in range(40):

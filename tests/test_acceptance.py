@@ -10,7 +10,7 @@ import time
 import pytest
 
 from oracles import kappa_by_partitions, mcintosh_asym, qpoch_finite
-from qasym.expansion import _exp_series, _lambda_table, peak_value, tail_leading
+from qasym.expansion import _exp_series, _lambda_table, peak_value
 from qasym.phase import build_phase, stationary_points
 from qasym.presets import F0_ZETA, get_preset
 from qasym.qseries import SeriesSpec, qpoch_inf, series_sum
@@ -75,7 +75,7 @@ def test_criterion_3_f0_peak():
     errs = {}
     for t in (0.02, 0.01):
         sv = series_sum(p.series, t).value
-        pv = peak_value(p.series, sp, t, 0)
+        (pv,) = peak_value(p.series, sp, (t,), 0)
         errs[t] = abs(math.exp(pv.log_abs - sv.log_abs) - 1.0)
     elapsed = time.monotonic() - t0
     ok = (zeta_gap <= 1e-10 and four_digits == "0.2207"
@@ -138,10 +138,9 @@ def test_criterion_6_tail_exactness():
         sum_gaps.append(abs(series_sum(euler.series, t).value.to_float() - 1.0))
         b2_gaps.append(abs(series_sum(b2.series, t).value.to_float()
                            / (1.0 - math.exp(-t)) - 1.0))
-    tail_one = tail_leading(build_phase(euler.series), 0.05)
-    tail_t_exact = all(
-        tail_leading(build_phase(b2.series), t).log_abs == math.log(t)
-        for t in (0.1, 0.05, 0.025))
+    tail_one = asym(euler, 0.05).total
+    tail_t_exact = all(asym(b2, t).total.log_abs == math.log(t)
+                       for t in (0.1, 0.05, 0.025))
     ok = (max(sum_gaps) <= 1e-10
           and tail_one.sign == 1 and tail_one.log_abs == 0.0
           and max(b2_gaps) <= 1e-8 and tail_t_exact)
@@ -209,7 +208,7 @@ def test_criterion_9_invariant_bundle():
     fd_ok = abs(log_summand_deriv(ram, 1, x, t) - fd) <= 1e-7
     # kappa double computation
     sp = stationary_points(build_phase(ram))[0]
-    _, V, lams = _lambda_table(ram, sp, 0.05, 18)
+    ((_, V, lams),) = _lambda_table(ram, sp, (0.05,), 18)
     coeffs = _exp_series(lams, 6)
     kappa_ok = all(
         abs(coeffs[l] - kappa_by_partitions(lams, l)) <= 1e-12

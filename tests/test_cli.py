@@ -191,6 +191,17 @@ def test_hypothesis_split_by_route(tmp_path):
         assert cp.returncode == status, (command, cp.stderr)
 
 
+def test_balanced_hypothesis_by_limit(tmp_path):
+    # partial theta: the log coefficient is balanced (no terms) and the
+    # slope tends to v = 0.3 > 0 at 0+, though it turns negative at u = 0.3
+    spec = write_spec(tmp_path, {"A": 0.5, "B": 0, "v": 0.3, "terms": []})
+    for command in ("asym", "verify"):
+        cp = run_cli(command, "--spec", spec, "--t", "0.05,0.01,0.001")
+        assert cp.returncode == 0, (command, cp.stderr)
+    last = cp.stdout.splitlines()[-1].split(",")
+    assert abs(float(last[-1]) - 1.0) <= 1e-12      # ratio_sum_asym at t = 1e-3
+
+
 def test_flat_tail_split_by_route():
     # the expansion does not cover this flat tail's maximum of height
     # 4e-16 at u = 24.2, so the routes that analyse the phase fail; the

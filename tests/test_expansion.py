@@ -1,14 +1,15 @@
+import json
 import math
 from pathlib import Path
 
 import pytest
 
 from oracles import kappa_by_partitions, lambda_table_per_order
-from qasym.cli import load_spec
-from qasym.errors import BranchError, DegenerateError, HypothesisError, SignError
+from qasym import expansion
+from qasym.cli import load_spec, main
+from qasym.errors import DegenerateError, HypothesisError, SignError
 from qasym.expansion import (_exp_series, _lambda_table, analyse,
-                             asym_from_parts, corrections, leading_constant,
-                             peak_value, tail_leading)
+                             asym_from_parts, corrections, peak_value)
 from qasym.phase import build_phase, stationary_points
 from qasym.presets import PRESETS, get_preset
 from qasym.qseries import ProductSpec, SeriesSpec, normalize, series_sum
@@ -24,16 +25,29 @@ def _sp(spec):
     return stationary_points(build_phase(spec))[0]
 
 
+def _law(spec):
+    # (C_u, t_power, rate) of the dominant law C_u t^t_power e^(rate/t)
+    rate, t_power, log_c = analyse(spec).law
+    return math.exp(log_c), t_power, rate
+
+
+def _tail(spec, t):
+    # the asym route's total at t of a spec whose only branch is the tail
+    (r,) = asym_from_parts(analyse(spec), (t,))
+    assert r.branch == "tail"
+    return r.total
+
+
 class TestCorrections:
     def test_order_zero(self):
-        cs = corrections(RAM, _sp(RAM), 0.05, 0)
+        (cs,) = corrections(RAM, _sp(RAM), (0.05,), 0)
         assert cs.kappas == (1.0,)
         assert cs.k_u == 1
         assert cs.V > 0
 
     def test_partition_sum_agrees_with_series_exp(self):
         # two independent evaluations of the same composition
-        _, V, lams = _lambda_table(RAM, _sp(RAM), 0.05, 18)
+        ((_, V, lams),) = _lambda_table(RAM, _sp(RAM), (0.05,), 18)
         coeffs = _exp_series(lams, 6)
         for ell in range(7):
             direct = kappa_by_partitions(lams, ell)
@@ -46,14 +60,13 @@ class TestCorrections:
         sp = _sp(spec)
         for t in (0.05, 1e-3, 1e-4):
             for L in (0, 1, 2):
-                rmax = max(2 * sp.order * (2 * sp.order + 1) * L, 1)
-                assert (_lambda_table(spec, sp, t, rmax)
-                        == lambda_table_per_order(spec, sp, t, rmax))
+                for rmax in (2 * L, 2 * sp.order * (2 * sp.order + 1) * L):
+                    assert (_lambda_table(spec, sp, (t,), rmax)
+                            == [lambda_table_per_order(spec, sp, t, rmax)])
 
     def test_kappa2_envelope_decreases(self):
         sp = _sp(RAM)
-        k2 = [abs(corrections(RAM, sp, t, 1).kappas[1])
-              for t in (0.1, 0.05, 0.025)]
+        k2 = [abs(cs.kappas[1]) for cs in corrections(RAM, sp, (0.1, 0.05, 0.025), 1)]
         assert k2[0] > k2[1] > k2[2]
 
     def test_odd_partition_indexes_too(self):
@@ -73,7 +86,7 @@ class TestPeakValue:
         sp = _sp(spec)
         for t in (0.02, 0.01):
             sv = series_sum(spec, t).value
-            pv = peak_value(spec, sp, t, 0)
+            (pv,) = peak_value(spec, sp, (t,), 0)
             assert abs(math.exp(pv.log_abs - sv.log_abs) - 1.0) <= 0.03
 
     @pytest.mark.parametrize("spec", [RAM, F0], ids=["ramanujan", "f0"])
@@ -83,7 +96,7 @@ class TestPeakValue:
         sp = _sp(spec)
         for t in (0.02, 0.01):
             sv = series_sum(spec, t).value
-            err = {L: abs(math.exp(peak_value(spec, sp, t, L).log_abs
+            err = {L: abs(math.exp(peak_value(spec, sp, (t,), L)[0].log_abs
                                    - sv.log_abs) - 1.0) for L in (0, 3)}
             assert err[3] < err[0]
 
@@ -92,14 +105,14 @@ class TestPeakValue:
         errs = []
         for t in (0.02, 0.01):
             sv = series_sum(F0, t).value
-            errs.append(abs(math.exp(peak_value(F0, sp, t, 0).log_abs
+            errs.append(abs(math.exp(peak_value(F0, sp, (t,), 0)[0].log_abs
                                      - sv.log_abs) - 1.0))
         assert errs[1] < errs[0]
 
 
 class TestLeadingConstant:
     def test_ramanujan(self):
-        c_u, t_power, rate = leading_constant(_sp(RAM))
+        c_u, t_power, rate = _law(RAM)
         assert c_u == pytest.approx(math.sqrt(2 * math.pi / math.sqrt(5.0)),
                                     rel=1e-12)
         assert t_power == -0.5
@@ -107,7 +120,7 @@ class TestLeadingConstant:
 
     def test_f0_closed_form(self):
         sp = _sp(F0)
-        c_u, _, _ = leading_constant(sp)
+        c_u, _, _ = _law(F0)
         x = math.exp(-sp.u)
         display = math.sqrt(2 * math.pi) * math.sqrt((1 - x) / (2 - x + x * x))
         assert c_u == pytest.approx(display, rel=1e-12)
@@ -116,7 +129,7 @@ class TestLeadingConstant:
         from qasym.phase import phase_value
         pf = build_phase(RAM)
         sp = _sp(RAM)
-        c_u, _, _ = leading_constant(sp)
+        c_u, _, _ = _law(RAM)
         shape = (math.exp(phase_value(pf, 0, sp.u))
                  * math.sqrt(2 * math.pi / abs(sp.h2m)))
         assert c_u == pytest.approx(shape, rel=1e-14)
@@ -124,11 +137,11 @@ class TestLeadingConstant:
     def test_match_peak_value_limit(self):
         # peak_value(L=0) / (C_u t^(-1/2) e^(rate/t)) -> 1 like O(t)
         sp = _sp(RAM)
-        c_u, t_power, rate = leading_constant(sp)
+        rate, t_power, log_c = analyse(RAM).law
         gaps = []
         for t in (0.04, 0.02, 0.01):
-            pv = peak_value(RAM, sp, t, 0)
-            base = math.log(c_u) + t_power * math.log(t) + rate / t
+            (pv,) = peak_value(RAM, sp, (t,), 0)
+            base = log_c + t_power * math.log(t) + rate / t
             gaps.append(abs(math.exp(pv.log_abs - base) - 1.0))
         assert gaps[0] > gaps[1] > gaps[2]
         assert 1.5 < gaps[0] / gaps[1] < 2.5
@@ -137,31 +150,109 @@ class TestLeadingConstant:
 
 class TestTailLeading:
     def test_euler_exact_one(self):
-        lv = tail_leading(build_phase(EULER), 0.05)
+        assert analyse(EULER).tail == (0.0, 0.0)
+        lv = _tail(EULER, 0.05)
         assert lv.sign == 1 and lv.log_abs == 0.0
 
     def test_euler_b2_exact_t(self):
+        assert analyse(EULER_B2).tail == (0.0, 1.0)
         for t in (0.1, 0.05):
-            lv = tail_leading(build_phase(EULER_B2), t)
-            assert lv.log_abs == math.log(t)
+            assert _tail(EULER_B2, t).log_abs == math.log(t)
 
-    def test_branch_error_on_peak_spec(self):
-        with pytest.raises(BranchError):
-            tail_leading(build_phase(RAM), 0.05)
+    def test_no_tail_on_peak_spec(self):
+        an = analyse(RAM)
+        assert an.tail is None and an.branch == "peak"
 
     def test_closed_form_agreement(self):
         # the two Euler fixtures have exact sums 1 and 1-e^{-t}; the leading
         # tail reproduces them within 10 t^2 relative on a desk-scale grid
         for t in (0.1, 0.2):
-            one = tail_leading(build_phase(EULER), t).to_float()
+            one = _tail(EULER, t).to_float()
             assert abs(one - 1.0) <= 10 * t * t
-            tb2 = tail_leading(build_phase(EULER_B2), t).to_float()
+            tb2 = _tail(EULER_B2, t).to_float()
             assert abs(tb2 / (1.0 - math.exp(-t)) - 1.0) <= 10 * t * t
+
+
+TAIL_DOM = {"A": 0, "B": 0.32, "v": 0, "terms": [(0.94, 1.0, 1.65, -1.52),
+                                                 (1.52, 0.64, 0.6, 1.53),
+                                                 (3.52, 0.59, 0.95, -0.6)]}
+PEAK_DOM = {"A": 0, "B": 1.06, "v": 0, "terms": [(0.54, 1.38, 1.59, -0.57),
+                                                 (0.61, 1.46, 1.68, 2.96),
+                                                 (2.89, 1.14, 1.94, -0.75)]}
+
+
+class TestBranch:
+    """The flat tail next to an interior maximum: analyse decides the
+    branch and the dominant law once, by the maximum's height."""
+
+    @staticmethod
+    def _spec(doc):
+        return SeriesSpec.make(doc["A"], doc["B"], doc["v"], doc["terms"])
+
+    def test_tail_law_dominant(self):
+        an = analyse(self._spec(TAIL_DOM))
+        (sp,) = an.peaks
+        assert sp.h_value == pytest.approx(-0.0205439, abs=1e-7)
+        ba = 0.32 / 0.94        # B/alpha_1, and f(alpha_1) = 1.52
+        log_c = math.lgamma(ba) - math.log(0.94) - ba * math.log(1.52)
+        assert an.branch == "sum-of-peaks+tail"
+        assert an.tail == (pytest.approx(log_c, rel=1e-14), ba - 1.0)
+        assert an.law == (0.0, an.tail[1], an.tail[0])
+        assert an.law[1] == pytest.approx(-0.65957446808, rel=1e-11)
+
+    def test_peak_law_dominant(self):
+        an = analyse(self._spec(PEAK_DOM))
+        (sp,) = an.peaks
+        assert an.branch == "sum-of-peaks+tail"
+        assert an.tail[1] == 1.06 / 0.54 - 1.0
+        assert an.law == (sp.h_value, -0.5, math.log(sp.c_u))
+        assert an.law[0] == pytest.approx(1.63220979, rel=1e-8)
+
+    @pytest.mark.parametrize("doc", [TAIL_DOM, PEAK_DOM], ids=["tail", "peak"])
+    def test_both_branches_verify(self, doc, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**doc, "terms": [
+            dict(zip(("alpha", "beta", "gamma", "S"), term)) for term in doc["terms"]]}))
+        out = tmp_path / "verify.csv"
+        assert main(["verify", "--spec", str(spec), "--t", "0.05,0.01,0.001",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == [0.05, 0.01, 0.001]
+
+
+class TestDerivativeRows:
+    """corrections asks one k-sum for the derivative orders it reads,
+    0..max(2L, 2k), and gets the bits of the wide table 0..2k(2k+1)L."""
+
+    @pytest.mark.parametrize("name", ["ramanujan", "f0", "rphis", "simple-r"])
+    def test_orders_read(self, name, monkeypatch):
+        p = get_preset(name)
+        an = analyse(p.series, p.prefactor)
+        asked = []
+
+        def spy(spec, n, x, t, real=expansion.log_summand_deriv):
+            asked.append(n)
+            return real(spec, n, x, t)
+
+        monkeypatch.setattr(expansion, "log_summand_deriv", spy)
+        ts = (0.1, 0.01, 0.001)
+        for sp in an.peaks:
+            k = sp.order
+            for L in range(4):
+                asked.clear()
+                got = corrections(an.series, sp, ts, L)
+                assert asked == [tuple(range(max(2 * L, 2 * k) + 1))]
+                wide = _lambda_table(an.series, sp, ts, 2 * k * (2 * k + 1) * L)
+                assert got == tuple(
+                    expansion.CorrectionSeries(
+                        u=sp.u, k_u=k, log_peak=f_u, V=V,
+                        kappas=tuple(_exp_series(lams, 2 * L)[::2]))
+                    for f_u, V, lams in wide)
 
 
 class TestAsymTotal:
     def test_ramanujan_fields(self):
-        r = asym_from_parts(analyse(*normalize(RAM_PRODUCT)), 0.02)
+        (r,) = asym_from_parts(analyse(*normalize(RAM_PRODUCT)), (0.02,))
         assert r.rate == pytest.approx(math.pi ** 2 / 5.0, abs=1e-12)
         assert r.t_power == pytest.approx(0.5)
         assert r.log_constant == pytest.approx(
@@ -170,34 +261,36 @@ class TestAsymTotal:
         assert r.correction_factor == pytest.approx(1.0, abs=0.01)
 
     def test_total_reconstruction_invariant(self):
-        r = asym_from_parts(analyse(*normalize(RAM_PRODUCT)), 0.02)
+        (r,) = asym_from_parts(analyse(*normalize(RAM_PRODUCT)), (0.02,))
         rebuilt = (r.log_constant + r.t_power * math.log(r.t) + r.rate / r.t
                    + math.log(r.correction_factor))
         assert rebuilt == pytest.approx(r.total.log_abs, abs=1e-12)
 
     def test_euler_is_one(self):
-        r = asym_from_parts(analyse(EULER), 0.05)
+        (r,) = asym_from_parts(analyse(EULER), (0.05,))
         assert r.total.to_float() == pytest.approx(1.0, abs=1e-14)
         assert r.branch == "tail"
 
     def test_hypothesis_refusal(self):
         bad = ProductSpec.make(0.0, 0.0, -1.0, [(1, 1, 1, 0, -1)])
         with pytest.raises(HypothesisError):
-            asym_from_parts(analyse(*normalize(bad)), 0.05)
+            asym_from_parts(analyse(*normalize(bad)), (0.05,))
 
     def test_geometric_series_refused(self):
         geo = SeriesSpec(0.0, 1.0, 0.0, ())
-        with pytest.raises((DegenerateError, BranchError)):
-            asym_from_parts(analyse(geo), 0.05)
+        an = analyse(geo)
+        assert an.branch == "" and an.law is None
+        with pytest.raises(DegenerateError):
+            asym_from_parts(an, (0.05,))
 
     def test_vs_series_accuracy_improves(self):
         for spec, pref in ((RAM, RAM_PRODUCT.quads), (F0, ())):
             devs = []
             for t in (0.05, 0.025):
-                a = asym_from_parts(analyse(SeriesSpec.make(
+                (a,) = asym_from_parts(analyse(SeriesSpec.make(
                     spec.A, spec.B, spec.v,
                     [(p.alpha, p.beta, p.gamma, p.S) for p in spec.terms])),
-                    t)
+                    (t,))
                 s = series_sum(spec, t).value
                 devs.append(abs(math.exp(s.log_abs - a.total.log_abs) - 1.0))
             assert devs[1] < devs[0]
@@ -222,7 +315,7 @@ class TestAsymGrid:
     def test_rows_independent_of_grid_mates(self, name):
         an = self._analysis(name)
         g = self.GRID
-        alone = {t: asym_from_parts(an, t) for t in g}
+        alone = {t: asym_from_parts(an, (t,))[0] for t in g}
         for ts in (g, g[::-1], g[2:7], g[3:4], (g[5], g[0], g[9])):
             assert asym_from_parts(an, ts) == tuple(alone[t] for t in ts)
         assert asym_from_parts(an, ()) == ()
@@ -233,9 +326,11 @@ class TestAsymGrid:
         for sp in an.peaks:
             for L in (0, 2):
                 assert (corrections(an.series, sp, self.GRID, L)
-                        == tuple(corrections(an.series, sp, t, L) for t in self.GRID))
+                        == tuple(corrections(an.series, sp, (t,), L)[0]
+                                 for t in self.GRID))
                 assert (peak_value(an.series, sp, self.GRID, L)
-                        == tuple(peak_value(an.series, sp, t, L) for t in self.GRID))
+                        == tuple(peak_value(an.series, sp, (t,), L)[0]
+                                 for t in self.GRID))
 
     def test_failing_row_named(self):
         # the curvature at this spec's peak is still >= 0 at t = 0.4

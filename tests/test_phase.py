@@ -134,6 +134,21 @@ class TestHypothesis:
         rep = check_hypothesis(build_phase(spec))
         assert not rep
 
+    @pytest.mark.parametrize("v", [0.3, -0.3])
+    def test_balanced_case_partial_theta(self, v):
+        # H(u) = v u - u^2/2: the slope's limit v at 0+ decides, though for
+        # v = 0.3 it is negative from u = 0.3 on
+        rep = check_hypothesis(build_phase(SeriesSpec(0.5, 0.0, v, ())))
+        assert bool(rep) == (v > 0) and rep.branch == "limit"
+
+    def test_balanced_limit_with_terms(self):
+        # alpha_j f_j = 2 - 2 cancels; the slope tends to v + 2 log 2 at 0+
+        pf = build_phase(SeriesSpec.make(0.5, 0.0, -1.0, [(1, 1, 1, -2), (2, 1, 1, 1)]))
+        limit = -1.0 + 2.0 * math.log(2.0)
+        assert phase_deriv(pf, 1, 1e-9) == pytest.approx(limit, rel=1e-6)
+        rep = check_hypothesis(pf)
+        assert rep and rep.branch == "limit" and rep.slope_sum == 0.0
+
     def test_balanced_case_sampled(self):
         # no Pochhammer slope at all: pure Gaussian decreases from 0
         spec = SeriesSpec(1.0, 0.0, 0.0, ())

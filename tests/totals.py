@@ -14,4 +14,4 @@ def series_total(p, t: float):
 
 def asym(p, t: float, L: int = DEFAULT_L, M: int = DEFAULT_M):
     """AsymptoticResult of preset p at t, as `qasym asym` computes it."""
-    return asym_from_parts(analyse(p.series, p.prefactor, M), t, L, p.q_power)
+    return asym_from_parts(analyse(p.series, p.prefactor, M), (t,), L, p.q_power)[0]
