@@ -10,11 +10,10 @@ expansion -- and cross-validates them against each other.
 """
 
 from .errors import (ConvergenceError, DegenerateError, DomainError,
-                     HypothesisError, IndexOverflowError, PoleError,
-                     QasymError, SignError, SpecError)
+                     HypothesisError, IndexOverflowError, QasymError,
+                     SignError, SpecError)
 from .expansion import (Analysis, AsymptoticResult, CorrectionSeries, analyse,
                         asym_from_parts, corrections, peak_value)
-from .logvalue import LogValue
 from .phase import (HypothesisReport, PhaseFamily, StationaryPoint,
                     build_phase, check_hypothesis, phase_deriv, phase_value,
                     stationary_points)
@@ -30,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Analysis", "AsymptoticResult", "ConvergenceError", "CorrectionSeries",
     "DegenerateError", "DomainError", "HypothesisError", "HypothesisReport",
-    "IndexOverflowError", "LogValue", "PRESETS", "PhaseFamily", "PochTerm",
-    "PoleError", "PrefactorLaw", "Preset", "ProductSpec", "QasymError",
+    "IndexOverflowError", "PRESETS", "PhaseFamily", "PochTerm",
+    "PrefactorLaw", "Preset", "ProductSpec", "QasymError",
     "QuadResult", "QuadTerm", "Reference", "SeriesSpec", "SignError",
     "SpecError", "StationaryPoint", "SumResult", "analyse", "asym_from_parts",
     "build_phase", "check_hypothesis", "corrections", "get_preset", "integral",

@@ -27,7 +27,6 @@ from typing import Optional, Sequence
 
 from .errors import HypothesisError, QasymError, SpecError
 from .expansion import DEFAULT_L, DEFAULT_M, Analysis, analyse, asym_from_parts
-from .logvalue import LogValue
 from .presets import PRESETS, get_preset
 from .qseries import (MAX_DERIV, T_MAX, ProductSpec, QuadTerm, SeriesSpec,
                       normalize, prefactor_exact, series_sum)
@@ -220,9 +219,9 @@ def _json_result(cfg: RunConfig, rows: list[dict], branch: str = "",
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _total(value: LogValue, pref: LogValue, q_power: float, t: float) -> LogValue:
-    """value times the exact constant product pref and q^q_power at t."""
-    return value * pref * LogValue.from_log(-q_power * t)
+def _total(value: float, pref: float, q_power: float, t: float) -> float:
+    """log of e^value times the exact constant product e^pref and q^q_power at t."""
+    return (value + pref) - q_power * t
 
 
 def run_exact(cfg: RunConfig) -> int:
@@ -234,9 +233,9 @@ def run_exact(cfg: RunConfig) -> int:
         res = (series_sum(cfg.series, t) if cfg.command == "eval"
                else quad_integral(cfg.series, t, cfg.rel_tol))
         # the window and, for the integral, its error estimate and panels
-        diag[f"t={_fmt(t)}"] = {k: v for k, v in asdict(res).items() if k != "value"}
-        lv = _total(res.value, pref, cfg.q_power, t)
-        rows.append({"t": t, "log_value": lv.log_abs, "sign": lv.sign})
+        diag[f"t={_fmt(t)}"] = {k: v for k, v in asdict(res).items() if k != "log_value"}
+        rows.append({"t": t, "log_value": _total(res.log_value, pref, cfg.q_power, t),
+                     "sign": 1})
     branch = "series_sum" if cfg.command == "eval" else "integral"
     _emit(_json_result(cfg, rows, branch=branch, diagnostics=diag), cfg.output)
     return 0
@@ -262,7 +261,7 @@ def run_asym(cfg: RunConfig) -> int:
     rows = []
     for t, r in zip(cfg.t_grid, asym_from_parts(an, tuple(cfg.t_grid), cfg.order_L,
                                                 cfg.q_power)):
-        rows.append({"t": t, "log_value": r.total.log_abs, "sign": r.total.sign,
+        rows.append({"t": t, "log_value": r.log_value, "sign": 1,
                      "rate": r.rate, "t_power": r.t_power,
                      "log_constant": r.log_constant,
                      "correction_factor": r.correction_factor})
@@ -298,22 +297,21 @@ def run_verify(cfg: RunConfig) -> int:
     for j, t in enumerate(cfg.t_grid):
         try:
             pref = prefactor_exact(cfg.prefactor, t)    # one product for both
-            s = _total(series_sum(cfg.series, t).value, pref, cfg.q_power, t)
+            s = _total(series_sum(cfg.series, t).log_value, pref, cfg.q_power, t)
             res = quad_integral(cfg.series, t, cfg.rel_tol)
-            i = _total(res.value, pref, cfg.q_power, t)
+            i = _total(res.log_value, pref, cfg.q_power, t)
             a = (asym[j] if asym else
-                 asym_from_parts(an, (t,), cfg.order_L, cfg.q_power)[0]).total
+                 asym_from_parts(an, (t,), cfg.order_L, cfg.q_power)[0]).log_value
         except HypothesisError:
             raise
         except QasymError as e:
             raise QasymError(f"row t={_fmt(t)}: {e}") from e
-        r_si = math.exp(s.log_abs - i.log_abs)
-        r_sa = math.exp(s.log_abs - a.log_abs)
+        r_si = math.exp(s - i)
+        r_sa = math.exp(s - a)
         devs.append(abs(r_si - 1.0))
-        floors.append(4.0 * (math.ulp(s.log_abs) + math.ulp(i.log_abs))
-                      + math.exp(res.abs_error_log - res.value.log_abs))
-        lines.append(",".join([_fmt(t), _fmt(s.log_abs), _fmt(i.log_abs),
-                               _fmt(a.log_abs), _fmt(r_si), _fmt(r_sa)]))
+        floors.append(4.0 * (math.ulp(s) + math.ulp(i))
+                      + math.exp(res.abs_error_log - res.log_value))
+        lines.append(",".join(map(_fmt, (t, s, i, a, r_si, r_sa))))
     _emit("\n".join(lines) + "\n", cfg.output)
     message = _verdict(cfg.t_grid, devs, floors)
     if message:

@@ -23,10 +23,6 @@ class ConvergenceError(QasymError):
     """A series, product or quadrature failed (or would fail) to converge."""
 
 
-class PoleError(QasymError):
-    """Evaluation at a pole (vanishing Pochhammer factor, Gamma pole)."""
-
-
 class SpecError(QasymError):
     """Invalid series description: violated invariant or unparseable input."""
 

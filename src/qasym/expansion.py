@@ -19,12 +19,12 @@ Gamma(B/alpha_1)/(alpha_1 f(alpha_1)^(B/alpha_1)) * t^(B/alpha_1 - 1).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegenerateError, HypothesisError, SignError
-from .logvalue import LogValue
 from .phase import (HypothesisReport, PhaseFamily, StationaryPoint, build_phase,
                     check_hypothesis, stationary_points)
 from .qseries import (PrefactorLaw, QuadTerm, SeriesSpec, log_summand_deriv,
@@ -142,8 +142,8 @@ def corrections(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
 
 
 def peak_value(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
-               L: int = DEFAULT_L) -> tuple[LogValue, ...]:
-    """exp(F(u/t,t))/V * sum_{l<=L} Gamma((2l+1)/(2k)) kappa_{2l}/k at each
+               L: int = DEFAULT_L) -> tuple[float, ...]:
+    """log of exp(F(u/t,t))/V * sum_{l<=L} Gamma((2l+1)/(2k)) kappa_{2l}/k at each
     t of ts."""
     rows = []
     for t, cs in zip(ts, corrections(spec, sp, ts, L)):
@@ -153,7 +153,7 @@ def peak_value(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
         if s <= 0:
             raise DegenerateError(
                 f"correction sum nonpositive ({s}); expansion broke down at t={t}")
-        rows.append(LogValue(1, cs.log_peak - math.log(cs.V) + math.log(s)))
+        rows.append(cs.log_peak - math.log(cs.V) + math.log(s))
     return tuple(rows)
 
 
@@ -173,7 +173,13 @@ class AsymptoticResult:
     correction_factor: float
     branch: str
     t: float
-    total: LogValue
+    log_value: float
+
+
+def log_add(x: float, y: float) -> float:
+    """log(e^x + e^y) without leaving log space, the same bits either way round."""
+    big, small = (x, y) if x >= y else (y, x)
+    return big + math.log1p(math.exp(small - big))
 
 
 def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
@@ -193,14 +199,14 @@ def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
     rate, t_power, log_constant = an.law
     rows = []
     for j, t in enumerate(ts):
-        n_val = sum((values[j] for values in peaks), LogValue.zero())
-        i_val = (LogValue(1, an.tail[0] + an.tail[1] * math.log(t)) if an.tail
-                 else LogValue.zero())
-        total = ((n_val + i_val) * prefactor_asym(an.prefactor, t)
-                 * LogValue.from_log(-q_power * t))
+        parts = [values[j] for values in peaks]
+        if an.tail:
+            parts.append(an.tail[0] + an.tail[1] * math.log(t))
+        total = (functools.reduce(log_add, parts) + prefactor_asym(an.prefactor, t)
+                 - q_power * t)
         base = rate / t + t_power * math.log(t) + log_constant
-        corr = math.exp(total.log_abs - base) * total.sign
         rows.append(AsymptoticResult(rate=rate, t_power=t_power,
-                                     log_constant=log_constant, correction_factor=corr,
-                                     branch=an.branch, t=t, total=total))
+                                     log_constant=log_constant,
+                                     correction_factor=math.exp(total - base),
+                                     branch=an.branch, t=t, log_value=total))
     return tuple(rows)

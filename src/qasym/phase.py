@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError
 from .qseries import SeriesSpec
-from .specfun import polylog
+from .specfun import bernoulli_number, polylog
 
 MAX_ORDER = 8            # stationary points classified up to order m_u = 8
 _DEGENERACY_RTOL = 1e-8  # |H^(2m)| below this * scale counts as zero
@@ -78,7 +78,7 @@ def phase_deriv(pf: PhaseFamily, k: int, u):
 @dataclass(frozen=True)
 class HypothesisReport:
     increasing: bool
-    branch: str   # "limit" or "sampled"
+    branch: str   # "limit" or "series"
     slope_sum: float
     detail: str
 
@@ -92,8 +92,16 @@ def check_hypothesis(pf: PhaseFamily) -> HypothesisReport:
     As u -> 0+ the derivative behaves like -(sum_j alpha_j f_j) log u
     + v - sum_j alpha_j f_j log alpha_j + O(u), so the sign of
     sum alpha_j f_j decides, and in the balanced case that of the limit
-    v - sum_j alpha_j f_j log alpha_j; when both vanish it falls back to
-    sign sampling on a geometric grid.
+    v - sum_j alpha_j f_j log alpha_j.  When both vanish, Li1(e^-x) =
+    -log x + x/2 - sum_k B_2k x^2k/(2k (2k)!) leaves the power series
+
+        u (sum_j alpha_j^2 f_j/2 - 2A)
+          - sum_k B_2k u^2k/(2k (2k)!) sum_j alpha_j^(2k+1) f_j
+
+    whose first coefficient above its rounding decides.  With the slope's
+    sum_j alpha_j f_j = 0, the u^2k coefficients for k < len(falpha) vanish
+    together only if every f_j does (a Vandermonde system in alpha_j^2); the
+    derivative is then -2A u, refused on u^1, or identically 0, which passes.
     """
     slope = sum(a * f for a, f in pf.falpha)
     scale = sum(abs(a * f) for a, f in pf.falpha)
@@ -108,15 +116,18 @@ def check_hypothesis(pf: PhaseFamily) -> HypothesisReport:
     if abs(limit) > 1e-13 * max(abs(pf.spec.v) + sum(map(abs, terms)), 1.0):
         return HypothesisReport(limit > 0, "limit", slope,
                                 f"balanced log coefficient; slope -> {limit:.3e} at 0+")
-    max_alpha = max((a for a, _ in pf.falpha), default=1.0)
-    eps = min(1.0, 1.0 / (2.0 * max_alpha))
-    for i in range(40):
-        u = eps * 2.0 ** (-i)
-        if phase_deriv(pf, 1, u) < 0:
-            return HypothesisReport(False, "sampled", slope,
-                                    f"negative slope at u={u:.3e}")
-    return HypothesisReport(True, "sampled", slope,
-                            "balanced log coefficient; slope >= 0 on the grid")
+    sq = [a * a * f / 2.0 for a, f in pf.falpha]
+    series = [(1, sum(sq) - 2.0 * pf.spec.A, sum(map(abs, sq)) + 2.0 * pf.spec.A)]
+    for k in range(1, len(pf.falpha)):
+        c = float(bernoulli_number(2 * k)) / (2 * k * math.factorial(2 * k))
+        odd = [a ** (2 * k + 1) * f for a, f in pf.falpha]
+        series.append((2 * k, -c * sum(odd), abs(c) * sum(map(abs, odd))))
+    balanced = "balanced log coefficient and limit; slope"
+    for power, coef, size in series:
+        if abs(coef) > 1e-13 * size:
+            return HypothesisReport(coef > 0, "series", slope,
+                                    f"{balanced} ~ {coef:.3e} u^{power} at 0+")
+    return HypothesisReport(True, "series", slope, f"{balanced} vanishes at 0+")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,9 @@ Truncation policy for the outer sum and its integral: one ladder of pieces
 (``mass_ladder``) certifies a window that leaves out at most 1e-18 of the
 total, from the closed-form sandwich of the inner sum (``kernel_bounds``).
 The inner sum costs the same at every t: a closed form below w = 0.1, at
-most 451 k-terms above (``_kernel``).  Values are LogValue throughout; the
-series reach exp(pi^2/(5t)), which overflows binary64 for t < 0.0125.
+most 451 k-terms above (``_kernel``).  Every value is positive and carried
+as its log: the series reach exp(pi^2/(5t)), which overflows binary64 for
+t < 0.0125.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError, PoleError, SpecError
-from .logvalue import LogValue
+from .errors import ConvergenceError, DomainError, SpecError
 from .specfun import bernoulli_number, bernoulli_poly, lineg_coeffs, polylog
 
 T_MAX = 0.5                 # largest t any evaluation accepts
@@ -127,11 +127,8 @@ class QuadTerm:
         if not self.a + self.b * self.d > 0:
             raise SpecError(
                 f"QuadTerm needs a+bd>0, got a+bd={self.a + self.b * self.d}")
-        ab = self.a / self.b
-        if ab <= 0 and abs(ab - round(ab)) < 1e-9:
-            raise SpecError(
-                f"QuadTerm needs a/b away from nonpositive integers (Gamma pole), "
-                f"got a/b={ab}")
+        if not self.a > 0:      # so (q^a;q^b)_inf > 0 and Gamma(a/b) > 0
+            raise SpecError(f"QuadTerm needs a>0, got {self.a}")
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ def normalize(spec: ProductSpec) -> tuple[SeriesSpec, tuple[QuadTerm, ...]]:
 # q-Pochhammer symbols
 
 
-def qpoch_inf(a: float, q: float) -> LogValue:
+def qpoch_inf(a: float, q: float) -> float:
     """log (a;q)_inf for 0 <= a < 1, 0 < q < 1.
 
     Truncates once a q^K < 1e-18, sums 2^20 factors at a time and raises
@@ -188,54 +185,37 @@ def qpoch_inf(a: float, q: float) -> LogValue:
     if q >= 1.0 - 1e-12:
         raise ConvergenceError("q too close to 1; use the product asymptotics")
     if a == 0.0:
-        return LogValue.one()
+        return 0.0
     K = max(int((math.log(1e-18) - math.log(a)) / math.log(q)) + 1, 1)
     if K > _KMAX_HARD:
         raise ConvergenceError(f"exact prefactor: (a;q)_inf needs {K} factors, "
                                f"more than {_KMAX_HARD}")
-    return LogValue(1, sum(float(np.sum(np.log1p(-a * q ** np.arange(
-        k0, min(k0 + (1 << 20), K), dtype=float)))) for k0 in range(0, K, 1 << 20)))
-
-
-def _gamma_sign_log(x: float) -> tuple[int, float]:
-    # sign and log|Gamma(x)| for real non-pole x
-    if x > 0:
-        return 1, math.lgamma(x)
-    if x == int(x):
-        raise PoleError(f"Gamma pole at {x}")
-    sign = -1 if int(math.floor(x)) % 2 else 1
-    return sign, math.lgamma(x)
+    return sum(float(np.sum(np.log1p(-a * q ** np.arange(
+        k0, min(k0 + (1 << 20), K), dtype=float)))) for k0 in range(0, K, 1 << 20))
 
 
 @dataclass(frozen=True)
 class PrefactorLaw:
     """t-independent constants of prod (q^a;q^b)_inf^(-S) ~
-    sign C_H t^{B_H} exp(A_H/t + sum_{l=1}^{M} A_l t^l); ``coeffs`` holds
+    C_H t^{B_H} exp(A_H/t + sum_{l=1}^{M} A_l t^l); ``coeffs`` holds
     A_1..A_M (empty for an empty product)."""
     A_H: float
     B_H: float
     log_C: float
-    sign: int
     coeffs: tuple[float, ...]
 
 
 def prefactor_law(quads: tuple[QuadTerm, ...], M: int) -> PrefactorLaw:
     """A_H = sum pi^2 S/(6b), B_H = sum (a/b - 1/2) S, log C_H = sum S (log
-    Gamma(a/b) - log(2 pi)/2 + (a/b - 1/2) log b) with its sign, and the
+    Gamma(a/b) - log(2 pi)/2 + (a/b - 1/2) log b), and the
     Bernoulli coefficients A_l = sum B_l S b^l B_{l+1}(a/b) / (l (l+1)!),
     l <= M."""
     A_H = B_H = logC = 0.0
-    sign = 1
     for q in quads:
         ab = q.a / q.b
         A_H += math.pi ** 2 * q.S / (6.0 * q.b)
         B_H += (ab - 0.5) * q.S
-        gsign, glog = _gamma_sign_log(ab)
-        logC += q.S * (glog - 0.5 * LOG_2PI + (ab - 0.5) * math.log(q.b))
-        if gsign < 0:
-            if q.S != int(q.S):
-                raise DomainError("negative Gamma with non-integer exponent")
-            sign *= -1 if int(q.S) % 2 else 1
+        logC += q.S * (math.lgamma(ab) - 0.5 * LOG_2PI + (ab - 0.5) * math.log(q.b))
     coeffs = []
     # an empty product reads no Bernoulli number, so it accepts any M
     for ell in range(1, M + 1) if quads else ():
@@ -243,10 +223,10 @@ def prefactor_law(quads: tuple[QuadTerm, ...], M: int) -> PrefactorLaw:
         coeffs.append(0.0 if bn == 0 else sum(
             float(bn) * q.S * q.b ** ell * bernoulli_poly(ell + 1, q.a / q.b)
             / (ell * math.factorial(ell + 1)) for q in quads))
-    return PrefactorLaw(A_H, B_H, logC, sign, tuple(coeffs))
+    return PrefactorLaw(A_H, B_H, logC, tuple(coeffs))
 
 
-def prefactor_asym(law: PrefactorLaw, t: float) -> LogValue:
+def prefactor_asym(law: PrefactorLaw, t: float) -> float:
     """log of prod (q^a;q^b)_inf^(-S) from its constants, with the
     correction series truncated where ``law`` was."""
     if not t > 0:
@@ -254,17 +234,14 @@ def prefactor_asym(law: PrefactorLaw, t: float) -> LogValue:
     out = law.A_H / t + law.B_H * math.log(t) + law.log_C
     for ell, a_l in enumerate(law.coeffs, 1):
         out += a_l * t ** ell
-    return LogValue(law.sign, out)
+    return out
 
 
-def prefactor_exact(quads: tuple[QuadTerm, ...], t: float) -> LogValue:
-    """prod (q^a;q^b)_inf^(-S) by direct symbol evaluation (needs a > 0)."""
-    out = LogValue.one()
+def prefactor_exact(quads: tuple[QuadTerm, ...], t: float) -> float:
+    """log of prod (q^a;q^b)_inf^(-S) by direct symbol evaluation."""
+    out = 0.0
     for q in quads:
-        if q.a <= 0:
-            raise DomainError("exact prefactor needs a > 0 in every quad")
-        lv = qpoch_inf(math.exp(-q.a * t), math.exp(-q.b * t))
-        out = out * LogValue.from_log(-q.S * lv.log_abs)
+        out -= q.S * qpoch_inf(math.exp(-q.a * t), math.exp(-q.b * t))
     return out
 
 
@@ -532,7 +509,7 @@ def mass_ladder(spec: SeriesSpec, t: float) -> MassLadder:
 
 @dataclass(frozen=True)
 class SumResult:
-    value: LogValue
+    log_value: float
     m_lo: int              # the terms m_lo <= m < m_hi were summed
     m_hi: int
     left_out_log: float    # log of the certified mass of the others
@@ -572,4 +549,4 @@ def series_sum(spec: SeriesSpec, t: float) -> SumResult:
         new_max = max(run_max, float(logs.max()))
         acc = acc * math.exp(run_max - new_max) + float(np.exp(logs - new_max).sum())
         run_max, total_log, m0 = new_max, new_max + math.log(acc), m1
-    return SumResult(LogValue(1, total_log), int(e[cut]), m0, float(left_out))
+    return SumResult(total_log, int(e[cut]), m0, float(left_out))

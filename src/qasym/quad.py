@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .logvalue import LogValue
 from .qseries import LN_EPS, U_END, SeriesSpec, log_summand, mass_ladder
 
 MAX_PANELS = 1 << 14
@@ -76,7 +75,7 @@ def _gk15(logf, a: np.ndarray, b: np.ndarray,
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: LogValue
+    log_value: float
     abs_error_log: float   # log of the estimated absolute error
     subdivisions: int
     u_cut: float           # the window's lower end (0.0: from u = 0)
@@ -84,8 +83,8 @@ class QuadResult:
 
 
 def _adaptive(spec: SeriesSpec, edges: np.ndarray, t: float,
-              rel_tol: float) -> tuple[LogValue, float, int]:
-    """(value, log error estimate, panels) of (1/t) int exp(F(u/t)) du
+              rel_tol: float) -> tuple[float, float, int]:
+    """(log value, log error estimate, panels) of (1/t) int exp(F(u/t)) du
     over the initial panels between ``edges``, halving the panel of largest
     estimate until they add up to at most rel_tol of the value; it also
     holds rounding: 50 eps (QUADPACK's) and an ulp of each part of the log."""
@@ -117,7 +116,7 @@ def _adaptive(spec: SeriesSpec, edges: np.ndarray, t: float,
         raise ConvergenceError("integral evaluated to a nonpositive value")
     parts = (math.log(total), gmax, -math.log(t))
     rel_err = err_total / total + 50.0 * math.ulp(1.0) + sum(map(math.ulp, parts))
-    return LogValue(1, sum(parts)), sum(parts) + math.log(rel_err), panels
+    return sum(parts), sum(parts) + math.log(rel_err), panels
 
 
 def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10) -> QuadResult:
@@ -138,9 +137,9 @@ def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10) -> QuadResult:
             raise ConvergenceError(f"integrand still significant at u = {U_END}")
         e = lad.edges[cut:ok[0] + 1]
         edges = np.r_[e[:-1:PANEL_STRIDE], e[-1]] * t
-        value, err_log, panels = _adaptive(spec, edges, t, rel_tol)
-        if left[ok[0]] <= value.log_abs + LN_EPS:
-            return QuadResult(value, err_log, panels, float(edges[0]),
+        log_value, err_log, panels = _adaptive(spec, edges, t, rel_tol)
+        if left[ok[0]] <= log_value + LN_EPS:
+            return QuadResult(log_value, err_log, panels, float(edges[0]),
                               float(left[ok[0]]))
-        level = value.log_abs
+        level = log_value
     raise ConvergenceError("the window leaves out more than 1e-18 of the integral")

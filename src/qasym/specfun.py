@@ -70,19 +70,6 @@ def bernoulli_poly(n: int, x: float) -> float:
     return float(acc)
 
 
-def dilog(x: float) -> float:
-    """Li_2(x) for 0 <= x <= 1: Li_2(1 - e^-u) at u = -log(1 - x) <= log 2
-    for x <= 1/2, else the reflection
-    Li_2(x) = pi^2/6 - log(x) log(1-x) - Li_2(1-x)."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"dilog needs 0 <= x <= 1, got {x}")
-    if x == 1.0:
-        return PI2_6
-    if x <= 0.5:
-        return dilog_exp1m(-math.log1p(-x))
-    return PI2_6 - math.log(x) * math.log1p(-x) - dilog_exp1m(-math.log(x))
-
-
 def dilog_exp1m(u):
     """Li_2(1 - e^-u) for 0 <= u <= log 2, elementwise on arrays: the
     Bernoulli series u - u^2/4 + sum_j B_2j u^(2j+1)/(2j+1)!, whose terms fall

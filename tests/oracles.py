@@ -8,11 +8,10 @@ import numpy as np
 
 import qasym.quad as quad
 
-from qasym.errors import ConvergenceError, DomainError, PoleError, SignError
-from qasym.logvalue import LogValue
+from qasym.errors import ConvergenceError, DomainError, SignError
 from qasym.phase import search_upper_bound
-from qasym.qseries import LOG_2PI, _gamma_sign_log, log_summand, log_summand_deriv
-from qasym.specfun import bernoulli_number, bernoulli_poly
+from qasym.qseries import LOG_2PI, log_summand, log_summand_deriv
+from qasym.specfun import PI2_6, bernoulli_number, bernoulli_poly, dilog_exp1m
 
 
 def kappa_by_partitions(lams: dict[int, float], ell: int) -> float:
@@ -39,20 +38,19 @@ def kappa_by_partitions(lams: dict[int, float], ell: int) -> float:
     return rec(0, ell)
 
 
-def qpoch_finite(a: float, q: float, m: int) -> LogValue:
-    """(a;q)_m = prod_{k<m} (1 - a q^k), exact in log space; (a;q)_0 = 1."""
+def qpoch_finite(a: float, q: float, m: int) -> float:
+    """log (a;q)_m = sum_{k<m} log(1 - a q^k); (a;q)_0 = 1."""
     if m < 0:
         raise DomainError("finite symbol needs m >= 0")
     if m == 0:
-        return LogValue.one()
+        return 0.0
     factors = 1.0 - a * q ** np.arange(m, dtype=float)
-    if np.any(factors == 0.0):
-        raise PoleError("vanishing factor in finite q-Pochhammer symbol")
-    sign = -1 if int(np.sum(factors < 0)) % 2 else 1
-    return LogValue(sign, float(np.sum(np.log(np.abs(factors)))))
+    if np.any(factors <= 0.0):
+        raise DomainError("nonpositive factor in finite q-Pochhammer symbol")
+    return float(np.sum(np.log(factors)))
 
 
-def mcintosh_asym(a: float, b: float, t: float, M: int) -> LogValue:
+def mcintosh_asym(a: float, b: float, t: float, M: int) -> float:
     """Small-t asymptotics of log (e^{-at}; e^{-bt})_inf:
 
         -pi^2/(6bt) + (1/2 - a/b) log(bt) + log(sqrt(2 pi)/Gamma(a/b))
@@ -68,16 +66,30 @@ def mcintosh_asym(a: float, b: float, t: float, M: int) -> LogValue:
     if b * t >= 2.0 * math.pi:
         raise ConvergenceError("bt >= 2*pi: expansion radius exceeded")
     ab = a / b
-    gsign, glog = _gamma_sign_log(ab)
+    if not ab > 0:
+        raise DomainError(f"need a/b > 0, got {ab}")
     out = (-math.pi ** 2 / (6.0 * b * t) + (0.5 - ab) * math.log(b * t)
-           + 0.5 * LOG_2PI - glog)
+           + 0.5 * LOG_2PI - math.lgamma(ab))
     for ell in range(1, M + 1):
         bn = bernoulli_number(ell)
         if bn == 0:
             continue
         out -= (b ** ell * float(bn) * bernoulli_poly(ell + 1, ab) * t ** ell
                 / (ell * math.factorial(ell + 1)))
-    return LogValue(gsign, out)
+    return out
+
+
+def dilog(x: float) -> float:
+    """Li_2(x) for 0 <= x <= 1: Li_2(1 - e^-u) at u = -log(1 - x) <= log 2
+    for x <= 1/2, else the reflection
+    Li_2(x) = pi^2/6 - log(x) log(1-x) - Li_2(1-x)."""
+    if not 0.0 <= x <= 1.0:
+        raise DomainError(f"dilog needs 0 <= x <= 1, got {x}")
+    if x == 1.0:
+        return PI2_6
+    if x <= 0.5:
+        return dilog_exp1m(-math.log1p(-x))
+    return PI2_6 - math.log(x) * math.log1p(-x) - dilog_exp1m(-math.log(x))
 
 
 def lambda_table_per_order(spec, sp, t: float,

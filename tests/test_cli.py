@@ -114,7 +114,7 @@ def test_eval_applies_preset_extra_factor(tmp_path):
                  "--out", str(out))
     assert cp.returncode == 0, cp.stderr
     got = json.loads(out.read_text())["results"]["log_value"][0]
-    want = series_total(get_preset("phi-minus"), 0.05).log_abs
+    want = series_total(get_preset("phi-minus"), 0.05)
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -170,6 +170,22 @@ def test_quad_invariant_names_inequality(tmp_path):
     assert "a+bd>0" in cp.stderr
 
 
+NEG_A = {"a": -0.5, "b": 1, "c": 1, "d": 1, "S": 1}     # a + bd = 0.5 > 0
+
+
+@pytest.mark.parametrize("doc, where", [
+    ({"A": 1, "B": 0, "v": 0, "quads": [NEG_A]}, "quad 0"),
+    ({"A": 1, "B": 0, "v": 0, "terms": [{"alpha": 1, "beta": 1, "gamma": 1, "S": -1}],
+      "prefactor_quads": [NEG_A]}, "prefactor quad 0")], ids=["quad", "prefactor"])
+def test_quad_needs_positive_a(tmp_path, doc, where):
+    # every (q^a;q^b)_inf is positive only for a > 0
+    spec = write_spec(tmp_path, doc)
+    for command in ("eval", "integral", "asym", "verify"):
+        cp = run_cli(command, "--spec", spec, "--t", "0.01,0.001")
+        assert (cp.returncode, cp.stdout) == (1, ""), (command, cp.stderr)
+        assert cp.stderr == f"error: {spec}: {where}: QuadTerm needs a>0, got -0.5\n"
+
+
 def test_hypothesis_failure_exit_2(tmp_path):
     spec = write_spec(tmp_path, {"A": 0, "B": 0, "v": -1,
                                  "terms": [{"alpha": 1, "beta": 1, "gamma": 1,
@@ -200,6 +216,17 @@ def test_balanced_hypothesis_by_limit(tmp_path):
         assert cp.returncode == 0, (command, cp.stderr)
     last = cp.stdout.splitlines()[-1].split(",")
     assert abs(float(last[-1]) - 1.0) <= 1e-12      # ratio_sum_asym at t = 1e-3
+
+
+@pytest.mark.parametrize("A, status", [(0.48, 0), (0.52, 2)])
+def test_balanced_hypothesis_by_slope_series(tmp_path, A, status):
+    # slope sum and limit both vanish; the slope is (1 - 2A) u - u^2/4 + ...
+    # at 0+, rising from 0 for A = 0.48 though it turns negative at u = 0.16
+    doc = json.loads((Path(__file__).parent / "data" / "balanced_slope.json").read_text())
+    spec = write_spec(tmp_path, {**doc, "A": A})
+    for command in ("asym", "verify"):
+        cp = run_cli(command, "--spec", spec, "--t", "0.01,0.001")
+        assert cp.returncode == status, (command, cp.stderr)
 
 
 def test_flat_tail_split_by_route():

@@ -9,7 +9,7 @@ from qasym import expansion
 from qasym.cli import load_spec, main
 from qasym.errors import DegenerateError, HypothesisError, SignError
 from qasym.expansion import (_exp_series, _lambda_table, analyse,
-                             asym_from_parts, corrections, peak_value)
+                             asym_from_parts, corrections, log_add, peak_value)
 from qasym.phase import build_phase, stationary_points
 from qasym.presets import PRESETS, get_preset
 from qasym.qseries import ProductSpec, SeriesSpec, normalize, series_sum
@@ -35,7 +35,7 @@ def _tail(spec, t):
     # the asym route's total at t of a spec whose only branch is the tail
     (r,) = asym_from_parts(analyse(spec), (t,))
     assert r.branch == "tail"
-    return r.total
+    return r.log_value
 
 
 class TestCorrections:
@@ -85,9 +85,9 @@ class TestPeakValue:
     def test_leading_order_within_3_percent(self, spec):
         sp = _sp(spec)
         for t in (0.02, 0.01):
-            sv = series_sum(spec, t).value
+            sv = series_sum(spec, t).log_value
             (pv,) = peak_value(spec, sp, (t,), 0)
-            assert abs(math.exp(pv.log_abs - sv.log_abs) - 1.0) <= 0.03
+            assert abs(math.exp(pv - sv) - 1.0) <= 0.03
 
     @pytest.mark.parametrize("spec", [RAM, F0], ids=["ramanujan", "f0"])
     def test_complete_correction_group_improves(self, spec):
@@ -95,18 +95,18 @@ class TestPeakValue:
         # group: the first complete truncation (L = 3) beats the leading order
         sp = _sp(spec)
         for t in (0.02, 0.01):
-            sv = series_sum(spec, t).value
-            err = {L: abs(math.exp(peak_value(spec, sp, (t,), L)[0].log_abs
-                                   - sv.log_abs) - 1.0) for L in (0, 3)}
+            sv = series_sum(spec, t).log_value
+            err = {L: abs(math.exp(peak_value(spec, sp, (t,), L)[0]
+                                   - sv) - 1.0) for L in (0, 3)}
             assert err[3] < err[0]
 
     def test_leading_error_shrinks_with_t(self):
         sp = _sp(F0)
         errs = []
         for t in (0.02, 0.01):
-            sv = series_sum(F0, t).value
-            errs.append(abs(math.exp(peak_value(F0, sp, (t,), 0)[0].log_abs
-                                     - sv.log_abs) - 1.0))
+            sv = series_sum(F0, t).log_value
+            errs.append(abs(math.exp(peak_value(F0, sp, (t,), 0)[0]
+                                     - sv) - 1.0))
         assert errs[1] < errs[0]
 
 
@@ -142,7 +142,7 @@ class TestLeadingConstant:
         for t in (0.04, 0.02, 0.01):
             (pv,) = peak_value(RAM, sp, (t,), 0)
             base = log_c + t_power * math.log(t) + rate / t
-            gaps.append(abs(math.exp(pv.log_abs - base) - 1.0))
+            gaps.append(abs(math.exp(pv - base) - 1.0))
         assert gaps[0] > gaps[1] > gaps[2]
         assert 1.5 < gaps[0] / gaps[1] < 2.5
         assert 1.5 < gaps[1] / gaps[2] < 2.5
@@ -152,12 +152,12 @@ class TestTailLeading:
     def test_euler_exact_one(self):
         assert analyse(EULER).tail == (0.0, 0.0)
         lv = _tail(EULER, 0.05)
-        assert lv.sign == 1 and lv.log_abs == 0.0
+        assert lv == 0.0
 
     def test_euler_b2_exact_t(self):
         assert analyse(EULER_B2).tail == (0.0, 1.0)
         for t in (0.1, 0.05):
-            assert _tail(EULER_B2, t).log_abs == math.log(t)
+            assert _tail(EULER_B2, t) == math.log(t)
 
     def test_no_tail_on_peak_spec(self):
         an = analyse(RAM)
@@ -167,9 +167,9 @@ class TestTailLeading:
         # the two Euler fixtures have exact sums 1 and 1-e^{-t}; the leading
         # tail reproduces them within 10 t^2 relative on a desk-scale grid
         for t in (0.1, 0.2):
-            one = _tail(EULER, t).to_float()
+            one = math.exp(_tail(EULER, t))
             assert abs(one - 1.0) <= 10 * t * t
-            tb2 = _tail(EULER_B2, t).to_float()
+            tb2 = math.exp(_tail(EULER_B2, t))
             assert abs(tb2 / (1.0 - math.exp(-t)) - 1.0) <= 10 * t * t
 
 
@@ -179,6 +179,14 @@ TAIL_DOM = {"A": 0, "B": 0.32, "v": 0, "terms": [(0.94, 1.0, 1.65, -1.52),
 PEAK_DOM = {"A": 0, "B": 1.06, "v": 0, "terms": [(0.54, 1.38, 1.59, -0.57),
                                                  (0.61, 1.46, 1.68, 2.96),
                                                  (2.89, 1.14, 1.94, -0.75)]}
+
+
+def _spec_file(doc, tmp_path) -> str:
+    # a TAIL_DOM-style doc as a "terms" spec file
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**doc, "terms": [
+        dict(zip(("alpha", "beta", "gamma", "S"), term)) for term in doc["terms"]]}))
+    return str(spec)
 
 
 class TestBranch:
@@ -210,11 +218,8 @@ class TestBranch:
 
     @pytest.mark.parametrize("doc", [TAIL_DOM, PEAK_DOM], ids=["tail", "peak"])
     def test_both_branches_verify(self, doc, tmp_path):
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({**doc, "terms": [
-            dict(zip(("alpha", "beta", "gamma", "S"), term)) for term in doc["terms"]]}))
         out = tmp_path / "verify.csv"
-        assert main(["verify", "--spec", str(spec), "--t", "0.05,0.01,0.001",
+        assert main(["verify", "--spec", _spec_file(doc, tmp_path), "--t", "0.05,0.01,0.001",
                      "--out", str(out)]) == 0
         rows = out.read_text().splitlines()[1:]
         assert [float(row.split(",")[0]) for row in rows] == [0.05, 0.01, 0.001]
@@ -264,11 +269,31 @@ class TestAsymTotal:
         (r,) = asym_from_parts(analyse(*normalize(RAM_PRODUCT)), (0.02,))
         rebuilt = (r.log_constant + r.t_power * math.log(r.t) + r.rate / r.t
                    + math.log(r.correction_factor))
-        assert rebuilt == pytest.approx(r.total.log_abs, abs=1e-12)
+        assert rebuilt == pytest.approx(r.log_value, abs=1e-12)
+
+    def test_log_add_beyond_float_range(self):
+        # e^1000 + e^999 stays finite in log space, the same bits either way round
+        want = 1000.0 + math.log1p(math.exp(-1.0))
+        assert log_add(1000.0, 999.0) == want
+        assert log_add(999.0, 1000.0) == want
+
+    @pytest.mark.parametrize("source, want", [
+        ("two_peak", (175.90369909588694, 1730.5812249392477)),
+        ("peak_dom", (161.98440305902798, 1632.0511400783137))])
+    def test_asym_bits_pinned(self, source, want, tmp_path):
+        # `asym --t 0.01,0.001` as it printed when the routes carried a sign
+        # next to each log: two peaks, and a dominant peak plus the flat tail,
+        # added in the same order by log_add
+        spec = (str(Path(__file__).parent / "data" / "two_peak.json")
+                if source == "two_peak" else _spec_file(PEAK_DOM, tmp_path))
+        out = tmp_path / "asym.json"
+        assert main(["asym", "--spec", spec, "--t", "0.01,0.001", "--out", str(out)]) == 0
+        results = json.loads(out.read_text())["results"]
+        assert tuple(results["log_value"]) == want and results["sign"] == [1, 1]
 
     def test_euler_is_one(self):
         (r,) = asym_from_parts(analyse(EULER), (0.05,))
-        assert r.total.to_float() == pytest.approx(1.0, abs=1e-14)
+        assert math.exp(r.log_value) == pytest.approx(1.0, abs=1e-14)
         assert r.branch == "tail"
 
     def test_hypothesis_refusal(self):
@@ -291,8 +316,8 @@ class TestAsymTotal:
                     spec.A, spec.B, spec.v,
                     [(p.alpha, p.beta, p.gamma, p.S) for p in spec.terms])),
                     (t,))
-                s = series_sum(spec, t).value
-                devs.append(abs(math.exp(s.log_abs - a.total.log_abs) - 1.0))
+                s = series_sum(spec, t).log_value
+                devs.append(abs(math.exp(s - a.log_value) - 1.0))
             assert devs[1] < devs[0]
 
 

@@ -153,7 +153,36 @@ class TestHypothesis:
         # no Pochhammer slope at all: pure Gaussian decreases from 0
         spec = SeriesSpec(1.0, 0.0, 0.0, ())
         rep = check_hypothesis(build_phase(spec))
-        assert not rep and rep.branch == "sampled"
+        assert not rep and rep.branch == "series" and "u^1" in rep.detail
+
+    @staticmethod
+    def _balanced(A):
+        # alpha_j f_j = -2 + 2 and the limit v - 2 log 2 both vanish; the
+        # slope is (1 - 2A) u - u^2/4 + O(u^4) at 0+
+        return build_phase(SeriesSpec.make(A, 0.0, 2.0 * math.log(2.0),
+                                           [(1, 1, 1, 2), (2, 1, 1, -1)]))
+
+    @pytest.mark.parametrize("A, increasing, power",
+                             [(0.48, True, "u^1"), (0.5, False, "u^2"),
+                              (0.52, False, "u^1")])
+    def test_balanced_slope_series(self, A, increasing, power):
+        # decided by the first coefficient of the slope's series at 0+, not
+        # by samples: at A = 0.48 the slope is positive only below u = 0.16
+        rep = check_hypothesis(self._balanced(A))
+        assert bool(rep) == increasing and rep.branch == "series"
+        assert f"{power} at 0+" in rep.detail
+
+    @pytest.mark.parametrize("A", [0.48, 0.5, 0.52])
+    def test_balanced_series_matches_slope(self, A):
+        pf = self._balanced(A)
+        for u in (1e-3, 1e-2):
+            assert phase_deriv(pf, 1, u) == pytest.approx(
+                (1.0 - 2.0 * A) * u - 0.25 * u * u, abs=1e-8)
+
+    def test_flat_slope_passes(self):
+        # A = v = 0 and no Pochhammer term: the phase is identically 0
+        rep = check_hypothesis(build_phase(SeriesSpec(0.0, 1.0, 0.0, ())))
+        assert rep and rep.branch == "series" and "vanishes" in rep.detail
 
 
 class TestStationaryPoints:

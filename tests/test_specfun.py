@@ -6,10 +6,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from oracles import dilog_power_series
+from oracles import dilog, dilog_power_series
 from qasym.errors import DomainError, IndexOverflowError
 from qasym.qseries import PochTerm, kernel_bounds
-from qasym.specfun import bernoulli_number, bernoulli_poly, dilog, dilog_exp1m, polylog
+from qasym.specfun import bernoulli_number, bernoulli_poly, dilog_exp1m, polylog
 
 
 def bernoulli_akiyama_tanigawa(n):

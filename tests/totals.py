@@ -7,8 +7,8 @@ from qasym.qseries import prefactor_exact, series_sum
 
 
 def series_total(p, t: float):
-    """LogValue of preset p at t by direct summation, as `qasym eval` gives it."""
-    return _total(series_sum(p.series, t).value, prefactor_exact(p.prefactor, t),
+    """Log of preset p at t by direct summation, as `qasym eval` gives it."""
+    return _total(series_sum(p.series, t).log_value, prefactor_exact(p.prefactor, t),
                   p.q_power, t)
 
 
