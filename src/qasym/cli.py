@@ -191,10 +191,50 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise SpecError(f"cannot write output file {out!r}: {e}") from None
     else:
         sys.stdout.write(text)
+
+
+def _dumps(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)`` for documents with str
+    keys, byte for byte.  The stdlib encodes through pure Python whenever it
+    indents; here each list of plain numbers (int or float, exactly), and
+    each list of same-keyed dicts of them, takes one C-encoder call, and a
+    number object met twice is encoded once."""
+    reprs: dict[int, str] = {}     # id -> text, for objects the doc keeps alive
+
+    def numbers(values: list) -> list[str]:
+        new = {id(x): x for x in values if id(x) not in reprs}
+        reprs.update(zip(new, json.dumps(list(new.values()))[1:-1].split(", ")))
+        return [reprs[id(x)] for x in values]
+
+    def enc(obj, indent: str) -> str:
+        inner = indent + "  "
+        if isinstance(obj, dict):
+            items = [json.dumps(k) + ": " + enc(obj[k], inner) for k in sorted(obj)]
+            return "{" + inner + ("," + inner).join(items) + indent + "}" if obj else "{}"
+        if not isinstance(obj, (list, tuple)):
+            return json.dumps(obj)
+        if not obj:
+            return "[]"
+        keys = sorted(obj[0]) if type(obj[0]) is dict else None
+        if keys and all(type(r) is dict and r.keys() == obj[0].keys() for r in obj):
+            flat = [r[k] for r in obj for k in keys]
+            if {type(x) for x in flat} <= {int, float}:
+                row = "{" + ",".join(inner + "  " + json.dumps(k).replace("%", "%%")
+                                     + ": %s" for k in keys) + inner + "}"
+                return ("[" + inner + ("," + inner).join([row] * len(obj))
+                        % tuple(numbers(flat)) + indent + "]")
+        items = (numbers(list(obj)) if {type(x) for x in obj} <= {int, float}
+                 else [enc(x, inner) for x in obj])
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+    return enc(doc, "\n")
 
 
 def _json_result(cfg: RunConfig, rows: list[dict], branch: str = "",
@@ -216,7 +256,7 @@ def _json_result(cfg: RunConfig, rows: list[dict], branch: str = "",
             "rows": rows,
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _dumps(doc) + "\n"
 
 
 def _total(value: float, pref: float, q_power: float, t: float) -> float:
@@ -334,7 +374,7 @@ def run_preset_cmd(args: argparse.Namespace) -> int:
         "reference": asdict(p.reference),
         "notes": p.notes,
     }
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(_dumps(doc) + "\n", args.out)
     return 0
 
 

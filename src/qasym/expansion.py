@@ -19,10 +19,11 @@ Gamma(B/alpha_1)/(alpha_1 f(alpha_1)^(B/alpha_1)) * t^(B/alpha_1 - 1).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 from .errors import DegenerateError, HypothesisError, SignError
 from .phase import (HypothesisReport, PhaseFamily, StationaryPoint, build_phase,
@@ -88,77 +89,76 @@ def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
 
 @dataclass(frozen=True)
 class CorrectionSeries:
-    """Peak data at one maximum: the logged term F(u/t), width normalizer V
-    and the even moment corrections kappa_0=1, kappa_2, ..., kappa_{2L}."""
+    """Peak data at one maximum, one column entry per t of a grid: the
+    logged term F(u/t), width normalizer V and the even moment corrections
+    kappa_0=1, kappa_2, ..., kappa_{2L} (row l of ``kappas`` is kappa_{2l})."""
     u: float
     k_u: int
-    log_peak: float
-    V: float
-    kappas: tuple[float, ...]
+    log_peak: np.ndarray
+    V: np.ndarray
+    kappas: np.ndarray
 
 
 def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, ts: tuple, rmax: int):
-    # F(u/t), V and lambda_r for r <= rmax at each t of ts, from one k-sum
-    # over orders 0..max(rmax, 2k) and the points u/t
+    # columns over ts of F(u/t), V and {r: lambda_r} for r <= rmax, from one
+    # k-sum over orders 0..max(rmax, 2k) and the points u/t; each power is
+    # taken per t, as numpy's may round otherwise
     two_k = 2 * sp.order
     d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)),
                           [sp.u / t for t in ts], list(ts))
-    rows = []
-    for j, t in enumerate(ts):
-        d2k = float(d[two_k, j])
-        if d2k >= 0:
-            raise SignError(f"order-{two_k} derivative nonnegative at the peak "
-                            f"(t={t} too large)")
-        V = (-d2k / math.factorial(two_k)) ** (1.0 / two_k)
-        lams = {r: float(d[r, j]) / (math.factorial(r) * V ** r)
-                for r in range(1, rmax + 1) if r != two_k}
-        rows.append((float(d[0, j]), V, lams))
-    return rows
+    bad = np.flatnonzero(d[two_k] >= 0)
+    if bad.size:
+        raise SignError(f"order-{two_k} derivative nonnegative at the peak "
+                        f"(t={ts[bad[0]]} too large)")
+    V = [(-d2k / math.factorial(two_k)) ** (1.0 / two_k) for d2k in d[two_k].tolist()]
+    lams = {r: d[r] / (float(math.factorial(r)) * np.array([v ** r for v in V]))
+            for r in range(1, rmax + 1) if r != two_k}
+    return d[0], np.array(V), lams
 
 
-def _exp_series(lams: dict[int, float], order: int) -> list[float]:
-    # coefficients of exp(sum_r a_r y^r): b_0 = 1, n b_n = sum_r r a_r b_{n-r}
-    b = [0.0] * (order + 1)
-    b[0] = 1.0
+def _exp_series(lams: dict, order: int) -> list:
+    # coefficients of exp(sum_r a_r y^r): b_0 = 1, n b_n = sum_r r a_r b_{n-r},
+    # for numbers a_r or columns of them
+    b = [1.0]
     for n in range(1, order + 1):
         s = 0.0
         for r, a in lams.items():
             if r <= n:
-                s += r * a * b[n - r]
-        b[n] = s / n
+                s = s + r * a * b[n - r]
+        b.append(s / n)
     return b
 
 
 def corrections(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
-                L: int) -> tuple[CorrectionSeries, ...]:
+                L: int) -> CorrectionSeries:
     """Logged peak term, peak-width normalizer and kappa_0..kappa_{2L} at
-    the maximum sp, one ``CorrectionSeries`` per t of ts; the derivatives
-    they read, orders 0..max(2L, 2k), come from one k-sum."""
+    the maximum sp, as columns over ts; the derivatives they read, orders
+    0..max(2L, 2k), come from one k-sum."""
     if L < 0:
         raise ValueError("correction order must be nonnegative")
-    return tuple(CorrectionSeries(u=sp.u, k_u=sp.order, log_peak=f_u, V=V,
-                                  kappas=tuple(_exp_series(lams, 2 * L)[::2]))
-                 for f_u, V, lams in _lambda_table(spec, sp, ts, 2 * L))
+    f_u, V, lams = _lambda_table(spec, sp, ts, 2 * L)
+    ones = np.ones(len(ts))
+    return CorrectionSeries(u=sp.u, k_u=sp.order, log_peak=f_u, V=V, kappas=np.array(
+        [ones * kappa for kappa in _exp_series(lams, 2 * L)[::2]]))
 
 
 def peak_value(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
-               L: int = DEFAULT_L) -> tuple[float, ...]:
+               L: int = DEFAULT_L) -> np.ndarray:
     """log of exp(F(u/t,t))/V * sum_{l<=L} Gamma((2l+1)/(2k)) kappa_{2l}/k at each
     t of ts."""
-    rows = []
-    for t, cs in zip(ts, corrections(spec, sp, ts, L)):
-        k = cs.k_u
-        s = sum(math.gamma((2 * ell + 1) / (2 * k)) * cs.kappas[ell] / k
-                for ell in range(L + 1))
-        if s <= 0:
-            raise DegenerateError(
-                f"correction sum nonpositive ({s}); expansion broke down at t={t}")
-        rows.append(cs.log_peak - math.log(cs.V) + math.log(s))
-    return tuple(rows)
+    cs = corrections(spec, sp, ts, L)
+    k = cs.k_u
+    s = sum(math.gamma((2 * ell + 1) / (2 * k)) * cs.kappas[ell] / k
+            for ell in range(L + 1))
+    bad = np.flatnonzero(s <= 0)
+    if bad.size:
+        raise DegenerateError(f"correction sum nonpositive ({float(s[bad[0]])}); "
+                              f"expansion broke down at t={ts[bad[0]]}")
+    return (cs.log_peak - np.array([math.log(v) for v in cs.V.tolist()])
+            + np.array([math.log(x) for x in s.tolist()]))
 
 
-@dataclass(frozen=True)
-class AsymptoticResult:
+class AsymptoticResult(NamedTuple):
     """Asymptotic value at a fixed t, split as
     log = log_constant + t_power*log t + rate/t + log(correction_factor).
 
@@ -187,7 +187,8 @@ def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
     """Peaks + tail of the analysed series times the asymptotic
     constant-product prefactor and the fixed factor q^q_power (applied
     verbatim on both branches), one result per t of ts, each with the bits
-    it has alone, from one k-sum per peak."""
+    it has alone, from one k-sum per peak.  A row whose value or correction
+    factor leaves the float range raises, naming its t."""
     if not an.hypothesis:
         raise HypothesisError(
             f"increasing-near-zero hypothesis fails: {an.hypothesis.detail}")
@@ -195,18 +196,26 @@ def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
         raise DegenerateError(
             "no interior maximum and no applicable tail branch; "
             "the expansion machinery does not cover this spec")
-    peaks = [peak_value(an.series, sp, ts, L) for sp in an.peaks]
     rate, t_power, log_constant = an.law
-    rows = []
-    for j, t in enumerate(ts):
-        parts = [values[j] for values in peaks]
+    t_col = np.array(ts, dtype=float)
+    log_t = np.array([math.log(t) for t in ts])
+    with np.errstate(all="ignore"):     # a row out of float range raises below
+        parts = [peak_value(an.series, sp, ts, L) for sp in an.peaks]
         if an.tail:
-            parts.append(an.tail[0] + an.tail[1] * math.log(t))
-        total = (functools.reduce(log_add, parts) + prefactor_asym(an.prefactor, t)
-                 - q_power * t)
-        base = rate / t + t_power * math.log(t) + log_constant
-        rows.append(AsymptoticResult(rate=rate, t_power=t_power,
-                                     log_constant=log_constant,
-                                     correction_factor=math.exp(total - base),
-                                     branch=an.branch, t=t, log_value=total))
-    return tuple(rows)
+            parts.append(an.tail[0] + an.tail[1] * log_t)
+        value = parts[0]
+        for part in parts[1:]:
+            value = np.array(list(map(log_add, value.tolist(), part.tolist())))
+        total = (value + prefactor_asym(an.prefactor, ts)) - q_power * t_col
+        gap = total - (rate / t_col + t_power * log_t + log_constant)
+    factors = []
+    for t, g in zip(ts, gap.tolist()):
+        try:
+            factors.append(math.exp(g))
+        except OverflowError:
+            g = math.inf
+        if not math.isfinite(g):
+            raise DegenerateError(f"asymptotic value out of float range at t={t}")
+    return tuple(AsymptoticResult(rate, t_power, log_constant, factor, an.branch, t,
+                                  log_value)
+                 for factor, t, log_value in zip(factors, ts, total.tolist()))

@@ -226,14 +226,17 @@ def prefactor_law(quads: tuple[QuadTerm, ...], M: int) -> PrefactorLaw:
     return PrefactorLaw(A_H, B_H, logC, tuple(coeffs))
 
 
-def prefactor_asym(law: PrefactorLaw, t: float) -> float:
-    """log of prod (q^a;q^b)_inf^(-S) from its constants, with the
-    correction series truncated where ``law`` was."""
-    if not t > 0:
-        raise DomainError(f"need t > 0, got {t}")
-    out = law.A_H / t + law.B_H * math.log(t) + law.log_C
+def prefactor_asym(law: PrefactorLaw, ts: tuple) -> np.ndarray:
+    """log of prod (q^a;q^b)_inf^(-S) from its constants at each t of ts, with
+    the correction series truncated where ``law`` was; each entry has the
+    bits of its t alone (logs and powers are taken per t)."""
+    for t in ts:
+        if not t > 0:
+            raise DomainError(f"need t > 0, got {t}")
+    out = (law.A_H / np.array(ts, dtype=float)
+           + law.B_H * np.array([math.log(t) for t in ts]) + law.log_C)
     for ell, a_l in enumerate(law.coeffs, 1):
-        out += a_l * t ** ell
+        out += a_l * np.array([t ** ell for t in ts])
     return out
 
 
@@ -493,6 +496,8 @@ def mass_ladder(spec: SeriesSpec, t: float) -> MassLadder:
     pieces and edges, in one call each, and ``log_summand`` at the probe;
     memoized for series_sum and integral at one (spec, t), arrays read-only."""
     _require_t(t)
+    if U_END / t >= 2.0 ** 62:          # edges past int64, terms past any budget
+        raise ConvergenceError(f"t={t} is below the summation ladder's reach")
     steps = np.ceil(_LADDER ** np.arange(math.log(U_END / t, _LADDER)))
     e = np.sort(np.r_[_block_ends(t), steps, math.ceil(U_END / t)])
     e = e[np.r_[True, e[1:] > e[:-1]]].astype(np.int64)   # np.unique imports numpy.ma

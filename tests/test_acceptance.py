@@ -208,7 +208,8 @@ def test_criterion_9_invariant_bundle():
     fd_ok = abs(log_summand_deriv(ram, 1, x, t) - fd) <= 1e-7
     # kappa double computation
     sp = stationary_points(build_phase(ram))[0]
-    ((_, V, lams),) = _lambda_table(ram, sp, (0.05,), 18)
+    _, _, cols = _lambda_table(ram, sp, (0.05,), 18)
+    lams = {r: float(col[0]) for r, col in cols.items()}
     coeffs = _exp_series(lams, 6)
     kappa_ok = all(
         abs(coeffs[l] - kappa_by_partitions(lams, l)) <= 1e-12

@@ -4,7 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from qasym.cli import _dumps, main
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -405,3 +410,92 @@ def test_verdict_floor():
     # one deviation under its floor does not excuse a step the other is above
     assert _verdict(ts[:2], [1e-12, 5e-11], floors[:2]) is not None
     assert "\n" not in msg
+
+
+# the JSON writer against the stdlib: plain numbers of every kind, their
+# look-alikes (bool, np.float64) and strings, lists of numbers and rows of
+# the same keys, nested in lists, tuples and dicts
+_NUMBERS = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(),
+                     st.sampled_from([0.0, -0.0, 1, 1.0, math.nan, math.inf, -math.inf]))
+# text that hits the writer's seams: its ", " split, its "%" rows, escapes
+_TEXT = st.one_of(st.text(st.sampled_from(", %sa\u00e9\x01\u2603"), max_size=4), st.text())
+_SCALARS = st.one_of(_NUMBERS, st.none(), st.booleans(), _TEXT,
+                     st.floats().map(np.float64))
+_ROWS = st.tuples(st.lists(_TEXT, min_size=1, max_size=4, unique=True),
+                  st.sampled_from([_NUMBERS, st.one_of(_NUMBERS, _TEXT)])
+                  ).flatmap(lambda kv: st.lists(st.fixed_dictionaries(
+                      {k: kv[1] for k in kv[0]}), min_size=1, max_size=4))
+_DOCS = st.recursive(
+    st.one_of(_SCALARS, st.lists(_NUMBERS), _ROWS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+_SHARED = 0.1 + 0.2          # one float object met in several places
+
+
+@given(doc=_DOCS)
+@example(doc={"t": [_SHARED, -0.0, 2 ** 60], "rows": [
+    {"t": _SHARED, "%s": 1, "s\u00e9\x01": -0.0}, {"t": _SHARED, "%s": 1.0, "s\u00e9\x01": 1}]})
+@example(doc=[[{"a": 1, "b": "x, y"}, {"a": 2, "b": 3}], [1, True], [1.5, np.float64(0.5)]])
+@example(doc=[[], {}, (), [{}], [{"a": 1}, {"b": 2}], [{"a": 1}, {"a": [1]}], ("x", 1)])
+@settings(max_examples=400, deadline=None)
+def test_writer_is_the_stdlib_layout(doc):
+    assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+TWO_PEAK = str(Path(__file__).parent / "data" / "two_peak.json")
+
+
+def run_strict(*args: str) -> subprocess.CompletedProcess:
+    # the CLI with every warning an error, as the CI smoke tests run it
+    cmd = [sys.executable, "-W", "error", "-m", "qasym", *args]
+    return subprocess.run(cmd, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("source", [("--preset", "ramanujan"), ("--preset", "euler-b2"),
+                                    ("--spec", TWO_PEAK)], ids=["ramanujan", "euler-b2",
+                                                                "two-peak"])
+def test_asym_sweep_output_laws(source, tmp_path):
+    # the benchmark's 400-point grid: stdout is the stdlib's canonical
+    # layout of itself, and 20 sampled rows are the rows of one-t runs
+    cp = run_strict("asym", *source, "--t-grid", "0.1:0.0001:400:log")
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == json.dumps(json.loads(cp.stdout), indent=2, sort_keys=True) + "\n"
+    rows = json.loads(cp.stdout, parse_float=str)["results"]["rows"]
+    out = tmp_path / "alone.json"
+    for row in rows[::21]:
+        assert main(["asym", *source, "--t", row["t"], "--out", str(out)]) == 0
+        assert json.loads(out.read_text(), parse_float=str)["results"]["rows"] == [row]
+
+
+@pytest.mark.parametrize("args, status, stderr", [
+    (("asym", "--preset", "ramanujan", "--t", "1e-30"), 3,
+     "numeric failure: asymptotic value out of float range at t=1e-30\n"),
+    (("asym", "--preset", "f0", "--t", "0.01,1e-100"), 3,
+     "numeric failure: asymptotic value out of float range at t=1e-100\n"),
+    (("asym", "--preset", "simple-r", "--t", "1e-200"), 3,
+     "numeric failure: asymptotic value out of float range at t=1e-200\n"),
+    (("verify", "--preset", "rphis", "--t", "0.01,1e-30"), 3,
+     "numeric failure: row t=1.0000000000000001e-30: "),
+    (("verify", "--preset", "euler", "--t", "0.01,1e-30"), 3,
+     "numeric failure: row t=1.0000000000000001e-30: t=1e-30 is below the "
+     "summation ladder's reach\n"),
+], ids=["asym-1e-30", "asym-1e-100", "asym-1e-200", "verify-peak", "verify-tail"])
+def test_tiny_t_is_numeric_failure(args, status, stderr):
+    cp = run_strict(*args)
+    assert (cp.returncode, cp.stderr[:len(stderr)]) == (status, stderr), cp.stderr
+    assert "Traceback" not in cp.stderr
+
+
+@pytest.mark.parametrize("args", [("integral", "--preset", "euler", "--t", "0.05"),
+                                  ("asym", "--preset", "euler", "--t", "0.05"),
+                                  ("verify", "--preset", "euler", "--t", "0.05,0.01"),
+                                  ("preset", "--preset", "euler")],
+                         ids=["integral", "asym", "verify", "preset"])
+def test_unwritable_out_is_usage_error(args, tmp_path):
+    path = str(tmp_path / "missing" / "out.txt")
+    cp = run_strict(*args, "--out", path)
+    assert cp.returncode == 1, cp.stderr
+    assert cp.stderr.startswith(f"error: cannot write output file {path!r}: ")
+    assert cp.stdout == "" and "Traceback" not in cp.stderr

@@ -1,7 +1,10 @@
+import functools
 import json
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from oracles import kappa_by_partitions, lambda_table_per_order
@@ -31,6 +34,41 @@ def _law(spec):
     return math.exp(log_c), t_power, rate
 
 
+def _lambda_rows(table):
+    # _lambda_table's columns as one (F(u/t), V, {r: lambda_r}) per t
+    f_u, V, lams = table
+    return [(f, v, {r: float(col[j]) for r, col in lams.items()})
+            for j, (f, v) in enumerate(zip(f_u.tolist(), V.tolist()))]
+
+
+def _correction_rows(cs):
+    # a CorrectionSeries' columns as one (u, k, F(u/t), V, kappas) per t
+    return [(cs.u, cs.k_u, f, v, tuple(kappas)) for f, v, kappas in
+            zip(cs.log_peak.tolist(), cs.V.tolist(), cs.kappas.T.tolist())]
+
+
+def _asym_reference(an, t, L, q_power):
+    # (log_value, correction_factor) of one row as the per-t loops gave them:
+    # the per-order oracle, the exp-series on plain floats, scalar formulas
+    parts = []
+    for sp in an.peaks:
+        f_u, V, lams = lambda_table_per_order(an.series, sp, t, 2 * L)
+        kappas = _exp_series(lams, 2 * L)[::2]
+        k = sp.order
+        s = sum(math.gamma((2 * ell + 1) / (2 * k)) * kappas[ell] / k
+                for ell in range(L + 1))
+        parts.append(f_u - math.log(V) + math.log(s))
+    if an.tail:
+        parts.append(an.tail[0] + an.tail[1] * math.log(t))
+    pre = an.prefactor
+    pref = pre.A_H / t + pre.B_H * math.log(t) + pre.log_C
+    for ell, a_l in enumerate(pre.coeffs, 1):
+        pref += a_l * t ** ell
+    total = (functools.reduce(log_add, parts) + pref) - q_power * t
+    rate, t_power, log_c = an.law
+    return total, math.exp(total - (rate / t + t_power * math.log(t) + log_c))
+
+
 def _tail(spec, t):
     # the asym route's total at t of a spec whose only branch is the tail
     (r,) = asym_from_parts(analyse(spec), (t,))
@@ -40,33 +78,37 @@ def _tail(spec, t):
 
 class TestCorrections:
     def test_order_zero(self):
-        (cs,) = corrections(RAM, _sp(RAM), (0.05,), 0)
-        assert cs.kappas == (1.0,)
+        cs = corrections(RAM, _sp(RAM), (0.05,), 0)
+        assert cs.kappas.tolist() == [[1.0]]
         assert cs.k_u == 1
-        assert cs.V > 0
+        assert cs.V[0] > 0
 
     def test_partition_sum_agrees_with_series_exp(self):
-        # two independent evaluations of the same composition
-        ((_, V, lams),) = _lambda_table(RAM, _sp(RAM), (0.05,), 18)
+        # two independent evaluations of the same composition, the series
+        # on columns over a t-grid and the partition sum per t
+        ts = (0.1, 0.05, 0.01)
+        _, _, lams = _lambda_table(RAM, _sp(RAM), ts, 18)
         coeffs = _exp_series(lams, 6)
-        for ell in range(7):
-            direct = kappa_by_partitions(lams, ell)
-            assert abs(coeffs[ell] - direct) <= 1e-12 * max(1.0, abs(direct))
+        for j in range(len(ts)):
+            for ell in range(7):
+                direct = kappa_by_partitions({r: col[j] for r, col in lams.items()}, ell)
+                got = np.broadcast_to(coeffs[ell], len(ts))[j]
+                assert abs(got - direct) <= 1e-12 * max(1.0, abs(direct))
 
     @pytest.mark.parametrize("spec", [RAM, F0], ids=["ramanujan", "f0"])
     def test_lambda_table_equals_per_order_calls(self, spec):
-        # one k-sum for every order, F(u/t) included, gives the very bits of
-        # one call per order and a separate log_summand call
+        # one k-sum for every order and t, F(u/t) included, gives the very
+        # bits of one call per order and t and a separate log_summand call
         sp = _sp(spec)
-        for t in (0.05, 1e-3, 1e-4):
-            for L in (0, 1, 2):
-                for rmax in (2 * L, 2 * sp.order * (2 * sp.order + 1) * L):
-                    assert (_lambda_table(spec, sp, (t,), rmax)
-                            == [lambda_table_per_order(spec, sp, t, rmax)])
+        ts = (0.05, 1e-3, 1e-4)
+        for L in (0, 1, 2):
+            for rmax in (2 * L, 2 * sp.order * (2 * sp.order + 1) * L):
+                assert (_lambda_rows(_lambda_table(spec, sp, ts, rmax))
+                        == [lambda_table_per_order(spec, sp, t, rmax) for t in ts])
 
     def test_kappa2_envelope_decreases(self):
         sp = _sp(RAM)
-        k2 = [abs(cs.kappas[1]) for cs in corrections(RAM, sp, (0.1, 0.05, 0.025), 1)]
+        k2 = abs(corrections(RAM, sp, (0.1, 0.05, 0.025), 1).kappas[1]).tolist()
         assert k2[0] > k2[1] > k2[2]
 
     def test_odd_partition_indexes_too(self):
@@ -248,11 +290,9 @@ class TestDerivativeRows:
                 got = corrections(an.series, sp, ts, L)
                 assert asked == [tuple(range(max(2 * L, 2 * k) + 1))]
                 wide = _lambda_table(an.series, sp, ts, 2 * k * (2 * k + 1) * L)
-                assert got == tuple(
-                    expansion.CorrectionSeries(
-                        u=sp.u, k_u=k, log_peak=f_u, V=V,
-                        kappas=tuple(_exp_series(lams, 2 * L)[::2]))
-                    for f_u, V, lams in wide)
+                assert _correction_rows(got) == [
+                    (sp.u, k, f_u, V, tuple(_exp_series(lams, 2 * L)[::2]))
+                    for f_u, V, lams in _lambda_rows(wide)]
 
 
 class TestAsymTotal:
@@ -350,12 +390,32 @@ class TestAsymGrid:
         an = self._analysis(name)
         for sp in an.peaks:
             for L in (0, 2):
-                assert (corrections(an.series, sp, self.GRID, L)
-                        == tuple(corrections(an.series, sp, (t,), L)[0]
-                                 for t in self.GRID))
-                assert (peak_value(an.series, sp, self.GRID, L)
-                        == tuple(peak_value(an.series, sp, (t,), L)[0]
-                                 for t in self.GRID))
+                assert (_correction_rows(corrections(an.series, sp, self.GRID, L))
+                        == [row for t in self.GRID for row in
+                            _correction_rows(corrections(an.series, sp, (t,), L))])
+                assert (peak_value(an.series, sp, self.GRID, L).tolist()
+                        == [peak_value(an.series, sp, (t,), L)[0] for t in self.GRID])
+
+    @pytest.mark.parametrize("name", [*PRESETS, "two-peak"])
+    def test_columns_match_per_t_reference(self, name):
+        # numpy columns carry only + - * /, so each row keeps the bits of
+        # the scalar per-t arithmetic
+        an = self._analysis(name)
+        for L in (0, 2):
+            assert ([(r.log_value, r.correction_factor)
+                     for r in asym_from_parts(an, self.GRID, L, 0.75)]
+                    == [_asym_reference(an, t, L, 0.75) for t in self.GRID])
+
+    @pytest.mark.parametrize("name, t", [("ramanujan", 1e-30), ("f0", 1e-100),
+                                         ("rphis", 1e-200), ("phi-minus", 1e-320)])
+    def test_row_out_of_float_range_named(self, name, t):
+        # the correction factor overflows, or the derivatives at u/t do; no
+        # numpy warning escapes and no row prints NaN or Infinity
+        an = self._analysis(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateError, match=f"out of float range at t={t!r}$"):
+                asym_from_parts(an, (0.01, t))
 
     def test_failing_row_named(self):
         # the curvature at this spec's peak is still >= 0 at t = 0.4

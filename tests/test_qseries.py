@@ -195,12 +195,25 @@ class TestPrefactor:
         assert law.coeffs == ()
 
     def test_empty_product(self):
-        assert math.exp(prefactor_asym(prefactor_law((), 8), 0.05)) == 1.0
+        assert math.exp(prefactor_asym(prefactor_law((), 8), (0.05,))[0]) == 1.0
+
+    def test_grid_keeps_each_t_bits(self):
+        # the one-t formula is the reference: columns carry + - * / only
+        law = prefactor_law(get_preset("simple-r").prefactor, 8)
+        ts = tuple(0.1 * 0.001 ** (i / 9) for i in range(10))
+
+        def one(t):
+            out = law.A_H / t + law.B_H * math.log(t) + law.log_C
+            for ell, a_l in enumerate(law.coeffs, 1):
+                out += a_l * t ** ell
+            return out
+
+        assert prefactor_asym(law, ts).tolist() == [one(t) for t in ts]
 
     def test_vs_exact_symbol(self):
         t = 0.01
         quads = (QuadTerm(1, 2, 1, 0, 1),)
-        asym = prefactor_asym(prefactor_law(quads, 8), t)
+        (asym,) = prefactor_asym(prefactor_law(quads, 8), (t,))
         exact = -qpoch_inf(math.exp(-t), math.exp(-2 * t))
         assert abs(asym - exact) <= 1e-8
 
