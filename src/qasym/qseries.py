@@ -31,6 +31,7 @@ LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
 _KLOG_MARGIN = 45.0         # e^-45 ~ 3e-20: inner k-sums stop past this decay
 _KMAX_HARD = 10_000_000     # most terms of a derivative k-sum or factors of qpoch_inf
 _CHUNK_ELEMS = 1 << 16      # k-by-point elements per inner-sum chunk (fits L2)
+_BAND_ELEMS = 1 << 13       # a chunk this big ends where its points' cuts halve
 MAX_DERIV = 64              # highest x-derivative order log_summand_deriv takes
 _W_A = 0.1                  # order 0: closed form below this w, k-sum above
 _R0 = 0.1                   # the closed form peels factors until beta t/w <= _R0
@@ -173,11 +174,22 @@ def normalize(spec: ProductSpec) -> tuple[SeriesSpec, tuple[QuadTerm, ...]]:
 # q-Pochhammer symbols
 
 
+def _qpoch_factors(log_a: float, log_q: float) -> int:
+    """The K factors of (a;q)_inf down to a q^K < 1e-18, counted from log a
+    and log q, so that a tiny t needs no rounded q; raises past _KMAX_HARD."""
+    x = (LN_EPS - log_a) / log_q if log_q < 0.0 else math.inf
+    if x >= _KMAX_HARD:
+        raise ConvergenceError(f"exact prefactor: (a;q)_inf needs "
+                               f"{int(x) + 1 if x < 1e15 else f'{x:.3g}'} factors, "
+                               f"more than {_KMAX_HARD}")
+    return max(int(x) + 1, 1)
+
+
 def qpoch_inf(a: float, q: float) -> float:
     """log (a;q)_inf for 0 <= a < 1, 0 < q < 1.
 
-    Truncates once a q^K < 1e-18, sums 2^20 factors at a time and raises
-    past _KMAX_HARD factors."""
+    Truncates once a q^K < 1e-18 and raises past _KMAX_HARD factors; sums
+    2^20 factors at a time, each chunk in one array taken in place."""
     if not 0.0 <= a < 1.0:
         raise DomainError(f"qpoch_inf needs 0 <= a < 1, got {a}")
     if not 0.0 < q < 1.0:
@@ -186,12 +198,14 @@ def qpoch_inf(a: float, q: float) -> float:
         raise ConvergenceError("q too close to 1; use the product asymptotics")
     if a == 0.0:
         return 0.0
-    K = max(int((math.log(1e-18) - math.log(a)) / math.log(q)) + 1, 1)
-    if K > _KMAX_HARD:
-        raise ConvergenceError(f"exact prefactor: (a;q)_inf needs {K} factors, "
-                               f"more than {_KMAX_HARD}")
-    return sum(float(np.sum(np.log1p(-a * q ** np.arange(
-        k0, min(k0 + (1 << 20), K), dtype=float)))) for k0 in range(0, K, 1 << 20))
+    K = _qpoch_factors(math.log(a), math.log(q))
+    sums = []
+    for k0 in range(0, K, 1 << 20):
+        f = np.arange(k0, min(k0 + (1 << 20), K), dtype=float)
+        np.power(q, f, out=f)
+        np.multiply(f, -a, out=f)
+        sums.append(float(np.sum(np.log1p(f, out=f))))
+    return sum(sums)
 
 
 @dataclass(frozen=True)
@@ -244,6 +258,7 @@ def prefactor_exact(quads: tuple[QuadTerm, ...], t: float) -> float:
     """log of prod (q^a;q^b)_inf^(-S) by direct symbol evaluation."""
     out = 0.0
     for q in quads:
+        _qpoch_factors(-q.a * t, -q.b * t)      # before e^(-b t) can round to 1
         out -= q.S * qpoch_inf(math.exp(-q.a * t), math.exp(-q.b * t))
     return out
 
@@ -306,7 +321,10 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
     a k-sum cut where k^(n-1) e^{-kw} has fallen e^-45 below its maximum,
     and raises past _KMAX_HARD terms.  The rows share one pass over k; each
     point sums each row at its t from its cut down to k = 1, so no value
-    depends on the other points or orders of the call."""
+    depends on the other points or orders of the call.  The points, in
+    order of w, go in bands: a chunk of _BAND_ELEMS or more ends where the
+    largest cut falls below half of its first point's, so few terms past a
+    point's cut are built only to be masked to zero."""
     per = isinstance(t, np.ndarray)             # one t per point
     w = (term.alpha * x + term.gamma) * t
     order = None
@@ -328,11 +346,17 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
     acc_k = acc[:, first:]
     p0 = 0
     while p0 < len(wk):
-        # points p0 .. p1-1 with all their rows fit the budget; a point that
-        # alone does not takes its rows in chunks, carrying its sums
-        p1 = min(p0 + max(1, budget // int(kmax[p0])), len(wk))
-        tp = tk[p0:p1] if per else tk           # the points' t, or the one t
+        # points p0 .. p1-1 with all their rows fit the budget, and past
+        # _BAND_ELEMS end where kmax halves; a point that alone does not fit
+        # takes its rows in chunks, carrying its sums
         k1 = int(kmax[p0]) + 1
+        p1 = min(p0 + max(1, budget // (k1 - 1)), len(wk))
+        band = p0 + _BAND_ELEMS // len(orders) // (k1 - 1)
+        if band < p1 and kmax[p1 - 1] < k1 // 2:
+            # the first point whose kmax is below half of kmax[p0]
+            half = np.searchsorted(-kmax[p0:p1], -(k1 // 2), side="right")
+            p1 = max(band, p0 + int(half))
+        tp = tk[p0:p1] if per else tk           # the points' t, or the one t
         while k1 > 1:
             k0 = max(k1 - budget, 1)
             k = np.arange(k1 - 1, k0 - 1, -1, dtype=float)[:, None]   # descending
@@ -529,10 +553,11 @@ def series_sum(spec: SeriesSpec, t: float) -> SumResult:
     the rest is at most the ladder's rest from the edge at or below M and
     the one-sup bound at M, whose factor 1/(1 - q^B) the flat tail A = v = 0
     needs (the terms above 1e-18 relative alone leave out 1e-14 of
-    phi-minus at t = 1e-4).  A block ends early at the first edge the sum so
-    far certifies; the sum stops at the first block end past the probe where
-    head plus rest are below 1e-18 of the sum so far, and raises if none
-    does by m t = U_END.
+    phi-minus at t = 1e-4).  A block ends early at the first edge that the
+    sum so far, or the probe's exact term (which every sum holds),
+    certifies, so the first block too can end short of 256 terms; the sum
+    stops at the first block end past the probe where head plus rest are
+    below 1e-18 of the sum so far, and raises if none does by m t = U_END.
     """
     lad = mass_ladder(spec, t)
     e, ends = lad.edges, _block_ends(t)
@@ -548,7 +573,8 @@ def series_sum(spec: SeriesSpec, t: float) -> SumResult:
                                    f"{m0 * t:.1f}; domain triple violated dynamically?")
         end = (ends[np.searchsorted(ends, m0, side="right")] if m0 < ends[-1]
                else m0 + (1 << 16) - (m0 - ends[-1]) % (1 << 16))   # next block end
-        ok = np.flatnonzero(left[j + 1:] <= total_log + LN_EPS)   # edges certified now
+        # edges certified now, by the sum so far or the probe's term in it
+        ok = np.flatnonzero(left[j + 1:] <= max(total_log, lad.probe_log) + LN_EPS)
         m1 = min(end, int(e[j + 1 + ok[0]])) if len(ok) else end
         logs = log_summand(spec, np.arange(m0, m1, dtype=float), t)
         new_max = max(run_max, float(logs.max()))

@@ -481,7 +481,14 @@ def test_asym_sweep_output_laws(source, tmp_path):
     (("verify", "--preset", "euler", "--t", "0.01,1e-30"), 3,
      "numeric failure: row t=1.0000000000000001e-30: t=1e-30 is below the "
      "summation ladder's reach\n"),
-], ids=["asym-1e-30", "asym-1e-100", "asym-1e-200", "verify-peak", "verify-tail"])
+    (("verify", "--preset", "ramanujan", "--t", "0.01,1e-30"), 3,
+     "numeric failure: row t=1.0000000000000001e-30: exact prefactor: (a;q)_inf "
+     "needs 4.14e+31 factors, more than 10000000\n"),
+    (("eval", "--preset", "ramanujan", "--t", "1e-15"), 3,
+     "numeric failure: exact prefactor: (a;q)_inf needs 4.14e+16 factors, "
+     "more than 10000000\n"),
+], ids=["asym-1e-30", "asym-1e-100", "asym-1e-200", "verify-peak", "verify-tail",
+        "verify-prefactor", "eval-prefactor"])
 def test_tiny_t_is_numeric_failure(args, status, stderr):
     cp = run_strict(*args)
     assert (cp.returncode, cp.stderr[:len(stderr)]) == (status, stderr), cp.stderr

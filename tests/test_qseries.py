@@ -36,10 +36,10 @@ WHOLE_RANGE_STOP = {"ramanujan": 18618, "f0": 7627, "phi-minus": 467516,
 
 
 @st.composite
-def admissible_specs(draw):
+def admissible_specs(draw, ts=st.floats(0.01, 0.1)):
     """(spec, t): 1-2 terms on a random branch of the domain triple, at a t
-    in [0.01, 0.1] where the series converges."""
-    t = draw(st.floats(0.01, 0.1))
+    drawn from ``ts`` (by default in [0.01, 0.1]) where the series converges."""
+    t = draw(ts)
     terms = draw(st.lists(st.tuples(
         st.floats(0.5, 3.0), st.floats(0.5, 2.0), st.floats(0.3, 2.0),
         st.floats(0.25, 3.0) | st.floats(-3.0, -0.25)), min_size=1, max_size=2))
@@ -134,6 +134,16 @@ class TestQPochInf:
     def test_q_near_one_refused(self):
         with pytest.raises(ConvergenceError):
             qpoch_inf(0.5, 1.0 - 1e-13)
+
+    @pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4])
+    def test_in_place_keeps_bits(self, t):
+        # the chunks taken in place against the expression they replaced:
+        # a fresh array per operation, summed chunk by chunk the same way
+        a = q = math.exp(-t)
+        K = max(int((math.log(1e-18) - math.log(a)) / math.log(q)) + 1, 1)
+        old = sum(float(np.sum(np.log1p(-a * q ** np.arange(
+            k0, min(k0 + (1 << 20), K), dtype=float)))) for k0 in range(0, K, 1 << 20))
+        assert qpoch_inf(a, q) == old
 
     def test_streamed_past_one_chunk(self):
         # t = 1e-5 needs 4.1M factors, summed 2^20 at a time; the direct
@@ -375,6 +385,54 @@ class TestKernel:
         for orders in (tuple(range(65)), tuple(range(13)), (0, 1)):
             got = log_summand_deriv(RAM, orders, 0.0, t)[0]
             assert got == log_summand(RAM, 0.0, t)
+
+
+@st.composite
+def wide_calls(draw):
+    """(term, x, t): 24-200 points whose w = (alpha x + gamma) t span 0.1 to
+    45, in random order, at one t or at one t per point."""
+    term = qs.PochTerm(draw(st.floats(0.3, 3.0)), draw(st.floats(0.2, 2.5)),
+                       draw(st.floats(0.2, 3.0)), 1.0)
+    t = draw(st.floats(1e-3, 0.3))
+    n = draw(st.integers(24, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = rng.permutation(np.r_[0.1, 45.0, np.exp(rng.uniform(math.log(0.1),
+                                                             math.log(45.0), n - 2))])
+    if draw(st.booleans()):
+        t = t * np.exp(rng.uniform(-1.0, 0.0, n))       # t/e .. t, one per point
+    # x >= 0 needs w >= gamma t; such points move to w = gamma t
+    x = np.maximum(w / t - term.gamma, 0.0) / term.alpha
+    return term, x, t
+
+
+class TestKernelBanding:
+    """The k-sum's chunks are banded by cut; each point keeps its bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(call=wide_calls(), orders=st.sampled_from([(0,), (0, 1, 2, 3, 4)]))
+    def test_each_point_has_its_bits_alone(self, call, orders):
+        term, x, t = call
+        per = isinstance(t, np.ndarray)
+        got = qs._kernel(term, x, t, orders)
+        for j in range(len(x)):
+            alone = qs._kernel(term, x[j:j + 1], t[j:j + 1] if per else t, orders)
+            assert np.array_equal(got[:, j], alone[:, 0]), (orders, x[j])
+
+    def test_bands_skip_masked_terms(self, monkeypatch):
+        # a 256-point sum block at t = 0.1 whose w runs from 0.17 to 44
+        # keeps 1,753 terms; one rectangle to the first point's cut built
+        # 65,473 (a band holds at most twice its kept terms, or is small)
+        term = qs.PochTerm(1.72, 1.3, 1.7, 1.0)
+        x = np.arange(256.0)
+        t = 0.1
+        kept = int(np.sum((45.0 / ((term.alpha * x + term.gamma) * t)).astype(int) + 1))
+        built = []
+        outer = np.outer
+        monkeypatch.setattr(qs.np, "outer", lambda a, b: built.append(
+            np.size(a) * np.size(b)) or outer(a, b))
+        qs._kernel(term, x, t, (0,))
+        monkeypatch.undo()
+        assert sum(built) <= 2 * kept + 2 * qs._BAND_ELEMS < 65_473
 
 
 class TestKernelBands:
@@ -795,12 +853,15 @@ class TestSeriesSum:
     # every term falls from m = 0 on, so the window must start there
     @example(case=(SeriesSpec.make(0.5, 0.25, -0.5, [(1, 1, 1, 1.0)]), 0.01))
     def test_random_spec_matches_brute_force(self, case):
+        self._check_window(*case, self._brute_logs(*case))
+
+    @staticmethod
+    def _brute_logs(spec, t):
         # the brute-force sum runs out to m_end, found from the draw alone:
         # from m_end on P(m) = m v - (A m^2 + B m) t falls by at least 1e-3 a
         # step, and P(m_end) plus an elementary bound of the S > 0 inner sums
         # there, K(w) <= -log(1 - e^-w) + e^-w pi^2/(6 beta t), lies e^-80
         # below the largest term
-        spec, t = case
         A, B, v = spec.A, spec.B, spec.v
 
         def head_room(m):
@@ -818,9 +879,29 @@ class TestSeriesSum:
             logs = log_summand(spec, np.arange(float(m_end)), t)
             if (v - (2.0 * A * m_end + B) * t <= -1e-3
                     and head_room(m_end) <= logs.max() - 80.0):
-                break
+                return logs
             m_end *= 2
-        self._check_window(spec, t, logs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=admissible_specs(ts=st.sampled_from([0.1, 0.05])))
+    def test_probe_ends_first_block(self, case):
+        # every sum holds the probe's exact term, so an edge whose head plus
+        # rest lie 1e-18 below that term ends the sum, the first block too;
+        # what is left out stays within the brute-force law
+        spec, t = case
+        lad = qs.mass_ladder(spec, t)
+        _, _, left = lad.window(lad.probe_log)
+        ok = np.flatnonzero(left <= lad.probe_log + qs.LN_EPS)
+        r, _ = self._check_window(spec, t, self._brute_logs(spec, t))
+        if len(ok):
+            assert r.m_hi <= lad.edges[ok[0]]
+
+    def test_f0_first_block_short(self):
+        # the first block ran to 256 terms when only the sum so far could
+        # end it; f0 now sums 21 terms at t = 0.1 and 29 at t = 0.05
+        for t in (0.1, 0.05):
+            r = series_sum(get_preset("f0").series, t)
+            assert r.m_hi - r.m_lo <= 32
 
     def test_divergent_series_raises(self):
         # A = 0 and v < 0, but v - B t > 0: the terms grow and no bound
@@ -844,3 +925,16 @@ class TestPrefactorExact:
         lv = prefactor_exact(quads, t)
         direct = -2.0 * qpoch_inf(math.exp(-t), math.exp(-t))
         assert lv == pytest.approx(direct, rel=1e-14)
+
+    @pytest.mark.parametrize("t, count", [(1e-6, "41446531"), (1e-15, "4.14e\\+16"),
+                                          (1e-30, "4.14e\\+31"), (5e-324, "inf")])
+    def test_factor_count_before_q_rounds(self, t, count):
+        # the count comes from a, b and t, so below t ~ 1.1e-16, where
+        # e^(-b t) rounds to 1.0, it is still the cap that refuses; with
+        # b = 0.5 at t = 5e-324, b t itself underflows to 0
+        for b in (1.0, 0.5):
+            quads = (QuadTerm(1, b, 1, 0, 2),)
+            match = (f"exact prefactor: \\(a;q\\)_inf needs {count if b == 1 else '.*'} "
+                     f"factors, more than 10000000$")
+            with pytest.raises(ConvergenceError, match=match):
+                prefactor_exact(quads, t)
