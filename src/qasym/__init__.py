@@ -14,9 +14,8 @@ from .errors import (ConvergenceError, DegenerateError, DomainError,
                      SignError, SpecError)
 from .expansion import (Analysis, AsymptoticResult, CorrectionSeries, analyse,
                         asym_from_parts, corrections, peak_value)
-from .phase import (HypothesisReport, PhaseFamily, StationaryPoint,
-                    build_phase, check_hypothesis, phase_deriv, phase_value,
-                    stationary_points)
+from .phase import (HypothesisReport, StationaryPoint, check_hypothesis,
+                    phase_deriv, phase_value, stationary_points)
 from .presets import PRESETS, Preset, Reference, get_preset
 from .quad import QuadResult, integral
 from .qseries import (PochTerm, PrefactorLaw, ProductSpec, QuadTerm, SeriesSpec,
@@ -29,11 +28,11 @@ __version__ = "0.1.0"
 __all__ = [
     "Analysis", "AsymptoticResult", "ConvergenceError", "CorrectionSeries",
     "DegenerateError", "DomainError", "HypothesisError", "HypothesisReport",
-    "IndexOverflowError", "PRESETS", "PhaseFamily", "PochTerm",
+    "IndexOverflowError", "PRESETS", "PochTerm",
     "PrefactorLaw", "Preset", "ProductSpec", "QasymError",
     "QuadResult", "QuadTerm", "Reference", "SeriesSpec", "SignError",
     "SpecError", "StationaryPoint", "SumResult", "analyse", "asym_from_parts",
-    "build_phase", "check_hypothesis", "corrections", "get_preset", "integral",
+    "check_hypothesis", "corrections", "get_preset", "integral",
     "log_summand", "log_summand_deriv", "normalize", "peak_value",
     "phase_deriv", "phase_value", "prefactor_asym", "prefactor_exact",
     "prefactor_law", "qpoch_inf", "series_sum", "stationary_points",

@@ -26,8 +26,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateError, HypothesisError, SignError
-from .phase import (HypothesisReport, PhaseFamily, StationaryPoint, build_phase,
-                    check_hypothesis, stationary_points)
+from .phase import (HypothesisReport, StationaryPoint, check_hypothesis,
+                    stationary_points)
 from .qseries import (PrefactorLaw, QuadTerm, SeriesSpec, log_summand_deriv,
                       prefactor_asym, prefactor_law)
 
@@ -47,7 +47,7 @@ class Analysis:
     "sum-of-peaks+tail", and ``law`` the dominant branch's t->0 law
     C t^t_power e^(rate/t) as (rate, t_power, log C) with the prefactor
     folded in; "" and None when neither a peak nor the tail applies."""
-    phase: PhaseFamily
+    series: SeriesSpec
     hypothesis: HypothesisReport
     peaks: tuple[StationaryPoint, ...]
     tail: Optional[tuple[float, float]]
@@ -55,21 +55,16 @@ class Analysis:
     branch: str
     law: Optional[tuple[float, float, float]]
 
-    @property
-    def series(self) -> SeriesSpec:
-        return self.phase.spec
-
 
 def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
             M: int = DEFAULT_M) -> Analysis:
-    """Phase family, hypothesis, maxima, tail term, branch and dominant law
-    of ``series``, with the prefactor of ``quads`` expanded to order M."""
-    pf = build_phase(series)
-    hyp = check_hypothesis(pf)
-    peaks = tuple(stationary_points(pf)) if hyp else ()
+    """Hypothesis, maxima, tail term, branch and dominant law of ``series``,
+    with the prefactor of ``quads`` expanded to order M."""
+    hyp = check_hypothesis(series)
+    peaks = tuple(stationary_points(series)) if hyp else ()
     tail = law = None
-    if series.A == 0 and series.v == 0 and pf.falpha and pf.falpha[0][1] > 0:
-        alpha1, f1 = pf.falpha[0]       # B > 0 by the domain triple
+    if series.A == 0 and series.v == 0 and series.falpha and series.falpha[0][1] > 0:
+        alpha1, f1 = series.falpha[0]   # B > 0 by the domain triple
         ba = series.B / alpha1
         tail = (math.lgamma(ba) - math.log(alpha1) - ba * math.log(f1), ba - 1.0)
     if peaks:       # C_u t^(-1+1/(2k)) e^(H(u)/t) of the highest maximum
@@ -83,7 +78,7 @@ def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
         law = (pre.A_H + law[0], pre.B_H + law[1], pre.log_C + law[2])
     branch = (("sum-of-peaks+tail" if tail else "peak") if peaks
               else ("tail" if tail else ""))
-    return Analysis(phase=pf, hypothesis=hyp, peaks=peaks, tail=tail,
+    return Analysis(series=series, hypothesis=hyp, peaks=peaks, tail=tail,
                     prefactor=pre, branch=branch, law=law)
 
 

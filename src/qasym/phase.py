@@ -1,14 +1,13 @@
-"""Leading-order phase family of the series, its derivatives, the hypothesis
-check, and location/classification of interior maxima.
+"""The leading phase of the series, its derivatives, the hypothesis check,
+and location/classification of interior maxima.
 
 The logged general term satisfies (as t -> 0+, u = x t fixed)
 
     t * log_summand(u/t, t)  ->  level(-1):  v u - A u^2 - sum_j f_j Li2(e^{-alpha_j u})
 
-with f_j = -sum_{beta,gamma} S/beta collected over the terms sharing alpha_j.
-Level 0 supplies the t^0 coefficient, which enters the Laplace constant.  The
-maxima of the leading level on (0, inf) dictate every exponential growth
-rate downstream.
+with (alpha_j, f_j) the spec's ``SeriesSpec.falpha``.  Level 0 supplies the
+t^0 coefficient, which enters the Laplace constant.  The maxima of the
+leading level on (0, inf) dictate every exponential growth rate downstream.
 """
 
 from __future__ import annotations
@@ -27,42 +26,22 @@ _DEGENERACY_RTOL = 1e-8  # |H^(2m)| below this * scale counts as zero
 _BISECT_RTOL = 1e-15
 
 
-@dataclass(frozen=True)
-class PhaseFamily:
-    """Series spec plus the (alpha_j, f_j) coefficient list, alpha ascending.
-    Terms whose f sums to zero stay in ``spec`` (they still feed level 0)
-    but are excluded from ``falpha``."""
-    spec: SeriesSpec
-    falpha: tuple[tuple[float, float], ...]
-
-
-def build_phase(spec: SeriesSpec) -> PhaseFamily:
-    by_alpha: dict[float, float] = {}
-    scale: dict[float, float] = {}
-    for p in spec.terms:
-        by_alpha[p.alpha] = by_alpha.get(p.alpha, 0.0) - p.S / p.beta
-        scale[p.alpha] = scale.get(p.alpha, 0.0) + abs(p.S / p.beta)
-    falpha = tuple((a, f) for a, f in sorted(by_alpha.items())
-                   if abs(f) > 1e-15 * scale[a])
-    return PhaseFamily(spec, falpha)
-
-
-def phase_value(pf: PhaseFamily, level: int, u: float) -> float:
+def phase_value(spec: SeriesSpec, level: int, u: float) -> float:
     """Level -1: v u - A u^2 - sum_j f_j Li2(e^{-alpha_j u}).
     Level 0:  -sum_terms (gamma/beta - 1/2) S Li1(e^{-alpha u}) - B u.
     """
     if not u > 0:
         raise DomainError(f"phase needs u > 0, got {u}")
-    s = pf.spec
     if level == -1:
-        return s.v * u - s.A * u * u - sum(f * polylog(2, a * u) for a, f in pf.falpha)
+        return (spec.v * u - spec.A * u * u
+                - sum(f * polylog(2, a * u) for a, f in spec.falpha))
     if level == 0:
         return (-sum((p.gamma / p.beta - 0.5) * p.S * polylog(1, p.alpha * u)
-                     for p in s.terms) - s.B * u)
+                     for p in spec.terms) - spec.B * u)
     raise DomainError(f"phase levels are -1 and 0, got {level}")
 
 
-def phase_deriv(pf: PhaseFamily, k: int, u):
+def phase_deriv(spec: SeriesSpec, k: int, u):
     """k-th u-derivative of the leading level (analytic, no differencing),
     at u > 0 or elementwise on an array of such u:
     d^k/du^k (v u - A u^2) - sum_j (-alpha_j)^k f_j Li_(2-k)(e^{-alpha_j u})."""
@@ -70,9 +49,8 @@ def phase_deriv(pf: PhaseFamily, k: int, u):
         raise DomainError(f"phase needs u > 0, got {u}")
     if k < 1:
         raise DomainError("derivative order must be >= 1")
-    s = pf.spec
-    poly = s.v - 2.0 * s.A * u if k == 1 else (-2.0 * s.A if k == 2 else 0.0)
-    return poly - sum((-a) ** k * f * polylog(2 - k, a * u) for a, f in pf.falpha)
+    poly = spec.v - 2.0 * spec.A * u if k == 1 else (-2.0 * spec.A if k == 2 else 0.0)
+    return poly - sum((-a) ** k * f * polylog(2 - k, a * u) for a, f in spec.falpha)
 
 
 @dataclass(frozen=True)
@@ -86,7 +64,7 @@ class HypothesisReport:
         return self.increasing
 
 
-def check_hypothesis(pf: PhaseFamily) -> HypothesisReport:
+def check_hypothesis(spec: SeriesSpec) -> HypothesisReport:
     """True iff the leading phase is nondecreasing on some (0, eps].
 
     As u -> 0+ the derivative behaves like -(sum_j alpha_j f_j) log u
@@ -103,24 +81,24 @@ def check_hypothesis(pf: PhaseFamily) -> HypothesisReport:
     together only if every f_j does (a Vandermonde system in alpha_j^2); the
     derivative is then -2A u, refused on u^1, or identically 0, which passes.
     """
-    slope = sum(a * f for a, f in pf.falpha)
-    scale = sum(abs(a * f) for a, f in pf.falpha)
+    slope = sum(a * f for a, f in spec.falpha)
+    scale = sum(abs(a * f) for a, f in spec.falpha)
     if abs(slope) > 1e-13 * max(scale, 1.0):
         if slope > 0:
             return HypothesisReport(True, "limit", slope,
                                     "sum alpha_j f_j > 0 forces +inf slope at 0+")
         return HypothesisReport(False, "limit", slope,
                                 "sum alpha_j f_j < 0 forces -inf slope at 0+")
-    terms = [a * f * math.log(a) for a, f in pf.falpha]
-    limit = pf.spec.v - sum(terms)
-    if abs(limit) > 1e-13 * max(abs(pf.spec.v) + sum(map(abs, terms)), 1.0):
+    terms = [a * f * math.log(a) for a, f in spec.falpha]
+    limit = spec.v - sum(terms)
+    if abs(limit) > 1e-13 * max(abs(spec.v) + sum(map(abs, terms)), 1.0):
         return HypothesisReport(limit > 0, "limit", slope,
                                 f"balanced log coefficient; slope -> {limit:.3e} at 0+")
-    sq = [a * a * f / 2.0 for a, f in pf.falpha]
-    series = [(1, sum(sq) - 2.0 * pf.spec.A, sum(map(abs, sq)) + 2.0 * pf.spec.A)]
-    for k in range(1, len(pf.falpha)):
+    sq = [a * a * f / 2.0 for a, f in spec.falpha]
+    series = [(1, sum(sq) - 2.0 * spec.A, sum(map(abs, sq)) + 2.0 * spec.A)]
+    for k in range(1, len(spec.falpha)):
         c = float(bernoulli_number(2 * k)) / (2 * k * math.factorial(2 * k))
-        odd = [a ** (2 * k + 1) * f for a, f in pf.falpha]
+        odd = [a ** (2 * k + 1) * f for a, f in spec.falpha]
         series.append((2 * k, -c * sum(odd), abs(c) * sum(map(abs, odd))))
     balanced = "balanced log coefficient and limit; slope"
     for power, coef, size in series:
@@ -142,41 +120,35 @@ class StationaryPoint:
     c_u: float
 
 
-def laplace_constant(pf: PhaseFamily, u: float, order: int, h2m: float) -> float:
+def laplace_constant(spec: SeriesSpec, u: float, order: int, h2m: float) -> float:
     """e^{H0(u)} Gamma(1/(2m))/m * ((2m)!/|H^(2m)(u)|)^(1/(2m))."""
     m = order
-    return (math.exp(phase_value(pf, 0, u)) * math.gamma(1.0 / (2 * m)) / m
+    return (math.exp(phase_value(spec, 0, u)) * math.gamma(1.0 / (2 * m)) / m
             * (math.factorial(2 * m) / abs(h2m)) ** (1.0 / (2 * m)))
 
 
-def search_upper_bound(pf: PhaseFamily) -> float:
-    """A u beyond which the leading phase is certainly decreasing (A > 0 or
-    v < 0) or negligible (A = v = 0)."""
-    s = pf.spec
-    sum_abs_f = sum(abs(f) for _, f in pf.falpha)
-    if s.A > 0:
-        u_hi = (abs(s.v) + sum_abs_f * math.pi ** 2 / 6.0 + 1.0) / s.A + 1.0
-    elif s.v < 0:
-        u_hi = 1.0
-        while s.v + sum(abs(a * f) * polylog(1, a * u_hi) for a, f in pf.falpha) >= 0:
-            u_hi *= 2.0
-            if u_hi > 1e9:
-                raise DegenerateError("no decreasing-dominance bound found")
-        u_hi += 1.0
-    else:
-        min_alpha = min((a for a, _ in pf.falpha), default=1.0)
-        u_hi = 50.0 / min_alpha
-    # safety: extend while the slope is still nonnegative at the bound
-    guard = 0
-    while pf.falpha and phase_deriv(pf, 1, u_hi) > 0 and s.A > 0:
-        u_hi *= 2.0
-        guard += 1
-        if guard > 60:
-            raise DegenerateError("slope stays positive past any sane bound")
-    return u_hi
+def search_upper_bound(spec: SeriesSpec) -> float:
+    """A u past which the leading phase is certainly decreasing (A > 0 or
+    v < 0) or, a guess, negligible (A = v = 0: 50/min alpha).
+
+    The slope is v - 2 A u plus the parts alpha f Li1(e^(-alpha u)), each at
+    most alpha |f|/(e^(alpha u) - 1) <= |f|/u, as -log(1 - y) <= y/(1 - y).
+    For A > 0 the bound u_hi = (|v| + sum |f| pi^2/6 + 1)/A + 1 is at least
+    1, so for every u >= u_hi the slope is at most
+    v - 2 A u_hi + sum |f| < -|v| - 2.  For v < 0 (so A = 0) each of the n
+    parts is below |v|/n once alpha u > log1p(n alpha |f|/|v|), which holds
+    past u_hi = max_j log1p(n alpha_j |f_j|/|v|)/alpha_j + 1."""
+    if spec.A > 0:
+        return (abs(spec.v) + sum(abs(f) for _, f in spec.falpha) * math.pi ** 2 / 6.0
+                + 1.0) / spec.A + 1.0
+    if spec.v < 0:
+        n = len(spec.falpha)
+        return max((math.log1p(n * a * abs(f) / -spec.v) / a for a, f in spec.falpha),
+                   default=0.0) + 1.0
+    return 50.0 / min((a for a, _ in spec.falpha), default=1.0)
 
 
-def _grid(pf: PhaseFamily, u_lo: float, u_hi: float) -> list[float]:
+def _grid(spec: SeriesSpec, u_lo: float, u_hi: float) -> list[float]:
     # geometric below 1, linear above; fine enough that a sign change of the
     # analytic slope cannot hide between neighbors for the admissible specs
     pts = []
@@ -184,7 +156,7 @@ def _grid(pf: PhaseFamily, u_lo: float, u_hi: float) -> list[float]:
     while u < min(1.0, u_hi):
         pts.append(u)
         u *= 1.07
-    max_alpha = max((a for a, _ in pf.falpha), default=1.0)
+    max_alpha = max((a for a, _ in spec.falpha), default=1.0)
     step = 0.05 * min(1.0, 1.0 / max_alpha)
     u = 1.0
     while u <= u_hi:
@@ -194,7 +166,7 @@ def _grid(pf: PhaseFamily, u_lo: float, u_hi: float) -> list[float]:
     return pts
 
 
-def stationary_points(pf: PhaseFamily) -> list[StationaryPoint]:
+def stationary_points(spec: SeriesSpec) -> list[StationaryPoint]:
     """All interior local maxima of the leading phase, u ascending.
 
     Brackets sign changes (+ -> -) of the analytic slope on a composite
@@ -202,25 +174,25 @@ def stationary_points(pf: PhaseFamily) -> list[StationaryPoint]:
     order as the smallest m with |H^(2m)(u)| above 1e-8 * scale.  An empty
     list is a valid outcome (no interior peak; the tail carries everything).
     """
-    if not pf.falpha and pf.spec.A == 0:
+    if not spec.falpha and spec.A == 0:
         return []
     u_lo = 1e-8
-    u_hi = search_upper_bound(pf)
-    grid = _grid(pf, u_lo, u_hi)
-    vals = phase_deriv(pf, 1, np.array(grid))
-    scale = sum(a * a * abs(f) for a, f in pf.falpha) + 2.0 * pf.spec.A
+    u_hi = search_upper_bound(spec)
+    grid = _grid(spec, u_lo, u_hi)
+    vals = phase_deriv(spec, 1, np.array(grid))
+    scale = sum(a * a * abs(f) for a, f in spec.falpha) + 2.0 * spec.A
     out = []
     for i in np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0)):
         a, b = grid[i], grid[i + 1]
         while b - a > _BISECT_RTOL * max(1.0, b):
             mid = 0.5 * (a + b)
-            if phase_deriv(pf, 1, mid) > 0.0:
+            if phase_deriv(spec, 1, mid) > 0.0:
                 a = mid
             else:
                 b = mid
         u = 0.5 * (a + b)
         for order in range(1, MAX_ORDER + 1):
-            h2m = phase_deriv(pf, 2 * order, u)
+            h2m = phase_deriv(spec, 2 * order, u)
             if abs(h2m) > _DEGENERACY_RTOL * scale:
                 break
         else:
@@ -232,6 +204,6 @@ def stationary_points(pf: PhaseFamily) -> list[StationaryPoint]:
                 f"classified even derivative positive at bracketed "
                 f"maximum u={u}")
         out.append(StationaryPoint(
-            u=u, order=order, h_value=phase_value(pf, -1, u), h2m=h2m,
-            c_u=laplace_constant(pf, u, order, h2m)))
+            u=u, order=order, h_value=phase_value(spec, -1, u), h2m=h2m,
+            c_u=laplace_constant(spec, u, order, h2m)))
     return out

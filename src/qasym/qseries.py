@@ -38,6 +38,7 @@ _R0 = 0.1                   # the closed form peels factors until beta t/w <= _R
 _EM_J = 6                   # Euler-Maclaurin levels j = 1.._EM_J of the closed form
 _LADDER = 2.0 ** (1.0 / 32)  # edge ratio of series_sum's certificate ladder
 U_END = 2000.0              # series_sum raises if not stopped by m t = U_END
+_SUM_BUDGET = 1 << 27       # most terms series_sum's window may span
 
 LOG_2PI = math.log(2.0 * math.pi)
 # row j, column m - 1: the v^m coefficient of B_2j/(2j)! Li_(2-2j)(e^-w), with
@@ -96,6 +97,17 @@ class SeriesSpec:
             raise SpecError("terms must be sorted by (alpha, beta, gamma)")
         if len(set(keys)) != len(keys):
             raise SpecError("duplicate (alpha, beta, gamma) terms must be merged")
+
+    @functools.cached_property
+    def falpha(self) -> tuple[tuple[float, float], ...]:
+        """The leading phase's (alpha_j, f_j), alpha ascending, with f_j =
+        -sum S/beta over the terms sharing alpha_j; an f_j below 1e-15 of
+        their sum of |S/beta| is dropped (those terms still feed level 0)."""
+        parts: dict[float, list[float]] = {}
+        for p in self.terms:
+            parts.setdefault(p.alpha, []).append(-p.S / p.beta)
+        return tuple((a, sum(f)) for a, f in sorted(parts.items())
+                     if abs(sum(f)) > 1e-15 * sum(map(abs, f)))
 
     @staticmethod
     def make(A: float, B: float, v: float,
@@ -558,10 +570,19 @@ def series_sum(spec: SeriesSpec, t: float) -> SumResult:
     certifies, so the first block too can end short of 256 terms; the sum
     stops at the first block end past the probe where head plus rest are
     below 1e-18 of the sum so far, and raises if none does by m t = U_END.
+    So the sum never passes the first edge that the probe's term certifies,
+    and it raises before summing if that edge lies more than _SUM_BUDGET
+    terms past m_lo.
     """
     lad = mass_ladder(spec, t)
     e, ends = lad.edges, _block_ends(t)
     cut, head, left = lad.window(lad.probe_log)
+    sure = np.flatnonzero(left <= lad.probe_log + LN_EPS)
+    span = int(e[sure[0]] if len(sure) else e[-1]) - int(e[cut])
+    if span > _SUM_BUDGET:
+        raise ConvergenceError(f"exact sum: the window needs "
+                               f"{span if span < 1e15 else f'{span:.3g}'} terms, "
+                               f"more than {_SUM_BUDGET}")
     m0, run_max, acc, total_log = int(e[cut]), -math.inf, 0.0, -math.inf
     while True:
         j = int(np.searchsorted(e, m0, side="right")) - 1     # e_j <= m0 < e_j+1

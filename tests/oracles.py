@@ -136,7 +136,7 @@ def seeded_edges(an, t: float, u_lo: float, u_hi: float) -> np.ndarray:
                  / abs(sp.h2m)) ** (1.0 / (2 * sp.order))
         seeds += [sp.u + k * width for k in (-5, -3, -2, -1, 0, 1, 2, 3, 5)]
     if an.tail:
-        alpha1 = an.phase.falpha[0][0]
+        alpha1 = an.series.falpha[0][0]
         u_tail = math.log(1.0 / t) / alpha1
         seeds += [s * u_tail for s in (0.3, 1.0, 2.0, 3.0)]
         seeds.append(t * math.log(1.0 / t) / alpha1)
@@ -152,7 +152,7 @@ def integral_whole_ladder(an, t: float, rel_tol: float = 1e-10) -> tuple[float, 
     bottom-up, the peak also read at every edge, and the panels refined one
     at a time with a scalar Gauss-Kronrod rule."""
     spec = an.series
-    u_hi = max(search_upper_bound(an.phase), 1.0)
+    u_hi = max(search_upper_bound(an.series), 1.0)
     g = lambda u: log_summand(spec, u / t, t)
     gmax = float(g(np.linspace(0.0, u_hi, 513)).max())
     while g(np.array([u_hi]))[0] - gmax > math.log(rel_tol) + math.log(1e-4):

@@ -11,7 +11,7 @@ import pytest
 
 from oracles import dilog, kappa_by_partitions, mcintosh_asym, qpoch_finite
 from qasym.expansion import _exp_series, _lambda_table, peak_value
-from qasym.phase import build_phase, stationary_points
+from qasym.phase import stationary_points
 from qasym.presets import F0_ZETA, get_preset
 from qasym.qseries import SeriesSpec, qpoch_inf, series_sum
 from qasym.quad import integral
@@ -69,7 +69,7 @@ def test_criterion_2_ramanujan_prefactor_constant():
 def test_criterion_3_f0_peak():
     t0 = time.monotonic()
     p = get_preset("f0")
-    sp = stationary_points(build_phase(p.series))[0]
+    sp = stationary_points(p.series)[0]
     zeta_gap = abs(sp.u - F0_ZETA)
     four_digits = f"{sp.u:.4f}"
     errs = {}
@@ -207,7 +207,7 @@ def test_criterion_9_invariant_bundle():
     fd = (log_summand(ram, x + h, t) - log_summand(ram, x - h, t)) / (2 * h)
     fd_ok = abs(log_summand_deriv(ram, 1, x, t) - fd) <= 1e-7
     # kappa double computation
-    sp = stationary_points(build_phase(ram))[0]
+    sp = stationary_points(ram)[0]
     _, _, cols = _lambda_table(ram, sp, (0.05,), 18)
     lams = {r: float(col[0]) for r, col in cols.items()}
     coeffs = _exp_series(lams, 6)
@@ -216,7 +216,7 @@ def test_criterion_9_invariant_bundle():
         for l in range(7))
     # argmax invariance under positive scaling
     scaled = SeriesSpec.make(1.5, 0.5, 0.0, [(1, 1, 1, -6)])
-    arg_ok = abs(stationary_points(build_phase(scaled))[0].u - sp.u) <= 1e-10
+    arg_ok = abs(stationary_points(scaled)[0].u - sp.u) <= 1e-10
     elapsed = time.monotonic() - t0
     ok = (gen_ok and refl_ok and rec_ok and fd_ok and kappa_ok and arg_ok
           and elapsed <= 300.0)

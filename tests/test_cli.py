@@ -487,8 +487,14 @@ def test_asym_sweep_output_laws(source, tmp_path):
     (("eval", "--preset", "ramanujan", "--t", "1e-15"), 3,
      "numeric failure: exact prefactor: (a;q)_inf needs 4.14e+16 factors, "
      "more than 10000000\n"),
+    (("eval", "--preset", "f0", "--t", "1e-15"), 3,
+     "numeric failure: exact sum: the window needs 123858762357079 terms, "
+     "more than 134217728\n"),
+    (("verify", "--preset", "f0", "--t", "0.01,1e-15"), 3,
+     "numeric failure: row t=1.0000000000000001e-15: exact sum: the window "
+     "needs 123858762357079 terms, more than 134217728\n"),
 ], ids=["asym-1e-30", "asym-1e-100", "asym-1e-200", "verify-peak", "verify-tail",
-        "verify-prefactor", "eval-prefactor"])
+        "verify-prefactor", "eval-prefactor", "eval-sum", "verify-sum"])
 def test_tiny_t_is_numeric_failure(args, status, stderr):
     cp = run_strict(*args)
     assert (cp.returncode, cp.stderr[:len(stderr)]) == (status, stderr), cp.stderr

@@ -3,10 +3,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qasym.errors import DomainError
-from qasym.phase import (build_phase, check_hypothesis, phase_deriv,
-                         phase_value, stationary_points)
+from qasym.phase import (check_hypothesis, phase_deriv, phase_value,
+                         search_upper_bound, stationary_points)
 from qasym.qseries import SeriesSpec, log_summand, log_summand_deriv
 
 RAM = SeriesSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, -2)])
@@ -16,59 +18,49 @@ EULER = SeriesSpec.make(0.0, 1.0, 0.0, [(1, 1, 1, -1)])
 GOLDEN_U = 2.0 * math.log((1.0 + math.sqrt(5.0)) / 2.0)
 
 
-class TestBuildPhase:
+class TestFalpha:
     def test_sign_convention_ramanujan(self):
-        pf = build_phase(RAM)
-        assert pf.falpha == ((1.0, 2.0),)
+        assert RAM.falpha == ((1.0, 2.0),)
 
     def test_f0_coefficients(self):
-        pf = build_phase(F0)
-        assert pf.falpha == ((1.0, -1.0), (2.0, 1.0))
+        assert F0.falpha == ((1.0, -1.0), (2.0, 1.0))
 
     def test_merge_same_alpha(self):
         spec = SeriesSpec.make(1.0, 0.0, 0.0, [(1, 1, 1, 1.0), (1, 2, 1, 2.0)])
-        pf = build_phase(spec)
-        assert pf.falpha == ((1.0, -2.0),)
+        assert spec.falpha == ((1.0, -2.0),)
 
 
 class TestPhaseValue:
     def test_golden_ratio_value(self):
         # Landen value: leading phase at the golden-ratio point is -2 pi^2/15
-        pf = build_phase(RAM)
-        assert phase_value(pf, -1, GOLDEN_U) == pytest.approx(
+        assert phase_value(RAM, -1, GOLDEN_U) == pytest.approx(
             -2.0 * math.pi ** 2 / 15.0, abs=1e-14)
 
     def test_level0_vanishes_at_peak(self):
-        pf = build_phase(RAM)
-        assert abs(phase_value(pf, 0, GOLDEN_U)) <= 1e-14
+        assert abs(phase_value(RAM, 0, GOLDEN_U)) <= 1e-14
 
     def test_large_u_tail(self):
         # polynomial part survives, dilogarithms die off
         spec = SeriesSpec.make(1.0, 2.0, -0.5, [(1, 1, 1, 1)])
-        pf = build_phase(spec)
         u = 60.0
-        assert phase_value(pf, -1, u) == pytest.approx(-0.5 * u - u * u, rel=1e-12)
+        assert phase_value(spec, -1, u) == pytest.approx(-0.5 * u - u * u, rel=1e-12)
 
     def test_domain(self):
-        pf = build_phase(RAM)
         with pytest.raises(DomainError):
-            phase_value(pf, -1, 0.0)
+            phase_value(RAM, -1, 0.0)
 
 
 class TestPhaseDeriv:
     def test_slope_zero_at_golden_point(self):
-        pf = build_phase(RAM)
-        assert abs(phase_deriv(pf, 1, GOLDEN_U)) <= 1e-12
+        assert abs(phase_deriv(RAM, 1, GOLDEN_U)) <= 1e-12
 
     def test_curvature_minus_sqrt5(self):
-        pf = build_phase(RAM)
-        assert phase_deriv(pf, 2, GOLDEN_U) == pytest.approx(
+        assert phase_deriv(RAM, 2, GOLDEN_U) == pytest.approx(
             -math.sqrt(5.0), rel=1e-13)
 
     def test_finite_difference_cross_check(self):
-        pf = build_phase(F0)
         u = 0.7
-        f = lambda x: phase_value(pf, -1, x)
+        f = lambda x: phase_value(F0, -1, x)
 
         def stencil(k, h):
             if k == 1:
@@ -84,7 +76,7 @@ class TestPhaseDeriv:
         for k in (1, 2, 3):
             h = steps[k]
             fd = (4 * stencil(k, h / 2) - stencil(k, h)) / 3
-            an = phase_deriv(pf, k, u)
+            an = phase_deriv(F0, k, u)
             assert abs(an - fd) <= 1e-7 * max(1.0, abs(an))
 
 
@@ -98,69 +90,67 @@ class TestPhasePrecision:
     @pytest.mark.parametrize("spec", [RAM, F0], ids=["ramanujan", "f0"])
     @pytest.mark.parametrize("u", [1e-4, 1e-8, 1e-12])
     def test_against_mpmath(self, spec, u):
-        pf = build_phase(spec)
         with mp.workdps(40):
             U = mp.mpf(u)
             slope = float(spec.v - 2 * mp.mpf(spec.A) * U + sum(
-                mp.mpf(a) * f * self._li1(a * U) for a, f in pf.falpha))
+                mp.mpf(a) * f * self._li1(a * U) for a, f in spec.falpha))
             level0 = float(-sum((mp.mpf(p.gamma) / p.beta - mp.mpf(0.5)) * p.S
                                 * self._li1(p.alpha * U) for p in spec.terms)
                            - spec.B * U)
-        assert abs(phase_deriv(pf, 1, u) - slope) <= 2 * math.ulp(slope)
-        assert abs(phase_value(pf, 0, u) - level0) <= 32 * math.ulp(level0)
+        assert abs(phase_deriv(spec, 1, u) - slope) <= 2 * math.ulp(slope)
+        assert abs(phase_value(spec, 0, u) - level0) <= 32 * math.ulp(level0)
 
     @pytest.mark.parametrize("spec", [RAM, F0, EULER], ids=["ramanujan", "f0", "euler"])
     def test_array_matches_scalars(self, spec):
-        pf = build_phase(spec)
         u = np.geomspace(1e-8, 800.0, 60)
         for k in (1, 2, 5, 16):
-            got = phase_deriv(pf, k, u)
+            got = phase_deriv(spec, k, u)
             for ui, gi in zip(u, got):
-                want = phase_deriv(pf, k, float(ui))
+                want = phase_deriv(spec, k, float(ui))
                 assert abs(gi - want) <= 2 * math.ulp(want)
 
 
 class TestHypothesis:
     def test_ramanujan_limit_branch(self):
-        rep = check_hypothesis(build_phase(RAM))
+        rep = check_hypothesis(RAM)
         assert rep and rep.branch == "limit" and rep.slope_sum == pytest.approx(2.0)
 
     def test_f0_positive(self):
-        rep = check_hypothesis(build_phase(F0))
+        rep = check_hypothesis(F0)
         assert rep and rep.slope_sum == pytest.approx(1.0)
 
     def test_rejection(self):
         spec = SeriesSpec.make(0.0, 0.0, -1.0, [(1, 1, 1, 1)])
-        rep = check_hypothesis(build_phase(spec))
+        rep = check_hypothesis(spec)
         assert not rep
 
     @pytest.mark.parametrize("v", [0.3, -0.3])
     def test_balanced_case_partial_theta(self, v):
         # H(u) = v u - u^2/2: the slope's limit v at 0+ decides, though for
         # v = 0.3 it is negative from u = 0.3 on
-        rep = check_hypothesis(build_phase(SeriesSpec(0.5, 0.0, v, ())))
+        rep = check_hypothesis(SeriesSpec(0.5, 0.0, v, ()))
         assert bool(rep) == (v > 0) and rep.branch == "limit"
 
     def test_balanced_limit_with_terms(self):
         # alpha_j f_j = 2 - 2 cancels; the slope tends to v + 2 log 2 at 0+
-        pf = build_phase(SeriesSpec.make(0.5, 0.0, -1.0, [(1, 1, 1, -2), (2, 1, 1, 1)]))
+        spec = SeriesSpec.make(0.5, 0.0, -1.0, [(1, 1, 1, -2), (2, 1, 1, 1)])
         limit = -1.0 + 2.0 * math.log(2.0)
-        assert phase_deriv(pf, 1, 1e-9) == pytest.approx(limit, rel=1e-6)
-        rep = check_hypothesis(pf)
+        assert phase_deriv(spec, 1, 1e-9) == pytest.approx(limit, rel=1e-6)
+        rep = check_hypothesis(spec)
         assert rep and rep.branch == "limit" and rep.slope_sum == 0.0
 
     def test_balanced_case_sampled(self):
         # no Pochhammer slope at all: pure Gaussian decreases from 0
         spec = SeriesSpec(1.0, 0.0, 0.0, ())
-        rep = check_hypothesis(build_phase(spec))
+        rep = check_hypothesis(spec)
         assert not rep and rep.branch == "series" and "u^1" in rep.detail
 
     @staticmethod
     def _balanced(A):
         # alpha_j f_j = -2 + 2 and the limit v - 2 log 2 both vanish; the
         # slope is (1 - 2A) u - u^2/4 + O(u^4) at 0+
-        return build_phase(SeriesSpec.make(A, 0.0, 2.0 * math.log(2.0),
-                                           [(1, 1, 1, 2), (2, 1, 1, -1)]))
+        return SeriesSpec.make(A, 0.0, 2.0 * math.log(2.0),
+                               [(1, 1, 1, 2), (2, 1, 1, -1)])
 
     @pytest.mark.parametrize("A, increasing, power",
                              [(0.48, True, "u^1"), (0.5, False, "u^2"),
@@ -174,20 +164,20 @@ class TestHypothesis:
 
     @pytest.mark.parametrize("A", [0.48, 0.5, 0.52])
     def test_balanced_series_matches_slope(self, A):
-        pf = self._balanced(A)
+        spec = self._balanced(A)
         for u in (1e-3, 1e-2):
-            assert phase_deriv(pf, 1, u) == pytest.approx(
+            assert phase_deriv(spec, 1, u) == pytest.approx(
                 (1.0 - 2.0 * A) * u - 0.25 * u * u, abs=1e-8)
 
     def test_flat_slope_passes(self):
         # A = v = 0 and no Pochhammer term: the phase is identically 0
-        rep = check_hypothesis(build_phase(SeriesSpec(0.0, 1.0, 0.0, ())))
+        rep = check_hypothesis(SeriesSpec(0.0, 1.0, 0.0, ()))
         assert rep and rep.branch == "series" and "vanishes" in rep.detail
 
 
 class TestStationaryPoints:
     def test_ramanujan_point(self):
-        sps = stationary_points(build_phase(RAM))
+        sps = stationary_points(RAM)
         assert len(sps) == 1
         sp = sps[0]
         assert sp.u == pytest.approx(GOLDEN_U, abs=1e-13)
@@ -200,35 +190,78 @@ class TestStationaryPoints:
         closed = -math.log((2.0 / 3.0) * math.sqrt(7.0)
                            * math.cos(math.acos(-1.0 / (2.0 * math.sqrt(7.0))) / 3.0)
                            - 2.0 / 3.0)
-        sps = stationary_points(build_phase(F0))
+        sps = stationary_points(F0)
         assert len(sps) == 1
         assert sps[0].u == pytest.approx(closed, abs=1e-10)
 
     def test_euler_empty(self):
-        assert stationary_points(build_phase(EULER)) == []
+        assert stationary_points(EULER) == []
 
     def test_local_max_property(self):
         for spec in (RAM, F0):
-            pf = build_phase(spec)
-            for sp in stationary_points(pf):
+            for sp in stationary_points(spec):
                 d = 1e-6 * max(1.0, sp.u)
-                assert phase_deriv(pf, 1, sp.u - d) > 0 > phase_deriv(pf, 1, sp.u + d)
+                assert (phase_deriv(spec, 1, sp.u - d) > 0
+                        > phase_deriv(spec, 1, sp.u + d))
 
     def test_argmax_invariant_under_scaling(self):
         # scaling every S (and A, v) by lambda > 0 rescales the phase linearly
         lam = 3.0
         scaled = SeriesSpec.make(lam * 0.5, 0.5, 0.0, [(1, 1, 1, -2 * lam)])
-        u0 = stationary_points(build_phase(RAM))[0].u
-        u1 = stationary_points(build_phase(scaled))[0].u
+        u0 = stationary_points(RAM)[0].u
+        u1 = stationary_points(scaled)[0].u
         assert abs(u0 - u1) <= 1e-10
+
+
+@st.composite
+def decreasing_specs(draw):
+    """1-3 terms of either sign on a branch whose slope ends negative:
+    A > 0, or A = 0 and v < 0."""
+    terms = draw(st.lists(st.tuples(
+        st.floats(0.2, 4.0), st.floats(0.2, 3.0), st.floats(0.3, 2.0),
+        st.floats(0.25, 5.0) | st.floats(-5.0, -0.25)), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        A, v = draw(st.floats(0.01, 2.0)), draw(st.floats(-3.0, 3.0))
+    else:
+        A, v = 0.0, draw(st.floats(-3.0, -0.01))
+    return SeriesSpec.make(A, draw(st.floats(-1.0, 1.0)), v, terms)
+
+
+class TestSearchBound:
+    @settings(max_examples=60, deadline=None)
+    @given(spec=decreasing_specs())
+    # two maxima on the v < 0 branch, at u = 0.75 and 1.64
+    @example(spec=SeriesSpec.make(0.0, 0.0, -0.47, [(0.66, 1, 1, -2.7),
+                                                    (2.0, 1, 1, 3.9),
+                                                    (3.5, 1, 1, -2.9)]))
+    def test_bound_is_a_bound(self, spec):
+        # past the bound the slope is negative (below -|v| - 2 for A > 0);
+        # for v < 0 every + -> - sign change of a dense sample below 4 u_hi
+        # brackets a maximum that stationary_points found
+        u_hi = search_upper_bound(spec)
+        slope = phase_deriv(spec, 1, np.geomspace(u_hi, 100.0 * u_hi, 64))
+        assert np.all(slope < (-abs(spec.v) - 2.0 if spec.A > 0 else 0.0))
+        if spec.A > 0:
+            return
+        u = np.r_[np.geomspace(1e-8, 1.0, 2000, endpoint=False),
+                  np.linspace(1.0, 4.0 * u_hi, 4000)]
+        s = phase_deriv(spec, 1, u)
+        found = [sp.u for sp in stationary_points(spec)]
+        for i in np.flatnonzero((s[:-1] > 0.0) & (s[1:] <= 0.0)):
+            assert any(u[i] <= x <= u[i + 1] for x in found)
+
+    def test_v_negative_bound(self):
+        # A = 0, v = -1 and f = 2 at alpha = 1: the one part is below |v|
+        # past log1p(2), and the bound adds 1
+        spec = SeriesSpec.make(0.0, 0.0, -1.0, [(1, 1, 1, -2)])
+        assert search_upper_bound(spec) == math.log1p(2.0) + 1.0
 
 
 class TestScalingConsistency:
     def test_leading_term(self):
         # t * log_summand(u/t) -> phase(-1); error ~ t * phase(0), halving
-        pf = build_phase(F0)
         u = 0.7
-        target = phase_value(pf, -1, u)
+        target = phase_value(F0, -1, u)
         errs = [abs(t * log_summand(F0, u / t, t) - target)
                 for t in (0.1, 0.05, 0.025)]
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
@@ -236,7 +269,6 @@ class TestScalingConsistency:
 
     def test_first_derivative_second_order(self):
         # log_summand' = phase' + t * (d/du)phase(0) + O(t^2)
-        pf = build_phase(F0)
         s = F0
         u = 0.7
 
@@ -247,7 +279,7 @@ class TestScalingConsistency:
                         * math.exp(-p.alpha * uu) / (1 - math.exp(-p.alpha * uu)))
             return out
 
-        base = phase_deriv(pf, 1, u)
+        base = phase_deriv(F0, 1, u)
         errs = [abs(log_summand_deriv(s, 1, u / t, t) - base - t * h0prime(u))
                 for t in (0.1, 0.05, 0.025)]
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]

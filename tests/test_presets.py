@@ -3,8 +3,7 @@ import math
 import pytest
 
 from oracles import dilog
-from qasym.phase import (build_phase, check_hypothesis, phase_value,
-                         stationary_points)
+from qasym.phase import check_hypothesis, phase_value, stationary_points
 from qasym.presets import (F0_ZETA, get_preset, preset_rphis, preset_simple_r)
 from qasym.qseries import normalize, qpoch_inf
 from totals import asym, series_total
@@ -15,7 +14,7 @@ ALL = ["ramanujan", "f0", "phi-minus", "rphis", "simple-r", "euler", "euler-b2"]
 @pytest.mark.parametrize("name", ALL)
 def test_hypothesis_holds(name):
     p = get_preset(name)
-    assert check_hypothesis(build_phase(p.series))
+    assert check_hypothesis(p.series)
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -68,7 +67,7 @@ class TestRamanujan:
     def test_total_rate_decomposition(self):
         # pi^2/3 from the prefactor, -2 pi^2/15 from the peak
         p = get_preset("ramanujan")
-        sp = stationary_points(build_phase(p.series))[0]
+        sp = stationary_points(p.series)[0]
         assert math.pi ** 2 / 3.0 + sp.h_value == pytest.approx(
             math.pi ** 2 / 5.0, abs=1e-13)
 
@@ -76,7 +75,7 @@ class TestRamanujan:
 class TestF0:
     def test_zeta_closed_form(self):
         p = get_preset("f0")
-        sp = stationary_points(build_phase(p.series))[0]
+        sp = stationary_points(p.series)[0]
         assert abs(sp.u - F0_ZETA) <= 1e-10
 
     def test_cubic_residual(self):
@@ -86,10 +85,9 @@ class TestF0:
     def test_phase_identity_pointwise(self):
         # -u^2 - Li2(e^{-2u}) + Li2(e^{-u})
         p = get_preset("f0")
-        pf = build_phase(p.series)
         for u in (0.1, 0.5, 1.0, 2.0):
             direct = -u * u - dilog(math.exp(-2 * u)) + dilog(math.exp(-u))
-            assert abs(phase_value(pf, -1, u) - direct) <= 1e-13
+            assert abs(phase_value(p.series, -1, u) - direct) <= 1e-13
 
     def test_empty_prefactor(self):
         assert get_preset("f0").prefactor == ()
@@ -99,14 +97,13 @@ class TestPhiMinus:
     def test_leading_phase_identity(self):
         # (Li2(e^{-4u}) - 3 Li2(e^{-2u}))/2
         p = get_preset("phi-minus")
-        pf = build_phase(p.series)
         for u in (0.2, 0.7, 1.5):
             direct = (dilog(math.exp(-4 * u)) - 3 * dilog(math.exp(-2 * u))) / 2
-            assert abs(phase_value(pf, -1, u) - direct) <= 1e-13
+            assert abs(phase_value(p.series, -1, u) - direct) <= 1e-13
 
     def test_no_interior_peak(self):
         p = get_preset("phi-minus")
-        assert stationary_points(build_phase(p.series)) == []
+        assert stationary_points(p.series) == []
 
     def test_definition_series_matches_rewrite(self):
         # brute force on q^m (-q;q)_{2m-1}/(q;q^2)_m; its terms fall like
@@ -131,12 +128,12 @@ class TestPhiMinus:
 class TestRphis:
     def test_stationary_point_v0(self):
         p = get_preset("rphis")
-        sp = stationary_points(build_phase(p.series))[0]
+        sp = stationary_points(p.series)[0]
         assert sp.u == pytest.approx(math.log(2.0), abs=1e-13)
 
     def test_stationary_point_general_v(self):
         p = preset_rphis((1.0,), (1.0, 1.0), 0.5)
-        sp = stationary_points(build_phase(p.series))[0]
+        sp = stationary_points(p.series)[0]
         assert sp.u == pytest.approx(math.log1p(math.exp(0.5)), abs=1e-12)
 
     def test_identity_two_qpochhammer(self):
@@ -172,7 +169,7 @@ class TestRphis:
 class TestSimpleR:
     def test_stationary_equation_residual(self):
         p = get_preset("simple-r")
-        sp = stationary_points(build_phase(p.series))[0]
+        sp = stationary_points(p.series)[0]
         x = math.exp(-sp.u)
         # default parameters: exponents 2A/(EG) = 2 and DE = 1
         assert abs(x ** 2 + x - 1.0) <= 1e-12
@@ -184,8 +181,8 @@ class TestSimpleR:
     def test_reduces_to_ramanujan(self):
         red = preset_simple_r(0.5, 0.5, 1, 1, 1, 0, 2)
         ram = get_preset("ramanujan")
-        sp_red = stationary_points(build_phase(red.series))[0]
-        sp_ram = stationary_points(build_phase(ram.series))[0]
+        sp_red = stationary_points(red.series)[0]
+        sp_ram = stationary_points(ram.series)[0]
         assert sp_red.u == pytest.approx(sp_ram.u, abs=1e-12)
         assert red.reference.rate == pytest.approx(ram.reference.rate, abs=1e-12)
         assert red.reference.log_constant == pytest.approx(

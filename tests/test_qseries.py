@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -557,7 +558,7 @@ class TestKernelBounds:
         # S > 0 symbol, so its bound must be taken at the lower end
         spec = (SeriesSpec.make(1.0, 0.0, 0.0, [(1, 1, 1, 1)]) if name == "s-positive"
                 else get_preset(name).series)
-        u_hi = max(search_upper_bound(analyse(spec).phase), 1.0)
+        u_hi = max(search_upper_bound(analyse(spec).series), 1.0)
         rungs = [(u_hi * 2.0 ** -(j + 1), u_hi * 2.0 ** -j) for j in range(19)]
         u = np.concatenate([np.linspace(a, b, 200) for a, b in rungs])
         g = log_summand(spec, u / t, t).reshape(len(rungs), 200)
@@ -902,6 +903,24 @@ class TestSeriesSum:
         for t in (0.1, 0.05):
             r = series_sum(get_preset("f0").series, t)
             assert r.m_hi - r.m_lo <= 32
+
+    @pytest.mark.parametrize("name, t, count", [("f0", 1e-10, "1252305378"),
+                                                 ("euler", 1e-15, "8.39e+16")])
+    def test_window_past_budget_raises(self, name, t, count):
+        # the first edge the probe's term certifies bounds the terms before
+        # any is summed; past 2^27 the sum refuses at once
+        with pytest.raises(ConvergenceError, match=re.escape(
+                f"the window needs {count} terms, more than 134217728")):
+            series_sum(get_preset(name).series, t)
+
+    @pytest.mark.parametrize("name, t", [("euler", 1e-6), ("euler-b2", 1e-6),
+                                         ("f0", 1e-7)])
+    def test_window_within_budget(self, name, t):
+        # the widest windows that still run: 6.2e7, 3.2e7 and 1.25e6 terms
+        lad = qs.mass_ladder(get_preset(name).series, t)
+        cut, _, left = lad.window(lad.probe_log)
+        stop = lad.edges[np.flatnonzero(left <= lad.probe_log + qs.LN_EPS)[0]]
+        assert stop - lad.edges[cut] <= qs._SUM_BUDGET
 
     def test_divergent_series_raises(self):
         # A = 0 and v < 0, but v - B t > 0: the terms grow and no bound
