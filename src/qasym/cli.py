@@ -19,6 +19,8 @@ round-off floors).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import sys
@@ -29,7 +31,7 @@ from .errors import HypothesisError, QasymError, SpecError
 from .expansion import DEFAULT_L, DEFAULT_M, Analysis, analyse, asym_from_parts
 from .presets import PRESETS, get_preset
 from .qseries import (MAX_DERIV, T_MAX, ProductSpec, QuadTerm, SeriesSpec,
-                      normalize, prefactor_exact, series_sum)
+                      mass_ladder, normalize, prefactor_exact, series_sum)
 from .quad import integral as quad_integral
 from .specfun import N_MAX
 
@@ -266,6 +268,10 @@ def _total(value: float, pref: float, q_power: float, t: float) -> float:
 
 def run_exact(cfg: RunConfig) -> int:
     """eval (direct summation) or integral (adaptive quadrature) at each t."""
+    # every row's ladder in one pass; if that raises, each row builds its
+    # own, and the first failing row reports as it would alone
+    with contextlib.suppress(QasymError):
+        mass_ladder(cfg.series, cfg.t_grid)
     rows, diag = [], {}
     for t in cfg.t_grid:
         # the product first: a t past its reach fails before the sum is paid for
@@ -332,6 +338,8 @@ def run_verify(cfg: RunConfig) -> int:
         asym = asym_from_parts(an, tuple(cfg.t_grid), cfg.order_L, cfg.q_power)
     except QasymError:
         asym = None
+    with contextlib.suppress(QasymError):   # as in run_exact
+        mass_ladder(cfg.series, cfg.t_grid)
     lines = [CSV_HEADER]
     devs, floors = [], []
     for j, t in enumerate(cfg.t_grid):
@@ -378,6 +386,7 @@ def run_preset_cmd(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache           # built once per process; parse_args leaves it as is
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qasym",

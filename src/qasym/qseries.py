@@ -75,6 +75,10 @@ class PochTerm:
         if self.S == 0:
             raise SpecError("PochTerm needs S != 0 (merged-away terms are dropped)")
 
+    @functools.cached_property
+    def coefs(self) -> dict:        # (t, orders) -> the last ``_coef_table``
+        return {}
+
 
 @dataclass(frozen=True)
 class SeriesSpec:
@@ -108,6 +112,10 @@ class SeriesSpec:
             parts.setdefault(p.alpha, []).append(-p.S / p.beta)
         return tuple((a, sum(f)) for a, f in sorted(parts.items())
                      if abs(sum(f)) > 1e-15 * sum(map(abs, f)))
+
+    @functools.cached_property
+    def ladders(self) -> dict:      # t -> MassLadder, of the last grid built
+        return {}
 
     @staticmethod
     def make(A: float, B: float, v: float,
@@ -321,6 +329,22 @@ def _kernel_closed(w: np.ndarray, bt) -> np.ndarray:
     return li2 / bt + (0.5 * li1 + em - peel)
 
 
+def _coef_table(term: PochTerm, t: float, orders: tuple[int, ...], kmax: int):
+    """n log(k alpha t) - log(k (1 - e^(-k beta t))) by k = K..1 >= kmax and
+    order n, shape (K, rows, 1); None past _CHUNK_ELEMS elements."""
+    if kmax * len(orders) > _CHUNK_ELEMS:
+        return None
+    tab = term.coefs.get((t, orders))
+    if tab is None or len(tab) < kmax:
+        k = np.arange(kmax, 0, -1, dtype=float)[:, None]
+        tab = np.log(k * term.alpha * t)[:, None] * _rows(orders)[0]
+        tab -= np.log(k * -np.expm1(-k * term.beta * t))[:, None]
+        tab.flags.writeable = False
+        term.coefs.clear()
+        term.coefs[t, orders] = tab
+    return tab
+
+
 def _kernel(term: PochTerm, x: np.ndarray, t,
             orders: tuple[int, ...]) -> np.ndarray:
     """sum_{k>=1} (-k alpha t)^n e^{-kw} / (k (1-e^{-k beta t})),
@@ -336,7 +360,8 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
     depends on the other points or orders of the call.  The points, in
     order of w, go in bands: a chunk of _BAND_ELEMS or more ends where the
     largest cut falls below half of its first point's, so few terms past a
-    point's cut are built only to be masked to zero."""
+    point's cut are built only to be masked to zero.  At one t the per-k
+    coefficients come from ``_coef_table`` while it fits, else per chunk."""
     per = isinstance(t, np.ndarray)             # one t per point
     w = (term.alpha * x + term.gamma) * t
     order = None
@@ -354,6 +379,7 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
     kc = (spans / wk).astype(np.int64) + 1      # per row and point
     kmax, kmin = kc[imax], kc[imin]             # non-increasing
     budget = max(1, _CHUNK_ELEMS // len(orders))
+    tab = None if per or not len(wk) else _coef_table(term, t, orders, int(kmax[0]))
     acc = np.zeros((len(orders), len(w)))
     acc_k = acc[:, first:]
     p0 = 0
@@ -361,7 +387,7 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
         # points p0 .. p1-1 with all their rows fit the budget, and past
         # _BAND_ELEMS end where kmax halves; a point that alone does not fit
         # takes its rows in chunks, carrying its sums
-        k1 = int(kmax[p0]) + 1
+        k1 = k_top = int(kmax[p0]) + 1
         p1 = min(p0 + max(1, budget // (k1 - 1)), len(wk))
         band = p0 + _BAND_ELEMS // len(orders) // (k1 - 1)
         if band < p1 and kmax[p1 - 1] < k1 // 2:
@@ -374,8 +400,11 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
             k = np.arange(k1 - 1, k0 - 1, -1, dtype=float)[:, None]   # descending
             # (-k alpha t)^n / k = (-1)^n exp(n log(k alpha t) - log k) by k, row
             # and t; in log space high orders neither overflow nor underflow early
-            logcoef = np.log(k * term.alpha * tp)[:, None] * n_col
-            logcoef -= np.log(k * -np.expm1(-k * term.beta * tp))[:, None]
+            if tab is None:
+                logcoef = np.log(k * term.alpha * tp)[:, None] * n_col
+                logcoef -= np.log(k * -np.expm1(-k * term.beta * tp))[:, None]
+            else:
+                logcoef = tab[len(tab) - k1 + 1:len(tab) - k0 + 1]
             blk = np.outer(-k, wk[p0:p1])[:, None]         # k by row by point
             blk = np.add(blk, logcoef, out=blk if len(orders) == 1 else (
                 logcoef if per else None))    # into an operand of the sum's shape
@@ -383,7 +412,8 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
             if top > 0:
                 np.putmask(blk[:top], k[:top, None] > kc[:, p0:p1], -np.inf)
             blk = np.exp(blk, out=blk)
-            blk[0] += acc_k[:, p0:p1]
+            if k1 < k_top:                      # past the band's first chunk
+                blk[0] += acc_k[:, p0:p1]
             # in order along k: reducing the outer axis adds one k at a
             # time, and so does cumsum, which a single row of one point needs
             acc_k[:, p0:p1] = (np.add.reduce(blk, axis=0) if blk[0].size > 1
@@ -391,7 +421,8 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
             k1 = k0
             del blk, logcoef                    # before the next chunk's are made
         p0 = p1
-    acc *= sign
+    if any(r % 2 for r in orders):
+        acc *= sign
     if near and zero.any():
         acc[zero, :near] = _kernel_closed(
             w[:near], term.beta * (t[:near] if per else t))
@@ -454,20 +485,20 @@ def kernel_bounds(term: PochTerm, w: float, t: float) -> tuple[float, float]:
     return lo, lo + bt / 12.0 * li0
 
 
-def log_summand_sup(spec: SeriesSpec, ua, ub, t: float):
+def log_summand_sup(spec: SeriesSpec, ua, ub, t):
     """An upper bound of log_summand(spec, u/t, t) over u in [ua, ub] (ub may
     be inf) without a k-sum: K falls in u, so S > 0 terms take hi at ua and
     S < 0 terms lo at ub; the polynomial part is taken at its maximum, and
     1e-12 of the parts' sizes is added for log_summand's rounding, and 1e-300
     where that underflows (it moves no bound above 1e-284).  On arrays of
-    edges, one bound per piece, each the bits of the scalar form."""
+    edges and t, one bound per piece, each the bits of the scalar form."""
     slope = spec.v / t - spec.B      # x v - A x^2 t - B x t = u (slope - A u/t)
     quad = 0.0
     if spec.A > 0:
         u = np.minimum(np.maximum(slope * t / (2.0 * spec.A), ua), ub)
         quad = spec.A * u / t
     else:
-        u = ua if slope <= 0 else ub
+        u = np.where(slope <= 0, ua, ub)
     out = u * (slope - quad)
     scale = u * (abs(spec.v) / t + abs(spec.B) + quad)
     for p in spec.terms:
@@ -510,42 +541,64 @@ class MassLadder:
 
 def _block_ends(t: float) -> list[int]:
     # series_sum's block ends below min(U_END/t, 2^18): 256 terms, m/4 past 1024
-    ends = [0]
-    while ends[-1] < min(U_END / t, 1 << 18):
+    ends, stop = [0], min(U_END / t, 1 << 18)
+    while ends[-1] < stop:
         ends.append(ends[-1] + max(256, ends[-1] // 4))
     return ends
 
 
-def _tail_sup(spec: SeriesSpec, m, t: float):
+def _tail_sup(spec: SeriesSpec, m, t):
     """e^(sup F on [m t, inf)) / (1 - e^P'(m)), with the concave P(x) = x v -
     (A x^2 + B x) t, bounds the terms from m on and, as 1 - e^s <= -s, the
-    integral past x = m; inf while P rises."""
+    integral past x = m; inf while P rises.  t is one float or one per m."""
     slope = spec.v - (2.0 * spec.A * m + spec.B) * t      # P'(m)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(slope < 0, log_summand_sup(spec, m * t, math.inf, t)
                         - np.log(-np.expm1(slope)), np.inf)
 
 
-@functools.lru_cache(maxsize=4)
-def mass_ladder(spec: SeriesSpec, t: float) -> MassLadder:
-    """The ``MassLadder`` of ``spec`` at t: ``log_summand_sup`` over its
-    pieces and edges, in one call each, and ``log_summand`` at the probe;
-    memoized for series_sum and integral at one (spec, t), arrays read-only."""
-    _require_t(t)
-    if U_END / t >= 2.0 ** 62:          # edges past int64, terms past any budget
-        raise ConvergenceError(f"t={t} is below the summation ladder's reach")
-    steps = np.ceil(_LADDER ** np.arange(math.log(U_END / t, _LADDER)))
-    e = np.sort(np.r_[_block_ends(t), steps, math.ceil(U_END / t)])
-    e = e[np.r_[True, e[1:] > e[:-1]]].astype(np.int64)   # np.unique imports numpy.ma
-    mass = np.log(np.diff(e)) + log_summand_sup(spec, e[:-1] * t, e[1:] * t, t)
-    tails = _tail_sup(spec, e, t)
-    pieces = np.logaddexp.accumulate(np.r_[tails[-1], mass[::-1]])[::-1]
-    top = int(np.argmax(mass))
-    probe = int(e[top] + e[top + 1] - 1) // 2
-    rest = np.minimum(tails, pieces)
-    for a in (e, mass, rest):
-        a.flags.writeable = False       # shared by every caller at (spec, t)
-    return MassLadder(e, mass, rest, probe, float(log_summand(spec, float(probe), t)))
+def _build_ladders(spec: SeriesSpec, ts: list) -> list[MassLadder]:
+    # every t's ladder in one pass, each element at its own t
+    es = []
+    for t in ts:
+        _require_t(t)
+        if U_END / t >= 2.0 ** 62:      # edges past int64, terms past any budget
+            raise ConvergenceError(f"t={t} is below the summation ladder's reach")
+        steps = np.ceil(_LADDER ** np.arange(math.log(U_END / t, _LADDER)))
+        e = np.sort(np.concatenate((_block_ends(t), steps, [math.ceil(U_END / t)])))
+        # not np.unique, which imports numpy.ma
+        es.append(e[np.concatenate(([True], e[1:] > e[:-1]))].astype(np.int64))
+    tv = np.array(ts, dtype=float)
+    e, te = np.concatenate(es), np.repeat(tv, [len(x) for x in es])     # each edge's t
+    rise = e[1:] > e[:-1]               # each ladder starts at 0: a rise is a piece
+    a, b, tp = e[:-1][rise], e[1:][rise], te[:-1][rise]
+    mass = np.log(b - a) + log_summand_sup(spec, a * tp, b * tp, tp)
+    ends = np.flatnonzero(~rise)        # the last edge of each ladder but the last
+    parts = []
+    for x, m, tl in zip(es, np.split(mass, ends - np.arange(len(ends))),
+                        np.split(_tail_sup(spec, e, te), ends + 1)):
+        pieces = np.logaddexp.accumulate(np.concatenate((tl[-1:], m[::-1])))[::-1]
+        top = int(np.argmax(m))
+        parts.append((x, m, np.minimum(tl, pieces), int(x[top] + x[top + 1] - 1) // 2))
+        for arr in parts[-1][:3]:
+            arr.flags.writeable = False         # shared by every caller at (spec, t)
+    logs = log_summand(spec, np.array([p[3] for p in parts], dtype=float), tv)
+    return [MassLadder(*part, float(lg)) for part, lg in zip(parts, logs)]
+
+
+def mass_ladder(spec: SeriesSpec, ts) -> tuple[MassLadder, ...]:
+    """The ``MassLadder`` of ``spec`` at each t of ts, each the bits of its t
+    alone: ``log_summand_sup`` over all their pieces and all their edges, in
+    one call each with t per element, and ``log_summand`` at all their
+    probes in one call.  Unless ``spec.ladders`` holds every t, the grid is
+    built and the memo holds it alone."""
+    memo = spec.ladders
+    lads = [memo.get(t) for t in ts]    # read once: a caller sharing spec may rebuild
+    if None in lads:
+        lads = _build_ladders(spec, list(ts))
+        memo.clear()
+        memo.update(zip(ts, lads))
+    return tuple(lads)
 
 
 @dataclass(frozen=True)
@@ -562,19 +615,21 @@ def series_sum(spec: SeriesSpec, t: float) -> SumResult:
     m = 1024 and to 65536 past m = 2^18.
 
     m_lo is the cut of ``mass_ladder``'s window at the exact term.  Past M
-    the rest is at most the ladder's rest from the edge at or below M and
-    the one-sup bound at M, whose factor 1/(1 - q^B) the flat tail A = v = 0
-    needs (the terms above 1e-18 relative alone leave out 1e-14 of
-    phi-minus at t = 1e-4).  A block ends early at the first edge that the
-    sum so far, or the probe's exact term (which every sum holds),
-    certifies, so the first block too can end short of 256 terms; the sum
-    stops at the first block end past the probe where head plus rest are
-    below 1e-18 of the sum so far, and raises if none does by m t = U_END.
+    the rest is at most the ladder's rest from the edge at or below M, which
+    holds the one-sup bound ``_tail_sup`` at that edge; only a block past
+    2^18 that starts off an edge takes ``_tail_sup`` at M too.  Its factor
+    1/(1 - q^B) the flat tail A = v = 0 needs (the terms above 1e-18
+    relative alone leave out 1e-14 of phi-minus at t = 1e-4).  A block ends
+    early at the first edge that the sum so far, or the probe's exact term
+    (which every sum holds), certifies, so the first block too can end
+    short of 256 terms; the sum stops at the first block end past the probe
+    where head plus rest are below 1e-18 of the sum so far, and raises if
+    none does by m t = U_END.
     So the sum never passes the first edge that the probe's term certifies,
     and it raises before summing if that edge lies more than _SUM_BUDGET
     terms past m_lo.
     """
-    lad = mass_ladder(spec, t)
+    lad = mass_ladder(spec, (t,))[0]
     e, ends = lad.edges, _block_ends(t)
     cut, head, left = lad.window(lad.probe_log)
     sure = np.flatnonzero(left <= lad.probe_log + LN_EPS)
@@ -586,7 +641,8 @@ def series_sum(spec: SeriesSpec, t: float) -> SumResult:
     m0, run_max, acc, total_log = int(e[cut]), -math.inf, 0.0, -math.inf
     while True:
         j = int(np.searchsorted(e, m0, side="right")) - 1     # e_j <= m0 < e_j+1
-        left_out = np.logaddexp(head, min(_tail_sup(spec, m0, t), lad.rest[j]))
+        rest = lad.rest[j] if e[j] == m0 else min(_tail_sup(spec, m0, t), lad.rest[j])
+        left_out = np.logaddexp(head, rest)
         if m0 > lad.probe and left_out <= total_log + LN_EPS:
             break
         if j == len(e) - 1:

@@ -128,7 +128,7 @@ def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10) -> QuadResult:
     raises ConvergenceError.  Deterministic for fixed inputs."""
     if not 1e-12 <= rel_tol < math.inf:
         raise DomainError(f"rel_tol must be finite and >= 1e-12, got {rel_tol}")
-    lad = mass_ladder(spec, t)
+    lad = mass_ladder(spec, (t,))[0]
     level = lad.probe_log
     for _ in range(2):
         cut, _, left = lad.window(level)

@@ -18,6 +18,7 @@ callers.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -42,7 +43,12 @@ def _build_bernoulli(n_max: int) -> list[Fraction]:
 
 
 _BERNOULLI: list[Fraction] = _build_bernoulli(N_MAX)
-
+# per n: (D, C(n,k) B_k D for k = 0..n) in integers, D the lcm of the
+# denominators of B_0..B_n
+_BERNOULLI_POLY = [(d, tuple(math.comb(n, k) * b.numerator * (d // b.denominator)
+                             for k, b in enumerate(_BERNOULLI[:n + 1])))
+                   for n, d in enumerate(itertools.accumulate(
+                       (b.denominator for b in _BERNOULLI), math.lcm))]
 
 # B_2j/(2j+1)!, j = 10..1, for dilog_exp1m
 _LI2_EXP = [float(_BERNOULLI[2 * j] / math.factorial(2 * j + 1)) for j in range(10, 0, -1)]
@@ -58,16 +64,18 @@ def bernoulli_number(n: int) -> Fraction:
 
 
 def bernoulli_poly(n: int, x: float) -> float:
-    """B_n(x) = sum_k C(n,k) B_k x^(n-k), summed exactly then rounded once."""
+    """B_n(x) = sum_k C(n,k) B_k x^(n-k), summed exactly (in integers, over
+    x = p/q and the B_k's common denominator D) then rounded once."""
     if n < 0:
         raise DomainError("Bernoulli index must be nonnegative")
     if n > N_MAX:
         raise IndexOverflowError(f"Bernoulli index {n} exceeds table size {N_MAX}")
-    xf = Fraction(x)
-    acc = Fraction(0)
-    for k in range(n + 1):
-        acc += math.comb(n, k) * _BERNOULLI[k] * xf ** (n - k)
-    return float(acc)
+    p, q = float(x).as_integer_ratio()
+    d, coeffs = _BERNOULLI_POLY[n]
+    acc, qk = 0, 1
+    for c in coeffs:            # acc = sum_k c_k p^(n-k) q^k after the last c
+        acc, qk = acc * p + c * qk, qk * q
+    return acc / (d * q ** n)
 
 
 def dilog_exp1m(u):

@@ -3,6 +3,7 @@ against.  No route of the package calls them."""
 
 import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -12,6 +13,16 @@ from qasym.errors import ConvergenceError, DomainError, SignError
 from qasym.phase import search_upper_bound
 from qasym.qseries import LOG_2PI, log_summand, log_summand_deriv
 from qasym.specfun import PI2_6, bernoulli_number, bernoulli_poly, dilog_exp1m
+
+
+def bernoulli_poly_exact(n: int, x: float) -> float:
+    """B_n(x) = sum_k C(n,k) B_k x^(n-k) in Fraction arithmetic, rounded
+    once: the reference for the integer Horner of ``specfun.bernoulli_poly``."""
+    xf = Fraction(x)
+    acc = Fraction(0)
+    for k in range(n + 1):
+        acc += math.comb(n, k) * bernoulli_number(k) * xf ** (n - k)
+    return float(acc)
 
 
 def kappa_by_partitions(lams: dict[int, float], ell: int) -> float:

@@ -33,6 +33,21 @@ def test_help():
     assert "verify" in cp.stdout
 
 
+def test_parser_is_built_once(capsys):
+    # main calls in one process, with different flags and a usage error
+    # between them, print what fresh processes print: the one parser keeps
+    # no state from call to call
+    from qasym.cli import build_parser
+    assert build_parser() is build_parser()
+    for args in (("asym", "--preset", "f0", "--t", "0.01", "--order-L", "3"),
+                 ("verify", "--order-L"),
+                 ("asym", "--preset", "f0", "--t", "0.01")):
+        status = main(list(args))
+        out = capsys.readouterr()
+        cp = run_cli(*args)
+        assert (status, out.out, out.err) == (cp.returncode, cp.stdout, cp.stderr)
+
+
 def test_preset_listing():
     cp = run_cli("preset")
     assert cp.returncode == 0

@@ -1,8 +1,11 @@
 import math
 import random
 import re
+import sys
+import threading
 import time
 import tracemalloc
+from dataclasses import fields
 from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
@@ -543,7 +546,7 @@ class TestKernelBounds:
         # the probe, both edges among them
         spec = (SeriesSpec.make(1.0, 0.0, 0.0, [(1, 1, 1, 1)]) if name == "s-positive"
                 else get_preset(name).series)
-        lad = qs.mass_ladder(spec, t)
+        lad = qs.mass_ladder(spec, (t,))[0]
         n = int(np.searchsorted(lad.edges, 4 * lad.probe + 8))
         a, b = lad.edges[:n].astype(float), lad.edges[1:n + 1].astype(float)
         x = a[:, None] + (b - a)[:, None] * np.linspace(0.0, 1.0, 9)
@@ -729,31 +732,160 @@ class TestPerPointT:
             log_summand_deriv(RAM, 1, np.ones(2), np.array([0.1, 0.5]))
 
 
+@st.composite
+def ladder_grids(draw):
+    """(spec, ts): 0-3 terms of either sign on each branch of the domain
+    triple, at 2-4 t in [1e-3, 0.3]; with A = 0 and v < 0 a negative B can
+    make the slope v/t - B positive at some t of the grid and not at others."""
+    branch = draw(st.sampled_from(["A>0", "v<0", "flat"]))
+    A = draw(st.floats(0.05, 2.0)) if branch == "A>0" else 0.0
+    v = {"A>0": st.floats(-1.0, 1.0), "v<0": st.floats(-1.0, -0.001),
+         "flat": st.just(0.0)}[branch]
+    B = st.floats(0.05, 2.0) if branch == "flat" else st.floats(-3.0, 2.0)
+    terms = draw(st.lists(st.tuples(
+        st.floats(0.2, 3.0), st.floats(0.2, 3.0), st.floats(0.1, 3.0),
+        st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])), max_size=3))
+    ts = draw(st.lists(st.floats(1e-3, 0.3), min_size=2, max_size=4, unique=True))
+    return SeriesSpec.make(A, draw(B), draw(v), terms), ts
+
+
+def _assert_grid_is_per_t(spec, ts):
+    # all five fields of each ladder, bit for bit and of the same type
+    grid = qs._build_ladders(spec, list(ts))
+    for t, lad in zip(ts, grid):
+        alone = qs._build_ladders(spec, [t])[0]
+        for f in fields(qs.MassLadder):
+            a, b = getattr(lad, f.name), getattr(alone, f.name)
+            assert type(a) is type(b)
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), t
+
+
 class TestMassLadderMemo:
-    def test_verify_row_builds_one_ladder(self, capsys):
-        # series_sum builds the row's ladder, the integral reuses it
-        qs.mass_ladder.cache_clear()
-        assert main(["verify", "--preset", "ramanujan", "--t", "0.05"]) == 0
-        info = qs.mass_ladder.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+    @staticmethod
+    def _spy_builds(monkeypatch) -> list:
+        built = []
+        build = qs._build_ladders
+
+        def spy(spec, ts):
+            built.extend(ts)
+            return build(spec, ts)
+        monkeypatch.setattr(qs, "_build_ladders", spy)
+        return built
+
+    def test_verify_row_builds_one_ladder(self, monkeypatch, capsys):
+        # the grid build makes every row's ladder once; series_sum and the
+        # integral of each row read it
+        built = self._spy_builds(monkeypatch)
+        assert main(["verify", "--preset", "ramanujan", "--t", "0.05,0.01,0.001"]) == 0
+        assert built == [0.05, 0.01, 0.001]
+
+    @pytest.mark.parametrize("command", ["eval", "integral"])
+    def test_exact_route_row_builds_one_ladder(self, command, monkeypatch, capsys):
+        built = self._spy_builds(monkeypatch)
+        assert main([command, "--preset", "ramanujan", "--t", "0.05,0.01,0.001"]) == 0
+        assert built == [0.05, 0.01, 0.001]
+
+    def test_fallback_builds_row_by_row(self, monkeypatch, capsys):
+        # the grid build raises at 1e-30; then each row builds its own, and
+        # the second row's raises with its label
+        built = self._spy_builds(monkeypatch)
+        assert main(["verify", "--preset", "euler", "--t", "0.01,1e-30"]) == 3
+        assert built == [0.01, 1e-30, 0.01, 1e-30]
+        assert capsys.readouterr().err.startswith(
+            "numeric failure: row t=1.0000000000000001e-30: t=1e-30 is below")
 
     def test_arrays_are_read_only(self):
-        lad = qs.mass_ladder(RAM, 0.05)
+        lad = qs.mass_ladder(RAM, (0.05,))[0]
         for a in (lad.edges, lad.mass, lad.rest):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[1]
 
     @pytest.mark.parametrize("name", ["ramanujan", "phi-minus"])
-    def test_cold_and_warm_cache_agree(self, name):
-        spec = get_preset(name).series
+    def test_cold_and_warm_cache_agree(self, name, monkeypatch):
+        # cold: a fresh spec builds its own ladder; warm: a grid built first
         for t in (0.05, 1e-3):
-            qs.mass_ladder.cache_clear()
-            cold_sum = series_sum(spec, t)
-            qs.mass_ladder.cache_clear()
-            cold_integral = integral(spec, t)
-            assert qs.mass_ladder.cache_info().currsize == 1
+            cold_sum = series_sum(get_preset(name).series, t)
+            cold_integral = integral(get_preset(name).series, t)
+            spec = get_preset(name).series
+            qs.mass_ladder(spec, (0.1, t, 1e-3))
+            built = self._spy_builds(monkeypatch)
             assert series_sum(spec, t) == cold_sum
             assert integral(spec, t) == cold_integral
+            assert built == [] and sorted(spec.ladders) == sorted({0.1, t, 1e-3})
+            monkeypatch.undo()
+
+    def test_memo_holds_the_last_build(self):
+        spec = get_preset("ramanujan").series
+        grid = qs.mass_ladder(spec, (0.1, 0.05))
+        assert qs.mass_ladder(spec, (0.05,))[0] is grid[1]     # a hit keeps the grid
+        qs.mass_ladder(spec, (0.02,))
+        assert list(spec.ladders) == [0.02]
+
+    def test_threads_sharing_a_spec(self):
+        # callers in threads on one spec instance each get their own t's
+        # ladders, though the others rebuild the memo under them
+        spec = get_preset("ramanujan").series
+        grids = [(0.1, 0.05), (0.05, 0.02), (0.02,), (0.1,)]
+        want = {t: qs._build_ladders(spec, [t])[0] for g in grids for t in g}
+        errors = []
+
+        def work(grid):
+            try:
+                for _ in range(100):
+                    for t, lad in zip(grid, qs.mass_ladder(spec, grid)):
+                        assert lad.probe_log == want[t].probe_log
+                        assert np.array_equal(lad.rest, want[t].rest)
+            except Exception as e:      # reported by the assertion below
+                errors.append(e)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(g,)) for g in grids * 2]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_grid_build_is_per_t_on_presets(self, name):
+        _assert_grid_is_per_t(get_preset(name).series, (0.2, 0.05, 0.01, 0.001))
+
+    @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
+    def test_grid_build_is_per_t_on_data_specs(self, path):
+        _assert_grid_is_per_t(load_spec(str(path))[0], (0.1, 0.03, 0.01, 0.001))
+
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=ladder_grids())
+    @example(drawn=(V_NEGATIVE, [0.3, 0.05, 0.01]))     # slope v/t - B: +0.33, -0.5, -4.5
+    @example(drawn=(EULER, [0.2, 0.002]))
+    @example(drawn=(RAM, [0.25, 0.0011]))
+    def test_grid_build_is_per_t_on_random_specs(self, drawn):
+        _assert_grid_is_per_t(*drawn)
+
+    def test_invocations_carry_no_work(self, monkeypatch, capsys):
+        # a second, identical main call redoes all the work of the first
+        counts = {"log_summand_sup": 0, "_kernel": 0}
+        for name in counts:
+            fn = getattr(qs, name)
+
+            def spy(*args, fn=fn, name=name):
+                counts[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(qs, name, spy)
+        for argv in (["verify", "--preset", "ramanujan", "--t", "0.05,0.01"],
+                     ["eval", "--spec", str(DATA / "two_peak.json"), "--t", "0.05,0.01"],
+                     ["integral", "--preset", "phi-minus", "--t", "0.01"]):
+            seen = []
+            for _ in range(2):
+                before = dict(counts)
+                main(argv)
+                seen.append({k: counts[k] - before[k] for k in counts})
+            assert seen[0] == seen[1] and min(seen[0].values()) > 0, argv
 
 
 class TestSeriesSum:
@@ -890,7 +1022,7 @@ class TestSeriesSum:
         # rest lie 1e-18 below that term ends the sum, the first block too;
         # what is left out stays within the brute-force law
         spec, t = case
-        lad = qs.mass_ladder(spec, t)
+        lad = qs.mass_ladder(spec, (t,))[0]
         _, _, left = lad.window(lad.probe_log)
         ok = np.flatnonzero(left <= lad.probe_log + qs.LN_EPS)
         r, _ = self._check_window(spec, t, self._brute_logs(spec, t))
@@ -917,7 +1049,7 @@ class TestSeriesSum:
                                          ("f0", 1e-7)])
     def test_window_within_budget(self, name, t):
         # the widest windows that still run: 6.2e7, 3.2e7 and 1.25e6 terms
-        lad = qs.mass_ladder(get_preset(name).series, t)
+        lad = qs.mass_ladder(get_preset(name).series, (t,))[0]
         cut, _, left = lad.window(lad.probe_log)
         stop = lad.edges[np.flatnonzero(left <= lad.probe_log + qs.LN_EPS)[0]]
         assert stop - lad.edges[cut] <= qs._SUM_BUDGET

@@ -107,7 +107,7 @@ class TestNearZeroCut:
         # u = 0 and leaves out at most 1e-18 of the value
         p = get_preset(name)
         for t in (0.1, 0.01, 1e-3, 1e-4):
-            edges = mass_ladder(p.series, t).edges[::quad.PANEL_STRIDE] * t
+            edges = mass_ladder(p.series, (t,))[0].edges[::quad.PANEL_STRIDE] * t
             edges = edges[edges <= 2.0]
             f = lambda u: log_summand(p.series, u / t, t)
             vals, errs, top = quad._gk15(f, edges[:-1], edges[1:], -math.inf)
@@ -120,7 +120,7 @@ class TestNearZeroCut:
             initial.append(edges), adaptive(spec, edges, *args))[1])
         r = integral(p.series, 1e-4)
         assert r.u_cut > 0.0 and r.u_cut == initial[-1][0]
-        assert np.isin(initial[-1], mass_ladder(p.series, 1e-4).edges * 1e-4).all()
+        assert np.isin(initial[-1], mass_ladder(p.series, (1e-4,))[0].edges * 1e-4).all()
         assert r.cut_mass_log <= r.log_value + LN_EPS
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -161,7 +161,7 @@ class TestNearZeroCut:
         # more than 1e-18 of the integral: it is widened once
         t = 0.01
         r = integral(S_POSITIVE, t)
-        lad = mass_ladder(S_POSITIVE, t)
+        lad = mass_ladder(S_POSITIVE, (t,))[0]
         _, _, left = lad.window(lad.probe_log)
         by_term = left[np.flatnonzero(left <= lad.probe_log + LN_EPS)[0]]
         assert r.log_value < lad.probe_log

@@ -5,8 +5,10 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import dilog, dilog_power_series
+from oracles import bernoulli_poly_exact, dilog, dilog_power_series
 from qasym.errors import DomainError, IndexOverflowError
 from qasym.qseries import PochTerm, kernel_bounds
 from qasym.specfun import bernoulli_number, bernoulli_poly, dilog_exp1m, polylog
@@ -67,6 +69,35 @@ class TestBernoulliPoly:
                     for l in range(31))
             target = z * math.exp(z * x) / math.expm1(z)
             assert abs(s - target) <= 1e-12
+
+    @staticmethod
+    def _outcome(f, n, x):
+        # the value's exact bits, or the exception's type and message
+        try:
+            return f(n, x).hex()
+        except Exception as e:
+            return type(e), str(e)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 64), x=st.floats(allow_nan=False, allow_infinity=False))
+    @example(n=64, x=0.0)
+    @example(n=63, x=-0.0)
+    @example(n=64, x=1.0)
+    @example(n=64, x=5e-324)
+    @example(n=7, x=-5e-324)
+    @example(n=64, x=-1.5)
+    @example(n=9, x=1e300)       # past the float range: OverflowError
+    @example(n=64, x=-1.7976931348623157e308)
+    def test_integer_horner_matches_fraction_sum(self, n, x):
+        assert (self._outcome(bernoulli_poly, n, x)
+                == self._outcome(bernoulli_poly_exact, n, x))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [0, 3, 64])
+    def test_nan_and_inf_raise_as_the_fraction_sum(self, n, x):
+        got = self._outcome(bernoulli_poly, n, x)
+        assert got == self._outcome(bernoulli_poly_exact, n, x)
+        assert got[0] in (ValueError, OverflowError)
 
 
 def dilog_series_oracle(x, terms=60):
