@@ -24,8 +24,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import HypothesisError, QasymError, SpecError
 from .expansion import DEFAULT_L, DEFAULT_M, Analysis, analyse, asym_from_parts
@@ -122,8 +121,7 @@ def load_spec(path: str) -> tuple[SeriesSpec, tuple[QuadTerm, ...], float]:
         raise SpecError(f"{path}: {e}") from None
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     command: str
     spec_source: str
     series: SeriesSpec
@@ -279,7 +277,7 @@ def run_exact(cfg: RunConfig) -> int:
         res = (series_sum(cfg.series, t) if cfg.command == "eval"
                else quad_integral(cfg.series, t, cfg.rel_tol))
         # the window and, for the integral, its error estimate and panels
-        diag[f"t={_fmt(t)}"] = {k: v for k, v in asdict(res).items() if k != "log_value"}
+        diag[f"t={_fmt(t)}"] = {k: v for k, v in res._asdict().items() if k != "log_value"}
         rows.append({"t": t, "log_value": _total(res.log_value, pref, cfg.q_power, t),
                      "sign": 1})
     branch = "series_sum" if cfg.command == "eval" else "integral"
@@ -376,10 +374,10 @@ def run_preset_cmd(args: argparse.Namespace) -> int:
     doc = {
         "name": p.name,
         "A": p.series.A, "B": p.series.B, "v": p.series.v,
-        "terms": [asdict(q) for q in p.series.terms],
-        "prefactor_quads": [asdict(q) for q in p.prefactor],
+        "terms": [q._asdict() for q in p.series.terms],
+        "prefactor_quads": [q._asdict() for q in p.prefactor],
         "q_power": p.q_power,
-        "reference": asdict(p.reference),
+        "reference": p.reference._asdict(),
         "notes": p.notes,
     }
     _emit(_dumps(doc) + "\n", args.out)

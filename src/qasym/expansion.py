@@ -20,7 +20,6 @@ Gamma(B/alpha_1)/(alpha_1 f(alpha_1)^(B/alpha_1)) * t^(B/alpha_1 - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -35,8 +34,7 @@ DEFAULT_L = 2   # correction order of the peak expansion
 DEFAULT_M = 8   # prefactor correction order
 
 
-@dataclass(frozen=True)
-class Analysis:
+class Analysis(NamedTuple):
     """Everything the asym route needs of a normalized series and its
     prefactor quads that does not depend on t; see ``analyse``.
 
@@ -82,8 +80,7 @@ def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
                     prefactor=pre, branch=branch, law=law)
 
 
-@dataclass(frozen=True)
-class CorrectionSeries:
+class CorrectionSeries(NamedTuple):
     """Peak data at one maximum, one column entry per t of a grid: the
     logged term F(u/t), width normalizer V and the even moment corrections
     kappa_0=1, kappa_2, ..., kappa_{2L} (row l of ``kappas`` is kappa_{2l})."""

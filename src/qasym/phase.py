@@ -13,13 +13,13 @@ leading level on (0, inf) dictate every exponential growth rate downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateError, DomainError
 from .qseries import SeriesSpec
-from .specfun import bernoulli_number, polylog
+from .specfun import bernoulli_pair, polylog
 
 MAX_ORDER = 8            # stationary points classified up to order m_u = 8
 _DEGENERACY_RTOL = 1e-8  # |H^(2m)| below this * scale counts as zero
@@ -53,8 +53,7 @@ def phase_deriv(spec: SeriesSpec, k: int, u):
     return poly - sum((-a) ** k * f * polylog(2 - k, a * u) for a, f in spec.falpha)
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     increasing: bool
     branch: str   # "limit" or "series"
     slope_sum: float
@@ -97,7 +96,8 @@ def check_hypothesis(spec: SeriesSpec) -> HypothesisReport:
     sq = [a * a * f / 2.0 for a, f in spec.falpha]
     series = [(1, sum(sq) - 2.0 * spec.A, sum(map(abs, sq)) + 2.0 * spec.A)]
     for k in range(1, len(spec.falpha)):
-        c = float(bernoulli_number(2 * k)) / (2 * k * math.factorial(2 * k))
+        num, den = bernoulli_pair(2 * k)
+        c = num / den / (2 * k * math.factorial(2 * k))
         odd = [a ** (2 * k + 1) * f for a, f in spec.falpha]
         series.append((2 * k, -c * sum(odd), abs(c) * sum(map(abs, odd))))
     balanced = "balanced log coefficient and limit; slope"
@@ -108,8 +108,7 @@ def check_hypothesis(spec: SeriesSpec) -> HypothesisReport:
     return HypothesisReport(True, "series", slope, f"{balanced} vanishes at 0+")
 
 
-@dataclass(frozen=True)
-class StationaryPoint:
+class StationaryPoint(NamedTuple):
     """Interior local maximum of the leading phase: location, half-order of
     the first nonvanishing even derivative, the phase value, that derivative,
     and the Laplace constant."""

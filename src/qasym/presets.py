@@ -12,8 +12,7 @@ CLI names: ramanujan, f0, phi-minus, rphis, simple-r, euler, euler-b2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import SpecError
 from .qseries import ProductSpec, QuadTerm, SeriesSpec, normalize
@@ -23,8 +22,7 @@ PI = math.pi
 PI2 = math.pi * math.pi
 
 
-@dataclass(frozen=True)
-class Reference:
+class Reference(NamedTuple):
     """t -> 0 law: constant * t^t_power * exp(rate/t)."""
     rate: float
     t_power: float
@@ -32,8 +30,7 @@ class Reference:
     notes: str = ""
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(NamedTuple):
     name: str
     series: SeriesSpec
     prefactor: tuple[QuadTerm, ...]

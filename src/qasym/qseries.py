@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SpecError
-from .specfun import bernoulli_number, bernoulli_poly, lineg_coeffs, polylog
+from .specfun import bernoulli_pair, bernoulli_poly, lineg_coeffs, polylog
 
 T_MAX = 0.5                 # largest t any evaluation accepts
 LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
@@ -43,10 +43,10 @@ _SUM_BUDGET = 1 << 27       # most terms series_sum's window may span
 LOG_2PI = math.log(2.0 * math.pi)
 # row j, column m - 1: the v^m coefficient of B_2j/(2j)! Li_(2-2j)(e^-w), with
 # v = 1/expm1(w) and Li_-n = sum_m m! S(n+1, m) v^m / m (``lineg_coeffs``)
-_EM_V = np.array([[float(bernoulli_number(2 * j)) / math.factorial(2 * j) / m * c
+_EM_V = np.array([[num / den / math.factorial(2 * j) / m * c
                    for m, c in enumerate(lineg_coeffs(2 * j - 2)
                                          + (0,) * (2 * _EM_J - 2 * j), 1)]
-                  for j in range(1, _EM_J + 1)])
+                  for j in range(1, _EM_J + 1) for num, den in [bernoulli_pair(2 * j)]])
 
 
 def _check_domain_triple(A: float, v: float, B: float) -> None:
@@ -57,50 +57,47 @@ def _check_domain_triple(A: float, v: float, B: float) -> None:
             f"(got A={A}, v={v}, B={B})")
 
 
-@dataclass(frozen=True)
-class PochTerm:
+# the spec types are NamedTuples that check their fields on construction;
+# their memos are cached properties, kept off the tuple that eq and hash read
+class PochTerm(NamedTuple("PochTerm", [("alpha", float), ("beta", float),
+                                        ("gamma", float), ("S", float)])):
     """One factor (q^(alpha*m+gamma); q^beta)_inf^S of the series denominator."""
-    alpha: float
-    beta: float
-    gamma: float
-    S: float
 
-    def __post_init__(self) -> None:
-        if not self.alpha > 0:
-            raise SpecError(f"PochTerm needs alpha>0, got {self.alpha}")
-        if not self.beta > 0:
-            raise SpecError(f"PochTerm needs beta>0, got {self.beta}")
-        if not self.gamma > 0:
-            raise SpecError(f"PochTerm needs gamma>0, got {self.gamma}")
-        if self.S == 0:
+    def __new__(cls, alpha: float, beta: float, gamma: float, S: float) -> PochTerm:
+        if not alpha > 0:
+            raise SpecError(f"PochTerm needs alpha>0, got {alpha}")
+        if not beta > 0:
+            raise SpecError(f"PochTerm needs beta>0, got {beta}")
+        if not gamma > 0:
+            raise SpecError(f"PochTerm needs gamma>0, got {gamma}")
+        if S == 0:
             raise SpecError("PochTerm needs S != 0 (merged-away terms are dropped)")
+        return super().__new__(cls, alpha, beta, gamma, S)
 
     @functools.cached_property
     def coefs(self) -> dict:        # (t, orders) -> the last ``_coef_table``
         return {}
 
 
-@dataclass(frozen=True)
-class SeriesSpec:
+class SeriesSpec(NamedTuple("SeriesSpec", [("A", float), ("B", float), ("v", float),
+                                            ("terms", tuple[PochTerm, ...])])):
     """Canonical description of the normalized series
     sum_m q^(A m^2 + B m) z^m / prod (q^(alpha m+gamma); q^beta)_inf^S,
     with z = e^v.  ``terms`` is sorted by (alpha, beta, gamma) and free of
     duplicate keys; it may be empty (purely polynomial exponent).
     """
-    A: float
-    B: float
-    v: float
-    terms: tuple[PochTerm, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.A < 0:
-            raise SpecError(f"need A >= 0, got {self.A}")
-        _check_domain_triple(self.A, self.v, self.B)
-        keys = [(p.alpha, p.beta, p.gamma) for p in self.terms]
+    def __new__(cls, A: float, B: float, v: float,
+                terms: tuple[PochTerm, ...] = ()) -> SeriesSpec:
+        if A < 0:
+            raise SpecError(f"need A >= 0, got {A}")
+        _check_domain_triple(A, v, B)
+        keys = [(p.alpha, p.beta, p.gamma) for p in terms]
         if keys != sorted(keys):
             raise SpecError("terms must be sorted by (alpha, beta, gamma)")
         if len(set(keys)) != len(keys):
             raise SpecError("duplicate (alpha, beta, gamma) terms must be merged")
+        return super().__new__(cls, A, B, v, terms)
 
     @functools.cached_property
     def falpha(self) -> tuple[tuple[float, float], ...]:
@@ -119,7 +116,7 @@ class SeriesSpec:
 
     @staticmethod
     def make(A: float, B: float, v: float,
-             terms: list[tuple[float, float, float, float]]) -> "SeriesSpec":
+             terms: list[tuple[float, float, float, float]]) -> SeriesSpec:
         """Build a SeriesSpec from raw (alpha, beta, gamma, S) tuples,
         merging duplicates by adding S and dropping zero-S terms."""
         merged: dict[tuple[float, float, float], float] = {}
@@ -131,43 +128,36 @@ class SeriesSpec:
         return SeriesSpec(A, B, v, kept)
 
 
-@dataclass(frozen=True)
-class QuadTerm:
+class QuadTerm(NamedTuple("QuadTerm", [("a", float), ("b", float), ("c", float),
+                                        ("d", float), ("S", float)])):
     """One finite symbol (q^a; q^b)_(c*m+d)^S of the raw series."""
-    a: float
-    b: float
-    c: float
-    d: float
-    S: float
 
-    def __post_init__(self) -> None:
-        if not self.b > 0:
-            raise SpecError(f"QuadTerm needs b>0, got {self.b}")
-        if not self.c > 0:
-            raise SpecError(f"QuadTerm needs c>0, got {self.c}")
-        if not self.a + self.b * self.d > 0:
-            raise SpecError(
-                f"QuadTerm needs a+bd>0, got a+bd={self.a + self.b * self.d}")
-        if not self.a > 0:      # so (q^a;q^b)_inf > 0 and Gamma(a/b) > 0
-            raise SpecError(f"QuadTerm needs a>0, got {self.a}")
+    def __new__(cls, a: float, b: float, c: float, d: float, S: float) -> QuadTerm:
+        if not b > 0:
+            raise SpecError(f"QuadTerm needs b>0, got {b}")
+        if not c > 0:
+            raise SpecError(f"QuadTerm needs c>0, got {c}")
+        if not a + b * d > 0:
+            raise SpecError(f"QuadTerm needs a+bd>0, got a+bd={a + b * d}")
+        if not a > 0:      # so (q^a;q^b)_inf > 0 and Gamma(a/b) > 0
+            raise SpecError(f"QuadTerm needs a>0, got {a}")
+        return super().__new__(cls, a, b, c, d, S)
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(NamedTuple("ProductSpec", [("A", float), ("B", float), ("v", float),
+                                              ("quads", tuple[QuadTerm, ...])])):
     """Raw series sum_m q^(A m^2+B m) z^m / prod (q^a;q^b)_(c m+d)^S."""
-    A: float
-    B: float
-    v: float
-    quads: tuple[QuadTerm, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.A < 0:
-            raise SpecError(f"need A >= 0, got {self.A}")
-        _check_domain_triple(self.A, self.v, self.B)
+    def __new__(cls, A: float, B: float, v: float,
+                quads: tuple[QuadTerm, ...] = ()) -> ProductSpec:
+        if A < 0:
+            raise SpecError(f"need A >= 0, got {A}")
+        _check_domain_triple(A, v, B)
+        return super().__new__(cls, A, B, v, quads)
 
     @staticmethod
     def make(A: float, B: float, v: float,
-             quads: list[tuple[float, float, float, float, float]]) -> "ProductSpec":
+             quads: list[tuple[float, float, float, float, float]]) -> ProductSpec:
         return ProductSpec(A, B, v, tuple(QuadTerm(*q) for q in quads))
 
 
@@ -228,8 +218,7 @@ def qpoch_inf(a: float, q: float) -> float:
     return sum(sums)
 
 
-@dataclass(frozen=True)
-class PrefactorLaw:
+class PrefactorLaw(NamedTuple):
     """t-independent constants of prod (q^a;q^b)_inf^(-S) ~
     C_H t^{B_H} exp(A_H/t + sum_{l=1}^{M} A_l t^l); ``coeffs`` holds
     A_1..A_M (empty for an empty product)."""
@@ -253,9 +242,9 @@ def prefactor_law(quads: tuple[QuadTerm, ...], M: int) -> PrefactorLaw:
     coeffs = []
     # an empty product reads no Bernoulli number, so it accepts any M
     for ell in range(1, M + 1) if quads else ():
-        bn = bernoulli_number(ell)
-        coeffs.append(0.0 if bn == 0 else sum(
-            float(bn) * q.S * q.b ** ell * bernoulli_poly(ell + 1, q.a / q.b)
+        num, den = bernoulli_pair(ell)
+        coeffs.append(0.0 if num == 0 else sum(
+            num / den * q.S * q.b ** ell * bernoulli_poly(ell + 1, q.a / q.b)
             / (ell * math.factorial(ell + 1)) for q in quads))
     return PrefactorLaw(A_H, B_H, logC, tuple(coeffs))
 
@@ -513,20 +502,20 @@ def log_summand_sup(spec: SeriesSpec, ua, ub, t):
 # Direct summation
 
 
-@dataclass(frozen=True)
-class MassLadder:
+class MassLadder(NamedTuple):
     """The certificate both exact routes take their window from.  Integer
     ``edges`` run from 0 to m t = U_END (unit steps, ratio _LADDER, and
-    series_sum's block ends below 2^18).  ``mass[j]``, log(e_j+1 - e_j) plus
-    the sup of F over the closed piece [e_j t, e_j+1 t] of u, bounds its
-    terms and its integral over x alike; ``rest[j]`` bounds the mass from
-    e_j on.  ``probe`` lies in the piece of most mass; ``probe_log`` is its
-    exact logged term."""
+    series_sum's block ``ends`` below 2^18, which it reads).  ``mass[j]``,
+    log(e_j+1 - e_j) plus the sup of F over the closed piece [e_j t, e_j+1 t]
+    of u, bounds its terms and its integral over x alike; ``rest[j]`` bounds
+    the mass from e_j on.  ``probe`` lies in the piece of most mass;
+    ``probe_log`` is its exact logged term."""
     edges: np.ndarray
     mass: np.ndarray
     rest: np.ndarray
     probe: int
     probe_log: float
+    ends: tuple[int, ...]
 
     def window(self, level: float) -> tuple[int, float, np.ndarray]:
         """(cut, head, left) at e^level: the pieces below e_cut, the longest run
@@ -539,12 +528,12 @@ class MassLadder:
                                    np.logaddexp(head, self.rest), np.inf)
 
 
-def _block_ends(t: float) -> list[int]:
+def _block_ends(t: float) -> tuple[int, ...]:
     # series_sum's block ends below min(U_END/t, 2^18): 256 terms, m/4 past 1024
     ends, stop = [0], min(U_END / t, 1 << 18)
     while ends[-1] < stop:
         ends.append(ends[-1] + max(256, ends[-1] // 4))
-    return ends
+    return tuple(ends)
 
 
 def _tail_sup(spec: SeriesSpec, m, t):
@@ -559,13 +548,14 @@ def _tail_sup(spec: SeriesSpec, m, t):
 
 def _build_ladders(spec: SeriesSpec, ts: list) -> list[MassLadder]:
     # every t's ladder in one pass, each element at its own t
-    es = []
+    es, blocks = [], []
     for t in ts:
         _require_t(t)
         if U_END / t >= 2.0 ** 62:      # edges past int64, terms past any budget
             raise ConvergenceError(f"t={t} is below the summation ladder's reach")
         steps = np.ceil(_LADDER ** np.arange(math.log(U_END / t, _LADDER)))
-        e = np.sort(np.concatenate((_block_ends(t), steps, [math.ceil(U_END / t)])))
+        blocks.append(_block_ends(t))
+        e = np.sort(np.concatenate((blocks[-1], steps, [math.ceil(U_END / t)])))
         # not np.unique, which imports numpy.ma
         es.append(e[np.concatenate(([True], e[1:] > e[:-1]))].astype(np.int64))
     tv = np.array(ts, dtype=float)
@@ -583,7 +573,7 @@ def _build_ladders(spec: SeriesSpec, ts: list) -> list[MassLadder]:
         for arr in parts[-1][:3]:
             arr.flags.writeable = False         # shared by every caller at (spec, t)
     logs = log_summand(spec, np.array([p[3] for p in parts], dtype=float), tv)
-    return [MassLadder(*part, float(lg)) for part, lg in zip(parts, logs)]
+    return [MassLadder(*part, float(lg), blk) for part, lg, blk in zip(parts, logs, blocks)]
 
 
 def mass_ladder(spec: SeriesSpec, ts) -> tuple[MassLadder, ...]:
@@ -601,8 +591,7 @@ def mass_ladder(spec: SeriesSpec, ts) -> tuple[MassLadder, ...]:
     return tuple(lads)
 
 
-@dataclass(frozen=True)
-class SumResult:
+class SumResult(NamedTuple):
     log_value: float
     m_lo: int              # the terms m_lo <= m < m_hi were summed
     m_hi: int
@@ -630,7 +619,7 @@ def series_sum(spec: SeriesSpec, t: float) -> SumResult:
     terms past m_lo.
     """
     lad = mass_ladder(spec, (t,))[0]
-    e, ends = lad.edges, _block_ends(t)
+    e, ends = lad.edges, lad.ends
     cut, head, left = lad.window(lad.probe_log)
     sure = np.flatnonzero(left <= lad.probe_log + LN_EPS)
     span = int(e[sure[0]] if len(sure) else e[-1]) - int(e[cut])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,8 +73,7 @@ def _gk15(logf, a: np.ndarray, b: np.ndarray,
     return resk, np.abs(resk - h * (y[:, 1::2] * _WG7).sum(axis=1)), shift
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     log_value: float
     abs_error_log: float   # log of the estimated absolute error
     subdivisions: int

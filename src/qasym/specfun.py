@@ -2,13 +2,17 @@
 Li_s(e^-w) of integer order s <= 2, taken at w (``polylog``), elementwise on
 arrays.
 
-Bernoulli data is kept in exact rational arithmetic: the product-asymptotic
-tail terms alternate in sign and grow factorially, and a floating recurrence
-loses every digit past n ~ 20.  The polylogarithms are taken at w, not at
-x = e^-w: 1 - x keeps only the digits of w that survive the rounding of x,
-and the asymptotics live at w -> 0.  The nonpositive orders are positive
-integer-coefficient polynomials in v = 1/expm1(w), which ``qseries`` also
-uses for its Euler-Maclaurin levels.
+Bernoulli data is kept exact, as reduced integer (numerator, denominator)
+pairs: the product-asymptotic tail terms alternate in sign and grow
+factorially, and a floating recurrence loses every digit past n ~ 20.  The
+table comes from the tangent numbers in O(n^2) small integer steps (Brent
+and Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
+2011), and every float drawn from it is one correctly rounded int/int
+division.  The polylogarithms are taken at w, not at x = e^-w: 1 - x keeps
+only the digits of w that survive the rounding of x, and the asymptotics
+live at w -> 0.  The nonpositive orders are positive integer-coefficient
+polynomials in v = 1/expm1(w), which ``qseries`` also uses for its
+Euler-Maclaurin levels.
 
 The Bernoulli table is built at import and the polylogarithm coefficients on
 first use, after which every function here is pure and safe for concurrent
@@ -20,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -31,31 +34,40 @@ N_MAX = 64          # largest tabulated Bernoulli index
 PI2_6 = math.pi * math.pi / 6.0
 
 
-def _build_bernoulli(n_max: int) -> list[Fraction]:
-    # defining recurrence: sum_{k=0}^{n} C(n+1,k) B_k = 0 for n >= 1
-    vals = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        s = Fraction(0)
-        for k in range(n):
-            s += math.comb(n + 1, k) * vals[k]
-        vals.append(-s / (n + 1))
+def _build_bernoulli(n_max: int) -> list[tuple[int, int]]:
+    # tangent numbers T_1..T_h by Brent and Harvey's in-place recurrence,
+    # then B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), reduced
+    h = n_max // 2
+    tan = [0, 1] + [0] * (h - 1)
+    for k in range(2, h + 1):
+        tan[k] = (k - 1) * tan[k - 1]
+    for k in range(2, h + 1):
+        for j in range(k, h + 1):
+            tan[j] = (j - k) * tan[j - 1] + (j - k + 2) * tan[j]
+    vals = [(1, 1), (-1, 2)] + [(0, 1)] * (n_max - 1)
+    for k in range(1, h + 1):
+        num, den = (-1) ** (k - 1) * 2 * k * tan[k], 4 ** k * (4 ** k - 1)
+        g = math.gcd(num, den)
+        vals[2 * k] = (num // g, den // g)
     return vals
 
 
-_BERNOULLI: list[Fraction] = _build_bernoulli(N_MAX)
+_BERNOULLI = _build_bernoulli(N_MAX)
 # per n: (D, C(n,k) B_k D for k = 0..n) in integers, D the lcm of the
 # denominators of B_0..B_n
-_BERNOULLI_POLY = [(d, tuple(math.comb(n, k) * b.numerator * (d // b.denominator)
-                             for k, b in enumerate(_BERNOULLI[:n + 1])))
+_BERNOULLI_POLY = [(d, tuple(math.comb(n, k) * p * (d // q)
+                             for k, (p, q) in enumerate(_BERNOULLI[:n + 1])))
                    for n, d in enumerate(itertools.accumulate(
-                       (b.denominator for b in _BERNOULLI), math.lcm))]
+                       (q for _, q in _BERNOULLI), math.lcm))]
 
 # B_2j/(2j+1)!, j = 10..1, for dilog_exp1m
-_LI2_EXP = [float(_BERNOULLI[2 * j] / math.factorial(2 * j + 1)) for j in range(10, 0, -1)]
+_LI2_EXP = [_BERNOULLI[2 * j][0] / (_BERNOULLI[2 * j][1] * math.factorial(2 * j + 1))
+            for j in range(10, 0, -1)]
 
 
-def bernoulli_number(n: int) -> Fraction:
-    """Exact B_n (convention B_1 = -1/2)."""
+def bernoulli_pair(n: int) -> tuple[int, int]:
+    """Exact B_n (convention B_1 = -1/2) as reduced integers (numerator,
+    denominator), the denominator positive."""
     if n < 0:
         raise DomainError("Bernoulli index must be nonnegative")
     if n > N_MAX:
@@ -63,13 +75,17 @@ def bernoulli_number(n: int) -> Fraction:
     return _BERNOULLI[n]
 
 
+def bernoulli_number(n: int) -> "fractions.Fraction":
+    """Exact B_n as a Fraction; no route calls it, so ``fractions`` is
+    imported here."""
+    from fractions import Fraction
+    return Fraction(*bernoulli_pair(n))
+
+
 def bernoulli_poly(n: int, x: float) -> float:
     """B_n(x) = sum_k C(n,k) B_k x^(n-k), summed exactly (in integers, over
     x = p/q and the B_k's common denominator D) then rounded once."""
-    if n < 0:
-        raise DomainError("Bernoulli index must be nonnegative")
-    if n > N_MAX:
-        raise IndexOverflowError(f"Bernoulli index {n} exceeds table size {N_MAX}")
+    bernoulli_pair(n)           # the index checks
     p, q = float(x).as_integer_ratio()
     d, coeffs = _BERNOULLI_POLY[n]
     acc, qk = 0, 1

@@ -12,7 +12,23 @@ import qasym.quad as quad
 from qasym.errors import ConvergenceError, DomainError, SignError
 from qasym.phase import search_upper_bound
 from qasym.qseries import LOG_2PI, log_summand, log_summand_deriv
-from qasym.specfun import PI2_6, bernoulli_number, bernoulli_poly, dilog_exp1m
+from qasym.specfun import PI2_6, bernoulli_poly, dilog_exp1m
+
+
+def bernoulli_recurrence(n_max: int) -> list[Fraction]:
+    """B_0..B_n_max (B_1 = -1/2) from the defining recurrence
+    sum_{k=0}^{n} C(n+1,k) B_k = 0, n >= 1, in Fraction arithmetic: the
+    reference for ``specfun``'s tangent-number table."""
+    vals = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        s = Fraction(0)
+        for k in range(n):
+            s += math.comb(n + 1, k) * vals[k]
+        vals.append(-s / (n + 1))
+    return vals
+
+
+BERNOULLI = bernoulli_recurrence(64)
 
 
 def bernoulli_poly_exact(n: int, x: float) -> float:
@@ -21,7 +37,7 @@ def bernoulli_poly_exact(n: int, x: float) -> float:
     xf = Fraction(x)
     acc = Fraction(0)
     for k in range(n + 1):
-        acc += math.comb(n, k) * bernoulli_number(k) * xf ** (n - k)
+        acc += math.comb(n, k) * BERNOULLI[k] * xf ** (n - k)
     return float(acc)
 
 
@@ -82,7 +98,7 @@ def mcintosh_asym(a: float, b: float, t: float, M: int) -> float:
     out = (-math.pi ** 2 / (6.0 * b * t) + (0.5 - ab) * math.log(b * t)
            + 0.5 * LOG_2PI - math.lgamma(ab))
     for ell in range(1, M + 1):
-        bn = bernoulli_number(ell)
+        bn = BERNOULLI[ell]
         if bn == 0:
             continue
         out -= (b ** ell * float(bn) * bernoulli_poly(ell + 1, ab) * t ** ell

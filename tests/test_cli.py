@@ -527,3 +527,19 @@ def test_unwritable_out_is_usage_error(args, tmp_path):
     assert cp.returncode == 1, cp.stderr
     assert cp.stderr.startswith(f"error: cannot write output file {path!r}: ")
     assert cp.stdout == "" and "Traceback" not in cp.stderr
+
+
+def test_routes_load_no_exact_rationals():
+    # the library's Bernoulli data is integer pairs: importing the CLI and
+    # running verify and asym (ramanujan's prefactor law, and the balanced
+    # spec's hypothesis series) load neither fractions nor decimal
+    spec = str(Path(__file__).parent / "data" / "balanced_slope.json")
+    code = ("import contextlib, io, sys\n"
+            "from qasym.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = (main(['verify', '--preset', 'ramanujan', '--t', '0.05,0.01']),\n"
+            f"              main(['asym', '--spec', {spec!r}, '--t', '0.01,0.001']))\n"
+            "print(status, [m for m in ('fractions', 'decimal') if m in sys.modules])\n")
+    cp = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                        capture_output=True, text=True)
+    assert (cp.returncode, cp.stdout) == (0, "(0, 0) []\n"), cp.stderr

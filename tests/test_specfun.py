@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 from fractions import Fraction
@@ -8,10 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import bernoulli_poly_exact, dilog, dilog_power_series
+import qasym.qseries as qs
+import qasym.specfun as sf
+from oracles import BERNOULLI, bernoulli_poly_exact, dilog, dilog_power_series
 from qasym.errors import DomainError, IndexOverflowError
 from qasym.qseries import PochTerm, kernel_bounds
-from qasym.specfun import bernoulli_number, bernoulli_poly, dilog_exp1m, polylog
+from qasym.specfun import (bernoulli_number, bernoulli_pair, bernoulli_poly, dilog_exp1m,
+                           lineg_coeffs, polylog)
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -48,6 +52,30 @@ class TestBernoulli:
     def test_overflow(self):
         with pytest.raises(IndexOverflowError):
             bernoulli_number(65)
+        with pytest.raises(DomainError):
+            bernoulli_pair(-1)
+
+    def test_tangent_table_matches_recurrence(self):
+        # the integer pairs are reduced, with a positive denominator
+        for n in range(65):
+            assert bernoulli_number(n) == BERNOULLI[n]
+            p, q = bernoulli_pair(n)
+            assert (p, q) == (BERNOULLI[n].numerator, BERNOULLI[n].denominator)
+
+    def test_derived_tables_match_fraction_built(self):
+        # each table as the recurrence's Fractions build it, bit for bit
+        poly = [(d, tuple(math.comb(n, k) * b.numerator * (d // b.denominator)
+                          for k, b in enumerate(BERNOULLI[:n + 1])))
+                for n, d in enumerate(itertools.accumulate(
+                    (b.denominator for b in BERNOULLI), math.lcm))]
+        assert sf._BERNOULLI_POLY == poly
+        li2 = [float(BERNOULLI[2 * j] / math.factorial(2 * j + 1)) for j in range(10, 0, -1)]
+        assert [x.hex() for x in sf._LI2_EXP] == [x.hex() for x in li2]
+        em_v = np.array([[float(BERNOULLI[2 * j]) / math.factorial(2 * j) / m * c
+                          for m, c in enumerate(lineg_coeffs(2 * j - 2)
+                                                + (0,) * (2 * qs._EM_J - 2 * j), 1)]
+                         for j in range(1, qs._EM_J + 1)])
+        assert qs._EM_V.tobytes() == em_v.tobytes()
 
 
 class TestBernoulliPoly:
