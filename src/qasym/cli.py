@@ -11,20 +11,19 @@ eval/integral/asym emit a single JSON object; verify emits CSV with one row
 per t.  Numbers are printed with 17 significant digits so output is
 byte-identical across runs and round-trips binary64 exactly.
 
-Exit status: 0 ok, 1 usage/parse error, 2 hypothesis failure, 3 numeric
-failure (including a verify run whose deviations fail to shrink above their
-round-off floors).
+Exit status: 0 ok, 1 usage/parse error (including a --rel-tol not finite or
+below 1e-12), 2 hypothesis failure, 3 numeric failure (including a verify
+run whose deviations fail to shrink above their round-off floors).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
 import sys
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import HypothesisError, QasymError, SpecError
 from .expansion import DEFAULT_L, DEFAULT_M, Analysis, analyse, asym_from_parts
@@ -183,6 +182,8 @@ def _make_config(args: argparse.Namespace) -> RunConfig:
         source = args.spec
     if args.order_L < 0 or args.order_M < 0:
         raise SpecError("--order-L and --order-M must be >= 0")
+    if not 1e-12 <= args.rel_tol < math.inf:
+        raise SpecError("--rel-tol must be finite and >= 1e-12")
     return RunConfig(command=args.command, spec_source=source, series=series,
                      prefactor=pref, q_power=q_power, t_grid=_parse_t_grid(args),
                      order_L=args.order_L, order_M=args.order_M,
@@ -259,27 +260,48 @@ def _json_result(cfg: RunConfig, rows: list[dict], branch: str = "",
     return _dumps(doc) + "\n"
 
 
-def _total(value: float, pref: float, q_power: float, t: float) -> float:
-    """log of e^value times the exact constant product e^pref and q^q_power at t."""
-    return (value + pref) - q_power * t
+def grid_rows(series: SeriesSpec, prefactor: tuple[QuadTerm, ...], q_power: float,
+              ts: list[float], routes: tuple[str, ...], rel_tol: float = 1e-10,
+              an: Optional[Analysis] = None, L: int = DEFAULT_L) -> Iterator[tuple]:
+    """Per t of ts, in order, one (total log, record) per route: "sum"
+    (``SumResult``), "integral" (``QuadResult``) or "asym" (``AsymptoticResult``
+    of ``an`` at order L), each the bits of its t alone.  An exact total is
+    (log_value + exact constant product) - q_power t; asym's is log_value.  A
+    row takes the product, the ladder, then each route, as a lone t does."""
+    def whole_grid(build):
+        # row j's entry of one build over every t; if that raises, each row
+        # builds its own, so the first failing row raises as it would alone
+        try:
+            return build(tuple(ts)).__getitem__
+        except QasymError:
+            return lambda j: build((ts[j],))[0]
+    exact = "sum" in routes or "integral" in routes
+    if "asym" in routes:    # asym_from_parts folds in its own product and q^q_power
+        asym = whole_grid(lambda g: asym_from_parts(an, g, L, q_power))
+    if exact:
+        ladder = whole_grid(lambda g: mass_ladder(series, g))
+    for j, t in enumerate(ts):
+        if exact:
+            # the product first: a t past its reach fails before a route is paid for
+            pref, lad = prefactor_exact(prefactor, t), ladder(j)
+        row = []
+        for route in routes:
+            rec = (asym(j) if route == "asym" else series_sum(series, t, lad)
+                   if route == "sum" else quad_integral(series, t, rel_tol, lad))
+            row.append((rec.log_value if route == "asym"
+                        else (rec.log_value + pref) - q_power * t, rec))
+        yield tuple(row)
 
 
 def run_exact(cfg: RunConfig) -> int:
     """eval (direct summation) or integral (adaptive quadrature) at each t."""
-    # every row's ladder in one pass; if that raises, each row builds its
-    # own, and the first failing row reports as it would alone
-    with contextlib.suppress(QasymError):
-        mass_ladder(cfg.series, cfg.t_grid)
+    route = "sum" if cfg.command == "eval" else "integral"
     rows, diag = [], {}
-    for t in cfg.t_grid:
-        # the product first: a t past its reach fails before the sum is paid for
-        pref = prefactor_exact(cfg.prefactor, t)
-        res = (series_sum(cfg.series, t) if cfg.command == "eval"
-               else quad_integral(cfg.series, t, cfg.rel_tol))
+    for t, [(total, res)] in zip(cfg.t_grid, grid_rows(
+            cfg.series, cfg.prefactor, cfg.q_power, cfg.t_grid, (route,), cfg.rel_tol)):
         # the window and, for the integral, its error estimate and panels
         diag[f"t={_fmt(t)}"] = {k: v for k, v in res._asdict().items() if k != "log_value"}
-        rows.append({"t": t, "log_value": _total(res.log_value, pref, cfg.q_power, t),
-                     "sign": 1})
+        rows.append({"t": t, "log_value": total, "sign": 1})
     branch = "series_sum" if cfg.command == "eval" else "integral"
     _emit(_json_result(cfg, rows, branch=branch, diagnostics=diag), cfg.output)
     return 0
@@ -332,32 +354,22 @@ def run_verify(cfg: RunConfig) -> int:
     quadrature's relative error estimate: deviations under it are round-off,
     and need not shrink."""
     an = _analyse(cfg)
-    try:        # one call; if a row fails, rows alone below label the first
-        asym = asym_from_parts(an, tuple(cfg.t_grid), cfg.order_L, cfg.q_power)
-    except QasymError:
-        asym = None
-    with contextlib.suppress(QasymError):   # as in run_exact
-        mass_ladder(cfg.series, cfg.t_grid)
     lines = [CSV_HEADER]
     devs, floors = [], []
-    for j, t in enumerate(cfg.t_grid):
-        try:
-            pref = prefactor_exact(cfg.prefactor, t)    # one product for both
-            s = _total(series_sum(cfg.series, t).log_value, pref, cfg.q_power, t)
-            res = quad_integral(cfg.series, t, cfg.rel_tol)
-            i = _total(res.log_value, pref, cfg.q_power, t)
-            a = (asym[j] if asym else
-                 asym_from_parts(an, (t,), cfg.order_L, cfg.q_power)[0]).log_value
-        except HypothesisError:
-            raise
-        except QasymError as e:
-            raise QasymError(f"row t={_fmt(t)}: {e}") from e
-        r_si = math.exp(s - i)
-        r_sa = math.exp(s - a)
-        devs.append(abs(r_si - 1.0))
-        floors.append(4.0 * (math.ulp(s) + math.ulp(i))
-                      + math.exp(res.abs_error_log - res.log_value))
-        lines.append(",".join(map(_fmt, (t, s, i, a, r_si, r_sa))))
+    try:
+        for t, ((s, _), (i, res), (a, _)) in zip(cfg.t_grid, grid_rows(
+                cfg.series, cfg.prefactor, cfg.q_power, cfg.t_grid,
+                ("sum", "integral", "asym"), cfg.rel_tol, an, cfg.order_L)):
+            r_si = math.exp(s - i)
+            r_sa = math.exp(s - a)
+            devs.append(abs(r_si - 1.0))
+            floors.append(4.0 * (math.ulp(s) + math.ulp(i))
+                          + math.exp(res.abs_error_log - res.log_value))
+            lines.append(",".join(map(_fmt, (t, s, i, a, r_si, r_sa))))
+    except HypothesisError:
+        raise
+    except QasymError as e:     # raised by the row after the last one done
+        raise QasymError(f"row t={_fmt(cfg.t_grid[len(devs)])}: {e}") from e
     _emit("\n".join(lines) + "\n", cfg.output)
     message = _verdict(cfg.t_grid, devs, floors)
     if message:

@@ -110,10 +110,6 @@ class SeriesSpec(NamedTuple("SeriesSpec", [("A", float), ("B", float), ("v", flo
         return tuple((a, sum(f)) for a, f in sorted(parts.items())
                      if abs(sum(f)) > 1e-15 * sum(map(abs, f)))
 
-    @functools.cached_property
-    def ladders(self) -> dict:      # t -> MassLadder, of the last grid built
-        return {}
-
     @staticmethod
     def make(A: float, B: float, v: float,
              terms: list[tuple[float, float, float, float]]) -> SeriesSpec:
@@ -546,8 +542,11 @@ def _tail_sup(spec: SeriesSpec, m, t):
                         - np.log(-np.expm1(slope)), np.inf)
 
 
-def _build_ladders(spec: SeriesSpec, ts: list) -> list[MassLadder]:
-    # every t's ladder in one pass, each element at its own t
+def mass_ladder(spec: SeriesSpec, ts) -> list[MassLadder]:
+    """The ``MassLadder`` of ``spec`` at each t of ts, each the bits of its t
+    alone: ``log_summand_sup`` over all their pieces and all their edges, in
+    one call each with t per element, and ``log_summand`` at all their
+    probes in one call."""
     es, blocks = [], []
     for t in ts:
         _require_t(t)
@@ -571,24 +570,9 @@ def _build_ladders(spec: SeriesSpec, ts: list) -> list[MassLadder]:
         top = int(np.argmax(m))
         parts.append((x, m, np.minimum(tl, pieces), int(x[top] + x[top + 1] - 1) // 2))
         for arr in parts[-1][:3]:
-            arr.flags.writeable = False         # shared by every caller at (spec, t)
+            arr.flags.writeable = False         # both exact routes of a row read it
     logs = log_summand(spec, np.array([p[3] for p in parts], dtype=float), tv)
     return [MassLadder(*part, float(lg), blk) for part, lg, blk in zip(parts, logs, blocks)]
-
-
-def mass_ladder(spec: SeriesSpec, ts) -> tuple[MassLadder, ...]:
-    """The ``MassLadder`` of ``spec`` at each t of ts, each the bits of its t
-    alone: ``log_summand_sup`` over all their pieces and all their edges, in
-    one call each with t per element, and ``log_summand`` at all their
-    probes in one call.  Unless ``spec.ladders`` holds every t, the grid is
-    built and the memo holds it alone."""
-    memo = spec.ladders
-    lads = [memo.get(t) for t in ts]    # read once: a caller sharing spec may rebuild
-    if None in lads:
-        lads = _build_ladders(spec, list(ts))
-        memo.clear()
-        memo.update(zip(ts, lads))
-    return tuple(lads)
 
 
 class SumResult(NamedTuple):
@@ -598,27 +582,28 @@ class SumResult(NamedTuple):
     left_out_log: float    # log of the certified mass of the others
 
 
-def series_sum(spec: SeriesSpec, t: float) -> SumResult:
+def series_sum(spec: SeriesSpec, t: float, lad: MassLadder | None = None) -> SumResult:
     """sum_m exp(log_summand(m)) over a certified window [m_lo, m_hi),
     accumulated in log space in blocks of 256 terms that grow to m/4 past
     m = 1024 and to 65536 past m = 2^18.
 
-    m_lo is the cut of ``mass_ladder``'s window at the exact term.  Past M
-    the rest is at most the ladder's rest from the edge at or below M, which
-    holds the one-sup bound ``_tail_sup`` at that edge; only a block past
-    2^18 that starts off an edge takes ``_tail_sup`` at M too.  Its factor
-    1/(1 - q^B) the flat tail A = v = 0 needs (the terms above 1e-18
-    relative alone leave out 1e-14 of phi-minus at t = 1e-4).  A block ends
-    early at the first edge that the sum so far, or the probe's exact term
-    (which every sum holds), certifies, so the first block too can end
-    short of 256 terms; the sum stops at the first block end past the probe
-    where head plus rest are below 1e-18 of the sum so far, and raises if
-    none does by m t = U_END.
+    m_lo is the cut at the exact term of the window of ``lad``, t's
+    ``mass_ladder`` (built here if None).  Past M the rest is at most
+    the ladder's rest from the edge at or below M, which holds the one-sup
+    bound ``_tail_sup`` at that edge; only a block past 2^18 that starts off
+    an edge takes ``_tail_sup`` at M too.  Its factor 1/(1 - q^B) the flat
+    tail A = v = 0 needs (the terms above 1e-18 relative alone leave out
+    1e-14 of phi-minus at t = 1e-4).  A block ends early at the first edge
+    that the sum so far, or the probe's exact term (which every sum holds),
+    certifies, so the first block too can end short of 256 terms; the sum
+    stops at the first block end past the probe where head plus rest are
+    below 1e-18 of the sum so far, and raises if none does by m t = U_END.
     So the sum never passes the first edge that the probe's term certifies,
     and it raises before summing if that edge lies more than _SUM_BUDGET
     terms past m_lo.
     """
-    lad = mass_ladder(spec, (t,))[0]
+    if lad is None:
+        lad = mass_ladder(spec, (t,))[0]
     e, ends = lad.edges, lad.ends
     cut, head, left = lad.window(lad.probe_log)
     sure = np.flatnonzero(left <= lad.probe_log + LN_EPS)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .qseries import LN_EPS, U_END, SeriesSpec, log_summand, mass_ladder
+from .qseries import LN_EPS, U_END, MassLadder, SeriesSpec, log_summand, mass_ladder
 
 MAX_PANELS = 1 << 14
 PANEL_STRIDE = 4   # ladder pieces per initial panel: 4 terms, or ratio 2^(1/8)
@@ -118,16 +118,18 @@ def _adaptive(spec: SeriesSpec, edges: np.ndarray, t: float,
     return sum(parts), sum(parts) + math.log(rel_err), panels
 
 
-def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10) -> QuadResult:
+def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10,
+             lad: MassLadder | None = None) -> QuadResult:
     """Integral over x in (0, inf) of exp(log_summand(x)) for the normalized
-    series, computed as (1/t) * int exp(F(u/t)) du over the window of
-    ``mass_ladder`` that leaves out at most 1e-18 of its exact term.  If
-    that is more than 1e-18 of the integral, the window is widened once on
-    the same ladder, to 1e-18 of the integral itself; if it still is, it
-    raises ConvergenceError.  Deterministic for fixed inputs."""
+    series, computed as (1/t) * int exp(F(u/t)) du over the window of ``lad``,
+    t's ``mass_ladder`` (built here if None), that leaves out at most 1e-18 of
+    its exact term.  If that is more than 1e-18 of the integral, the window is
+    widened once on the same ladder, to 1e-18 of the integral itself; if it
+    still is, it raises ConvergenceError.  Deterministic for fixed inputs."""
     if not 1e-12 <= rel_tol < math.inf:
         raise DomainError(f"rel_tol must be finite and >= 1e-12, got {rel_tol}")
-    lad = mass_ladder(spec, (t,))[0]
+    if lad is None:
+        lad = mass_ladder(spec, (t,))[0]
     level = lad.probe_log
     for _ in range(2):
         cut, _, left = lad.window(level)

@@ -10,17 +10,23 @@ import time
 import pytest
 
 from oracles import dilog, kappa_by_partitions, mcintosh_asym, qpoch_finite
-from qasym.expansion import _exp_series, _lambda_table, peak_value
+from qasym.cli import grid_rows
+from qasym.expansion import _exp_series, _lambda_table, analyse, peak_value
 from qasym.phase import stationary_points
 from qasym.presets import F0_ZETA, get_preset
 from qasym.qseries import SeriesSpec, qpoch_inf, series_sum
 from qasym.quad import integral
 from qasym.specfun import bernoulli_poly
-from totals import asym, series_total
 
 PI2 = math.pi * math.pi
 ALL_PRESETS = ["ramanujan", "f0", "phi-minus", "rphis", "simple-r",
                "euler", "euler-b2"]
+
+
+def _row(p, t, *routes):
+    # preset p's (total log, record) per route at t, from the CLI's grid driver
+    an = analyse(p.series, p.prefactor) if "asym" in routes else None
+    return next(grid_rows(p.series, p.prefactor, p.q_power, [t], routes, an=an))
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -38,11 +44,12 @@ def test_criterion_1_ramanujan_exponent():
     t0 = time.monotonic()
     p = get_preset("ramanujan")
     t1, t2 = 0.02, 0.01
-    log1 = series_total(p, t1)
-    log2 = series_total(p, t2)
+    [(log1, _)] = _row(p, t1, "sum")
+    [(log2, _)] = _row(p, t2, "sum")
     measured = (log1 - log2 - 0.5 * math.log(t1 / t2)) / (1.0 / t1 - 1.0 / t2)
     gap = abs(measured - PI2 / 5.0)
-    rate = asym(p, t1).rate
+    [(_, asym)] = _row(p, t1, "asym")
+    rate = asym.rate
     rate_gap = abs(rate - PI2 / 5.0)
     elapsed = time.monotonic() - t0
     ok = gap <= 1e-3 and rate_gap <= 1e-10 and elapsed <= 10.0
@@ -57,7 +64,7 @@ def test_criterion_1_ramanujan_exponent():
 
 def test_criterion_2_ramanujan_prefactor_constant():
     p = get_preset("ramanujan")
-    r = asym(p, 0.02)
+    [(_, r)] = _row(p, 0.02, "asym")
     target = math.log(1.0 / math.sqrt(2.0 * math.pi * math.sqrt(5.0)))
     gap = abs(r.log_constant - target)
     ok = gap <= 1e-8
@@ -102,7 +109,7 @@ def test_criterion_4_phi_minus():
     p = get_preset("phi-minus")
     ratios = {}
     for t in (0.02, 0.01):
-        total = series_total(p, t)
+        [(total, _)] = _row(p, t, "sum")
         law = PI2 / (6.0 * t) + 0.5 * math.log(math.pi / (6.0 * t)) - math.log(2.0)
         ratios[t] = math.exp(total - law)
     ok = 0.9 <= ratios[0.02] <= 1.1 and abs(ratios[0.01] - 1) < abs(ratios[0.02] - 1)
@@ -117,11 +124,11 @@ def test_criterion_5_rphis_identity_and_constant():
     p = get_preset("rphis")
     t = 0.02
     q = math.exp(-t)
-    engine = series_total(p, t)
+    [(engine, _)] = _row(p, t, "sum")
     ref = (math.log(2.0) + qpoch_inf(q * q, q * q)
            - qpoch_inf(q, q))
     log_rel = abs(engine - ref) / abs(ref)
-    r = asym(p, t)
+    [(_, r)] = _row(p, t, "asym")
     const_gap = abs(math.exp(r.log_constant) - math.sqrt(2.0))
     ok = (log_rel <= 0.01 and const_gap <= 1e-8
           and abs(r.rate - PI2 / 12.0) <= 1e-12 and r.t_power == 0.0)
@@ -138,8 +145,8 @@ def test_criterion_6_tail_exactness():
         sum_gaps.append(abs(math.exp(series_sum(euler.series, t).log_value) - 1.0))
         b2_gaps.append(abs(math.exp(series_sum(b2.series, t).log_value)
                            / (1.0 - math.exp(-t)) - 1.0))
-    tail_one = asym(euler, 0.05).log_value
-    tail_t_exact = all(asym(b2, t).log_value == math.log(t)
+    [(tail_one, _)] = _row(euler, 0.05, "asym")
+    tail_t_exact = all(_row(b2, t, "asym")[0][0] == math.log(t)
                        for t in (0.1, 0.05, 0.025))
     ok = (max(sum_gaps) <= 1e-10
           and tail_one == 0.0

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qasym.cli import _dumps, main
+from qasym.cli import _dumps, grid_rows, load_spec, main
+from qasym.errors import QasymError
+from qasym.expansion import analyse, asym_from_parts
+from qasym.presets import get_preset
+from qasym.qseries import prefactor_exact, series_sum
+from qasym.quad import integral
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(*args: str) -> subprocess.CompletedProcess:
@@ -127,14 +134,13 @@ def test_verify_asym_ratio_approaches_one(tmp_path):
 
 
 def test_eval_applies_preset_extra_factor(tmp_path):
-    from qasym.presets import get_preset
-    from totals import series_total
+    p = get_preset("phi-minus")
     out = tmp_path / "phi.json"
     cp = run_cli("eval", "--preset", "phi-minus", "--t", "0.05",
                  "--out", str(out))
     assert cp.returncode == 0, cp.stderr
     got = json.loads(out.read_text())["results"]["log_value"][0]
-    want = series_total(get_preset("phi-minus"), 0.05)
+    [[(want, _)]] = grid_rows(p.series, p.prefactor, p.q_power, [0.05], ("sum",))
     assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -343,11 +349,13 @@ def test_order_limits(command, preset, flag, value, status):
         assert cp.stderr.startswith(f"error: {flag} must be <= {largest}")
         assert cp.stdout == ""
 
-def test_numeric_failure_exit_3():
+@pytest.mark.parametrize("command", ["integral", "verify"])
+def test_rel_tol_is_usage_error(command):
+    # a tolerance the quadrature refuses is a flag error, found before any row
     for rel_tol in ("1e-14", "nan", "inf"):
-        cp = run_cli("integral", "--preset", "euler", "--t", "0.05",
-                     "--rel-tol", rel_tol)
-        assert cp.returncode == 3
+        cp = run_cli(command, "--preset", "euler", "--t", "0.05", "--rel-tol", rel_tol)
+        assert (cp.returncode, cp.stdout, cp.stderr) == (
+            1, "", "error: --rel-tol must be finite and >= 1e-12\n"), rel_tol
 
 
 SIGN_DOC = {"A": 0.25, "B": -0.2, "v": -0.9,
@@ -543,3 +551,53 @@ def test_routes_load_no_exact_rationals():
     cp = subprocess.run([sys.executable, "-W", "error", "-c", code],
                         capture_output=True, text=True)
     assert (cp.returncode, cp.stdout) == (0, "(0, 0) []\n"), cp.stderr
+
+
+def _grid_outcome(series, prefactor, q_power, ts, routes, an):
+    # the rows grid_rows yields, then the error that ends them, if one does
+    out = []
+    try:
+        out.extend(grid_rows(series, prefactor, q_power, ts, routes, an=an))
+    except QasymError as e:
+        out.append(f"{type(e).__name__}: {e}")
+    return out
+
+
+GRID_SOURCES = [("preset", name) for name in ALL_PRESETS] + [
+    ("spec", path.name) for path in sorted(DATA.glob("*.json"))]
+
+
+@pytest.mark.parametrize("routes", [("sum",), ("integral",), ("sum", "integral", "asym")],
+                         ids=["sum", "integral", "all"])
+@pytest.mark.parametrize("kind, name", GRID_SOURCES, ids=[n for _, n in GRID_SOURCES])
+def test_grid_rows_keep_their_bits(kind, name, routes):
+    # each row of a grid has the bits of a one-t call at its t, and of the
+    # route's library function; an exact total folds in the constant product
+    # and q^q_power as (value + product) - q_power t
+    if kind == "preset":
+        p = get_preset(name)
+        series, prefactor, q_power = p.series, p.prefactor, p.q_power
+    else:
+        series, prefactor, q_power = load_spec(str(DATA / name))
+    an = None
+    if "asym" in routes:
+        try:
+            an = analyse(series, prefactor)
+        except QasymError:      # verify stops before its rows, as asym does
+            assert name == "flat_mixed_sign.json"
+            return
+    ts = (0.05, 0.01, 0.001)
+    grid = _grid_outcome(series, prefactor, q_power, ts, routes, an)
+    assert len(grid) == 3 or isinstance(grid[-1], str)
+    for t, got in zip(ts, grid):
+        assert repr(_grid_outcome(series, prefactor, q_power, (t,), routes, an)) == repr([got])
+        if isinstance(got, str):
+            continue
+        for route, row in zip(routes, got):
+            if route == "asym":
+                want = asym_from_parts(an, (t,), q_power=q_power)[0]
+                total = want.log_value
+            else:
+                want = series_sum(series, t) if route == "sum" else integral(series, t)
+                total = (want.log_value + prefactor_exact(prefactor, t)) - q_power * t
+            assert repr(row) == repr((total, want)), route

@@ -3,12 +3,19 @@ import math
 import pytest
 
 from oracles import dilog
+from qasym.cli import grid_rows
+from qasym.expansion import analyse
 from qasym.phase import check_hypothesis, phase_value, stationary_points
 from qasym.presets import (F0_ZETA, get_preset, preset_rphis, preset_simple_r)
 from qasym.qseries import normalize, qpoch_inf
-from totals import asym, series_total
 
 ALL = ["ramanujan", "f0", "phi-minus", "rphis", "simple-r", "euler", "euler-b2"]
+
+
+def _row(p, t, *routes):
+    # preset p's (total log, record) per route at t, from the CLI's grid driver
+    an = analyse(p.series, p.prefactor) if "asym" in routes else None
+    return next(grid_rows(p.series, p.prefactor, p.q_power, [t], routes, an=an))
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -20,7 +27,7 @@ def test_hypothesis_holds(name):
 @pytest.mark.parametrize("name", ALL)
 def test_engine_matches_reference_law(name):
     p = get_preset(name)
-    r = asym(p, 0.02)
+    [(_, r)] = _row(p, 0.02, "asym")
     assert r.rate == pytest.approx(p.reference.rate, abs=1e-10)
     assert r.t_power == pytest.approx(p.reference.t_power, abs=1e-12)
     assert r.log_constant == pytest.approx(p.reference.log_constant, abs=1e-9)
@@ -31,8 +38,7 @@ def test_asym_approaches_series(name):
     p = get_preset(name)
     devs = []
     for t in (0.05, 0.025):
-        s = series_total(p, t)
-        a = asym(p, t)
+        [(s, _), (_, a)] = _row(p, t, "sum", "asym")
         devs.append(abs(math.exp(s - a.log_value) - 1.0))
     # exact-zero ties mean both routes agree to every bit (euler)
     assert devs[1] < devs[0] or devs == [0.0, 0.0]
@@ -57,7 +63,7 @@ class TestRamanujan:
                 if m:
                     logpoch += math.log1p(-q ** m)
                 logs.append(-0.5 * m * (m + 1) * t - 2.0 * logpoch)
-            assert series_total(p, t) == pytest.approx(_log_sum_exp(logs), abs=1e-11)
+            assert _row(p, t, "sum")[0][0] == pytest.approx(_log_sum_exp(logs), abs=1e-11)
 
     def test_normalization(self):
         p = get_preset("ramanujan")
@@ -122,7 +128,7 @@ class TestPhiMinus:
                     lognum += math.log1p(q ** (2 * m - 2)) + math.log1p(q ** (2 * m - 1))
                     logden += math.log1p(-q ** (2 * m - 1))
                 logs.append(-m * t + lognum - logden)
-            assert series_total(p, t) == pytest.approx(_log_sum_exp(logs), abs=1e-11)
+            assert _row(p, t, "sum")[0][0] == pytest.approx(_log_sum_exp(logs), abs=1e-11)
 
 
 class TestRphis:
@@ -143,7 +149,7 @@ class TestRphis:
         q = math.exp(-t)
         ref = (math.log(2.0) + qpoch_inf(q * q, q * q)
                - qpoch_inf(q, q))   # (-q;q)_inf = (q^2;q^2)/(q;q)
-        assert series_total(p, t) == pytest.approx(ref, abs=1e-10)
+        assert _row(p, t, "sum")[0][0] == pytest.approx(ref, abs=1e-10)
 
     def test_v0_constant_sqrt2(self):
         p = get_preset("rphis")
@@ -157,11 +163,11 @@ class TestRphis:
         assert p.reference.t_power == pytest.approx(1.0)
         assert math.exp(p.reference.log_constant) == pytest.approx(
             2.0 * math.sqrt(2.0), rel=1e-13)
-        r = asym(p, 0.02)
+        [(_, r)] = _row(p, 0.02, "asym")
         assert r.t_power == pytest.approx(1.0)
         assert r.log_constant == pytest.approx(p.reference.log_constant,
                                                abs=1e-10)
-        s = series_total(p, 0.02)
+        [(s, _)] = _row(p, 0.02, "sum")
         assert math.exp(s - r.log_value) == pytest.approx(1.0,
                                                                       abs=0.02)
 
@@ -196,10 +202,10 @@ class TestSimpleR:
     def test_modulus_two_instance_consistent(self):
         # engine vs reference for D = 2 exercises the modulus-power constant
         p = preset_simple_r(1.0, 0.0, 1.0, 2.0, 1.0, 0.0, 1)
-        r = asym(p, 0.02)
+        [(_, r)] = _row(p, 0.02, "asym")
         assert r.rate == pytest.approx(p.reference.rate, abs=1e-12)
         assert r.log_constant == pytest.approx(p.reference.log_constant, abs=1e-9)
-        s = series_total(p, 0.02)
+        [(s, _)] = _row(p, 0.02, "sum")
         assert math.exp(s - r.log_value) == pytest.approx(1.0, abs=0.02)
 
 
