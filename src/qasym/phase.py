@@ -17,13 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateError, DomainError
+from .errors import ConvergenceError, DegenerateError, DomainError
 from .qseries import SeriesSpec
 from .specfun import bernoulli_pair, polylog
 
 MAX_ORDER = 8            # stationary points classified up to order m_u = 8
 _DEGENERACY_RTOL = 1e-8  # |H^(2m)| below this * scale counts as zero
 _BISECT_RTOL = 1e-15
+_GRID_MAX = 1 << 22      # most points of the sign-change search
 
 
 def phase_value(spec: SeriesSpec, level: int, u: float) -> float:
@@ -132,14 +133,14 @@ def search_upper_bound(spec: SeriesSpec) -> float:
 
     The slope is v - 2 A u plus the parts alpha f Li1(e^(-alpha u)), each at
     most alpha |f|/(e^(alpha u) - 1) <= |f|/u, as -log(1 - y) <= y/(1 - y).
-    For A > 0 the bound u_hi = (|v| + sum |f| pi^2/6 + 1)/A + 1 is at least
-    1, so for every u >= u_hi the slope is at most
-    v - 2 A u_hi + sum |f| < -|v| - 2.  For v < 0 (so A = 0) each of the n
+    For A > 0, with F = sum |f|, the slope is at most v - 2 A u + F/u, which
+    is negative past the root (v + sqrt(v^2 + 8 A F))/(4 A) of 2 A u^2 - v u
+    - F; u_hi is that root plus 1.  For v < 0 (so A = 0) each of the n
     parts is below |v|/n once alpha u > log1p(n alpha |f|/|v|), which holds
     past u_hi = max_j log1p(n alpha_j |f_j|/|v|)/alpha_j + 1."""
     if spec.A > 0:
-        return (abs(spec.v) + sum(abs(f) for _, f in spec.falpha) * math.pi ** 2 / 6.0
-                + 1.0) / spec.A + 1.0
+        F = sum(abs(f) for _, f in spec.falpha)
+        return (spec.v + math.sqrt(spec.v ** 2 + 8.0 * spec.A * F)) / (4.0 * spec.A) + 1.0
     if spec.v < 0:
         n = len(spec.falpha)
         return max((math.log1p(n * a * abs(f) / -spec.v) / a for a, f in spec.falpha),
@@ -150,13 +151,15 @@ def search_upper_bound(spec: SeriesSpec) -> float:
 def _grid(spec: SeriesSpec, u_lo: float, u_hi: float) -> list[float]:
     # geometric below 1, linear above; fine enough that a sign change of the
     # analytic slope cannot hide between neighbors for the admissible specs
+    max_alpha = max((a for a, _ in spec.falpha), default=1.0)
+    step = 0.05 * min(1.0, 1.0 / max_alpha)
+    if (u_hi - 1.0) / step > _GRID_MAX:
+        raise ConvergenceError(f"phase search: over 2^22 points to the bound u = {u_hi:.6g}")
     pts = []
     u = u_lo
     while u < min(1.0, u_hi):
         pts.append(u)
         u *= 1.07
-    max_alpha = max((a for a, _ in spec.falpha), default=1.0)
-    step = 0.05 * min(1.0, 1.0 / max_alpha)
     u = 1.0
     while u <= u_hi:
         pts.append(u)

@@ -49,7 +49,16 @@ _EM_V = np.array([[num / den / math.factorial(2 * j) / m * c
                   for j in range(1, _EM_J + 1) for num, den in [bernoulli_pair(2 * j)]])
 
 
+def _check_finite(kind: str, fields: tuple[str, ...], values: tuple) -> None:
+    for name, x in zip(fields, values):
+        if not math.isfinite(x):
+            raise SpecError(f"{kind} needs a finite {name}, got {x}")
+
+
 def _check_domain_triple(A: float, v: float, B: float) -> None:
+    _check_finite("the series", ("A", "v", "B"), (A, v, B))
+    if A < 0:
+        raise SpecError(f"need A >= 0, got {A}")
     ok = (A > 0) or (A == 0 and v == 0 and B > 0) or (A == 0 and v < 0)
     if not ok:
         raise SpecError(
@@ -58,12 +67,15 @@ def _check_domain_triple(A: float, v: float, B: float) -> None:
 
 
 # the spec types are NamedTuples that check their fields on construction;
-# their memos are cached properties, kept off the tuple that eq and hash read
+# SeriesSpec.falpha is cached off the tuple that eq and hash read
 class PochTerm(NamedTuple("PochTerm", [("alpha", float), ("beta", float),
                                         ("gamma", float), ("S", float)])):
     """One factor (q^(alpha*m+gamma); q^beta)_inf^S of the series denominator."""
 
+    __slots__ = ()
+
     def __new__(cls, alpha: float, beta: float, gamma: float, S: float) -> PochTerm:
+        _check_finite("PochTerm", cls._fields, (alpha, beta, gamma, S))
         if not alpha > 0:
             raise SpecError(f"PochTerm needs alpha>0, got {alpha}")
         if not beta > 0:
@@ -73,10 +85,6 @@ class PochTerm(NamedTuple("PochTerm", [("alpha", float), ("beta", float),
         if S == 0:
             raise SpecError("PochTerm needs S != 0 (merged-away terms are dropped)")
         return super().__new__(cls, alpha, beta, gamma, S)
-
-    @functools.cached_property
-    def coefs(self) -> dict:        # (t, orders) -> the last ``_coef_table``
-        return {}
 
 
 class SeriesSpec(NamedTuple("SeriesSpec", [("A", float), ("B", float), ("v", float),
@@ -89,8 +97,6 @@ class SeriesSpec(NamedTuple("SeriesSpec", [("A", float), ("B", float), ("v", flo
 
     def __new__(cls, A: float, B: float, v: float,
                 terms: tuple[PochTerm, ...] = ()) -> SeriesSpec:
-        if A < 0:
-            raise SpecError(f"need A >= 0, got {A}")
         _check_domain_triple(A, v, B)
         keys = [(p.alpha, p.beta, p.gamma) for p in terms]
         if keys != sorted(keys):
@@ -129,6 +135,7 @@ class QuadTerm(NamedTuple("QuadTerm", [("a", float), ("b", float), ("c", float),
     """One finite symbol (q^a; q^b)_(c*m+d)^S of the raw series."""
 
     def __new__(cls, a: float, b: float, c: float, d: float, S: float) -> QuadTerm:
+        _check_finite("QuadTerm", cls._fields, (a, b, c, d, S))
         if not b > 0:
             raise SpecError(f"QuadTerm needs b>0, got {b}")
         if not c > 0:
@@ -146,8 +153,6 @@ class ProductSpec(NamedTuple("ProductSpec", [("A", float), ("B", float), ("v", f
 
     def __new__(cls, A: float, B: float, v: float,
                 quads: tuple[QuadTerm, ...] = ()) -> ProductSpec:
-        if A < 0:
-            raise SpecError(f"need A >= 0, got {A}")
         _check_domain_triple(A, v, B)
         return super().__new__(cls, A, B, v, quads)
 
@@ -314,20 +319,14 @@ def _kernel_closed(w: np.ndarray, bt) -> np.ndarray:
     return li2 / bt + (0.5 * li1 + em - peel)
 
 
-def _coef_table(term: PochTerm, t: float, orders: tuple[int, ...], kmax: int):
-    """n log(k alpha t) - log(k (1 - e^(-k beta t))) by k = K..1 >= kmax and
-    order n, shape (K, rows, 1); None past _CHUNK_ELEMS elements."""
-    if kmax * len(orders) > _CHUNK_ELEMS:
-        return None
-    tab = term.coefs.get((t, orders))
-    if tab is None or len(tab) < kmax:
-        k = np.arange(kmax, 0, -1, dtype=float)[:, None]
-        tab = np.log(k * term.alpha * t)[:, None] * _rows(orders)[0]
-        tab -= np.log(k * -np.expm1(-k * term.beta * t))[:, None]
-        tab.flags.writeable = False
-        term.coefs.clear()
-        term.coefs[t, orders] = tab
-    return tab
+def _log_coef(term: PochTerm, k: np.ndarray, t, n_col: np.ndarray | None) -> np.ndarray:
+    """n log(k alpha t) - log(k (1 - e^(-k beta t))) by k, row n (None: order 0
+    alone) and t: the log of the k-th term's factor, so high orders cannot overflow."""
+    tail = np.log(k * -np.expm1(-k * term.beta * t))[:, None]
+    if n_col is None:
+        return np.negative(tail, out=tail)
+    out = np.log(k * term.alpha * t)[:, None] * n_col
+    return np.subtract(out, tail, out=out)      # in place: no second temporary
 
 
 def _kernel(term: PochTerm, x: np.ndarray, t,
@@ -345,8 +344,8 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
     depends on the other points or orders of the call.  The points, in
     order of w, go in bands: a chunk of _BAND_ELEMS or more ends where the
     largest cut falls below half of its first point's, so few terms past a
-    point's cut are built only to be masked to zero.  At one t the per-k
-    coefficients come from ``_coef_table`` while it fits, else per chunk."""
+    point's cut are built only to be masked to zero.  The per-k coefficients
+    are built once per call at one t while they fit _CHUNK_ELEMS, else per chunk."""
     per = isinstance(t, np.ndarray)             # one t per point
     w = (term.alpha * x + term.gamma) * t
     order = None
@@ -364,7 +363,10 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
     kc = (spans / wk).astype(np.int64) + 1      # per row and point
     kmax, kmin = kc[imax], kc[imin]             # non-increasing
     budget = max(1, _CHUNK_ELEMS // len(orders))
-    tab = None if per or not len(wk) else _coef_table(term, t, orders, int(kmax[0]))
+    n_col = None if max(orders) == 0 else n_col
+    tab = None
+    if not per and len(wk) and kmax[0] * len(orders) <= _CHUNK_ELEMS:
+        tab = _log_coef(term, np.arange(kmax[0], 0, -1, dtype=float)[:, None], t, n_col)
     acc = np.zeros((len(orders), len(w)))
     acc_k = acc[:, first:]
     p0 = 0
@@ -383,13 +385,8 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
         while k1 > 1:
             k0 = max(k1 - budget, 1)
             k = np.arange(k1 - 1, k0 - 1, -1, dtype=float)[:, None]   # descending
-            # (-k alpha t)^n / k = (-1)^n exp(n log(k alpha t) - log k) by k, row
-            # and t; in log space high orders neither overflow nor underflow early
-            if tab is None:
-                logcoef = np.log(k * term.alpha * tp)[:, None] * n_col
-                logcoef -= np.log(k * -np.expm1(-k * term.beta * tp))[:, None]
-            else:
-                logcoef = tab[len(tab) - k1 + 1:len(tab) - k0 + 1]
+            logcoef = (_log_coef(term, k, tp, n_col) if tab is None
+                       else tab[len(tab) - k1 + 1:len(tab) - k0 + 1])
             blk = np.outer(-k, wk[p0:p1])[:, None]         # k by row by point
             blk = np.add(blk, logcoef, out=blk if len(orders) == 1 else (
                 logcoef if per else None))    # into an operand of the sum's shape
@@ -417,7 +414,7 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
 def log_summand(spec: SeriesSpec, x, t):
     """The logged x-th term of the series: x v - A x^2 t - B x t plus the
     Pochhammer contribution sum_terms S * kernel.  Accepts scalar or array
-    x >= 0 and returns matching shape; t as in ``log_summand_deriv``."""
+    finite x >= 0 and returns matching shape; t as in ``log_summand_deriv``."""
     return log_summand_deriv(spec, 0, x, t)
 
 
@@ -433,8 +430,8 @@ def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t):
 def log_summand_deriv(spec: SeriesSpec, n, x, t):
     """n-th x-derivative of log_summand (n = 0 is log_summand itself); for a
     tuple of orders n, one row per order, all from one inner k-sum per
-    term.  Accepts scalar or array x >= 0 and returns matching shape; t is one
-    float or an array matching x, each point with the bits of a call at its t."""
+    term.  Takes scalar or array finite x >= 0 and returns matching shape; t is
+    one float or an array matching x, each point with the bits of a call at its t."""
     ta = np.asarray(t, dtype=float)         # one t, or one per point
     _require_t(ta)
     orders = n if isinstance(n, tuple) else (n,)
@@ -447,8 +444,8 @@ def log_summand_deriv(spec: SeriesSpec, n, x, t):
     t = ta if ta.ndim else float(ta)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
-    if np.any(xa < 0):
-        raise DomainError("log_summand needs x >= 0")
+    if not np.all((xa >= 0) & (xa < math.inf)):     # nan fails both
+        raise DomainError("log_summand needs finite x >= 0")
     out = np.zeros((len(orders), len(xa)))
     for i, r in enumerate(orders):
         if r <= 2:

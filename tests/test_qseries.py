@@ -1,6 +1,8 @@
 import math
+import os
 import random
 import re
+import subprocess
 import sys
 import threading
 import time
@@ -80,6 +82,23 @@ class TestSpecValidation:
             QuadTerm(-1.0, 1.0, 1.0, 2.0, 1.0)
         with pytest.raises(SpecError, match="a>0, got 0.0"):
             QuadTerm(0.0, 1.0, 1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind,field", [
+        *(("PochTerm", f) for f in qs.PochTerm._fields),
+        *(("QuadTerm", f) for f in QuadTerm._fields),
+        *((k, f) for k in ("SeriesSpec", "ProductSpec") for f in ("A", "B", "v"))])
+    def test_non_finite_field_is_refused(self, kind, field, bad):
+        # such a field used to pass, and a route to fail later with a
+        # misleading message ("domain triple violated dynamically?")
+        build = {"PochTerm": qs.PochTerm, "QuadTerm": QuadTerm,
+                 "SeriesSpec": lambda **f: SeriesSpec.make(**f, terms=[]),
+                 "ProductSpec": lambda **f: ProductSpec.make(**f, quads=[])}[kind]
+        good = {"PochTerm": dict(alpha=1.0, beta=1.0, gamma=1.0, S=1.0),
+                "QuadTerm": dict(a=1.0, b=1.0, c=1.0, d=0.0, S=1.0)}.get(
+            kind, dict(A=1.0, B=0.0, v=0.0))
+        with pytest.raises(SpecError, match=f"needs a finite {field}, got {bad}$"):
+            build(**{**good, field: bad})
 
     def test_merge_and_drop(self):
         spec = SeriesSpec.make(1.0, 0.0, 0.0,
@@ -284,6 +303,33 @@ class TestLogSummand:
         with pytest.raises(ConvergenceError):
             log_summand(RAM, 1.0, 0.5)
 
+    @pytest.mark.parametrize("x", [math.inf, [1.0, 2.0, math.nan]])
+    def test_non_finite_x_is_refused(self, x):
+        # these used to return nan
+        for call in (lambda: log_summand(RAM, x, 0.1),
+                     lambda: log_summand_deriv(RAM, (0, 1, 2), np.atleast_1d(x), 0.1)):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="finite x >= 0"):
+                call()
+            assert time.perf_counter() - start < 1.0
+
+    def test_nan_x_does_not_hang(self):
+        # a lone nan x used to cut the k-sum at a negative k and loop for
+        # ever; a child process with a deadline fails instead of hanging
+        code = ("import math; from qasym.errors import DomainError; "
+                "from qasym.presets import get_preset; "
+                "from qasym.qseries import log_summand, log_summand_deriv\n"
+                "s = get_preset('ramanujan').series\n"
+                "for call in (lambda: log_summand(s, math.nan, 0.1),\n"
+                "             lambda: log_summand_deriv(s, (0, 1, 2), [math.nan], 0.1)):\n"
+                "    try: call()\n"
+                "    except DomainError: continue\n"
+                "    raise SystemExit(1)")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        done = subprocess.run([sys.executable, "-c", code],
+                              env=env, timeout=30, capture_output=True)
+        assert done.returncode == 0, done.stderr
+
     def test_inner_sum_cap_raises_promptly(self, capsys):
         # order 0 needs no k-sum near x = 0, so only the derivative k-sums
         # and the exact prefactor's product keep a cap; past it they raise
@@ -422,6 +468,16 @@ class TestKernelBanding:
         for j in range(len(x)):
             alone = qs._kernel(term, x[j:j + 1], t[j:j + 1] if per else t, orders)
             assert np.array_equal(got[:, j], alone[:, 0]), (orders, x[j])
+
+    @settings(max_examples=30, deadline=None)
+    @given(call=wide_calls(), orders=st.sampled_from([(0,), (0, 1, 2, 3, 4)]))
+    def test_one_t_has_the_bits_of_t_per_point(self, call, orders):
+        # one coefficient formula: built once per call at one t, per chunk
+        # with t per point
+        term, x, t = call
+        assume(not isinstance(t, np.ndarray))
+        assert np.array_equal(qs._kernel(term, x, t, orders),
+                              qs._kernel(term, x, np.full(len(x), t), orders))
 
     def test_bands_skip_masked_terms(self, monkeypatch):
         # a 256-point sum block at t = 0.1 whose w runs from 0.17 to 44
@@ -815,11 +871,16 @@ class TestMassLadderMemo:
             assert series_sum(spec, t, lad) == series_sum(spec, t)
             assert integral(spec, t, 1e-10, lad) == integral(spec, t)
 
+    def test_terms_keep_no_state(self):
+        spec = get_preset("ramanujan").series
+        series_sum(spec, 0.01)
+        integral(spec, 0.01)
+        assert qs.PochTerm.__slots__ == ()
+        assert not any(hasattr(p, "__dict__") for p in spec.terms)
+
     def test_threads_sharing_a_spec(self):
-        # the k-sum's coefficient memo on each PochTerm (term.coefs) is the
-        # state a spec keeps: callers in threads on one spec instance, each
-        # at its own t, get the bits of a single thread, though the others
-        # rebuild the memo under them
+        # a spec holds no per-call state: callers in threads on one spec
+        # instance, each at its own t, get the bits of a single thread
         spec = get_preset("ramanujan").series
         ts = (0.1, 0.05, 0.02, 0.01)
         want = {t: series_sum(get_preset("ramanujan").series, t) for t in ts}
