@@ -23,6 +23,8 @@ import functools
 import json
 import math
 import sys
+from itertools import chain, repeat
+from operator import is_, itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import HypothesisError, QasymError, SpecError
@@ -204,15 +206,23 @@ def _emit(text: str, out: Optional[str]) -> None:
 def _dumps(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` for documents with str
     keys, byte for byte.  The stdlib encodes through pure Python whenever it
-    indents; here each list of plain numbers (int or float, exactly), and
-    each list of same-keyed dicts of them, takes one C-encoder call, and a
-    number object met twice is encoded once."""
-    reprs: dict[int, str] = {}     # id -> text, for objects the doc keeps alive
+    indents; here a list of plain numbers (int or float, exactly) takes one
+    ``repr`` per number, one if it repeats one object, and none if it holds
+    the objects of a list already encoded, in order (a non-finite float takes
+    the C encoder); a list of same-keyed dicts of them goes column by column."""
+    done: list[tuple[Sequence, list[str]]] = []    # number lists and their text
 
-    def numbers(values: list) -> list[str]:
-        new = {id(x): x for x in values if id(x) not in reprs}
-        reprs.update(zip(new, json.dumps(list(new.values()))[1:-1].split(", ")))
-        return [reprs[id(x)] for x in values]
+    def numbers(values: Sequence) -> list[str]:
+        for seen, text in done:
+            if len(seen) == len(values) and all(map(is_, seen, values)):
+                return text
+        same = all(map(is_, values, repeat(values[0])))
+        head = values[:1] if same else values
+        text = list(map(repr, head))        # the C encoder's text of ints and finite floats
+        if not {"nan", "inf", "-inf"}.isdisjoint(text):
+            text = json.dumps(list(head))[1:-1].split(", ")
+        done.append((values, text * len(values) if same else text))
+        return done[-1][1]
 
     def enc(obj, indent: str) -> str:
         inner = indent + "  "
@@ -223,15 +233,19 @@ def _dumps(doc) -> str:
             return json.dumps(obj)
         if not obj:
             return "[]"
-        keys = sorted(obj[0]) if type(obj[0]) is dict else None
-        if keys and all(type(r) is dict and r.keys() == obj[0].keys() for r in obj):
-            flat = [r[k] for r in obj for k in keys]
-            if {type(x) for x in flat} <= {int, float}:
-                row = "{" + ",".join(inner + "  " + json.dumps(k).replace("%", "%%")
-                                     + ": %s" for k in keys) + inner + "}"
-                return ("[" + inner + ("," + inner).join([row] * len(obj))
-                        % tuple(numbers(flat)) + indent + "]")
-        items = (numbers(list(obj)) if {type(x) for x in obj} <= {int, float}
+        if (type(obj[0]) is dict and obj[0] and set(map(type, obj)) == {dict}
+                and all(map(obj[0].keys().__eq__, map(dict.keys, obj)))):
+            keys = sorted(obj[0])
+            cols = [list(map(itemgetter(k), obj)) for k in keys]
+            if all(set(map(type, col)) <= {int, float} for col in cols):
+                # per row: "{", then each key's name and number, then "},"
+                parts = [part for j, k in enumerate(keys) for part in (repeat(
+                    ("," if j else "{") + inner + "  " + json.dumps(k) + ": "),
+                    numbers(cols[j]))]
+                text = "".join(chain.from_iterable(
+                    zip(*parts, repeat(inner + "}," + inner))))
+                return "[" + inner + text[:-len(inner) - 1] + indent + "]"
+        items = (numbers(obj) if set(map(type, obj)) <= {int, float}
                  else [enc(x, inner) for x in obj])
         return "[" + inner + ("," + inner).join(items) + indent + "]"
 
@@ -240,23 +254,12 @@ def _dumps(doc) -> str:
 
 def _json_result(cfg: RunConfig, rows: list[dict], branch: str = "",
                  diagnostics: Optional[dict] = None) -> str:
-    doc = {
-        "command": cfg.command,
-        "inputs": {
-            "spec_source": cfg.spec_source,
-            "t_grid": cfg.t_grid,
-            "order_L": cfg.order_L,
-            "order_M": cfg.order_M,
-            "rel_tol": cfg.rel_tol,
-        },
-        "results": {
-            "log_value": [r["log_value"] for r in rows],
-            "sign": [r["sign"] for r in rows],
-            "branch": branch,
-            "diagnostics": diagnostics or {},
-            "rows": rows,
-        },
-    }
+    inputs = {"spec_source": cfg.spec_source, "t_grid": cfg.t_grid, "order_L": cfg.order_L,
+              "order_M": cfg.order_M, "rel_tol": cfg.rel_tol}
+    results = {"log_value": list(map(itemgetter("log_value"), rows)),
+               "sign": list(map(itemgetter("sign"), rows)), "branch": branch,
+               "diagnostics": diagnostics or {}, "rows": rows}
+    doc = {"command": cfg.command, "inputs": inputs, "results": results}
     return _dumps(doc) + "\n"
 
 
@@ -324,13 +327,11 @@ def _analyse(cfg: RunConfig) -> Analysis:
 
 def run_asym(cfg: RunConfig) -> int:
     an = _analyse(cfg)
-    rows = []
-    for t, r in zip(cfg.t_grid, asym_from_parts(an, tuple(cfg.t_grid), cfg.order_L,
-                                                cfg.q_power)):
-        rows.append({"t": t, "log_value": r.log_value, "sign": 1,
-                     "rate": r.rate, "t_power": r.t_power,
-                     "log_constant": r.log_constant,
-                     "correction_factor": r.correction_factor})
+    # a dict literal per record: dict(zip(keys, values)) takes twice as long
+    rows = [{"t": t, "log_value": value, "sign": 1, "rate": rate, "t_power": t_power,
+             "log_constant": log_c, "correction_factor": factor}
+            for rate, t_power, log_c, factor, _, t, value in asym_from_parts(
+                an, tuple(cfg.t_grid), cfg.order_L, cfg.q_power)]
     _emit(_json_result(cfg, rows, branch=an.branch), cfg.output)
     return 0
 
@@ -383,15 +384,10 @@ def run_preset_cmd(args: argparse.Namespace) -> int:
         sys.stdout.write("\n".join(sorted(PRESETS)) + "\n")
         return 0
     p = get_preset(args.preset)
-    doc = {
-        "name": p.name,
-        "A": p.series.A, "B": p.series.B, "v": p.series.v,
-        "terms": [q._asdict() for q in p.series.terms],
-        "prefactor_quads": [q._asdict() for q in p.prefactor],
-        "q_power": p.q_power,
-        "reference": p.reference._asdict(),
-        "notes": p.notes,
-    }
+    doc = {"name": p.name, "A": p.series.A, "B": p.series.B, "v": p.series.v,
+           "terms": [q._asdict() for q in p.series.terms],
+           "prefactor_quads": [q._asdict() for q in p.prefactor], "q_power": p.q_power,
+           "reference": p.reference._asdict(), "notes": p.notes}
     _emit(_dumps(doc) + "\n", args.out)
     return 0
 

@@ -20,6 +20,7 @@ Gamma(B/alpha_1)/(alpha_1 f(alpha_1)^(B/alpha_1)) * t^(B/alpha_1 - 1).
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -94,16 +95,17 @@ class CorrectionSeries(NamedTuple):
 def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, ts: tuple, rmax: int):
     # columns over ts of F(u/t), V and {r: lambda_r} for r <= rmax, from one
     # k-sum over orders 0..max(rmax, 2k) and the points u/t; each power is
-    # taken per t, as numpy's may round otherwise
+    # taken per t by float pow, as numpy's may round otherwise
     two_k = 2 * sp.order
-    d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)),
-                          [sp.u / t for t in ts], list(ts))
+    t_col = np.array(ts, dtype=float)
+    d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)), sp.u / t_col, t_col)
     bad = np.flatnonzero(d[two_k] >= 0)
     if bad.size:
         raise SignError(f"order-{two_k} derivative nonnegative at the peak "
                         f"(t={ts[bad[0]]} too large)")
-    V = [(-d2k / math.factorial(two_k)) ** (1.0 / two_k) for d2k in d[two_k].tolist()]
-    lams = {r: d[r] / (float(math.factorial(r)) * np.array([v ** r for v in V]))
+    V = list(map(pow, (-d[two_k] / math.factorial(two_k)).tolist(), repeat(1.0 / two_k)))
+    lams = {r: d[r] / (float(math.factorial(r))
+                       * np.array(V if r == 1 else list(map(pow, V, repeat(r)))))
             for r in range(1, rmax + 1) if r != two_k}
     return d[0], np.array(V), lams
 
@@ -146,8 +148,8 @@ def peak_value(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
     if bad.size:
         raise DegenerateError(f"correction sum nonpositive ({float(s[bad[0]])}); "
                               f"expansion broke down at t={ts[bad[0]]}")
-    return (cs.log_peak - np.array([math.log(v) for v in cs.V.tolist()])
-            + np.array([math.log(x) for x in s.tolist()]))
+    return (cs.log_peak - np.array(list(map(math.log, cs.V.tolist())))
+            + np.array(list(map(math.log, s.tolist()))))
 
 
 class AsymptoticResult(NamedTuple):
@@ -190,7 +192,7 @@ def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
             "the expansion machinery does not cover this spec")
     rate, t_power, log_constant = an.law
     t_col = np.array(ts, dtype=float)
-    log_t = np.array([math.log(t) for t in ts])
+    log_t = np.array(list(map(math.log, ts)))
     with np.errstate(all="ignore"):     # a row out of float range raises below
         parts = [peak_value(an.series, sp, ts, L) for sp in an.peaks]
         if an.tail:
@@ -198,16 +200,14 @@ def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
         value = parts[0]
         for part in parts[1:]:
             value = np.array(list(map(log_add, value.tolist(), part.tolist())))
-        total = (value + prefactor_asym(an.prefactor, ts)) - q_power * t_col
+        total = (value + prefactor_asym(an.prefactor, ts, log_t)) - q_power * t_col
         gap = total - (rate / t_col + t_power * log_t + log_constant)
-    factors = []
-    for t, g in zip(ts, gap.tolist()):
-        try:
-            factors.append(math.exp(g))
-        except OverflowError:
-            g = math.inf
-        if not math.isfinite(g):
-            raise DegenerateError(f"asymptotic value out of float range at t={t}")
-    return tuple(AsymptoticResult(rate, t_power, log_constant, factor, an.branch, t,
-                                  log_value)
-                 for factor, t, log_value in zip(factors, ts, total.tolist()))
+        # numpy's e^gap is inf where math.exp raises: at the floats next to
+        # log(DBL_MAX), e^gap lies over 100 ulp inside or outside the range
+        bad = np.flatnonzero(~np.isfinite(gap + np.exp(gap)))
+    if bad.size:
+        raise DegenerateError(f"asymptotic value out of float range at t={ts[bad[0]]}")
+    factors = list(map(math.exp, gap.tolist()))
+    return tuple(map(tuple.__new__, repeat(AsymptoticResult), zip(  # no per-row __new__ call
+        repeat(rate), repeat(t_power), repeat(log_constant), factors, repeat(an.branch),
+        ts, total.tolist())))

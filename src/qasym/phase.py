@@ -25,6 +25,7 @@ MAX_ORDER = 8            # stationary points classified up to order m_u = 8
 _DEGENERACY_RTOL = 1e-8  # |H^(2m)| below this * scale counts as zero
 _BISECT_RTOL = 1e-15
 _GRID_MAX = 1 << 22      # most points of the sign-change search
+_BISECT_DEPTH = 8        # bisection steps per slope call
 
 
 def phase_value(spec: SeriesSpec, level: int, u: float) -> float:
@@ -148,51 +149,56 @@ def search_upper_bound(spec: SeriesSpec) -> float:
     return 50.0 / min((a for a, _ in spec.falpha), default=1.0)
 
 
-def _grid(spec: SeriesSpec, u_lo: float, u_hi: float) -> list[float]:
-    # geometric below 1, linear above; fine enough that a sign change of the
-    # analytic slope cannot hide between neighbors for the admissible specs
+def _grid(spec: SeriesSpec, u_lo: float, u_hi: float) -> np.ndarray:
+    """u_lo times 1.07 while below min(1, u_hi), 1 plus step = 0.05 min(1,
+    1/max alpha) while at most u_hi, then u_hi: a sign change of the slope
+    cannot hide between neighbors for the admissible specs.  Each point is a
+    loop's running product or sum; n sums of step drift from n step by under
+    n^2 2^-53 step, so two terms past the bound suffice."""
     max_alpha = max((a for a, _ in spec.falpha), default=1.0)
     step = 0.05 * min(1.0, 1.0 / max_alpha)
     if (u_hi - 1.0) / step > _GRID_MAX:
         raise ConvergenceError(f"phase search: over 2^22 points to the bound u = {u_hi:.6g}")
-    pts = []
-    u = u_lo
-    while u < min(1.0, u_hi):
-        pts.append(u)
-        u *= 1.07
-    u = 1.0
-    while u <= u_hi:
-        pts.append(u)
-        u += step
-    pts.append(u_hi)
-    return pts
+    geo = np.full(int(math.log(1.0 / u_lo) / math.log(1.07)) + 2, 1.07)
+    lin = np.full(max(int((u_hi - 1.0) / step) + 2, 1), step)
+    geo[0], lin[0] = u_lo, 1.0
+    geo, lin = np.multiply.accumulate(geo, out=geo), np.add.accumulate(lin, out=lin)
+    return np.concatenate((geo[:np.searchsorted(geo, min(1.0, u_hi))],
+                           lin[:np.searchsorted(lin, u_hi, side="right")], [u_hi]))
+
+
+def _bisect(spec: SeriesSpec, a: float, b: float) -> float:
+    # the loop "mid = 0.5 (a + b); a or b = mid as H'(mid) > 0 or not" while
+    # b - a > _BISECT_RTOL max(1, b), then 0.5 (a + b); each slope call takes
+    # the subtree of the next _BISECT_DEPTH levels of midpoints, in order in E
+    while b - a > _BISECT_RTOL * max(1.0, b):
+        n = 1 << _BISECT_DEPTH
+        E = np.concatenate(([a], np.full(n, b)))
+        for s in (n >> j for j in range(_BISECT_DEPTH)):    # midpoints at width s
+            E[s // 2::s] = 0.5 * (E[:-1:s] + E[s::s])
+        up, E, p = (phase_deriv(spec, 1, E) > 0.0).tolist(), E.tolist(), 0
+        while n > 1 and b - a > _BISECT_RTOL * max(1.0, b):    # (a, b) = E[p], E[p + n]
+            n //= 2
+            a, b, p = (E[p + n], b, p + n) if up[p + n] else (a, E[p + n], p)
+    return 0.5 * (a + b)
 
 
 def stationary_points(spec: SeriesSpec) -> list[StationaryPoint]:
     """All interior local maxima of the leading phase, u ascending.
 
-    Brackets sign changes (+ -> -) of the analytic slope on a composite
-    grid, bisects each bracket to relative width 1e-15, then classifies the
+    Brackets sign changes (+ -> -) of the analytic slope on ``_grid``,
+    bisects each to relative width 1e-15 (``_bisect``), then classifies the
     order as the smallest m with |H^(2m)(u)| above 1e-8 * scale.  An empty
     list is a valid outcome (no interior peak; the tail carries everything).
     """
     if not spec.falpha and spec.A == 0:
         return []
-    u_lo = 1e-8
-    u_hi = search_upper_bound(spec)
-    grid = _grid(spec, u_lo, u_hi)
-    vals = phase_deriv(spec, 1, np.array(grid))
+    grid = _grid(spec, 1e-8, search_upper_bound(spec))
+    vals = phase_deriv(spec, 1, grid)
     scale = sum(a * a * abs(f) for a, f in spec.falpha) + 2.0 * spec.A
     out = []
     for i in np.flatnonzero((vals[:-1] > 0.0) & (vals[1:] <= 0.0)):
-        a, b = grid[i], grid[i + 1]
-        while b - a > _BISECT_RTOL * max(1.0, b):
-            mid = 0.5 * (a + b)
-            if phase_deriv(spec, 1, mid) > 0.0:
-                a = mid
-            else:
-                b = mid
-        u = 0.5 * (a + b)
+        u = _bisect(spec, float(grid[i]), float(grid[i + 1]))
         for order in range(1, MAX_ORDER + 1):
             h2m = phase_deriv(spec, 2 * order, u)
             if abs(h2m) > _DEGENERACY_RTOL * scale:

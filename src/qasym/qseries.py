@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -250,17 +251,20 @@ def prefactor_law(quads: tuple[QuadTerm, ...], M: int) -> PrefactorLaw:
     return PrefactorLaw(A_H, B_H, logC, tuple(coeffs))
 
 
-def prefactor_asym(law: PrefactorLaw, ts: tuple) -> np.ndarray:
+def prefactor_asym(law: PrefactorLaw, ts: tuple, log_t=None) -> np.ndarray:
     """log of prod (q^a;q^b)_inf^(-S) from its constants at each t of ts, with
     the correction series truncated where ``law`` was; each entry has the
-    bits of its t alone (logs and powers are taken per t)."""
-    for t in ts:
-        if not t > 0:
-            raise DomainError(f"need t > 0, got {t}")
-    out = (law.A_H / np.array(ts, dtype=float)
-           + law.B_H * np.array([math.log(t) for t in ts]) + law.log_C)
+    bits of its t alone (logs and powers past t^1 are taken per t, or
+    ``log_t`` gives the logs)."""
+    t_col = np.array(ts, dtype=float)
+    if not np.all(t_col > 0):
+        raise DomainError(f"need t > 0, got {ts[int(np.argmin(t_col > 0))]}")
+    log_t = np.array(list(map(math.log, ts))) if log_t is None else log_t
+    out = law.A_H / t_col + law.B_H * log_t + law.log_C
     for ell, a_l in enumerate(law.coeffs, 1):
-        out += a_l * np.array([t ** ell for t in ts])
+        # t^1 is t, and a zero a_l times t is the zero a_l t^ell
+        powers = t_col if ell == 1 or not a_l else np.array(list(map(pow, ts, repeat(ell))))
+        out += a_l * powers
     return out
 
 

@@ -5,12 +5,13 @@ import heapq
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 
 import qasym.quad as quad
 
 from qasym.errors import ConvergenceError, DomainError, SignError
-from qasym.phase import search_upper_bound
+from qasym.phase import phase_deriv, search_upper_bound
 from qasym.qseries import LOG_2PI, log_summand, log_summand_deriv
 from qasym.specfun import PI2_6, bernoulli_poly, dilog_exp1m
 
@@ -247,3 +248,68 @@ def dilog_power_series(x: float) -> float:
         if term < 1e-17 * total:
             break
     return total
+
+
+def grid_loop(spec, u_lo: float, u_hi: float) -> list[float]:
+    """``phase._grid`` as the loop it was: u_lo times 1.07 while below
+    min(1, u_hi), then 1 plus step = 0.05 min(1, 1/max alpha) while at most
+    u_hi, then u_hi, each point appended to a list."""
+    max_alpha = max((a for a, _ in spec.falpha), default=1.0)
+    step = 0.05 * min(1.0, 1.0 / max_alpha)
+    pts = []
+    u = u_lo
+    while u < min(1.0, u_hi):
+        pts.append(u)
+        u *= 1.07
+    u = 1.0
+    while u <= u_hi:
+        pts.append(u)
+        u += step
+    pts.append(u_hi)
+    return pts
+
+
+def bisect_loop(spec, a: float, b: float) -> float:
+    """``phase._bisect`` as the loop it was: one scalar slope call per
+    midpoint, down to relative width 1e-15, then the last midpoint."""
+    while b - a > 1e-15 * max(1.0, b):
+        mid = 0.5 * (a + b)
+        if phase_deriv(spec, 1, mid) > 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
+
+def log_summand_mp(spec, orders: tuple[int, ...], x: float, t: float) -> list[list]:
+    """The parts of log_summand_deriv(spec, orders, x, t) to 40 digits, one
+    list per order: the x-derivative of x v - A x^2 t - B x t, then for each
+    term S sum_k (-k alpha t)^n e^(-kw)/(k (1 - e^(-k beta t))), w = (alpha x
+    + gamma) t, as mpmath numbers.  Each k-sum runs past the peak of its
+    terms until a term falls below 1e-47 of the sum, so what it leaves out
+    is below 1e-45 of it for w >= 0.05 (each later term is at most e^(-w/2)
+    times the one before).  No term is shared with the engine's k-sum."""
+    with mp.workdps(40):
+        X, T, A, B, v = (mp.mpf(z) for z in (x, t, spec.A, spec.B, spec.v))
+        poly = [X * v - A * X ** 2 * T - B * X * T, v - 2 * A * X * T - B * T,
+                -2 * A * T]
+        parts = [[poly[n] if n < 3 else mp.mpf(0)] for n in orders]
+        for term in spec.terms:
+            alpha, beta, gamma, S = (mp.mpf(z) for z in term)
+            w = (alpha * X + gamma) * T
+            if w < 0.05:
+                raise ValueError(f"the oracle's k-sums need w >= 0.05, got {float(w)}")
+            sums = [mp.mpf(0)] * len(orders)
+            k = 1
+            while True:
+                base = mp.exp(-k * w) / (k * -mp.expm1(-k * beta * T))
+                adds = [(-k * alpha * T) ** n * base for n in orders]
+                sums = [s + a for s, a in zip(sums, adds)]
+                if (k > 2 * max(orders) / w + 1
+                        and all(abs(a) <= mp.mpf(10) ** -47 * abs(s)
+                                for a, s in zip(adds, sums))):
+                    break
+                k += 1
+            for row, s in zip(parts, sums):
+                row.append(S * s)
+        return parts

@@ -442,19 +442,28 @@ _NUMBERS = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(),
                      st.sampled_from([0.0, -0.0, 1, 1.0, math.nan, math.inf, -math.inf]))
 # text that hits the writer's seams: its ", " split, its "%" rows, escapes
 _TEXT = st.one_of(st.text(st.sampled_from(", %sa\u00e9\x01\u2603"), max_size=4), st.text())
-_SCALARS = st.one_of(_NUMBERS, st.none(), st.booleans(), _TEXT,
-                     st.floats().map(np.float64))
-_ROWS = st.tuples(st.lists(_TEXT, min_size=1, max_size=4, unique=True),
-                  st.sampled_from([_NUMBERS, st.one_of(_NUMBERS, _TEXT)])
-                  ).flatmap(lambda kv: st.lists(st.fixed_dictionaries(
-                      {k: kv[1] for k in kv[0]}), min_size=1, max_size=4))
+_LOOKALIKES = st.one_of(st.booleans(), st.floats().map(np.float64))
+_SCALARS = st.one_of(_NUMBERS, st.none(), _LOOKALIKES, _TEXT)
+# a row column holds numbers, numbers or text, numbers or look-alikes, or
+# one object repeated
+_COLUMNS = st.one_of(st.just(_NUMBERS), st.just(st.one_of(_NUMBERS, _TEXT)),
+                     st.just(st.one_of(_NUMBERS, _LOOKALIKES)),
+                     st.one_of(_NUMBERS, _LOOKALIKES).map(st.just))
+_ROWS = st.dictionaries(_TEXT, _COLUMNS, min_size=1, max_size=4).flatmap(
+    lambda cols: st.lists(st.fixed_dictionaries(cols), min_size=1, max_size=4))
+# a list of numbers, then rows holding its objects in its order and in
+# another, as asym's rows hold the objects of t_grid and log_value
+_SHARING = st.lists(_NUMBERS, min_size=1, max_size=5).flatmap(
+    lambda xs: st.tuples(st.just(xs), st.permutations(xs))).map(
+    lambda d: {"a": d[0], "b": [{"x": x, "y": y} for x, y in zip(*d)]})
 _DOCS = st.recursive(
-    st.one_of(_SCALARS, st.lists(_NUMBERS), _ROWS),
+    st.one_of(_SCALARS, st.lists(_NUMBERS), _ROWS, _SHARING),
     lambda inner: st.one_of(st.lists(inner, max_size=4),
                             st.lists(inner, max_size=4).map(tuple),
                             st.dictionaries(_TEXT, inner, max_size=4)),
     max_leaves=20)
 _SHARED = 0.1 + 0.2          # one float object met in several places
+_TS = [0.1, 0.05, 0.025]
 
 
 @given(doc=_DOCS)
@@ -462,6 +471,21 @@ _SHARED = 0.1 + 0.2          # one float object met in several places
     {"t": _SHARED, "%s": 1, "s\u00e9\x01": -0.0}, {"t": _SHARED, "%s": 1.0, "s\u00e9\x01": 1}]})
 @example(doc=[[{"a": 1, "b": "x, y"}, {"a": 2, "b": 3}], [1, True], [1.5, np.float64(0.5)]])
 @example(doc=[[], {}, (), [{}], [{"a": 1}, {"b": 2}], [{"a": 1}, {"a": [1]}], ("x", 1)])
+# a row column repeating one object
+@example(doc=[[{"a": x, "b": 0.5}, {"a": x, "b": 1.5}] for x in (math.nan, -0.0, True, 1)])
+# a column of an earlier list's objects, in its order and in another
+@example(doc={"a": _TS, "b": [{"t": t, "u": u} for t, u in zip(_TS, _TS[::-1])]})
+# equal but distinct zeros in one column, and in an earlier list
+@example(doc={"a": [0.0, -0.0], "b": [{"z": -0.0}, {"z": 0.0}], "c": [{"z": 0.0}, {"z": 0.0}]})
+# ints past 2^53 and past the float range, where math.isfinite overflows
+@example(doc=[[2 ** 53 + 1, 0.5], [10 ** 400, 0.5], [10 ** 400, 10 ** 401],
+              [{"a": 10 ** 400}, {"a": 1.5}], [{"a": 2 ** 60 + 1}, {"a": -0.5}]])
+# look-alikes inside a column
+@example(doc=[[{"a": 0.5}, {"a": np.float64(0.5)}], [{"a": 1}, {"a": True}],
+              [{"a": False}, {"a": False}]])
+# -inf, as eval and integral's cut_mass_log can hold, and inf repeated
+@example(doc={"m": [-math.inf, 0.5], "r": [{"c": -math.inf}, {"c": -1.5}],
+              "s": [{"c": math.inf}, {"c": math.inf}]})
 @settings(max_examples=400, deadline=None)
 def test_writer_is_the_stdlib_layout(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)

@@ -11,7 +11,7 @@ from oracles import kappa_by_partitions, lambda_table_per_order
 from qasym import expansion
 from qasym.cli import load_spec, main
 from qasym.errors import DegenerateError, HypothesisError, SignError
-from qasym.expansion import (_exp_series, _lambda_table, analyse,
+from qasym.expansion import (DEFAULT_L, _exp_series, _lambda_table, analyse,
                              asym_from_parts, corrections, log_add, peak_value)
 from qasym.phase import stationary_points
 from qasym.presets import PRESETS, get_preset
@@ -404,6 +404,15 @@ class TestAsymGrid:
             assert ([(r.log_value, r.correction_factor)
                      for r in asym_from_parts(an, self.GRID, L, 0.75)]
                     == [_asym_reference(an, t, L, 0.75) for t in self.GRID])
+
+    @pytest.mark.parametrize("name", [*PRESETS, "two-peak"])
+    def test_sweep_grid_matches_per_t_reference(self, name):
+        # the benchmark's 400-point grid: each log, power and exponential
+        # is taken per t, where numpy's would round some rows otherwise
+        an = self._analysis(name)
+        grid = tuple(0.1 * (0.001 ** (1.0 / 399)) ** i for i in range(400))
+        assert ([(r.log_value, r.correction_factor) for r in asym_from_parts(an, grid)]
+                == [_asym_reference(an, t, DEFAULT_L, 0.0) for t in grid])
 
     @pytest.mark.parametrize("name, t", [("ramanujan", 1e-30), ("f0", 1e-100),
                                          ("rphis", 1e-200), ("phi-minus", 1e-320)])

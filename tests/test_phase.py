@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import qasym.phase as phase
 from qasym.cli import load_spec
 from qasym.errors import ConvergenceError, DomainError, QasymError
@@ -298,6 +302,103 @@ class TestSearchBound:
         # past log1p(2), and the bound adds 1
         spec = SeriesSpec.make(0.0, 0.0, -1.0, [(1, 1, 1, -2)])
         assert search_upper_bound(spec) == math.log1p(2.0) + 1.0
+
+
+def _sources():
+    return ([get_preset(name).series for name in sorted(PRESETS)]
+            + [load_spec(str(path))[0] for path in DATA_SPECS])
+
+
+@st.composite
+def grid_bounds(draw):
+    # one term of drawn alpha, and a bound u_hi from below 1 up to 2^20 steps
+    alpha = draw(st.floats(0.05, 20.0))
+    step = 0.05 * min(1.0, 1.0 / alpha)
+    return (SeriesSpec.make(0.5, 0.0, 0.0, [(alpha, 1.0, 1.0, -1.0)]),
+            draw(st.floats(0.3, 1.0 + step * (1 << 20))))
+
+
+class TestGridAndBisection:
+    """``_grid`` and ``_bisect`` against the loops they replaced
+    (``oracles.grid_loop`` and ``oracles.bisect_loop``): the same floats."""
+
+    @staticmethod
+    def _assert_maxima_are_the_loops(spec):
+        def maxima():
+            try:
+                return repr(stationary_points(spec))
+            except QasymError as e:
+                return repr(e)
+        new = maxima()
+        with mock.patch.object(phase, "_bisect", oracles.bisect_loop):
+            assert maxima() == new
+
+    @pytest.mark.parametrize("spec", [*_sources(), *(
+        SeriesSpec.make(A, 0.0, 0.0, [(1, 1, 1, -1)]) for A in (1e-3, 1e-5, 1e-7))])
+    def test_grid_is_the_loops(self, spec):
+        u_hi = search_upper_bound(spec)
+        assert phase._grid(spec, 1e-8, u_hi).tolist() == oracles.grid_loop(spec, 1e-8, u_hi)
+
+    @settings(max_examples=100, deadline=None)
+    @given(bounds=grid_bounds())
+    @example(bounds=(RAM, 1.0))
+    @example(bounds=(RAM, 0.5))
+    def test_grid_is_the_loops_on_drawn_bounds(self, bounds):
+        spec, u_hi = bounds
+        assert phase._grid(spec, 1e-8, u_hi).tolist() == oracles.grid_loop(spec, 1e-8, u_hi)
+
+    def test_large_grid_is_quick(self):
+        # A = 1.5e-11 on one quad: bound u = 182,575, 3.65M points, built in
+        # a child process; the list loop took 0.5-1.0 s and 140 MB for the list
+        code = ("import json, resource, time\n"
+                "from qasym.phase import _grid, search_upper_bound\n"
+                "from qasym.qseries import SeriesSpec\n"
+                "spec = SeriesSpec.make(1.5e-11, 0, 0, [(1, 1, 1, -1)])\n"
+                "u_hi = search_upper_bound(spec)\n"
+                "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "start = time.perf_counter()\n"
+                "n = len(_grid(spec, 1e-8, u_hi))\n"
+                "print(json.dumps([time.perf_counter() - start, n, (resource.getrusage(\n"
+                "    resource.RUSAGE_SELF).ru_maxrss - rss) / 1024]))\n")
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120)
+        assert cp.returncode == 0, cp.stderr
+        seconds, points, rss_mb = json.loads(cp.stdout)
+        assert points == 3651758
+        assert seconds < 0.4 and rss_mb < 100
+
+    @pytest.mark.parametrize("spec", _sources())
+    def test_maxima_are_the_loops(self, spec):
+        self._assert_maxima_are_the_loops(spec)
+
+    @settings(max_examples=300, deadline=None)
+    @given(spec=decreasing_specs())
+    def test_maxima_are_the_loops_on_drawn_specs(self, spec):
+        self._assert_maxima_are_the_loops(spec)
+
+    @pytest.mark.parametrize("spec", [*_sources(), SeriesSpec.make(
+        0.0, 0.0, -0.47, [(0.66, 1, 1, -2.7), (2.0, 1, 1, 3.9), (3.5, 1, 1, -2.9)])])
+    def test_bracket_costs_few_slope_calls(self, spec):
+        # slope calls per bracket's bisection; the loop made about 46
+        calls, per_bracket, slope, bisect = [0], [], phase.phase_deriv, phase._bisect
+
+        def spy(*args):
+            calls[0] += 1
+            return slope(*args)
+
+        def spy_bisect(*args):
+            before = calls[0]
+            u = bisect(*args)
+            per_bracket.append(calls[0] - before)
+            return u
+
+        with mock.patch.object(phase, "phase_deriv", spy), \
+                mock.patch.object(phase, "_bisect", spy_bisect):
+            try:
+                found = len(stationary_points(spec))
+            except QasymError:      # a bracket that bisects to a degenerate point
+                found = 1
+        assert len(per_bracket) == found and all(n <= 10 for n in per_bracket), per_bracket
 
 
 class TestScalingConsistency:

@@ -11,6 +11,7 @@ from decimal import Decimal, localcontext
 from pathlib import Path
 from unittest import mock
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,7 +20,8 @@ from hypothesis import strategies as st
 import qasym.cli as cli
 import qasym.quad as quad
 import qasym.qseries as qs
-from oracles import kernel_deriv_fsum, kernel_ksum, mcintosh_asym, qpoch_finite
+from oracles import (kernel_deriv_fsum, kernel_ksum, log_summand_mp, mcintosh_asym,
+                     qpoch_finite)
 from qasym.cli import load_spec, main
 from qasym.errors import ConvergenceError, DomainError, SpecError
 from qasym.expansion import analyse
@@ -665,6 +667,22 @@ def _stencil_rich(spec, n, x, t, h):
     return (4 * _stencil(spec, n, x, t, h / 2) - _stencil(spec, n, x, t, h)) / 3
 
 
+@st.composite
+def oracle_points(draw):
+    """(spec, x, t): 1-3 terms of either sign with A > 0, t in [0.02, 0.3]
+    and u = x t in [0, 20], each term's w = (alpha x + gamma) t at least
+    0.05, where the oracle's k-sums stay short."""
+    terms = draw(st.lists(st.tuples(
+        st.floats(0.2, 4.0), st.floats(0.2, 3.0), st.floats(0.3, 2.0),
+        st.floats(0.25, 5.0) | st.floats(-5.0, -0.25)), min_size=1, max_size=3))
+    spec = SeriesSpec.make(draw(st.floats(0.01, 2.0)), draw(st.floats(-1.0, 1.0)),
+                           draw(st.floats(-3.0, 3.0)), terms)
+    t = draw(st.floats(0.02, 0.3))
+    x = draw(st.floats(0.0, 20.0)) / t
+    assume(all((p.alpha * x + p.gamma) * t >= 0.05 for p in spec.terms))
+    return spec, x, t
+
+
 class TestLogSummandDeriv:
     def test_order_zero_is_log_summand(self):
         # order 0 gives log_summand's bits in the int and the tuple form,
@@ -719,6 +737,28 @@ class TestLogSummandDeriv:
         assert errs[0] > errs[1] > errs[2]
         ratios = [errs[0] / errs[1], errs[1] / errs[2]]
         assert all(1.5 < r < 2.5 for r in ratios)
+
+    @settings(max_examples=50, deadline=None)
+    @given(point=oracle_points())
+    @example(point=(RAM, 9.62, 0.1))
+    @example(point=(SeriesSpec.make(1.0, 0.0, 0.0, [(2, 1, 1, -1), (1, 1, 1, 1)]), 1.5, 0.05))
+    def test_rows_against_the_oracle(self, point):
+        # rows 0..4 (and log_summand) each within (16 + 2w) ulp of its largest
+        # part, w the largest (alpha x + gamma) t: a k-sum term is e^L with
+        # |L| about w at most of the terms that matter, and L rounded by half
+        # an ulp moves e^L by |L| 2^-53 of itself, up to |L| ulp; the 16 is
+        # for the sum of the terms and of the parts, and the closed form
+        spec, x, t = point
+        orders = (0, 1, 2, 3, 4)
+        parts = log_summand_mp(spec, orders, x, t)
+        got = [log_summand(spec, x, t), *log_summand_deriv(spec, orders, x, t)]
+        w = max(((p.alpha * x + p.gamma) * t for p in spec.terms), default=0.0)
+        with mp.workdps(40):
+            for n, value in zip((0, *orders), got):
+                row = parts[n]
+                largest = max(abs(float(part)) for part in row)
+                err = float(abs(mp.mpf(float(value)) - mp.fsum(row)))
+                assert err <= (16.0 + 2.0 * w) * math.ulp(largest), (n, err / math.ulp(largest))
 
 
 def _peak_or_one(spec):
