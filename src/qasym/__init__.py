@@ -12,8 +12,7 @@ expansion -- and cross-validates them against each other.
 from .errors import (ConvergenceError, DegenerateError, DomainError,
                      HypothesisError, IndexOverflowError, QasymError,
                      SignError, SpecError)
-from .expansion import (Analysis, AsymptoticResult, CorrectionSeries, analyse,
-                        asym_from_parts, corrections, peak_value)
+from .expansion import Analysis, AsymptoticResult, analyse, asym_from_parts, peak_value
 from .phase import (HypothesisReport, StationaryPoint, check_hypothesis,
                     phase_deriv, phase_value, stationary_points)
 from .presets import PRESETS, Preset, Reference, get_preset
@@ -26,13 +25,12 @@ from .qseries import (PochTerm, PrefactorLaw, ProductSpec, QuadTerm, SeriesSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Analysis", "AsymptoticResult", "ConvergenceError", "CorrectionSeries",
-    "DegenerateError", "DomainError", "HypothesisError", "HypothesisReport",
-    "IndexOverflowError", "PRESETS", "PochTerm",
-    "PrefactorLaw", "Preset", "ProductSpec", "QasymError",
-    "QuadResult", "QuadTerm", "Reference", "SeriesSpec", "SignError",
-    "SpecError", "StationaryPoint", "SumResult", "analyse", "asym_from_parts",
-    "check_hypothesis", "corrections", "get_preset", "integral",
+    "Analysis", "AsymptoticResult", "ConvergenceError", "DegenerateError",
+    "DomainError", "HypothesisError", "HypothesisReport", "IndexOverflowError",
+    "PRESETS", "PochTerm", "PrefactorLaw", "Preset", "ProductSpec",
+    "QasymError", "QuadResult", "QuadTerm", "Reference", "SeriesSpec",
+    "SignError", "SpecError", "StationaryPoint", "SumResult", "analyse",
+    "asym_from_parts", "check_hypothesis", "get_preset", "integral",
     "log_summand", "log_summand_deriv", "normalize", "peak_value",
     "phase_deriv", "phase_value", "prefactor_asym", "prefactor_exact",
     "prefactor_law", "qpoch_inf", "series_sum", "stationary_points",

@@ -1,8 +1,9 @@
 """Laplace expansion at each interior maximum, the flat-tail term, and
 assembly of the full asymptotic value including the constant-product
 prefactor.  What depends only on the spec (phase, hypothesis, maxima, tail
-law, branch and dominant law) is computed once into an ``Analysis``; the
-asym route only assembles it at each t.
+law, branch and dominant law) is computed once into an ``Analysis``, which
+refuses a spec the expansion does not cover; the asym route only assembles
+it at each t.
 
 At a maximum u of order k the logged term expands around x = u/t with
 peak-width normalizer V = (-F^(2k)(u/t)/(2k)!)^(1/(2k)); the reduced
@@ -39,28 +40,32 @@ class Analysis(NamedTuple):
     """Everything the asym route needs of a normalized series and its
     prefactor quads that does not depend on t; see ``analyse``.
 
-    ``peaks`` are the interior maxima of the leading phase, found only when
-    the hypothesis holds (empty otherwise).  ``tail`` is (log C, t_power) of
-    the flat-tail term C t^t_power when it applies (A = v = 0 and
-    f(alpha_1) > 0), else None.  ``branch`` is "peak", "tail" or
-    "sum-of-peaks+tail", and ``law`` the dominant branch's t->0 law
+    ``peaks`` are the interior maxima of the leading phase.  ``tail`` is
+    (log C, t_power) of the flat-tail term C t^t_power when it applies
+    (A = v = 0 and f(alpha_1) > 0), else None.  ``branch`` is "peak", "tail"
+    or "sum-of-peaks+tail", and ``law`` the dominant branch's t->0 law
     C t^t_power e^(rate/t) as (rate, t_power, log C) with the prefactor
-    folded in; "" and None when neither a peak nor the tail applies."""
+    folded in."""
     series: SeriesSpec
     hypothesis: HypothesisReport
     peaks: tuple[StationaryPoint, ...]
     tail: Optional[tuple[float, float]]
     prefactor: PrefactorLaw
     branch: str
-    law: Optional[tuple[float, float, float]]
+    law: tuple[float, float, float]
 
 
 def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
             M: int = DEFAULT_M) -> Analysis:
     """Hypothesis, maxima, tail term, branch and dominant law of ``series``,
-    with the prefactor of ``quads`` expanded to order M."""
+    with the prefactor of ``quads`` expanded to order M.  Raises
+    ``HypothesisError`` when the leading phase does not increase near 0, and
+    ``DegenerateError`` when neither a maximum nor the tail applies: both
+    depend on the spec alone, so no t is paid for first."""
     hyp = check_hypothesis(series)
-    peaks = tuple(stationary_points(series)) if hyp else ()
+    if not hyp:
+        raise HypothesisError(f"increasing-near-zero hypothesis fails: {hyp.detail}")
+    peaks = tuple(stationary_points(series))
     tail = law = None
     if series.A == 0 and series.v == 0 and series.falpha and series.falpha[0][1] > 0:
         alpha1, f1 = series.falpha[0]   # B > 0 by the domain triple
@@ -68,28 +73,17 @@ def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
         tail = (math.lgamma(ba) - math.log(alpha1) - ba * math.log(f1), ba - 1.0)
     if peaks:       # C_u t^(-1+1/(2k)) e^(H(u)/t) of the highest maximum
         dom = max(peaks, key=lambda sp: sp.h_value)
-        law = (dom.h_value, -1.0 + 1.0 / (2 * dom.order), math.log(dom.c_u))
+        law = (dom.h_value, -1.0 + 1.0 / (2 * dom.order), dom.log_c_u)
     # the tail, of rate 0, beats lower maxima, and at height 0 a smaller t power
     if tail and (law is None or law[0] < 0 or (law[0] == 0 and tail[1] < law[1])):
         law = (0.0, tail[1], tail[0])
+    if law is None:
+        raise DegenerateError("no interior maximum and no applicable tail branch; "
+                              "the expansion machinery does not cover this spec")
     pre = prefactor_law(quads, M)
-    if law:
-        law = (pre.A_H + law[0], pre.B_H + law[1], pre.log_C + law[2])
-    branch = (("sum-of-peaks+tail" if tail else "peak") if peaks
-              else ("tail" if tail else ""))
-    return Analysis(series=series, hypothesis=hyp, peaks=peaks, tail=tail,
-                    prefactor=pre, branch=branch, law=law)
-
-
-class CorrectionSeries(NamedTuple):
-    """Peak data at one maximum, one column entry per t of a grid: the
-    logged term F(u/t), width normalizer V and the even moment corrections
-    kappa_0=1, kappa_2, ..., kappa_{2L} (row l of ``kappas`` is kappa_{2l})."""
-    u: float
-    k_u: int
-    log_peak: np.ndarray
-    V: np.ndarray
-    kappas: np.ndarray
+    return Analysis(series=series, hypothesis=hyp, peaks=peaks, tail=tail, prefactor=pre,
+                    branch=("sum-of-peaks+tail" if tail else "peak") if peaks else "tail",
+                    law=(pre.A_H + law[0], pre.B_H + law[1], pre.log_C + law[2]))
 
 
 def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, ts: tuple, rmax: int):
@@ -123,32 +117,23 @@ def _exp_series(lams: dict, order: int) -> list:
     return b
 
 
-def corrections(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
-                L: int) -> CorrectionSeries:
-    """Logged peak term, peak-width normalizer and kappa_0..kappa_{2L} at
-    the maximum sp, as columns over ts; the derivatives they read, orders
-    0..max(2L, 2k), come from one k-sum."""
-    if L < 0:
-        raise ValueError("correction order must be nonnegative")
-    f_u, V, lams = _lambda_table(spec, sp, ts, 2 * L)
-    ones = np.ones(len(ts))
-    return CorrectionSeries(u=sp.u, k_u=sp.order, log_peak=f_u, V=V, kappas=np.array(
-        [ones * kappa for kappa in _exp_series(lams, 2 * L)[::2]]))
-
-
 def peak_value(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
                L: int = DEFAULT_L) -> np.ndarray:
     """log of exp(F(u/t,t))/V * sum_{l<=L} Gamma((2l+1)/(2k)) kappa_{2l}/k at each
-    t of ts."""
-    cs = corrections(spec, sp, ts, L)
-    k = cs.k_u
-    s = sum(math.gamma((2 * ell + 1) / (2 * k)) * cs.kappas[ell] / k
-            for ell in range(L + 1))
+    t of ts, the peak term of the maximum sp of order k: the logged term, the
+    width normalizer and kappa_0 = 1, kappa_2, ..., kappa_{2L} as columns over
+    ts, from one k-sum over the derivative orders 0..max(2L, 2k)."""
+    if L < 0:
+        raise ValueError("correction order must be nonnegative")
+    f_u, V, lams = _lambda_table(spec, sp, ts, 2 * L)
+    k = sp.order
+    s = sum((math.gamma((2 * ell + 1) / (2 * k)) * kappa / k
+             for ell, kappa in enumerate(_exp_series(lams, 2 * L)[::2])), np.zeros(len(ts)))
     bad = np.flatnonzero(s <= 0)
     if bad.size:
         raise DegenerateError(f"correction sum nonpositive ({float(s[bad[0]])}); "
                               f"expansion broke down at t={ts[bad[0]]}")
-    return (cs.log_peak - np.array(list(map(math.log, cs.V.tolist())))
+    return (f_u - np.array(list(map(math.log, V.tolist())))
             + np.array(list(map(math.log, s.tolist()))))
 
 
@@ -170,12 +155,6 @@ class AsymptoticResult(NamedTuple):
     log_value: float
 
 
-def log_add(x: float, y: float) -> float:
-    """log(e^x + e^y) without leaving log space, the same bits either way round."""
-    big, small = (x, y) if x >= y else (y, x)
-    return big + math.log1p(math.exp(small - big))
-
-
 def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
                     q_power: float = 0.0) -> tuple[AsymptoticResult, ...]:
     """Peaks + tail of the analysed series times the asymptotic
@@ -183,13 +162,6 @@ def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
     verbatim on both branches), one result per t of ts, each with the bits
     it has alone, from one k-sum per peak.  A row whose value or correction
     factor leaves the float range raises, naming its t."""
-    if not an.hypothesis:
-        raise HypothesisError(
-            f"increasing-near-zero hypothesis fails: {an.hypothesis.detail}")
-    if an.law is None:
-        raise DegenerateError(
-            "no interior maximum and no applicable tail branch; "
-            "the expansion machinery does not cover this spec")
     rate, t_power, log_constant = an.law
     t_col = np.array(ts, dtype=float)
     log_t = np.array(list(map(math.log, ts)))
@@ -197,9 +169,7 @@ def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
         parts = [peak_value(an.series, sp, ts, L) for sp in an.peaks]
         if an.tail:
             parts.append(an.tail[0] + an.tail[1] * log_t)
-        value = parts[0]
-        for part in parts[1:]:
-            value = np.array(list(map(log_add, value.tolist(), part.tolist())))
+        value = np.logaddexp.reduce(parts)      # big + log1p(exp(small - big)) per pair
         total = (value + prefactor_asym(an.prefactor, ts, log_t)) - q_power * t_col
         gap = total - (rate / t_col + t_power * log_t + log_constant)
         # numpy's e^gap is inf where math.exp raises: at the floats next to

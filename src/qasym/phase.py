@@ -113,19 +113,20 @@ def check_hypothesis(spec: SeriesSpec) -> HypothesisReport:
 class StationaryPoint(NamedTuple):
     """Interior local maximum of the leading phase: location, half-order of
     the first nonvanishing even derivative, the phase value, that derivative,
-    and the Laplace constant."""
+    and the log of the Laplace constant (carried as a log: e^{H0(u)} leaves
+    the float range when H0(u) passes 709, at maxima far out in u)."""
     u: float
     order: int
     h_value: float
     h2m: float
-    c_u: float
+    log_c_u: float
 
 
 def laplace_constant(spec: SeriesSpec, u: float, order: int, h2m: float) -> float:
-    """e^{H0(u)} Gamma(1/(2m))/m * ((2m)!/|H^(2m)(u)|)^(1/(2m))."""
+    """log of e^{H0(u)} Gamma(1/(2m))/m * ((2m)!/|H^(2m)(u)|)^(1/(2m))."""
     m = order
-    return (math.exp(phase_value(spec, 0, u)) * math.gamma(1.0 / (2 * m)) / m
-            * (math.factorial(2 * m) / abs(h2m)) ** (1.0 / (2 * m)))
+    return (phase_value(spec, 0, u) + math.lgamma(1.0 / (2 * m)) - math.log(m)
+            + (math.log(math.factorial(2 * m)) - math.log(abs(h2m))) / (2 * m))
 
 
 def search_upper_bound(spec: SeriesSpec) -> float:
@@ -213,5 +214,5 @@ def stationary_points(spec: SeriesSpec) -> list[StationaryPoint]:
                 f"maximum u={u}")
         out.append(StationaryPoint(
             u=u, order=order, h_value=phase_value(spec, -1, u), h2m=h2m,
-            c_u=laplace_constant(spec, u, order, h2m)))
+            log_c_u=laplace_constant(spec, u, order, h2m)))
     return out

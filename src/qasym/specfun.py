@@ -75,13 +75,6 @@ def bernoulli_pair(n: int) -> tuple[int, int]:
     return _BERNOULLI[n]
 
 
-def bernoulli_number(n: int) -> "fractions.Fraction":
-    """Exact B_n as a Fraction; no route calls it, so ``fractions`` is
-    imported here."""
-    from fractions import Fraction
-    return Fraction(*bernoulli_pair(n))
-
-
 def bernoulli_poly(n: int, x: float) -> float:
     """B_n(x) = sum_k C(n,k) B_k x^(n-k), summed exactly (in integers, over
     x = p/q and the B_k's common denominator D) then rounded once."""

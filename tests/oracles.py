@@ -42,6 +42,13 @@ def bernoulli_poly_exact(n: int, x: float) -> float:
     return float(acc)
 
 
+def log_add(x: float, y: float) -> float:
+    """log(e^x + e^y) without leaving log space, the same bits either way
+    round: the scalar form the asym route used before ``np.logaddexp``."""
+    big, small = (x, y) if x >= y else (y, x)
+    return big + math.log1p(math.exp(small - big))
+
+
 def kappa_by_partitions(lams: dict[int, float], ell: int) -> float:
     """Direct partition-sum evaluation of kappa_ell = sum over {l_r} with
     sum r l_r = ell of prod lambda_r^(l_r)/l_r!.  Cross-check oracle for the

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qasym.cli as cli
 from qasym.cli import _dumps, grid_rows, load_spec, main
 from qasym.errors import QasymError
 from qasym.expansion import analyse, asym_from_parts
@@ -222,8 +223,8 @@ def test_hypothesis_failure_exit_2(tmp_path):
 
 
 def test_hypothesis_split_by_route(tmp_path):
-    # the analysis records the failed hypothesis without raising; the
-    # asymptotic routes refuse, summation and quadrature need no analysis
+    # analyse refuses the failed hypothesis, so the asymptotic routes do;
+    # summation and quadrature need no analysis
     spec = write_spec(tmp_path, {"A": 0, "B": 0, "v": -1,
                                  "terms": [{"alpha": 1, "beta": 1, "gamma": 1,
                                             "S": 1}]})
@@ -264,6 +265,56 @@ def test_flat_tail_split_by_route():
                             ("verify", 3)):
         cp = run_cli(command, "--spec", spec, "--t", "0.01,0.001")
         assert cp.returncode == status, (command, cp.stderr)
+
+
+QBINOMIAL_DOC = {"A": 0, "B": 1.5, "v": 0, "quads": [{"a": 0.5, "b": 1, "c": 1, "d": 0, "S": -1},
+                                                   {"a": 1, "b": 1, "c": 1, "d": 0, "S": 1}]}
+
+
+@pytest.mark.parametrize("command", ["verify", "asym"])
+@pytest.mark.parametrize("source, status, stderr", [
+    ("s_positive.json", 2, "hypothesis failure: increasing-near-zero hypothesis fails: "
+     "sum alpha_j f_j < 0 forces -inf slope at 0+\n"),
+    ("q-binomial", 3, "numeric failure: no interior maximum and no applicable tail "
+     "branch; the expansion machinery does not cover this spec\n")],
+    ids=["s-positive", "q-binomial"])
+def test_refusal_before_rows(command, source, status, stderr, tmp_path, monkeypatch, capsys):
+    # whether the expansion covers a spec depends on the spec alone: analyse
+    # refuses it before any row pays for a product, ladder, sum or integral
+    calls = []
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return counted
+
+    for name in ("prefactor_exact", "mass_ladder", "series_sum", "quad_integral"):
+        monkeypatch.setattr(cli, name, spy(name, getattr(cli, name)))
+    spec = (str(DATA / source) if source.endswith(".json")
+            else write_spec(tmp_path, QBINOMIAL_DOC))
+    assert main([command, "--spec", spec, "--t", "0.01,0.001"]) == status
+    assert (capsys.readouterr(), calls) == (("", stderr), [])
+
+
+def test_laplace_constant_past_exp_range(tmp_path):
+    # the level-0 phase at this spec's maximum (u = 9549, near 1/A) passes
+    # 709, so the Laplace constant is carried as its log; the maximum lies
+    # past the sum's reach, which verify reports as a numeric failure
+    spec = write_spec(tmp_path, {
+        "A": 1.3166787713471124e-4, "B": -0.4841935070399459, "v": 2.514660092311006,
+        "terms": [{"alpha": 0.8941470779754594, "beta": 2.5791443887892336,
+                   "gamma": 0.9305488678947569, "S": 4.960649845550803},
+                  {"alpha": 1.0425430644606883, "beta": 0.30816867527960456,
+                   "gamma": 0.7349657244979186, "S": -0.5315647109455164}]})
+    cp = run_cli("asym", "--spec", spec, "--t", "0.01,0.005")
+    assert cp.returncode == 0, cp.stderr
+    rows = json.loads(cp.stdout)["results"]["rows"]
+    assert len(rows) == 2 and all(math.isfinite(r[k]) for r in rows for k in r)
+    assert rows[0]["log_constant"] == pytest.approx(4628.73, abs=0.01)
+    cp = run_cli("verify", "--spec", spec, "--t", "0.01,0.005")
+    assert (cp.returncode, cp.stdout) == (3, "")
+    assert "series terms still significant at m*t = 2167.3" in cp.stderr
 
 
 @pytest.mark.parametrize("name", ["ramanujan", "phi-minus"])
@@ -608,7 +659,7 @@ def test_grid_rows_keep_their_bits(kind, name, routes):
         try:
             an = analyse(series, prefactor)
         except QasymError:      # verify stops before its rows, as asym does
-            assert name == "flat_mixed_sign.json"
+            assert name in ("flat_mixed_sign.json", "s_positive.json")
             return
     ts = (0.05, 0.01, 0.001)
     grid = _grid_outcome(series, prefactor, q_power, ts, routes, an)

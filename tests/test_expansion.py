@@ -6,13 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import kappa_by_partitions, lambda_table_per_order
+from oracles import kappa_by_partitions, lambda_table_per_order, log_add
 from qasym import expansion
 from qasym.cli import load_spec, main
 from qasym.errors import DegenerateError, HypothesisError, SignError
 from qasym.expansion import (DEFAULT_L, _exp_series, _lambda_table, analyse,
-                             asym_from_parts, corrections, log_add, peak_value)
+                             asym_from_parts, peak_value)
 from qasym.phase import stationary_points
 from qasym.presets import PRESETS, get_preset
 from qasym.qseries import ProductSpec, SeriesSpec, normalize, series_sum
@@ -41,10 +43,18 @@ def _lambda_rows(table):
             for j, (f, v) in enumerate(zip(f_u.tolist(), V.tolist()))]
 
 
-def _correction_rows(cs):
-    # a CorrectionSeries' columns as one (u, k, F(u/t), V, kappas) per t
-    return [(cs.u, cs.k_u, f, v, tuple(kappas)) for f, v, kappas in
-            zip(cs.log_peak.tolist(), cs.V.tolist(), cs.kappas.T.tolist())]
+def _kappa_columns(spec, sp, ts, L):
+    # kappa_0, kappa_2, ..., kappa_{2L} at the maximum sp, each a column over ts
+    _, _, lams = _lambda_table(spec, sp, ts, 2 * L)
+    return [np.broadcast_to(kappa, len(ts)) for kappa in _exp_series(lams, 2 * L)[::2]]
+
+
+def _peak_reference(sp, f_u, V, kappas):
+    # one t's peak term from its plain-float F(u/t), V and kappa_{2l}
+    k = sp.order
+    s = sum(math.gamma((2 * ell + 1) / (2 * k)) * kappa / k
+            for ell, kappa in enumerate(kappas))
+    return f_u - math.log(V) + math.log(s)
 
 
 def _asym_reference(an, t, L, q_power):
@@ -53,11 +63,7 @@ def _asym_reference(an, t, L, q_power):
     parts = []
     for sp in an.peaks:
         f_u, V, lams = lambda_table_per_order(an.series, sp, t, 2 * L)
-        kappas = _exp_series(lams, 2 * L)[::2]
-        k = sp.order
-        s = sum(math.gamma((2 * ell + 1) / (2 * k)) * kappas[ell] / k
-                for ell in range(L + 1))
-        parts.append(f_u - math.log(V) + math.log(s))
+        parts.append(_peak_reference(sp, f_u, V, _exp_series(lams, 2 * L)[::2]))
     if an.tail:
         parts.append(an.tail[0] + an.tail[1] * math.log(t))
     pre = an.prefactor
@@ -78,10 +84,16 @@ def _tail(spec, t):
 
 class TestCorrections:
     def test_order_zero(self):
-        cs = corrections(RAM, _sp(RAM), (0.05,), 0)
-        assert cs.kappas.tolist() == [[1.0]]
-        assert cs.k_u == 1
-        assert cs.V[0] > 0
+        sp = _sp(RAM)
+        assert [k.tolist() for k in _kappa_columns(RAM, sp, (0.05,), 0)] == [[1.0]]
+        assert sp.order == 1
+        f_u, V, _ = _lambda_table(RAM, sp, (0.05,), 0)
+        assert V[0] > 0
+        # with kappa_0 alone, the peak term is F(u/t) - log V + log Gamma(1/2)
+        assert peak_value(RAM, sp, (0.05,), 0).tolist() == [
+            f_u[0] - math.log(V[0]) + math.log(math.gamma(0.5))]
+        with pytest.raises(ValueError, match="nonnegative"):
+            peak_value(RAM, sp, (0.05,), -1)
 
     def test_partition_sum_agrees_with_series_exp(self):
         # two independent evaluations of the same composition, the series
@@ -108,7 +120,7 @@ class TestCorrections:
 
     def test_kappa2_envelope_decreases(self):
         sp = _sp(RAM)
-        k2 = abs(corrections(RAM, sp, (0.1, 0.05, 0.025), 1).kappas[1]).tolist()
+        k2 = abs(_kappa_columns(RAM, sp, (0.1, 0.05, 0.025), 1)[1]).tolist()
         assert k2[0] > k2[1] > k2[2]
 
     def test_odd_partition_indexes_too(self):
@@ -254,7 +266,7 @@ class TestBranch:
         (sp,) = an.peaks
         assert an.branch == "sum-of-peaks+tail"
         assert an.tail[1] == 1.06 / 0.54 - 1.0
-        assert an.law == (sp.h_value, -0.5, math.log(sp.c_u))
+        assert an.law == (sp.h_value, -0.5, sp.log_c_u)
         assert an.law[0] == pytest.approx(1.63220979, rel=1e-8)
 
     @pytest.mark.parametrize("doc", [TAIL_DOM, PEAK_DOM], ids=["tail", "peak"])
@@ -267,7 +279,7 @@ class TestBranch:
 
 
 class TestDerivativeRows:
-    """corrections asks one k-sum for the derivative orders it reads,
+    """peak_value asks one k-sum for the derivative orders it reads,
     0..max(2L, 2k), and gets the bits of the wide table 0..2k(2k+1)L."""
 
     @pytest.mark.parametrize("name", ["ramanujan", "f0", "rphis", "simple-r"])
@@ -286,11 +298,11 @@ class TestDerivativeRows:
             k = sp.order
             for L in range(4):
                 asked.clear()
-                got = corrections(an.series, sp, ts, L)
+                got = peak_value(an.series, sp, ts, L)
                 assert asked == [tuple(range(max(2 * L, 2 * k) + 1))]
                 wide = _lambda_table(an.series, sp, ts, 2 * k * (2 * k + 1) * L)
-                assert _correction_rows(got) == [
-                    (sp.u, k, f_u, V, tuple(_exp_series(lams, 2 * L)[::2]))
+                assert got.tolist() == [
+                    _peak_reference(sp, f_u, V, _exp_series(lams, 2 * L)[::2])
                     for f_u, V, lams in _lambda_rows(wide)]
 
 
@@ -313,8 +325,22 @@ class TestAsymTotal:
     def test_log_add_beyond_float_range(self):
         # e^1000 + e^999 stays finite in log space, the same bits either way round
         want = 1000.0 + math.log1p(math.exp(-1.0))
-        assert log_add(1000.0, 999.0) == want
-        assert log_add(999.0, 1000.0) == want
+        assert np.logaddexp(1000.0, 999.0) == want == log_add(1000.0, 999.0)
+        assert np.logaddexp(999.0, 1000.0) == want == log_add(999.0, 1000.0)
+
+    @settings(max_examples=2000, deadline=None)
+    @given(x=st.floats(-800.0, 800.0), gap=st.floats(0.0, 60.0) | st.floats(0.0, 1e-12))
+    @example(x=1.5, gap=0.0)             # equal: x + log 2
+    @example(x=-3.25, gap=0.0)
+    @example(x=0.0, gap=41.0)            # past 40, e^-gap is below an ulp of 1
+    @example(x=700.0, gap=745.5)         # e^-gap underflows to 0
+    def test_logaddexp_keeps_log_add_bits(self, x, gap):
+        # asym_from_parts adds peaks and tail by np.logaddexp.reduce: it has
+        # the bits of the scalar big + log1p(exp(small - big)) it replaced
+        for a, b in ((x, x - gap), (x - gap, x)):
+            assert float(np.logaddexp(a, b)) == log_add(a, b)
+            assert (np.logaddexp.reduce([np.array([a]), np.array([b])]).tolist()
+                    == [log_add(a, b)])
 
     @pytest.mark.parametrize("source, want", [
         ("two_peak", (175.90369909588694, 1730.5812249392477)),
@@ -322,7 +348,7 @@ class TestAsymTotal:
     def test_asym_bits_pinned(self, source, want, tmp_path):
         # `asym --t 0.01,0.001` as it printed when the routes carried a sign
         # next to each log: two peaks, and a dominant peak plus the flat tail,
-        # added in the same order by log_add
+        # added in the same order by np.logaddexp.reduce
         spec = (str(Path(__file__).parent / "data" / "two_peak.json")
                 if source == "two_peak" else _spec_file(PEAK_DOM, tmp_path))
         out = tmp_path / "asym.json"
@@ -336,16 +362,16 @@ class TestAsymTotal:
         assert r.branch == "tail"
 
     def test_hypothesis_refusal(self):
+        # decided by analyse, before any t
         bad = ProductSpec.make(0.0, 0.0, -1.0, [(1, 1, 1, 0, -1)])
-        with pytest.raises(HypothesisError):
-            asym_from_parts(analyse(*normalize(bad)), (0.05,))
+        with pytest.raises(HypothesisError, match="^increasing-near-zero hypothesis fails: "):
+            analyse(*normalize(bad))
 
     def test_geometric_series_refused(self):
         geo = SeriesSpec(0.0, 1.0, 0.0, ())
-        an = analyse(geo)
-        assert an.branch == "" and an.law is None
-        with pytest.raises(DegenerateError):
-            asym_from_parts(an, (0.05,))
+        with pytest.raises(DegenerateError, match="^no interior maximum and no applicable "
+                           "tail branch; the expansion machinery does not cover this spec$"):
+            analyse(geo)
 
     def test_vs_series_accuracy_improves(self):
         for spec, pref in ((RAM, RAM_PRODUCT.quads), (F0, ())):
@@ -389,9 +415,9 @@ class TestAsymGrid:
         an = self._analysis(name)
         for sp in an.peaks:
             for L in (0, 2):
-                assert (_correction_rows(corrections(an.series, sp, self.GRID, L))
+                assert (_lambda_rows(_lambda_table(an.series, sp, self.GRID, 2 * L))
                         == [row for t in self.GRID for row in
-                            _correction_rows(corrections(an.series, sp, (t,), L))])
+                            _lambda_rows(_lambda_table(an.series, sp, (t,), 2 * L))])
                 assert (peak_value(an.series, sp, self.GRID, L).tolist()
                         == [peak_value(an.series, sp, (t,), L)[0] for t in self.GRID])
 

@@ -196,8 +196,8 @@ class TestStationaryPoints:
         assert sp.u == pytest.approx(GOLDEN_U, abs=1e-13)
         assert sp.order == 1
         assert sp.h2m == pytest.approx(-math.sqrt(5.0), rel=1e-12)
-        assert sp.c_u == pytest.approx(math.sqrt(2 * math.pi / math.sqrt(5.0)),
-                                       rel=1e-12)
+        assert sp.log_c_u == pytest.approx(0.5 * math.log(2 * math.pi / math.sqrt(5.0)),
+                                           abs=1e-12)
 
     def test_f0_zeta(self):
         closed = -math.log((2.0 / 3.0) * math.sqrt(7.0)

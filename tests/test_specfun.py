@@ -14,8 +14,7 @@ import qasym.specfun as sf
 from oracles import BERNOULLI, bernoulli_poly_exact, dilog, dilog_power_series
 from qasym.errors import DomainError, IndexOverflowError
 from qasym.qseries import PochTerm, kernel_bounds
-from qasym.specfun import (bernoulli_number, bernoulli_pair, bernoulli_poly, dilog_exp1m,
-                           lineg_coeffs, polylog)
+from qasym.specfun import bernoulli_pair, bernoulli_poly, dilog_exp1m, lineg_coeffs, polylog
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -30,6 +29,11 @@ def bernoulli_akiyama_tanigawa(n):
         out.append(A[0])
     out[1] = -out[1]  # AT yields the B_1 = +1/2 convention
     return out
+
+
+def bernoulli_number(n):
+    # exact B_n as a Fraction, from the table's reduced integer pair
+    return Fraction(*bernoulli_pair(n))
 
 
 class TestBernoulli:
