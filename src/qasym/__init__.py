@@ -19,8 +19,7 @@ from .presets import PRESETS, Preset, Reference, get_preset
 from .quad import QuadResult, integral
 from .qseries import (PochTerm, PrefactorLaw, ProductSpec, QuadTerm, SeriesSpec,
                       SumResult, log_summand, log_summand_deriv, normalize,
-                      prefactor_asym, prefactor_exact, prefactor_law, qpoch_inf,
-                      series_sum)
+                      prefactor_asym, prefactor_exact, prefactor_law, series_sum)
 
 __version__ = "0.1.0"
 
@@ -33,5 +32,5 @@ __all__ = [
     "asym_from_parts", "check_hypothesis", "get_preset", "integral",
     "log_summand", "log_summand_deriv", "normalize", "peak_value",
     "phase_deriv", "phase_value", "prefactor_asym", "prefactor_exact",
-    "prefactor_law", "qpoch_inf", "series_sum", "stationary_points",
+    "prefactor_law", "series_sum", "stationary_points",
 ]

@@ -282,11 +282,12 @@ def grid_rows(series: SeriesSpec, prefactor: tuple[QuadTerm, ...], q_power: floa
     if "asym" in routes:    # asym_from_parts folds in its own product and q^q_power
         asym = whole_grid(lambda g: asym_from_parts(an, g, L, q_power))
     if exact:
+        product = whole_grid(lambda g: prefactor_exact(prefactor, g).tolist())
         ladder = whole_grid(lambda g: mass_ladder(series, g))
     for j, t in enumerate(ts):
         if exact:
             # the product first: a t past its reach fails before a route is paid for
-            pref, lad = prefactor_exact(prefactor, t), ladder(j)
+            pref, lad = product(j), ladder(j)
         row = []
         for route in routes:
             rec = (asym(j) if route == "asym" else series_sum(series, t, lad)

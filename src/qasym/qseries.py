@@ -1,16 +1,16 @@
 """Series data model and exact (truncated) evaluation.
 
-Covers: infinite q-Pochhammer symbols in log space, the canonical
-normalization from finite-symbol quadruples to infinite-symbol terms, the
-logged general term of the normalized series and its x-derivatives, direct
-log-space summation of the series, and the small-t product asymptotics of
-the constant prefactor.
+Covers: the canonical normalization from finite-symbol quadruples to
+infinite-symbol terms, the logged general term of the normalized series and
+its x-derivatives, direct log-space summation of the series, and the constant
+prefactor, exact (the inner sum's closed form) and by its product asymptotics.
 
 Truncation policy for the outer sum and its integral: one ladder of pieces
 (``mass_ladder``) certifies a window that leaves out at most 1e-18 of the
 total, from the closed-form sandwich of the inner sum (``kernel_bounds``).
 The inner sum costs the same at every t: a closed form below w = 0.1, at
-most 451 k-terms above (``_kernel``).  Every value is positive and carried
+most 451 k-terms above (``_kernel``), by slices of points that fit L2,
+skipping a term that moves no bit.  Every value is positive and carried
 as its log: the series reach exp(pi^2/(5t)), which overflows binary64 for
 t < 0.0125.
 """
@@ -30,9 +30,11 @@ from .specfun import bernoulli_pair, bernoulli_poly, lineg_coeffs, polylog
 T_MAX = 0.5                 # largest t any evaluation accepts
 LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
 _KLOG_MARGIN = 45.0         # e^-45 ~ 3e-20: inner k-sums stop past this decay
-_KMAX_HARD = 10_000_000     # most terms of a derivative k-sum or factors of qpoch_inf
+_KMAX_HARD = 10_000_000     # most terms of a derivative k-sum or factors of the product
 _CHUNK_ELEMS = 1 << 16      # k-by-point elements per inner-sum chunk (fits L2)
 _BAND_ELEMS = 1 << 13       # a chunk this big ends where its points' cuts halve
+_SLICE = 1 << 14            # points per log_summand_deriv slice (its arrays fit L2)
+_SKIP_MIN = 1 << 10         # order-0 slices this long may skip a term (not GK15 nodes)
 MAX_DERIV = 64              # highest x-derivative order log_summand_deriv takes
 _W_A = 0.1                  # order 0: closed form below this w, k-sum above
 _R0 = 0.1                   # the closed form peels factors until beta t/w <= _R0
@@ -183,41 +185,7 @@ def normalize(spec: ProductSpec) -> tuple[SeriesSpec, tuple[QuadTerm, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# q-Pochhammer symbols
-
-
-def _qpoch_factors(log_a: float, log_q: float) -> int:
-    """The K factors of (a;q)_inf down to a q^K < 1e-18, counted from log a
-    and log q, so that a tiny t needs no rounded q; raises past _KMAX_HARD."""
-    x = (LN_EPS - log_a) / log_q if log_q < 0.0 else math.inf
-    if x >= _KMAX_HARD:
-        raise ConvergenceError(f"exact prefactor: (a;q)_inf needs "
-                               f"{int(x) + 1 if x < 1e15 else f'{x:.3g}'} factors, "
-                               f"more than {_KMAX_HARD}")
-    return max(int(x) + 1, 1)
-
-
-def qpoch_inf(a: float, q: float) -> float:
-    """log (a;q)_inf for 0 <= a < 1, 0 < q < 1.
-
-    Truncates once a q^K < 1e-18 and raises past _KMAX_HARD factors; sums
-    2^20 factors at a time, each chunk in one array taken in place."""
-    if not 0.0 <= a < 1.0:
-        raise DomainError(f"qpoch_inf needs 0 <= a < 1, got {a}")
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"qpoch_inf needs 0 < q < 1, got {q}")
-    if q >= 1.0 - 1e-12:
-        raise ConvergenceError("q too close to 1; use the product asymptotics")
-    if a == 0.0:
-        return 0.0
-    K = _qpoch_factors(math.log(a), math.log(q))
-    sums = []
-    for k0 in range(0, K, 1 << 20):
-        f = np.arange(k0, min(k0 + (1 << 20), K), dtype=float)
-        np.power(q, f, out=f)
-        np.multiply(f, -a, out=f)
-        sums.append(float(np.sum(np.log1p(f, out=f))))
-    return sum(sums)
+# The constant prefactor
 
 
 class PrefactorLaw(NamedTuple):
@@ -268,13 +236,28 @@ def prefactor_asym(law: PrefactorLaw, ts: tuple, log_t=None) -> np.ndarray:
     return out
 
 
-def prefactor_exact(quads: tuple[QuadTerm, ...], t: float) -> float:
-    """log of prod (q^a;q^b)_inf^(-S) by direct symbol evaluation."""
-    out = 0.0
+def prefactor_exact(quads: tuple[QuadTerm, ...], t):
+    """log of prod (q^a;q^b)_inf^(-S) at t, one float (a float back) or a
+    sequence (an array, each entry the bits of its t alone): in one
+    ``_kernel_closed`` call, O(1) in t, each -log (q^a;q^b)_inf is K(w) at the
+    floats a direct product takes, w = -log fl(e^-at) and b t = -log fl(e^-bt).
+    It raises past that product's reach, _KMAX_HARD factors down to
+    q^(a+Kb) < 1e-18, counted from a, b and t before q rounds."""
+    ts, wb = np.atleast_1d(t).tolist(), []
     for q in quads:
-        _qpoch_factors(-q.a * t, -q.b * t)      # before e^(-b t) can round to 1
-        out -= q.S * qpoch_inf(math.exp(-q.a * t), math.exp(-q.b * t))
-    return out
+        for s in ts:
+            k = (LN_EPS + q.a * s) / (-q.b * s) if q.b * s > 0.0 else math.inf
+            if k >= _KMAX_HARD:
+                raise ConvergenceError(f"exact prefactor: (a;q)_inf needs "
+                                       f"{int(k) + 1 if k < 1e15 else f'{k:.3g}'} factors, "
+                                       f"more than {_KMAX_HARD}")
+            qa, qb = math.exp(-q.a * s), math.exp(-q.b * s)
+            if not (qa < 1.0 and qb > 0.0):
+                raise DomainError(f"exact prefactor needs fl(q^a) < 1 and fl(q^b) > 0 at t={s}")
+            wb.append((-math.log(qa) if qa else math.inf, -math.log(qb)))
+    ks = _kernel_closed(*np.array(wb).T).reshape(-1, len(ts)) if quads else ()
+    out = sum((q.S * k for q, k in zip(quads, ks)), np.zeros(len(ts)))
+    return out if np.ndim(t) else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +265,10 @@ def prefactor_exact(quads: tuple[QuadTerm, ...], t: float) -> float:
 
 
 def _require_t(t) -> None:
-    for s in np.asarray(t).flat:        # one t, or one per point
-        if not 0.0 < s < T_MAX:
-            raise ConvergenceError(f"t must lie in (0, {T_MAX}), got {s}")
+    t = np.ravel(t)                     # one t, or one per point
+    if not (t.min(initial=T_MAX) > 0.0 and t.max(initial=0.0) < T_MAX):   # nan fails both
+        raise ConvergenceError(f"t must lie in (0, {T_MAX}), "
+                               f"got {t[np.argmin((t > 0.0) & (t < T_MAX))]}")
 
 
 @functools.lru_cache(maxsize=256)
@@ -435,7 +419,8 @@ def log_summand_deriv(spec: SeriesSpec, n, x, t):
     """n-th x-derivative of log_summand (n = 0 is log_summand itself); for a
     tuple of orders n, one row per order, all from one inner k-sum per
     term.  Takes scalar or array finite x >= 0 and returns matching shape; t is
-    one float or an array matching x, each point with the bits of a call at its t."""
+    one float or an array matching x, each point with the bits of a call at its t.
+    Points go in ``_summand_rows`` by slices of _SLICE, whose arrays fit L2."""
     ta = np.asarray(t, dtype=float)         # one t, or one per point
     _require_t(ta)
     orders = n if isinstance(n, tuple) else (n,)
@@ -450,14 +435,29 @@ def log_summand_deriv(spec: SeriesSpec, n, x, t):
     xa = np.atleast_1d(xa)
     if not np.all((xa >= 0) & (xa < math.inf)):     # nan fails both
         raise DomainError("log_summand needs finite x >= 0")
-    out = np.zeros((len(orders), len(xa)))
-    for i, r in enumerate(orders):
-        if r <= 2:
-            out[i] = _poly_deriv(spec, r, xa, t)
-    for term in spec.terms:
-        out = out + term.S * _kernel(term, xa, t, orders)
+    parts = [_summand_rows(spec, orders, xa[i:i + _SLICE], t[i:i + _SLICE] if ta.ndim else t)
+             for i in range(0, max(len(xa), 1), _SLICE)]
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     out = out[:, 0] if scalar else out
     return out if isinstance(n, tuple) else (float(out[0]) if scalar else out[0])
+
+
+def _summand_rows(spec: SeriesSpec, orders: tuple[int, ...], x: np.ndarray, t) -> np.ndarray:
+    # the polynomial part, then each S K in order; at order 0, one t and _SKIP_MIN
+    # points or more, a term goes if 2|S| e^-w/((1 - e^-w)(1 - e^-(beta t))) >= 2|S| K
+    # at the least w is below a quarter ulp of the least |partial sum|: none would move
+    out = np.zeros((len(orders), len(x)))
+    for i, r in enumerate(orders):
+        if r <= 2:
+            out[i] = _poly_deriv(spec, r, x, t)
+    skip = orders == (0,) and len(x) >= _SKIP_MIN and not isinstance(t, np.ndarray)
+    for term in spec.terms:
+        w = (term.alpha * x.min() + term.gamma) * t if skip else 0.0
+        if skip and (abs(term.S) * math.exp(-w) / (math.expm1(-w) * math.expm1(-term.beta * t))
+                     < np.spacing(np.abs(out).min()) / 8.0):    # twice it below a quarter ulp
+            continue
+        out = out + term.S * _kernel(term, x, t, orders)
+    return out
 
 
 def kernel_bounds(term: PochTerm, w: float, t: float) -> tuple[float, float]:
@@ -621,8 +621,8 @@ def series_sum(spec: SeriesSpec, t: float, lad: MassLadder | None = None) -> Sum
         if m0 > lad.probe and left_out <= total_log + LN_EPS:
             break
         if j == len(e) - 1:
-            raise ConvergenceError(f"series terms still significant at m*t = "
-                                   f"{m0 * t:.1f}; domain triple violated dynamically?")
+            raise ConvergenceError(f"series terms still significant at m*t = {m0 * t:.1f}, "
+                                   f"past the sum's reach m*t = U_END = {U_END:g}")
         end = (ends[np.searchsorted(ends, m0, side="right")] if m0 < ends[-1]
                else m0 + (1 << 16) - (m0 - ends[-1]) % (1 << 16))   # next block end
         # edges certified now, by the sum so far or the probe's term in it

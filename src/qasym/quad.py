@@ -135,7 +135,7 @@ def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10,
         cut, _, left = lad.window(level)
         ok = np.flatnonzero(left <= level + LN_EPS)
         if not len(ok):
-            raise ConvergenceError(f"integrand still significant at u = {U_END}")
+            raise ConvergenceError(f"integrand still significant at u = m*t = U_END = {U_END:g}")
         e = lad.edges[cut:ok[0] + 1]
         edges = np.r_[e[:-1:PANEL_STRIDE], e[-1]] * t
         log_value, err_log, panels = _adaptive(spec, edges, t, rel_tol)

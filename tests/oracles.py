@@ -85,6 +85,33 @@ def qpoch_finite(a: float, q: float, m: int) -> float:
     return float(np.sum(np.log(factors)))
 
 
+def qpoch_inf(a: float, q: float) -> float:
+    """log (a;q)_inf for 0 <= a < 1, 0 < q < 1 by the direct product: the
+    reference for ``qseries.prefactor_exact``'s closed form.
+
+    Truncates once a q^K < 1e-18 and raises past 10^7 factors (the engine's
+    reach); sums 2^20 factors at a time, each chunk in one array taken in place."""
+    if not 0.0 <= a < 1.0:
+        raise DomainError(f"qpoch_inf needs 0 <= a < 1, got {a}")
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"qpoch_inf needs 0 < q < 1, got {q}")
+    if q >= 1.0 - 1e-12:
+        raise ConvergenceError("q too close to 1; use the product asymptotics")
+    if a == 0.0:
+        return 0.0
+    x = (math.log(1e-18) - math.log(a)) / math.log(q)
+    if x >= 10_000_000:
+        raise ConvergenceError(f"direct product needs {x:.3g} factors, more than 10^7")
+    K = max(int(x) + 1, 1)
+    sums = []
+    for k0 in range(0, K, 1 << 20):
+        f = np.arange(k0, min(k0 + (1 << 20), K), dtype=float)
+        np.power(q, f, out=f)
+        np.multiply(f, -a, out=f)
+        sums.append(float(np.sum(np.log1p(f, out=f))))
+    return sum(sums)
+
+
 def mcintosh_asym(a: float, b: float, t: float, M: int) -> float:
     """Small-t asymptotics of log (e^{-at}; e^{-bt})_inf:
 

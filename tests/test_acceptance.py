@@ -9,12 +9,12 @@ import time
 
 import pytest
 
-from oracles import dilog, kappa_by_partitions, mcintosh_asym, qpoch_finite
+from oracles import dilog, kappa_by_partitions, mcintosh_asym, qpoch_finite, qpoch_inf
 from qasym.cli import grid_rows
 from qasym.expansion import _exp_series, _lambda_table, analyse, peak_value
 from qasym.phase import stationary_points
 from qasym.presets import F0_ZETA, get_preset
-from qasym.qseries import SeriesSpec, qpoch_inf, series_sum
+from qasym.qseries import SeriesSpec, series_sum
 from qasym.quad import integral
 from qasym.specfun import bernoulli_poly
 

@@ -2,12 +2,12 @@ import math
 
 import pytest
 
-from oracles import dilog
+from oracles import dilog, qpoch_inf
 from qasym.cli import grid_rows
 from qasym.expansion import analyse
 from qasym.phase import check_hypothesis, phase_value, stationary_points
 from qasym.presets import (F0_ZETA, get_preset, preset_rphis, preset_simple_r)
-from qasym.qseries import normalize, qpoch_inf
+from qasym.qseries import normalize
 
 ALL = ["ramanujan", "f0", "phi-minus", "rphis", "simple-r", "euler", "euler-b2"]
 

@@ -22,7 +22,7 @@ import qasym.cli as cli
 import qasym.quad as quad
 import qasym.qseries as qs
 from oracles import (kernel_deriv_fsum, kernel_ksum, log_summand_mp, mcintosh_asym,
-                     qpoch_finite)
+                     qpoch_finite, qpoch_inf)
 from qasym.cli import load_spec, main
 from qasym.errors import ConvergenceError, DomainError, SpecError
 from qasym.expansion import analyse
@@ -31,7 +31,7 @@ from qasym.presets import PRESETS, get_preset
 from qasym.quad import integral
 from qasym.qseries import (ProductSpec, QuadTerm, SeriesSpec, log_summand,
                            log_summand_deriv, normalize, prefactor_asym,
-                           prefactor_exact, prefactor_law, qpoch_inf, series_sum)
+                           prefactor_exact, prefactor_law, series_sum)
 from qasym.specfun import PI2_6, bernoulli_pair, polylog
 
 RAM = SeriesSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, -2)])
@@ -306,6 +306,47 @@ class TestLogSummand:
         with pytest.raises(ConvergenceError):
             log_summand(RAM, 1.0, 0.5)
 
+    def test_t_range_names_the_first_bad_t(self):
+        ts = np.array([0.1, 0.7, math.nan, -1.0])
+        with pytest.raises(ConvergenceError, match=r"must lie in \(0, 0.5\), got 0.7$"):
+            log_summand_deriv(RAM, (0, 1), np.ones(4), ts)
+        with pytest.raises(ConvergenceError, match=r"got nan$"):
+            log_summand(RAM, np.ones(2), np.array([0.1, math.nan]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(terms=st.lists(st.tuples(st.sampled_from([1.0, 2.0, 4.0]) | st.floats(0.5, 4.0),
+                                    st.floats(0.5, 2.0), st.floats(0.3, 4.0),
+                                    st.floats(0.25, 2.0) | st.floats(-2.0, -0.25)),
+                          min_size=1, max_size=3),
+           B=st.floats(0.2, 2.0), t=st.floats(1e-4, 1e-2), u0=st.floats(2.0, 40.0),
+           extra=st.integers(1, 1 << 14))
+    def test_slices_and_skips_keep_bits(self, terms, B, t, u0, extra):
+        # a flat tail (A = v = 0) over more than one slice, from u0 on: each
+        # point equals poly + sum S K built over the whole range at once
+        spec = SeriesSpec.make(0.0, B, 0.0, terms)
+        m0 = math.floor(u0 / t)
+        x = np.arange(m0, m0 + qs._SLICE + extra, dtype=float)
+        want = qs._poly_deriv(spec, 0, x, t)
+        for term in spec.terms:
+            want = want + term.S * qs._kernel(term, x, t, (0,))[0]
+        assert log_summand(spec, x, t).tolist() == want.tolist()
+
+    def test_skip_rule_fires_past_the_last_significant_term(self, monkeypatch):
+        # phi-minus at t = 1e-4: the alpha = 4 term moves no bit past u ~ 11
+        # and the alpha = 2 terms none past u ~ 22; a call of fewer than
+        # _SKIP_MIN points keeps every term
+        spec, t = get_preset("phi-minus").series, 1e-4
+        seen = []
+        kernel = qs._kernel
+        monkeypatch.setattr(qs, "_kernel", lambda term, *a: seen.append(term.alpha) or kernel(term, *a))
+        for u0, alphas in ((5.0, [2, 2, 4]), (15.0, [2, 2]), (30.0, [])):
+            seen.clear()
+            log_summand(spec, np.arange(u0 / t, u0 / t + 2000), t)
+            assert seen == alphas
+        seen.clear()
+        log_summand(spec, np.arange(30.0 / t, 30.0 / t + qs._SKIP_MIN - 1), t)
+        assert seen == [2, 2, 4]
+
     @pytest.mark.parametrize("x", [math.inf, [1.0, 2.0, math.nan]])
     def test_non_finite_x_is_refused(self, x):
         # these used to return nan
@@ -335,12 +376,12 @@ class TestLogSummand:
 
     def test_inner_sum_cap_raises_promptly(self, capsys):
         # order 0 needs no k-sum near x = 0, so only the derivative k-sums
-        # and the exact prefactor's product keep a cap; past it they raise
-        # before allocating, and eval names the prefactor
+        # and the exact prefactor (the direct product's reach) keep a cap;
+        # past it they raise before allocating, and eval names the prefactor
         x = np.array([3.0, 250.0, 0.0, 1.0, 0.0])
         assert np.all(np.isfinite(log_summand(RAM, x, 4e-6)))
         for call, match in ((lambda: log_summand_deriv(RAM, 1, x, 4e-6), "inner sum needs"),
-                            (lambda: qpoch_inf(math.exp(-1e-6), math.exp(-1e-6)),
+                            (lambda: prefactor_exact((QuadTerm(1, 1, 1, 0, 2),), 1e-6),
                              "exact prefactor.*factors")):
             tracemalloc.start()
             start = time.perf_counter()
@@ -1153,7 +1194,7 @@ class TestSeriesSum:
         # A = 0 and v < 0, but v - B t > 0: the terms grow and no bound
         # certifies a stop by m t = U_END
         spec = SeriesSpec.make(0.0, -1.0, -0.05, [(1, 1, 1, 1)])
-        with pytest.raises(ConvergenceError, match="dynamically"):
+        with pytest.raises(ConvergenceError, match="past the sum's reach m\\*t = U_END = 2000$"):
             series_sum(spec, 0.1)
 
     def test_truncation_threshold_insensitive(self, monkeypatch):
@@ -1171,6 +1212,44 @@ class TestPrefactorExact:
         lv = prefactor_exact(quads, t)
         direct = -2.0 * qpoch_inf(math.exp(-t), math.exp(-t))
         assert lv == pytest.approx(direct, rel=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(a=st.floats(0.01, 8.0), b=st.floats(0.05, 8.0), t=st.floats(1e-4, 0.49),
+           S=st.sampled_from([1.0, -1.0, 2.5]))
+    def test_near_the_direct_product(self, a, b, t, S):
+        # the closed form at the direct product's floats e^-at and e^-bt: its
+        # first omitted Euler-Maclaurin level (largest near b t = 1) and its
+        # peel of up to 10 factors leave about 1.5e-15 per unit S, which
+        # 134k uniform draws put at 7 ulp of max(|K|, 1) at most
+        d = -S * qpoch_inf(math.exp(-a * t), math.exp(-b * t))
+        p = prefactor_exact((QuadTerm(a, b, 1.0, 0.0, S),), t)
+        assert abs(p - d) <= abs(S) * 8 * math.ulp(max(abs(d / S), 1.0))
+
+    @pytest.mark.parametrize("name", ["phi-minus", "ramanujan", "simple-r"])
+    def test_grid_keeps_each_t_bits(self, name):
+        quads = get_preset(name).prefactor
+        ts = (0.45, 0.1, 0.01, 1e-3, 1e-4, 4.5e-6)
+        grid = prefactor_exact(quads, ts)
+        assert isinstance(grid, np.ndarray) and isinstance(prefactor_exact(quads, 0.1), float)
+        assert grid.tolist() == [prefactor_exact(quads, t) for t in ts]
+        assert prefactor_exact((), ts).tolist() == [0.0] * len(ts)
+
+    def test_rounded_symbols(self):
+        # as in the direct product: q^a = 0 is a factor 1, while q^a
+        # rounding to 1 or q^b to 0 leaves no symbol to take
+        assert prefactor_exact((QuadTerm(2000.0, 1.0, 1.0, 0.0, 1.0),), 0.4) == 0.0
+        for q in (QuadTerm(1e-20, 1.0, 1.0, 0.0, 1.0), QuadTerm(1.0, 2000.0, 1.0, 0.0, 1.0)):
+            with pytest.raises(DomainError, match="fl\\(q\\^a\\) < 1 and fl\\(q\\^b\\) > 0 at t=0.4$"):
+                prefactor_exact((q,), 0.4)
+
+    def test_reach_refused_on_a_grid(self):
+        # the direct product's reach, 10^7 factors, holds until the closed
+        # form takes exact floats: t = 1e-6 still needs 41446531
+        quads = get_preset("ramanujan").prefactor
+        for ts in (1e-6, (1e-3, 1e-6)):
+            with pytest.raises(ConvergenceError, match="exact prefactor: \\(a;q\\)_inf needs "
+                                                       "41446531 factors, more than 10000000$"):
+                prefactor_exact(quads, ts)
 
     @pytest.mark.parametrize("t, count", [(1e-6, "41446531"), (1e-15, "4.14e\\+16"),
                                           (1e-30, "4.14e\\+31"), (5e-324, "inf")])
