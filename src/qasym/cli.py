@@ -24,11 +24,11 @@ import json
 import math
 import sys
 from itertools import chain, repeat
-from operator import is_, itemgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .errors import HypothesisError, QasymError, SpecError
-from .expansion import DEFAULT_L, DEFAULT_M, Analysis, analyse, asym_from_parts
+from .expansion import (DEFAULT_L, DEFAULT_M, Analysis, AsymptoticResult, analyse,
+                        asym_from_parts)
 from .presets import PRESETS, get_preset
 from .qseries import (MAX_DERIV, T_MAX, ProductSpec, QuadTerm, SeriesSpec,
                       mass_ladder, normalize, prefactor_exact, series_sum)
@@ -203,62 +203,66 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+class Table(NamedTuple):
+    """n JSON rows as columns: each a list of n plain numbers or one number they share."""
+    n: int
+    columns: dict
+
+
 def _dumps(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True)`` for documents with str
-    keys, byte for byte.  The stdlib encodes through pure Python whenever it
-    indents; here a list of plain numbers (int or float, exactly) takes one
-    ``repr`` per number, one if it repeats one object, and none if it holds
-    the objects of a list already encoded, in order (a non-finite float takes
-    the C encoder); a list of same-keyed dicts of them goes column by column."""
-    done: list[tuple[Sequence, list[str]]] = []    # number lists and their text
+    keys, byte for byte, each ``Table`` written as its list of row dicts.  The
+    stdlib encodes through pure Python whenever it indents; here a list of
+    plain numbers (int or float, exactly) takes one ``repr`` per number, and
+    none if that same list object was written before (a non-finite float
+    takes the C encoder); a ``Table`` is written row by row from its columns."""
+    done: dict[int, tuple[Sequence, list[str]]] = {}   # by id: a number list, its text
 
     def numbers(values: Sequence) -> list[str]:
-        for seen, text in done:
-            if len(seen) == len(values) and all(map(is_, seen, values)):
-                return text
-        same = all(map(is_, values, repeat(values[0])))
-        head = values[:1] if same else values
-        text = list(map(repr, head))        # the C encoder's text of ints and finite floats
-        if not {"nan", "inf", "-inf"}.isdisjoint(text):
-            text = json.dumps(list(head))[1:-1].split(", ")
-        done.append((values, text * len(values) if same else text))
-        return done[-1][1]
+        if id(values) not in done:      # the list is kept, so no other takes its id
+            text = list(map(repr, values))      # the C encoder's text of ints and finite floats
+            if not {"nan", "inf", "-inf"}.isdisjoint(text):
+                text = json.dumps(list(values))[1:-1].split(", ")
+            done[id(values)] = (values, text)
+        return done[id(values)][1]
 
-    def enc(obj, indent: str) -> str:
-        inner = indent + "  "
-        if isinstance(obj, dict):
-            items = [json.dumps(k) + ": " + enc(obj[k], inner) for k in sorted(obj)]
-            return "{" + inner + ("," + inner).join(items) + indent + "}" if obj else "{}"
-        if not isinstance(obj, (list, tuple)):
-            return json.dumps(obj)
-        if not obj:
-            return "[]"
-        if (type(obj[0]) is dict and obj[0] and set(map(type, obj)) == {dict}
-                and all(map(obj[0].keys().__eq__, map(dict.keys, obj)))):
-            keys = sorted(obj[0])
-            cols = [list(map(itemgetter(k), obj)) for k in keys]
-            if all(set(map(type, col)) <= {int, float} for col in cols):
-                # per row: "{", then each key's name and number, then "},"
-                parts = [part for j, k in enumerate(keys) for part in (repeat(
-                    ("," if j else "{") + inner + "  " + json.dumps(k) + ": "),
-                    numbers(cols[j]))]
-                text = "".join(chain.from_iterable(
-                    zip(*parts, repeat(inner + "}," + inner))))
-                return "[" + inner + text[:-len(inner) - 1] + indent + "]"
-        items = (numbers(obj) if set(map(type, obj)) <= {int, float}
-                 else [enc(x, inner) for x in obj])
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-
-    return enc(doc, "\n")
+    return _enc(doc, "\n", numbers)
 
 
-def _json_result(cfg: RunConfig, rows: list[dict], branch: str = "",
+def _enc(obj, indent: str, numbers) -> str:
+    # obj's JSON text at indent (not nested in _dumps: a recursive closure is a cycle)
+    inner = indent + "  "
+    if isinstance(obj, Table):
+        keys = sorted(obj.columns)
+        if not (obj.n and keys):
+            return _enc([{}] * obj.n, indent, numbers)
+        # per row: "{", then each key's name and number, then "},"
+        parts = [part for j, k in enumerate(keys) for part in (
+            repeat(("," if j else "{") + inner + "  " + json.dumps(k) + ": "),
+            numbers(obj.columns[k]) if isinstance(obj.columns[k], list)
+            else repeat(json.dumps(obj.columns[k]), obj.n))]
+        text = "".join(chain.from_iterable(zip(*parts, repeat(inner + "}," + inner))))
+        return "[" + inner + text[:-len(inner) - 1] + indent + "]"
+    if isinstance(obj, dict):
+        items = [json.dumps(k) + ": " + _enc(obj[k], inner, numbers) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if obj else "{}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    items = (numbers(obj) if set(map(type, obj)) <= {int, float}
+             else [_enc(x, inner, numbers) for x in obj])
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
+def _json_result(cfg: RunConfig, columns: dict, branch: str,
                  diagnostics: Optional[dict] = None) -> str:
     inputs = {"spec_source": cfg.spec_source, "t_grid": cfg.t_grid, "order_L": cfg.order_L,
               "order_M": cfg.order_M, "rel_tol": cfg.rel_tol}
-    results = {"log_value": list(map(itemgetter("log_value"), rows)),
-               "sign": list(map(itemgetter("sign"), rows)), "branch": branch,
-               "diagnostics": diagnostics or {}, "rows": rows}
+    # the rows' t and log_value columns are the document's own lists, written once
+    results = {"log_value": columns["log_value"], "sign": [1] * len(cfg.t_grid),
+               "branch": branch, "diagnostics": diagnostics or {},
+               "rows": Table(len(cfg.t_grid), {"t": cfg.t_grid, "sign": 1, **columns})}
     doc = {"command": cfg.command, "inputs": inputs, "results": results}
     return _dumps(doc) + "\n"
 
@@ -267,8 +271,9 @@ def grid_rows(series: SeriesSpec, prefactor: tuple[QuadTerm, ...], q_power: floa
               ts: list[float], routes: tuple[str, ...], rel_tol: float = 1e-10,
               an: Optional[Analysis] = None, L: int = DEFAULT_L) -> Iterator[tuple]:
     """Per t of ts, in order, one (total log, record) per route: "sum"
-    (``SumResult``), "integral" (``QuadResult``) or "asym" (``AsymptoticResult``
-    of ``an`` at order L), each the bits of its t alone.  An exact total is
+    (``SumResult``), "integral" (``QuadResult``) or "asym" (the t's row of
+    ``asym_from_parts`` of ``an`` at order L, an ``AsymptoticResult`` of
+    numbers), each the bits of its t alone.  An exact total is
     (log_value + exact constant product) - q_power t; asym's is log_value.  A
     row takes the product, the ladder, then each route, as a lone t does."""
     def whole_grid(build):
@@ -280,7 +285,8 @@ def grid_rows(series: SeriesSpec, prefactor: tuple[QuadTerm, ...], q_power: floa
             return lambda j: build((ts[j],))[0]
     exact = "sum" in routes or "integral" in routes
     if "asym" in routes:    # asym_from_parts folds in its own product and q^q_power
-        asym = whole_grid(lambda g: asym_from_parts(an, g, L, q_power))
+        asym = whole_grid(lambda g: list(map(AsymptoticResult._make, zip(
+            *asym_from_parts(an, g, L, q_power)))))
     if exact:
         product = whole_grid(lambda g: prefactor_exact(prefactor, g).tolist())
         ladder = whole_grid(lambda g: mass_ladder(series, g))
@@ -300,14 +306,14 @@ def grid_rows(series: SeriesSpec, prefactor: tuple[QuadTerm, ...], q_power: floa
 def run_exact(cfg: RunConfig) -> int:
     """eval (direct summation) or integral (adaptive quadrature) at each t."""
     route = "sum" if cfg.command == "eval" else "integral"
-    rows, diag = [], {}
+    values, diag = [], {}
     for t, [(total, res)] in zip(cfg.t_grid, grid_rows(
             cfg.series, cfg.prefactor, cfg.q_power, cfg.t_grid, (route,), cfg.rel_tol)):
         # the window and, for the integral, its error estimate and panels
         diag[f"t={_fmt(t)}"] = {k: v for k, v in res._asdict().items() if k != "log_value"}
-        rows.append({"t": t, "log_value": total, "sign": 1})
+        values.append(total)
     branch = "series_sum" if cfg.command == "eval" else "integral"
-    _emit(_json_result(cfg, rows, branch=branch, diagnostics=diag), cfg.output)
+    _emit(_json_result(cfg, {"log_value": values}, branch, diag), cfg.output)
     return 0
 
 
@@ -328,13 +334,10 @@ def _analyse(cfg: RunConfig) -> Analysis:
 
 def run_asym(cfg: RunConfig) -> int:
     an = _analyse(cfg)
-    rate, t_power, log_c = an.law.rate, an.law.t_power, an.law.log_c
-    # a dict literal per record: dict(zip(keys, values)) takes twice as long
-    rows = [{"t": t, "log_value": value, "sign": 1, "rate": rate, "t_power": t_power,
-             "log_constant": log_c, "correction_factor": factor}
-            for t, value, factor in asym_from_parts(
-                an, tuple(cfg.t_grid), cfg.order_L, cfg.q_power)]
-    _emit(_json_result(cfg, rows, branch=an.branch), cfg.output)
+    res = asym_from_parts(an, tuple(cfg.t_grid), cfg.order_L, cfg.q_power)
+    columns = {"log_value": res.log_value, "correction_factor": res.correction_factor,
+               "rate": an.law.rate, "t_power": an.law.t_power, "log_constant": an.law.log_c}
+    _emit(_json_result(cfg, columns, an.branch), cfg.output)
     return 0
 
 

@@ -26,10 +26,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DegenerateError, HypothesisError, SignError
+from .errors import DegenerateError, DomainError, HypothesisError, SignError
 from .phase import StationaryPoint, check_hypothesis, stationary_points
-from .qseries import (Law, QuadTerm, SeriesSpec, log_summand_deriv, prefactor_asym,
-                      prefactor_law)
+from .qseries import (Law, QuadTerm, SeriesSpec, _require_t, log_summand_deriv,
+                      prefactor_asym, prefactor_law)
 
 DEFAULT_L = 2   # correction order of the peak expansion
 DEFAULT_M = 8   # prefactor correction order
@@ -124,7 +124,7 @@ def peak_value(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
     width normalizer and kappa_0 = 1, kappa_2, ..., kappa_{2L} as columns over
     ts, from one k-sum over the derivative orders 0..max(2L, 2k)."""
     if L < 0:
-        raise ValueError("correction order must be nonnegative")
+        raise DomainError(f"correction order must be nonnegative, got {L}")
     f_u, V, lams = _lambda_table(spec, sp, ts, 2 * L)
     k = sp.order
     s = sum((math.gamma((2 * ell + 1) / (2 * k)) * kappa / k
@@ -138,22 +138,25 @@ def peak_value(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
 
 
 class AsymptoticResult(NamedTuple):
-    """Asymptotic value at t, split as log_value = (the ``Analysis.law``'s
-    log at t) + log(correction_factor): the factor absorbs the finite-t
-    corrections (kappa sums, the prefactor's coefficients, and any
-    subdominant branch)."""
-    t: float
-    log_value: float
-    correction_factor: float
+    """The asymptotic value over a grid, as columns: per t,
+    log_value = (the ``Analysis.law``'s log at t) + log(correction_factor),
+    the factor absorbing the finite-t corrections (kappa sums, the
+    prefactor's coefficients, and any subdominant branch)."""
+    t: list[float]
+    log_value: list[float]
+    correction_factor: list[float]
 
 
 def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
-                    q_power: float = 0.0) -> tuple[AsymptoticResult, ...]:
-    """Peaks + tail of the analysed series times the asymptotic
-    constant-product prefactor and the fixed factor q^q_power (applied
-    verbatim on both branches), one result per t of ts, each with the bits
-    it has alone, from one k-sum per peak.  A row whose value or correction
-    factor leaves the float range raises, naming its t."""
+                    q_power: float = 0.0) -> AsymptoticResult:
+    """Peaks + tail of the analysed series times the asymptotic constant-product
+    prefactor and the fixed factor q^q_power (applied verbatim on both branches)
+    at each t of ts, each row the bits it has alone, from one k-sum per peak.  A
+    t outside (0, T_MAX) raises as on the exact routes, and a row whose value or
+    correction factor leaves the float range raises, naming its t."""
+    _require_t(ts)
+    if L < 0:
+        raise DomainError(f"correction order must be nonnegative, got {L}")
     t_col = np.array(ts, dtype=float)
     log_t = np.array(list(map(math.log, ts)))
     with np.errstate(all="ignore"):     # a row out of float range raises below
@@ -168,6 +171,4 @@ def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
         bad = np.flatnonzero(~np.isfinite(gap + np.exp(gap)))
     if bad.size:
         raise DegenerateError(f"asymptotic value out of float range at t={ts[bad[0]]}")
-    factors = list(map(math.exp, gap.tolist()))
-    return tuple(map(tuple.__new__, repeat(AsymptoticResult),  # no per-row __new__ call
-                     zip(ts, total.tolist(), factors)))
+    return AsymptoticResult(list(ts), total.tolist(), list(map(math.exp, gap.tolist())))

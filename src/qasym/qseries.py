@@ -334,7 +334,7 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
     order of w, go in bands: a chunk of _BAND_ELEMS or more ends where the
     largest cut falls below half of its first point's, so few terms past a
     point's cut are built only to be masked to zero.  The per-k coefficients
-    are built once per call at one t while they fit _CHUNK_ELEMS, else per chunk."""
+    are built per chunk."""
     per = isinstance(t, np.ndarray)             # one t per point
     w = (term.alpha * x + term.gamma) * t
     order = None
@@ -353,9 +353,6 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
     kmax, kmin = kc[imax], kc[imin]             # non-increasing
     budget = max(1, _CHUNK_ELEMS // len(orders))
     n_col = None if max(orders) == 0 else n_col
-    tab = None
-    if not per and len(wk) and kmax[0] * len(orders) <= _CHUNK_ELEMS:
-        tab = _log_coef(term, np.arange(kmax[0], 0, -1, dtype=float)[:, None], t, n_col)
     acc = np.zeros((len(orders), len(w)))
     acc_k = acc[:, first:]
     p0 = 0
@@ -374,8 +371,7 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
         while k1 > 1:
             k0 = max(k1 - budget, 1)
             k = np.arange(k1 - 1, k0 - 1, -1, dtype=float)[:, None]   # descending
-            logcoef = (_log_coef(term, k, tp, n_col) if tab is None
-                       else tab[len(tab) - k1 + 1:len(tab) - k0 + 1])
+            logcoef = _log_coef(term, k, tp, n_col)
             blk = np.outer(-k, wk[p0:p1])[:, None]         # k by row by point
             blk = np.add(blk, logcoef, out=blk if len(orders) == 1 else (
                 logcoef if per else None))    # into an operand of the sum's shape
@@ -425,9 +421,8 @@ def log_summand_deriv(spec: SeriesSpec, n, x, t):
     ta = np.asarray(t, dtype=float)         # one t, or one per point
     _require_t(ta)
     orders = n if isinstance(n, tuple) else (n,)
-    for r in orders:
-        if r < 0 or r > MAX_DERIV:
-            raise DomainError(f"derivative order must lie in [0, {MAX_DERIV}], got {r}")
+    if not orders or any(r not in range(MAX_DERIV + 1) for r in orders):  # 1.0 is 1
+        raise DomainError(f"derivative orders must be integers in [0, {MAX_DERIV}], got {n}")
     xa = np.asarray(x, dtype=float)
     if ta.ndim and ta.shape != xa.shape:
         raise DomainError(f"t must be one value or of x's shape, got {ta.shape}")

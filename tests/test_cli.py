@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import subprocess
@@ -10,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qasym.cli as cli
-from qasym.cli import _dumps, grid_rows, load_spec, main
+from qasym.cli import Table, _dumps, grid_rows, load_spec, main
 from qasym.errors import QasymError
-from qasym.expansion import analyse, asym_from_parts
+from qasym.expansion import AsymptoticResult, analyse, asym_from_parts
 from qasym.presets import get_preset
 from qasym.qseries import prefactor_exact, series_sum
 from qasym.quad import integral
@@ -542,6 +543,65 @@ def test_writer_is_the_stdlib_layout(doc):
     assert _dumps(doc) == json.dumps(doc, indent=2, sort_keys=True)
 
 
+# plain numbers, with ints past 2^53 and past the float range
+_PLAIN = st.one_of(_NUMBERS, st.sampled_from([2 ** 53 + 1, 10 ** 400, -10 ** 401]))
+
+
+@st.composite
+def _table_docs(draw):
+    # lists of n numbers, and tables of n rows whose columns are new lists,
+    # one shared number or one of those lists (as asym's rows share t_grid
+    # and log_value), under keys whose order decides what is written first
+    n = draw(st.integers(0, 3))
+    lists = draw(st.lists(st.lists(_PLAIN, min_size=n, max_size=n), max_size=2))
+    column = st.one_of(st.lists(_PLAIN, min_size=n, max_size=n), _PLAIN,
+                       *([st.sampled_from(lists)] if lists else []))
+    tables = draw(st.lists(st.builds(Table, st.just(n), st.dictionaries(
+        _TEXT, column, max_size=4)), min_size=1, max_size=3))
+    parts = [*lists, *tables, tables]
+    keys = draw(st.lists(_TEXT, min_size=len(parts), max_size=len(parts), unique=True))
+    return dict(zip(keys, parts))
+
+
+def _as_rows(doc):
+    # the document with each Table written out as its list of row dicts
+    if isinstance(doc, Table):
+        return [{k: v[j] if isinstance(v, list) else v for k, v in doc.columns.items()}
+                for j in range(doc.n)]
+    if isinstance(doc, dict):
+        return {k: _as_rows(v) for k, v in doc.items()}
+    return [_as_rows(x) for x in doc] if isinstance(doc, (list, tuple)) else doc
+
+
+_GRID = [0.1, 0.05]
+_VALUES = [1.5, -0.0]
+
+
+@given(doc=_table_docs())
+# asym's shape: t and log_value columns written before the rows
+@example(doc={"a": _GRID, "log_value": _VALUES, "rows": Table(2, {
+    "t": _GRID, "log_value": _VALUES, "sign": 1, "rate": -0.0, "f": [10 ** 400, 2 ** 60]})})
+# one row, no row, no column, and non-finite numbers in either form
+@example(doc={"a": Table(1, {"x": [math.nan], "y": math.inf}), "b": Table(0, {"x": []}),
+              "c": Table(2, {}), "d": Table(2, {"x": [-math.inf, 0.5], "y": math.nan})})
+@settings(max_examples=400, deadline=None)
+def test_writer_writes_tables_as_rows(doc):
+    assert _dumps(doc) == json.dumps(_as_rows(doc), indent=2, sort_keys=True)
+
+
+def test_writer_leaves_no_garbage_cycle():
+    # a cycle would keep every number's text alive until the collector ran,
+    # which a run of few container allocations (asym's rows) seldom wakes
+    doc = {"a": _GRID, "rows": Table(2, {"t": _GRID, "x": [1.5, 2.5], "s": 1})}
+    gc.collect()
+    gc.disable()
+    try:
+        _dumps(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 TWO_PEAK = str(Path(__file__).parent / "data" / "two_peak.json")
 
 
@@ -680,7 +740,8 @@ def test_grid_rows_keep_their_bits(kind, name, routes):
             continue
         for route, row in zip(routes, got):
             if route == "asym":
-                want = asym_from_parts(an, (t,), q_power=q_power)[0]
+                want = AsymptoticResult._make(
+                    col[0] for col in asym_from_parts(an, (t,), q_power=q_power))
                 total = want.log_value
             else:
                 want = series_sum(series, t) if route == "sum" else integral(series, t)

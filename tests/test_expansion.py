@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from oracles import kappa_by_partitions, lambda_table_per_order, log_add
 from qasym import expansion
 from qasym.cli import load_spec, main
-from qasym.errors import DegenerateError, HypothesisError, SignError
-from qasym.expansion import (DEFAULT_L, _exp_series, _lambda_table, analyse,
-                             asym_from_parts, peak_value)
+from qasym.errors import (ConvergenceError, DegenerateError, DomainError,
+                          HypothesisError, SignError)
+from qasym.expansion import (DEFAULT_L, AsymptoticResult, _exp_series, _lambda_table,
+                             analyse, asym_from_parts, peak_value)
 from qasym.phase import level, stationary_points
 from qasym.presets import PRESETS, get_preset
 from qasym.qseries import Law, ProductSpec, SeriesSpec, normalize, series_sum
@@ -76,11 +77,16 @@ def _asym_reference(an, t, L, q_power):
     return total, math.exp(total - (law.rate / t + law.t_power * math.log(t) + law.log_c))
 
 
+def _rows(res):
+    # asym_from_parts' columns as one AsymptoticResult of numbers per t
+    return tuple(map(AsymptoticResult._make, zip(*res)))
+
+
 def _tail(spec, t):
     # the asym route's total at t of a spec whose only branch is the tail
     an = analyse(spec)
     assert an.branch == "tail"
-    (r,) = asym_from_parts(an, (t,))
+    (r,) = _rows(asym_from_parts(an, (t,)))
     return r.log_value
 
 
@@ -94,7 +100,7 @@ class TestCorrections:
         # with kappa_0 alone, the peak term is F(u/t) - log V + log Gamma(1/2)
         assert peak_value(RAM, sp, (0.05,), 0).tolist() == [
             f_u[0] - math.log(V[0]) + math.log(math.gamma(0.5))]
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(DomainError, match="nonnegative"):
             peak_value(RAM, sp, (0.05,), -1)
 
     def test_partition_sum_agrees_with_series_exp(self):
@@ -294,7 +300,7 @@ class TestDerivativeRows:
 class TestAsymTotal:
     def test_ramanujan_fields(self):
         an = analyse(*normalize(RAM_PRODUCT))
-        (r,) = asym_from_parts(an, (0.02,))
+        (r,) = _rows(asym_from_parts(an, (0.02,)))
         assert an.law.rate == pytest.approx(math.pi ** 2 / 5.0, abs=1e-12)
         assert an.law.t_power == pytest.approx(0.5)
         assert an.law.log_c == pytest.approx(
@@ -304,7 +310,7 @@ class TestAsymTotal:
 
     def test_total_reconstruction_invariant(self):
         an = analyse(*normalize(RAM_PRODUCT))
-        (r,) = asym_from_parts(an, (0.02,))
+        (r,) = _rows(asym_from_parts(an, (0.02,)))
         law = an.law
         rebuilt = (law.log_c + law.t_power * math.log(r.t) + law.rate / r.t
                    + math.log(r.correction_factor))
@@ -345,7 +351,7 @@ class TestAsymTotal:
 
     def test_euler_is_one(self):
         an = analyse(EULER)
-        (r,) = asym_from_parts(an, (0.05,))
+        (r,) = _rows(asym_from_parts(an, (0.05,)))
         assert math.exp(r.log_value) == pytest.approx(1.0, abs=1e-14)
         assert an.branch == "tail"
 
@@ -365,10 +371,10 @@ class TestAsymTotal:
         for spec, pref in ((RAM, RAM_PRODUCT.quads), (F0, ())):
             devs = []
             for t in (0.05, 0.025):
-                (a,) = asym_from_parts(analyse(SeriesSpec.make(
+                (a,) = _rows(asym_from_parts(analyse(SeriesSpec.make(
                     spec.A, spec.B, spec.v,
                     [(p.alpha, p.beta, p.gamma, p.S) for p in spec.terms])),
-                    (t,))
+                    (t,)))
                 s = series_sum(spec, t).log_value
                 devs.append(abs(math.exp(s - a.log_value) - 1.0))
             assert devs[1] < devs[0]
@@ -392,10 +398,10 @@ class TestAsymGrid:
     def test_rows_independent_of_grid_mates(self, name):
         an = self._analysis(name)
         g = self.GRID
-        alone = {t: asym_from_parts(an, (t,))[0] for t in g}
+        alone = {t: _rows(asym_from_parts(an, (t,)))[0] for t in g}
         for ts in (g, g[::-1], g[2:7], g[3:4], (g[5], g[0], g[9])):
-            assert asym_from_parts(an, ts) == tuple(alone[t] for t in ts)
-        assert asym_from_parts(an, ()) == ()
+            assert _rows(asym_from_parts(an, ts)) == tuple(alone[t] for t in ts)
+        assert asym_from_parts(an, ()) == AsymptoticResult([], [], [])
 
     @pytest.mark.parametrize("name", ["ramanujan", "f0", "two-peak"])
     def test_peak_layers_take_a_grid(self, name):
@@ -415,7 +421,7 @@ class TestAsymGrid:
         an = self._analysis(name)
         for L in (0, 2):
             assert ([(r.log_value, r.correction_factor)
-                     for r in asym_from_parts(an, self.GRID, L, 0.75)]
+                     for r in _rows(asym_from_parts(an, self.GRID, L, 0.75))]
                     == [_asym_reference(an, t, L, 0.75) for t in self.GRID])
 
     @pytest.mark.parametrize("name", [*PRESETS, "two-peak"])
@@ -424,7 +430,8 @@ class TestAsymGrid:
         # is taken per t, where numpy's would round some rows otherwise
         an = self._analysis(name)
         grid = tuple(0.1 * (0.001 ** (1.0 / 399)) ** i for i in range(400))
-        assert ([(r.log_value, r.correction_factor) for r in asym_from_parts(an, grid)]
+        assert ([(r.log_value, r.correction_factor)
+                 for r in _rows(asym_from_parts(an, grid))]
                 == [_asym_reference(an, t, DEFAULT_L, 0.0) for t in grid])
 
     @pytest.mark.parametrize("name, t", [("ramanujan", 1e-30), ("f0", 1e-100),
@@ -446,3 +453,21 @@ class TestAsymGrid:
         asym_from_parts(an, (0.1, 0.05))
         with pytest.raises(SignError, match=r"\(t=0.4 too large\)"):
             asym_from_parts(an, (0.1, 0.4, 0.05))
+
+    @pytest.mark.parametrize("name", ["ramanujan", "euler"])
+    @pytest.mark.parametrize("t", [0.0, -0.1, math.nan, 0.7])
+    def test_t_out_of_range_refused(self, name, t):
+        # the exact routes' check, before any log of t: a peak spec and a
+        # tail-only spec refuse the same t with the same QasymError
+        an = self._analysis(name)
+        with pytest.raises(ConvergenceError, match=r"^t must lie in \(0, 0.5\), got "):
+            asym_from_parts(an, (0.1, t))
+
+    @pytest.mark.parametrize("name", ["ramanujan", "euler"])
+    def test_negative_order_refused(self, name):
+        an = self._analysis(name)
+        with pytest.raises(DomainError, match="^correction order must be nonnegative, got -1$"):
+            asym_from_parts(an, (0.1,), -1)
+        for sp in an.peaks:
+            with pytest.raises(DomainError, match="nonnegative"):
+                peak_value(an.series, sp, (0.1,), -1)

@@ -742,7 +742,7 @@ class TestLogSummandDeriv:
             assert np.array_equal(log_summand_deriv(spec, (2, 0), x, t)[1], want)
             assert log_summand_deriv(spec, 0, 0.0, t) == log_summand(spec, 0.0, t)
 
-    @pytest.mark.parametrize("n", [-1, 65])
+    @pytest.mark.parametrize("n", [-1, 65, 1.5, (0, 1.5), ()])
     def test_order_out_of_range(self, n):
         with pytest.raises(DomainError):
             log_summand_deriv(RAM, n, 1.0, 0.05)
