@@ -14,6 +14,9 @@ only even indices survive the symmetric integral:
     sum over terms near the peak ~ e^{F(u/t)}/V *
         sum_l Gamma((2l+1)/(2k)) kappa_{2l}(u,t)/k.
 
+F(u/t) and its x-derivatives come from the inner sum's closed form
+differentiated termwise (``specfun.kernel_rows``), O(1) in t.
+
 When A = v = 0 and f(alpha_1) > 0 the flat tail adds
 Gamma(B/alpha_1)/(alpha_1 f(alpha_1)^(B/alpha_1)) * t^(B/alpha_1 - 1).
 """
@@ -87,12 +90,13 @@ def analyse(series: SeriesSpec, quads: tuple[QuadTerm, ...] = (),
 
 
 def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, ts: tuple, rmax: int):
-    # columns over ts of F(u/t), V and {r: lambda_r} for r <= rmax, from one
-    # k-sum over orders 0..max(rmax, 2k) and the points u/t; each power is
-    # taken per t by float pow, as numpy's may round otherwise
+    # columns over ts of F(u/t), V and {r: lambda_r} for r <= rmax, from the
+    # closed form's rows 0..max(rmax, 2k) at the points u/t, O(1) in t; each
+    # power is taken per t by float pow, as numpy's may round otherwise
     two_k = 2 * sp.order
     t_col = np.array(ts, dtype=float)
-    d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)), sp.u / t_col, t_col)
+    d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)), sp.u / t_col, t_col,
+                          closed=True)
     bad = np.flatnonzero(d[two_k] >= 0)
     if bad.size:
         raise SignError(f"order-{two_k} derivative nonnegative at the peak "
@@ -122,7 +126,7 @@ def peak_value(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,
     """log of exp(F(u/t,t))/V * sum_{l<=L} Gamma((2l+1)/(2k)) kappa_{2l}/k at each
     t of ts, the peak term of the maximum sp of order k: the logged term, the
     width normalizer and kappa_0 = 1, kappa_2, ..., kappa_{2L} as columns over
-    ts, from one k-sum over the derivative orders 0..max(2L, 2k)."""
+    ts, from one closed-form call over the orders 0..max(2L, 2k)."""
     if L < 0:
         raise DomainError(f"correction order must be nonnegative, got {L}")
     f_u, V, lams = _lambda_table(spec, sp, ts, 2 * L)
@@ -151,7 +155,7 @@ def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
                     q_power: float = 0.0) -> AsymptoticResult:
     """Peaks + tail of the analysed series times the asymptotic constant-product
     prefactor and the fixed factor q^q_power (applied verbatim on both branches)
-    at each t of ts, each row the bits it has alone, from one k-sum per peak.  A
+    at each t of ts, each row the bits it has alone, one closed-form call per peak.  A
     t outside (0, T_MAX) raises as on the exact routes, and a row whose value or
     correction factor leaves the float range raises, naming its t."""
     _require_t(ts)
@@ -167,8 +171,10 @@ def asym_from_parts(an: Analysis, ts: tuple, L: int = DEFAULT_L,
         total = (value + prefactor_asym(an.prefactor, ts, log_t)) - q_power * t_col
         gap = total - prefactor_asym(an.law, ts, log_t)
         # numpy's e^gap is inf where math.exp raises: at the floats next to
-        # log(DBL_MAX), e^gap lies over 100 ulp inside or outside the range
-        bad = np.flatnonzero(~np.isfinite(gap + np.exp(gap)))
+        # log(DBL_MAX), e^gap lies over 100 ulp inside or outside the range;
+        # past an ulp of the total of log(DBL_MAX), gap is rounding alone and
+        # would leave the range or not by the sign of that rounding
+        bad = np.flatnonzero(~np.isfinite(gap + np.exp(gap) + np.exp(np.spacing(np.abs(total)))))
     if bad.size:
         raise DegenerateError(f"asymptotic value out of float range at t={ts[bad[0]]}")
     return AsymptoticResult(list(ts), total.tolist(), list(map(math.exp, gap.tolist())))

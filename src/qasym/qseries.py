@@ -10,7 +10,9 @@ Truncation policy for the outer sum and its integral: one ladder of pieces
 total, from the closed-form sandwich of the inner sum (``kernel_bounds``).
 The inner sum costs the same at every t: a closed form below w = 0.1, at
 most 451 k-terms above (``_kernel``), by slices of points that fit L2,
-skipping a term that moves no bit.  Every value is positive and carried
+skipping a term that moves no bit.  The k-sum is order 0 only: the
+x-derivatives come from the closed form differentiated termwise
+(``kernel_rows``).  Every value is positive and carried
 as its log: the series reach exp(pi^2/(5t)), which overflows binary64 for
 t < 0.0125.
 """
@@ -25,31 +27,23 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SpecError
-from .specfun import bernoulli_pair, bernoulli_poly, lineg_coeffs, polylog
+from .specfun import bernoulli_pair, bernoulli_poly, kernel_closed, kernel_rows, polylog
 
 T_MAX = 0.5                 # largest t any evaluation accepts
 LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
 _KLOG_MARGIN = 45.0         # e^-45 ~ 3e-20: inner k-sums stop past this decay
-_KMAX_HARD = 10_000_000     # most terms of a derivative k-sum or factors of the product
+_KMAX_HARD = 10_000_000     # most factors of the exact prefactor's product
 _CHUNK_ELEMS = 1 << 16      # k-by-point elements per inner-sum chunk (fits L2)
 _BAND_ELEMS = 1 << 13       # a chunk this big ends where its points' cuts halve
 _SLICE = 1 << 14            # points per log_summand_deriv slice (its arrays fit L2)
 _SKIP_MIN = 1 << 10         # order-0 slices this long may skip a term (not GK15 nodes)
 MAX_DERIV = 64              # highest x-derivative order log_summand_deriv takes
 _W_A = 0.1                  # order 0: closed form below this w, k-sum above
-_R0 = 0.1                   # the closed form peels factors until beta t/w <= _R0
-_EM_J = 6                   # Euler-Maclaurin levels j = 1.._EM_J of the closed form
 _LADDER = 2.0 ** (1.0 / 32)  # edge ratio of series_sum's certificate ladder
 U_END = 2000.0              # series_sum raises if not stopped by m t = U_END
 _SUM_BUDGET = 1 << 27       # most terms series_sum's window may span
 
 LOG_2PI = math.log(2.0 * math.pi)
-# row j, column m - 1: the v^m coefficient of B_2j/(2j)! Li_(2-2j)(e^-w), with
-# v = 1/expm1(w) and Li_-n = sum_m m! S(n+1, m) v^m / m (``lineg_coeffs``)
-_EM_V = np.array([[num / den / math.factorial(2 * j) / m * c
-                   for m, c in enumerate(lineg_coeffs(2 * j - 2)
-                                         + (0,) * (2 * _EM_J - 2 * j), 1)]
-                  for j in range(1, _EM_J + 1) for num, den in [bernoulli_pair(2 * j)]])
 
 
 def _check_finite(kind: str, fields: tuple[str, ...], values: tuple) -> None:
@@ -240,7 +234,7 @@ def prefactor_asym(law: Law, ts: tuple, log_t=None) -> np.ndarray:
 def prefactor_exact(quads: tuple[QuadTerm, ...], t):
     """log of prod (q^a;q^b)_inf^(-S) at t, one float (a float back) or a
     sequence (an array, each entry the bits of its t alone): in one
-    ``_kernel_closed`` call, O(1) in t, each -log (q^a;q^b)_inf is K(w) at the
+    ``kernel_closed`` call, O(1) in t, each -log (q^a;q^b)_inf is K(w) at the
     floats a direct product takes, w = -log fl(e^-at) and b t = -log fl(e^-bt).
     It raises past that product's reach, _KMAX_HARD factors down to
     q^(a+Kb) < 1e-18, counted from a, b and t before q rounds."""
@@ -256,7 +250,7 @@ def prefactor_exact(quads: tuple[QuadTerm, ...], t):
             if not (qa < 1.0 and qb > 0.0):
                 raise DomainError(f"exact prefactor needs fl(q^a) < 1 and fl(q^b) > 0 at t={s}")
             wb.append((-math.log(qa) if qa else math.inf, -math.log(qb)))
-    ks = _kernel_closed(*np.array(wb).T).reshape(-1, len(ts)) if wb else ()
+    ks = kernel_closed(*np.array(wb).T).reshape(-1, len(ts)) if wb else ()
     out = sum((q.S * k for q, k in zip(quads, ks)), np.zeros(len(ts)))
     return out if np.ndim(t) else float(out[0])
 
@@ -268,71 +262,21 @@ def prefactor_exact(quads: tuple[QuadTerm, ...], t):
 def _require_t(t) -> None:
     t = np.ravel(t)                     # one t, or one per point
     if not (t.min(initial=T_MAX) > 0.0 and t.max(initial=0.0) < T_MAX):   # nan fails both
-        raise ConvergenceError(f"t must lie in (0, {T_MAX}), "
-                               f"got {t[np.argmin((t > 0.0) & (t < T_MAX))]}")
+        raise DomainError(f"t must lie in (0, {T_MAX}), "
+                          f"got {t[np.argmin((t > 0.0) & (t < T_MAX))]}")
 
 
-@functools.lru_cache(maxsize=256)
-def _rows(orders: tuple[int, ...]) -> tuple:
-    # per row of _kernel: n, (-1)^n, whether n = 0, and the span s > m =
-    # max(n-1, 0) with s - m - m log(s/m) = 45: past k = s/w, k^m e^{-kw}
-    # lies e^-45 below its maximum at k = m/w; then the rows of extreme span
-    spans = []
-    for m in (max(n - 1, 0) for n in orders):
-        s = _KLOG_MARGIN + m
-        for _ in range(60):             # fixed point, rising to the root
-            s = _KLOG_MARGIN + m + m * math.log(s / max(m, 1))
-        spans.append(s)
-    n_col = np.array(orders, dtype=float)[:, None]
-    rows = (n_col, (-1.0) ** n_col, n_col[:, 0] == 0, np.array(spans)[:, None])
-    for a in rows:
-        a.flags.writeable = False       # shared by every call with these orders
-    return (*rows, int(np.argmax(spans)), int(np.argmin(spans)))
+def _kernel(term: PochTerm, x: np.ndarray, t) -> np.ndarray:
+    """K(w) = sum_{k>=1} e^{-kw} / (k (1-e^{-k beta t})), w = (alpha x +
+    gamma) t, for a vector of x >= 0 and t one float or one per point; its
+    derivatives are ``kernel_rows``'.
 
-
-def _kernel_closed(w: np.ndarray, bt) -> np.ndarray:
-    """K(w) = sum_k e^{-kw}/(k(1 - e^{-k bt})) without a k-sum: the product
-    form K(w) = -sum_n log(1 - e^{-(w + n bt)}) peels the fewest N factors
-    that leave w' = w + N bt >= bt/_R0, then Euler-Maclaurin gives K(w') =
-    Li2(e^-w')/bt + Li1(e^-w')/2 + sum_{j<=J} B_2j bt^(2j-1)/(2j)! Li_(2-2j)(e^-w').
-    The first omitted level is about 2 (2J)! (_R0/2pi)^(2J+1)/(2pi) ~ 6e-16,
-    absolute, against K(w') >= Li2(e^-w')/bt.  bt is one float or one per w."""
-    N = np.maximum(np.ceil(1.0 / _R0 - w / bt), 0.0)
-    n = np.arange(N.max())[:, None]      # a product runs along n in order
-    peel = np.log(np.prod(-np.expm1(-np.where(n < N, w + n * bt, np.inf)), axis=0))
-    li2, li1, v = polylog((2, 1, 0), w + N * bt)
-    odd = np.arange(1.0, 2 * _EM_J, 2.0)     # v^m coefficients, per bt its own product
-    c = (np.array([b ** odd @ _EM_V for b in bt]).T if isinstance(bt, np.ndarray)
-         else bt ** odd @ _EM_V)
-    em = v * np.polyval(c[::-1], v)
-    return li2 / bt + (0.5 * li1 + em - peel)
-
-
-def _log_coef(term: PochTerm, k: np.ndarray, t, n_col: np.ndarray | None) -> np.ndarray:
-    """n log(k alpha t) - log(k (1 - e^(-k beta t))) by k, row n (None: order 0
-    alone) and t: the log of the k-th term's factor, so high orders cannot overflow."""
-    tail = np.log(k * -np.expm1(-k * term.beta * t))[:, None]
-    if n_col is None:
-        return np.negative(tail, out=tail)
-    out = np.log(k * term.alpha * t)[:, None] * n_col
-    return np.subtract(out, tail, out=out)      # in place: no second temporary
-
-
-def _kernel(term: PochTerm, x: np.ndarray, t,
-            orders: tuple[int, ...]) -> np.ndarray:
-    """sum_{k>=1} (-k alpha t)^n e^{-kw} / (k (1-e^{-k beta t})),
-    w = (alpha x + gamma) t, for a vector of x >= 0 and t one float or one
-    per point, one row per order n.
-
-    Order 0 costs the same at every t: below w = _W_A it is
-    ``_kernel_closed``; above, a k-sum cut at kc = floor(45/w) + 1, which
-    leaves out less than e^-45/((kc+1)(1 - e^-w)) of it.  Order n >= 1 is
-    a k-sum cut where k^(n-1) e^{-kw} has fallen e^-45 below its maximum,
-    and raises past _KMAX_HARD terms.  The rows share one pass over k; each
-    point sums each row at its t from its cut down to k = 1, so no value
-    depends on the other points or orders of the call.  The points, in
-    order of w, go in bands: a chunk of _BAND_ELEMS or more ends where the
-    largest cut falls below half of its first point's, so few terms past a
+    It costs the same at every t: below w = _W_A it is ``kernel_closed``;
+    above, a k-sum cut at kc = floor(45/w) + 1, which leaves out less than
+    e^-45/((kc+1)(1 - e^-w)) of it.  Each point sums at its t from its cut
+    down to k = 1, so no value depends on the other points of the call.  The
+    points, in order of w, go in bands: a chunk of _BAND_ELEMS or more ends
+    where the cut falls below half of its first point's, so few terms past a
     point's cut are built only to be masked to zero.  The per-k coefficients
     are built per chunk."""
     per = isinstance(t, np.ndarray)             # one t per point
@@ -342,58 +286,44 @@ def _kernel(term: PochTerm, x: np.ndarray, t,
         order = np.argsort(w, kind="stable")
         w = w[order]
         t = t[order] if per else t
-    n_col, sign, zero, spans, imax, imin = _rows(orders)
-    near = int(np.searchsorted(w, _W_A))        # w < _W_A: order 0 in closed form
-    first = near if max(orders) == 0 else 0     # the points the k-sum covers
-    wk, tk = w[first:], (t[first:] if per else t)
-    if len(wk) and spans[imax, 0] / wk[0] >= _KMAX_HARD:
-        raise ConvergenceError(f"inner sum needs {int(spans[imax, 0] / wk[0]) + 1} "
-                               f"terms at t={np.ravel(tk)[0]} (alpha*x+gamma too small)")
-    kc = (spans / wk).astype(np.int64) + 1      # per row and point
-    kmax, kmin = kc[imax], kc[imin]             # non-increasing
-    budget = max(1, _CHUNK_ELEMS // len(orders))
-    n_col = None if max(orders) == 0 else n_col
-    acc = np.zeros((len(orders), len(w)))
-    acc_k = acc[:, first:]
+    near = int(np.searchsorted(w, _W_A))        # w < _W_A: in closed form
+    wk, tk = w[near:], (t[near:] if per else t)
+    kc = (_KLOG_MARGIN / wk).astype(np.int64) + 1      # non-increasing
+    acc = np.zeros(len(w))
+    acc_k = acc[near:]
     p0 = 0
     while p0 < len(wk):
-        # points p0 .. p1-1 with all their rows fit the budget, and past
-        # _BAND_ELEMS end where kmax halves; a point that alone does not fit
-        # takes its rows in chunks, carrying its sums
-        k1 = k_top = int(kmax[p0]) + 1
-        p1 = min(p0 + max(1, budget // (k1 - 1)), len(wk))
-        band = p0 + _BAND_ELEMS // len(orders) // (k1 - 1)
-        if band < p1 and kmax[p1 - 1] < k1 // 2:
-            # the first point whose kmax is below half of kmax[p0]
-            half = np.searchsorted(-kmax[p0:p1], -(k1 // 2), side="right")
+        # points p0 .. p1-1 fit the budget, and past _BAND_ELEMS end where kc
+        # halves; a point that alone does not fit goes in chunks, carrying its sum
+        k1 = k_top = int(kc[p0]) + 1
+        p1 = min(p0 + max(1, _CHUNK_ELEMS // (k1 - 1)), len(wk))
+        band = p0 + _BAND_ELEMS // (k1 - 1)
+        if band < p1 and kc[p1 - 1] < k1 // 2:
+            # the first point whose kc is below half of kc[p0]
+            half = np.searchsorted(-kc[p0:p1], -(k1 // 2), side="right")
             p1 = max(band, p0 + int(half))
         tp = tk[p0:p1] if per else tk           # the points' t, or the one t
         while k1 > 1:
-            k0 = max(k1 - budget, 1)
+            k0 = max(k1 - _CHUNK_ELEMS, 1)
             k = np.arange(k1 - 1, k0 - 1, -1, dtype=float)[:, None]   # descending
-            logcoef = _log_coef(term, k, tp, n_col)
-            blk = np.outer(-k, wk[p0:p1])[:, None]         # k by row by point
-            blk = np.add(blk, logcoef, out=blk if len(orders) == 1 else (
-                logcoef if per else None))    # into an operand of the sum's shape
-            top = k1 - 1 - int(kmin[p1 - 1])    # rows past a cut: zero terms
+            blk = np.outer(-k, wk[p0:p1])       # k by point
+            blk -= np.log(k * -np.expm1(-k * term.beta * tp))
+            top = k1 - 1 - int(kc[p1 - 1])      # past a point's cut: zero terms
             if top > 0:
-                np.putmask(blk[:top], k[:top, None] > kc[:, p0:p1], -np.inf)
+                np.putmask(blk[:top], k[:top] > kc[p0:p1], -np.inf)
             blk = np.exp(blk, out=blk)
             if k1 < k_top:                      # past the band's first chunk
-                blk[0] += acc_k[:, p0:p1]
+                blk[0] += acc_k[p0:p1]
             # in order along k: reducing the outer axis adds one k at a
-            # time, and so does cumsum, which a single row of one point needs
-            acc_k[:, p0:p1] = (np.add.reduce(blk, axis=0) if blk[0].size > 1
-                               else np.cumsum(blk, axis=0)[-1])
+            # time, and so does cumsum, which a single point needs
+            acc_k[p0:p1] = (np.add.reduce(blk, axis=0) if blk.shape[1] > 1
+                            else np.cumsum(blk, axis=0)[-1])
             k1 = k0
-            del blk, logcoef                    # before the next chunk's are made
+            del blk                             # before the next chunk's is made
         p0 = p1
-    if any(r % 2 for r in orders):
-        acc *= sign
-    if near and zero.any():
-        acc[zero, :near] = _kernel_closed(
-            w[:near], term.beta * (t[:near] if per else t))
-    return acc if order is None else acc[:, np.argsort(order)]
+    if near:
+        acc[:near] = kernel_closed(w[:near], term.beta * (t[:near] if per else t))
+    return acc if order is None else acc[np.argsort(order)]
 
 
 def log_summand(spec: SeriesSpec, x, t):
@@ -412,11 +342,14 @@ def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t):
     return -2.0 * spec.A * t
 
 
-def log_summand_deriv(spec: SeriesSpec, n, x, t):
+def log_summand_deriv(spec: SeriesSpec, n, x, t, closed: bool = False):
     """n-th x-derivative of log_summand (n = 0 is log_summand itself); for a
-    tuple of orders n, one row per order, all from one inner k-sum per
-    term.  Takes scalar or array finite x >= 0 and returns matching shape; t is
-    one float or an array matching x, each point with the bits of a call at its t.
+    tuple of orders n, one row per order.  Orders >= 1 come from the
+    differentiated closed form (``kernel_rows``), O(1) in t, and order 0
+    from log_summand's k-sum, or with ``closed`` from the closed form too: an
+    independent evaluation of the same number.  Takes scalar or array finite
+    x >= 0 and returns matching shape; t is one float or an array matching x,
+    each point with the bits of a call at its t, whatever the other orders.
     Points go in ``_summand_rows`` by slices of _SLICE, whose arrays fit L2."""
     ta = np.asarray(t, dtype=float)         # one t, or one per point
     _require_t(ta)
@@ -431,28 +364,57 @@ def log_summand_deriv(spec: SeriesSpec, n, x, t):
     xa = np.atleast_1d(xa)
     if not np.all((xa >= 0) & (xa < math.inf)):     # nan fails both
         raise DomainError("log_summand needs finite x >= 0")
-    parts = [_summand_rows(spec, orders, xa[i:i + _SLICE], t[i:i + _SLICE] if ta.ndim else t)
+    parts = [_summand_rows(spec, tuple(orders), xa[i:i + _SLICE],
+                           t[i:i + _SLICE] if ta.ndim else t, closed)
              for i in range(0, max(len(xa), 1), _SLICE)]
     out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     out = out[:, 0] if scalar else out
     return out if isinstance(n, tuple) else (float(out[0]) if scalar else out[0])
 
 
-def _summand_rows(spec: SeriesSpec, orders: tuple[int, ...], x: np.ndarray, t) -> np.ndarray:
-    # the polynomial part, then each S K in order; at order 0, one t and _SKIP_MIN
-    # points or more, a term goes if 2|S| e^-w/((1 - e^-w)(1 - e^-(beta t))) >= 2|S| K
-    # at the least w is below a quarter ulp of the least |partial sum|: none would move
+@functools.lru_cache(maxsize=256)
+def _term_columns(spec: SeriesSpec) -> np.ndarray:
+    # alpha, beta, gamma, S and alpha/beta of the terms, each a column
+    alpha, beta, gamma, S = np.array(spec.terms).T[:, :, None]
+    return alpha, beta, gamma, S, alpha / beta
+
+
+def _summand_rows(spec: SeriesSpec, orders: tuple[int, ...], x: np.ndarray, t,
+                  closed: bool) -> np.ndarray:
+    # the polynomial part, then each S K in order: the closed-form rows from
+    # one kernel_rows call over every term's points, order 0 (unless closed)
+    # from _kernel; there, at one t and _SKIP_MIN points or more, a term goes if
+    # 2|S| e^-w/((1 - e^-w)(1 - e^-(beta t))) >= 2|S| K at the least w is below
+    # a quarter ulp of the least |partial sum|: none would move
     out = np.zeros((len(orders), len(x)))
     for i, r in enumerate(orders):
         if r <= 2:
             out[i] = _poly_deriv(spec, r, x, t)
+    rows = [i for i, r in enumerate(orders) if r or closed]
+    if rows and spec.terms and len(x):
+        alpha, beta, gamma, S, ab = _term_columns(spec)
+        tx = t if isinstance(t, np.ndarray) else np.full(len(x), t)
+        rs = sorted({orders[i] for i in rows})
+        k = kernel_rows(((alpha * x + gamma) * t).ravel(), (beta * tx).ravel(), (alpha * tx).ravel(),
+                        np.repeat(ab, len(x)), tuple(rs)).reshape(len(rs), len(S), -1)
+        if rs != [orders[i] for i in rows]:
+            k = k[[rs.index(orders[i]) for i in rows]]
+        rows = slice(None) if len(rows) == len(orders) else rows
+        acc = out[rows]
+        for j in range(len(S)):
+            acc = acc + S[j] * k[:, j]
+        out[rows] = acc
+    zero = [i for i, r in enumerate(orders) if r == 0 and not closed]
     skip = orders == (0,) and len(x) >= _SKIP_MIN and not isinstance(t, np.ndarray)
-    for term in spec.terms:
+    for term in spec.terms if zero else ():
         w = (term.alpha * x.min() + term.gamma) * t if skip else 0.0
         if skip and (abs(term.S) * math.exp(-w) / (math.expm1(-w) * math.expm1(-term.beta * t))
                      < np.spacing(np.abs(out).min()) / 8.0):    # twice it below a quarter ulp
             continue
-        out = out + term.S * _kernel(term, x, t, orders)
+        if len(zero) == len(orders):    # a new sum, so the old one goes at once
+            out = out + term.S * _kernel(term, x, t)
+        else:
+            out[zero] = out[zero] + term.S * _kernel(term, x, t)
     return out
 
 

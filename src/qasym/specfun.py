@@ -1,6 +1,7 @@
-"""Special functions: Bernoulli numbers/polynomials and the polylogarithms
-Li_s(e^-w) of integer order s <= 2, taken at w (``polylog``), elementwise on
-arrays.
+"""Special functions: Bernoulli numbers/polynomials, the polylogarithms
+Li_s(e^-w) of integer order s <= 2, taken at w (``polylog``), and from them
+the series' inner sum K(w) = -log (e^-w; e^-bt)_inf and its derivatives
+without a k-sum (``kernel_closed``, ``kernel_rows``), elementwise on arrays.
 
 Bernoulli data is kept exact, as reduced integer (numerator, denominator)
 pairs: the product-asymptotic tail terms alternate in sign and grow
@@ -11,8 +12,8 @@ and Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
 division.  The polylogarithms are taken at w, not at x = e^-w: 1 - x keeps
 only the digits of w that survive the rounding of x, and the asymptotics
 live at w -> 0.  The nonpositive orders are positive integer-coefficient
-polynomials in v = 1/expm1(w), which ``qseries`` also uses for its
-Euler-Maclaurin levels.
+polynomials in v = 1/expm1(w), as are the closed forms' Euler-Maclaurin
+levels.
 
 The Bernoulli table is built at import and the polylogarithm coefficients on
 first use, after which every function here is pure and safe for concurrent
@@ -92,9 +93,10 @@ def dilog_exp1m(u):
     Bernoulli series u - u^2/4 + sum_j B_2j u^(2j+1)/(2j+1)!, whose terms fall
     like (u/2pi)^(2j), through B_20.  No argument check."""
     v = u * u
-    p = 0.0
-    for c in _LI2_EXP:
-        p = (p + c) * v
+    p = _LI2_EXP[0] * v
+    for c in _LI2_EXP[1:]:      # in place on arrays
+        p += c
+        p *= v
     return u - 0.25 * v + u * p
 
 
@@ -145,3 +147,124 @@ def polylog(s, w):
                 p = (p + c // m) * v
             out.append(p)
     return tuple(out) if isinstance(s, tuple) else out[0]
+
+
+# ---------------------------------------------------------------------------
+# The inner sum K(w) = sum_k e^-kw/(k (1 - e^-k bt)) = -log (e^-w; e^-bt)_inf
+# without a k-sum, and its derivatives
+
+_EM_J = 6               # Euler-Maclaurin levels j = 1.._EM_J of the closed forms
+_R0 = 0.1               # kernel_closed peels factors until bt/w <= _R0
+_CHUNK_ELEMS = 1 << 16  # kernel_rows' coefficients per chunk of points (fits L2)
+_BANDS = (4, 8, 16, 32, 64)     # kernel_rows' orders up to each peel alike
+# B_2j/(2j)!, j = 1.._EM_J: the closed form's Euler-Maclaurin weights
+_EM_B = [num / den / math.factorial(2 * j) for j in range(1, _EM_J + 1)
+         for num, den in [bernoulli_pair(2 * j)]]
+
+
+def _li_row(n: int, scale: float, size: int) -> list[float]:
+    # the v^m coefficients, m = 1..size, of scale Li_-n(e^-w), v = 1/expm1(w):
+    # Li_-n = sum_m m! S(n+1, m) v^m / m (``lineg_coeffs``); none for n < 0
+    c = lineg_coeffs(n) if n >= 0 else ()
+    return [scale / m * x for m, x in enumerate(c + (0,) * (size - len(c)), 1)]
+
+
+_EM_V = np.array([_li_row(2 * j - 2, b, 2 * _EM_J - 1) for j, b in enumerate(_EM_B, 1)])
+
+
+def kernel_closed(w: np.ndarray, bt) -> np.ndarray:
+    """K(w) = sum_k e^{-kw}/(k(1 - e^{-k bt})) without a k-sum: the product
+    form K(w) = -sum_n log(1 - e^{-(w + n bt)}) peels the fewest N factors
+    that leave w' = w + N bt >= bt/_R0, then Euler-Maclaurin gives K(w') =
+    Li2(e^-w')/bt + Li1(e^-w')/2 + sum_{j<=J} B_2j bt^(2j-1)/(2j)! Li_(2-2j)(e^-w').
+    The first omitted level is about 2 (2J)! (_R0/2pi)^(2J+1)/(2pi) ~ 6e-16,
+    absolute, against K(w') >= Li2(e^-w')/bt.  bt is one float or one per w."""
+    N = np.maximum(np.ceil(1.0 / _R0 - w / bt), 0.0)
+    n = np.arange(N.max())[:, None]      # a product runs along n in order
+    peel = np.log(np.prod(-np.expm1(-np.where(n < N, w + n * bt, np.inf)), axis=0))
+    li2, li1, v = polylog((2, 1, 0), w + N * bt)
+    odd = np.arange(1.0, 2 * _EM_J, 2.0)     # v^m coefficients, per bt its own product
+    c = (np.array([b ** odd @ _EM_V for b in bt]).T if isinstance(bt, np.ndarray)
+         else bt ** odd @ _EM_V)
+    em = v * np.polyval(c[::-1], v)
+    return li2 / bt + (0.5 * li1 + em - peel)
+
+
+@functools.lru_cache(maxsize=256)
+def _deriv_tables(orders: tuple[int, ...]) -> tuple:
+    # r - 1 and (-1)^r by row, then per band: its rows, 1/rho, the v^m
+    # coefficients of each row's Li (``_li_row``) zero-padded alike, whether
+    # it has order 0 and where order 1
+    r_col = np.array(orders, dtype=float)[:, None]
+    tables = [r_col - 1.0, (-1.0) ** r_col]
+    for lo, hi in zip((-1,) + _BANDS, _BANDS):
+        if rs := [r for r in orders if lo < r <= hi]:
+            top = -(-(max(rs) + 2 * _EM_J - 1) // 4) * 4       # powers of v, in fours
+            levels = [[_li_row(n, b, top) for r in rs for n in [r + 2 * j - 2 + (j == 0)]]
+                      for j, b in enumerate([0.5] + _EM_B)] + [[_li_row(r - 2, 1.0, top) for r in rs]]
+            tables.append((slice(orders.index(rs[0]), orders.index(rs[-1]) + 1), 3.0 * (hi + 6.0),
+                           np.array(levels).transpose(0, 2, 1).reshape(_EM_J + 2, -1, 1),
+                           np.array([_li_row(r - 1, 1.0, max(rs[-1], 1)) for r in rs]).T[..., None],
+                           rs[0] == 0, rs.index(1) if 1 in rs else None))
+    return tables
+
+
+def kernel_rows(w: np.ndarray, bt: np.ndarray, s: np.ndarray, ab: np.ndarray,
+                orders: tuple[int, ...]) -> np.ndarray:
+    """s^r K^(r)(w), the x-derivatives of the inner sum at w = (alpha x + gamma) t
+    for increasing orders r, from s = alpha t, bt = beta t and ab = alpha/beta
+    per point, O(1) in t: ``kernel_closed``'s peeled form differentiated,
+    K^(r)(w) = (-1)^r [sum_{n<N} Li_(1-r)(e^-(w+n bt)) + Li_(2-r)(e^-w')/bt
+    + Li_(1-r)(e^-w')/2 + sum_{j<=J} B_2j bt^(2j-1)/(2j)! Li_(2-2j-r)(e^-w')],
+    w' = w + N bt.  The orders up to each of _BANDS peel until bt/w' <= 1/(3
+    (band+6)), where the first omitted level, about 2 ((r+2J) bt/(2pi w'))^(2J+2)
+    of the rest, is below 3e-18 of it, and past bt = 0.37 until 2 (bt/2pi)^(2J+2)
+    e^(-N bt) < 2^-56.  A row is ab s^(r-1) (bt [...] + Li_(2-r)), in range
+    where s^r underflows; past the float range (from order 58 at w = 1e-4, 50
+    at 1e-5) it is inf.  All is elementwise on zero-padded coefficients: no
+    bit depends on the other points or bands."""
+    power, sign, *bands = _deriv_tables(orders)
+    step = max(1, _CHUNK_ELEMS // max(band[2][0].size for band in bands))
+    out = np.empty((len(orders), len(w)))
+    for i in range(0, len(w), step):
+        wc, bc = w[i:i + step], bt[i:i + step]
+        big = np.maximum(14.0 * np.log(bc) + 13.8, 0.0) / bc if bc.max() > 0.37 else 0.0
+        b2, wb = bc * bc, wc / bc
+        for rows, inv_rho, levels, peel, zero, one in bands:
+            e = out[rows, i:i + step]
+            N = np.ceil(np.maximum(inv_rho - wb, big))             # the peel counts
+            wp = wc + N * bc
+            v = 1.0 / np.expm1(wp)
+            c = levels[_EM_J] * b2      # the levels' coefficients by Horner in bt^2
+            for j in range(_EM_J - 1, 0, -1):
+                c += levels[j]
+                c *= b2 if j > 1 else bc
+            c += levels[0]
+            c *= bc
+            c += levels[-1]             # then Li_(2-r), and Estrin in v^4 on four parts
+            v2, k = v * v, len(peel[0])
+            v4, a = v2 * v2, c[-4 * k:]
+            for m in range(len(c) - 8 * k, -1, -4 * k):
+                a = a * v4
+                a += c[m:m + 4 * k]
+            e[:] = v * ((a[:k] + v * a[k:2 * k]) + v2 * (a[2 * k:3 * k] + v * a[3 * k:]))
+            if zero:                    # Li_2 and Li_1 = log1p(v)
+                li2, li1 = polylog((2, 1), wp)
+                e[0] += li2 + bc * (0.5 * li1)
+            if one is not None:
+                e[one] += np.log1p(v)
+            if N.max() > 0:             # a long chunk peels only the points that do
+                at = np.flatnonzero(N) if len(N) > 64 and N.min() == 0 else slice(None)
+                n = np.arange(N[at].max())[:, None]
+                vn = 1.0 / np.expm1(np.where(n < N[at], wc[at] + n * bc[at], np.inf))[:, None]
+                p = peel[-1] * vn                       # n by row by point
+                for m in range(len(peel) - 2, -1, -1):
+                    p += peel[m]
+                    p *= vn
+                if zero:
+                    p[:, 0] = np.log1p(vn[:, 0])
+                e[:, at] += bc[at] * np.cumsum(p, axis=0)[-1]   # along n in order
+        # s^(r-1) on whole arrays, where a broadcast exponent may take another pow
+        sp = np.power(np.repeat(s[None, i:i + step], len(orders), 0), np.repeat(power, len(wc), 1))
+        out[:, i:i + step] *= sp * ab[i:i + step]
+    return np.multiply(out, sign, out=out)

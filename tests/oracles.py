@@ -157,11 +157,11 @@ def dilog(x: float) -> float:
 def lambda_table_per_order(spec, sp, t: float,
                            rmax: int) -> tuple[float, float, dict[int, float]]:
     """Logged peak term F(u/t), peak-width normalizer V and reduced
-    derivatives lambda_r at the maximum sp, with a log_summand call for F and
-    one log_summand_deriv call per derivative order."""
+    derivatives lambda_r at the maximum sp, from the closed form as the asym
+    route reads it, one log_summand_deriv call per order, F's included."""
     two_k = 2 * sp.order
     x = sp.u / t
-    d2k = log_summand_deriv(spec, two_k, x, t)
+    d2k = log_summand_deriv(spec, two_k, x, t, closed=True)
     if d2k >= 0:
         raise SignError(
             f"order-{two_k} derivative nonnegative at the peak (t={t} too large)")
@@ -170,8 +170,8 @@ def lambda_table_per_order(spec, sp, t: float,
     for r in range(1, rmax + 1):
         if r == two_k:
             continue
-        lams[r] = log_summand_deriv(spec, r, x, t) / (math.factorial(r) * V ** r)
-    return log_summand(spec, x, t), V, lams
+        lams[r] = log_summand_deriv(spec, r, x, t, closed=True) / (math.factorial(r) * V ** r)
+    return log_summand_deriv(spec, 0, x, t, closed=True), V, lams
 
 
 def _gk15_scalar(f, a: float, b: float) -> tuple[float, float]:

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from oracles import kappa_by_partitions, lambda_table_per_order, log_add
 from qasym import expansion
 from qasym.cli import load_spec, main
-from qasym.errors import (ConvergenceError, DegenerateError, DomainError,
-                          HypothesisError, SignError)
+from qasym.errors import DegenerateError, DomainError, HypothesisError, SignError
 from qasym.expansion import (DEFAULT_L, AsymptoticResult, _exp_series, _lambda_table,
                              analyse, asym_from_parts, peak_value)
 from qasym.phase import level, stationary_points
@@ -117,8 +116,8 @@ class TestCorrections:
 
     @pytest.mark.parametrize("spec", [RAM, F0], ids=["ramanujan", "f0"])
     def test_lambda_table_equals_per_order_calls(self, spec):
-        # one k-sum for every order and t, F(u/t) included, gives the very
-        # bits of one call per order and t and a separate log_summand call
+        # one closed-form call for every order and t, F(u/t) included, gives
+        # the very bits of one call per order and t
         sp = _sp(spec)
         ts = (0.05, 1e-3, 1e-4)
         for L in (0, 1, 2):
@@ -270,7 +269,7 @@ class TestBranch:
 
 
 class TestDerivativeRows:
-    """peak_value asks one k-sum for the derivative orders it reads,
+    """peak_value asks the closed form once for the orders it reads,
     0..max(2L, 2k), and gets the bits of the wide table 0..2k(2k+1)L."""
 
     @pytest.mark.parametrize("name", ["ramanujan", "f0", "rphis", "simple-r"])
@@ -279,9 +278,9 @@ class TestDerivativeRows:
         an = analyse(p.series, p.prefactor)
         asked = []
 
-        def spy(spec, n, x, t, real=expansion.log_summand_deriv):
-            asked.append(n)
-            return real(spec, n, x, t)
+        def spy(spec, n, x, t, real=expansion.log_summand_deriv, **kw):
+            asked.append((n, kw))
+            return real(spec, n, x, t, **kw)
 
         monkeypatch.setattr(expansion, "log_summand_deriv", spy)
         ts = (0.1, 0.01, 0.001)
@@ -290,7 +289,7 @@ class TestDerivativeRows:
             for L in range(4):
                 asked.clear()
                 got = peak_value(an.series, sp, ts, L)
-                assert asked == [tuple(range(max(2 * L, 2 * k) + 1))]
+                assert asked == [(tuple(range(max(2 * L, 2 * k) + 1)), {"closed": True})]
                 wide = _lambda_table(an.series, sp, ts, 2 * k * (2 * k + 1) * L)
                 assert got.tolist() == [
                     _peak_reference(sp, f_u, V, _exp_series(lams, 2 * L)[::2])
@@ -337,12 +336,17 @@ class TestAsymTotal:
                     == [log_add(a, b)])
 
     @pytest.mark.parametrize("source, want", [
-        ("two_peak", (175.90369909588694, 1730.5812249392477)),
-        ("peak_dom", (161.98440305902798, 1632.0511400783137))])
+        ("two_peak", (175.90369909588694, 1730.5812249392475)),
+        ("peak_dom", (161.984403059028, 1632.0511400783132))])
     def test_asym_bits_pinned(self, source, want, tmp_path):
-        # `asym --t 0.01,0.001` as it printed when the routes carried a sign
-        # next to each log: two peaks, and a dominant peak plus the flat tail,
-        # added in the same order by np.logaddexp.reduce
+        # `asym --t 0.01,0.001`: two peaks, and a dominant peak plus the flat
+        # tail, added in the same order by np.logaddexp.reduce.  The same
+        # expansion assembled to 40 digits from the 40-digit k-sums of
+        # log_summand_mp's rows is 175.903699095886975, 1730.58122493924728,
+        # 161.984403059028052 and 1632.05114007831347; the closed-form rows
+        # moved 1730.5812249392477 (+1.87 ulp) to +0.87, 161.98440305902798
+        # (-2.44) to -1.44 and 1632.0511400783137 (+0.88) to -1.12, where
+        # F(u/t) is -1 ulp off against the k-sum's +1
         spec = str(DATA / "two_peak.json") if source == "two_peak" else PEAK_DOM
         out = tmp_path / "asym.json"
         assert main(["asym", "--spec", spec, "--t", "0.01,0.001", "--out", str(out)]) == 0
@@ -381,7 +385,7 @@ class TestAsymTotal:
 
 
 class TestAsymGrid:
-    """asym_from_parts at a tuple of t: one k-sum per peak for the whole
+    """asym_from_parts at a tuple of t: one closed-form call per peak for the whole
     grid, and each row the bits of a call at its t alone."""
 
     GRID = tuple(0.1 * 0.001 ** (i / 9) for i in range(10))     # 0.1 .. 1e-4
@@ -460,7 +464,7 @@ class TestAsymGrid:
         # the exact routes' check, before any log of t: a peak spec and a
         # tail-only spec refuse the same t with the same QasymError
         an = self._analysis(name)
-        with pytest.raises(ConvergenceError, match=r"^t must lie in \(0, 0.5\), got "):
+        with pytest.raises(DomainError, match=r"^t must lie in \(0, 0.5\), got "):
             asym_from_parts(an, (0.1, t))
 
     @pytest.mark.parametrize("name", ["ramanujan", "euler"])

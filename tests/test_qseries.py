@@ -15,12 +15,13 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, settings, target
 from hypothesis import strategies as st
 
 import qasym.cli as cli
 import qasym.quad as quad
 import qasym.qseries as qs
+import qasym.specfun as sf
 from oracles import (kernel_deriv_fsum, kernel_ksum, log_summand_mp, mcintosh_asym,
                      qpoch_finite, qpoch_inf)
 from qasym.cli import load_spec, main
@@ -303,14 +304,14 @@ class TestLogSummand:
             assert v == pytest.approx(log_summand(RAM, float(x), 0.05), rel=1e-15)
 
     def test_t_range(self):
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(DomainError):
             log_summand(RAM, 1.0, 0.5)
 
     def test_t_range_names_the_first_bad_t(self):
         ts = np.array([0.1, 0.7, math.nan, -1.0])
-        with pytest.raises(ConvergenceError, match=r"must lie in \(0, 0.5\), got 0.7$"):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 0.5\), got 0.7$"):
             log_summand_deriv(RAM, (0, 1), np.ones(4), ts)
-        with pytest.raises(ConvergenceError, match=r"got nan$"):
+        with pytest.raises(DomainError, match=r"got nan$"):
             log_summand(RAM, np.ones(2), np.array([0.1, math.nan]))
 
     @settings(max_examples=25, deadline=None)
@@ -328,7 +329,7 @@ class TestLogSummand:
         x = np.arange(m0, m0 + qs._SLICE + extra, dtype=float)
         want = qs._poly_deriv(spec, 0, x, t)
         for term in spec.terms:
-            want = want + term.S * qs._kernel(term, x, t, (0,))[0]
+            want = want + term.S * qs._kernel(term, x, t)
         assert log_summand(spec, x, t).tolist() == want.tolist()
 
     def test_skip_rule_fires_past_the_last_significant_term(self, monkeypatch):
@@ -375,19 +376,22 @@ class TestLogSummand:
         assert done.returncode == 0, done.stderr
 
     def test_inner_sum_cap_raises_promptly(self, capsys):
-        # order 0 needs no k-sum near x = 0, so only the derivative k-sums
-        # and the exact prefactor (the direct product's reach) keep a cap;
-        # past it they raise before allocating, and eval names the prefactor
+        # order 0 needs no k-sum near x = 0 and the derivative rows none at
+        # all, so only the exact prefactor (the direct product's reach) keeps
+        # a cap; past it, it raises before allocating, and eval names it
         x = np.array([3.0, 250.0, 0.0, 1.0, 0.0])
         assert np.all(np.isfinite(log_summand(RAM, x, 4e-6)))
-        for call, match in ((lambda: log_summand_deriv(RAM, 1, x, 4e-6), "inner sum needs"),
+        for call, match in ((lambda: log_summand_deriv(RAM, 1, x, 4e-6), None),
                             (lambda: prefactor_exact((QuadTerm(1, 1, 1, 0, 2),), 1e-6),
                              "exact prefactor.*factors")):
             tracemalloc.start()
             start = time.perf_counter()
             try:
-                with pytest.raises(ConvergenceError, match=match):
-                    call()
+                if match:
+                    with pytest.raises(ConvergenceError, match=match):
+                        call()
+                else:
+                    assert np.all(np.isfinite(call()))
                 elapsed = time.perf_counter() - start
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -396,6 +400,19 @@ class TestLogSummand:
             assert peak < 1 << 20
         assert main(["eval", "--preset", "ramanujan", "--t", "0.000001"]) == 3
         assert "exact prefactor" in capsys.readouterr().err
+
+
+def _closed(term, x, t, orders):
+    # the closed form's rows s^r K^(r)(w) at one symbol's points x, with
+    # w = (alpha x + gamma) t and t one float or one per point
+    tx = np.broadcast_to(t, np.shape(x))
+    return sf.kernel_rows((term.alpha * x + term.gamma) * t, term.beta * tx, term.alpha * tx,
+                           np.full(np.shape(x), term.alpha / term.beta), orders)
+
+
+def _kernel_or_closed(term, x, t, orders):
+    # order 0 alone from the k-sum, as log_summand takes it; else the closed form
+    return qs._kernel(term, x, t)[None] if orders == (0,) else _closed(term, x, t, orders)
 
 
 def _kernel_whole_block(term, x, t, n):
@@ -421,7 +438,7 @@ class TestKernel:
             if n == 0:
                 x[[4, 9]] = 0.0
             x = rng.permutation(np.r_[x, x[:4]])  # unsorted, with duplicates
-            got = qs._kernel(term, x, t, (n,))[0]
+            got = qs._kernel(term, x, t) if n == 0 else _closed(term, x, t, (n,))[0]
             want = _kernel_whole_block(term, x, t, n)
             assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -429,8 +446,8 @@ class TestKernel:
         term = RAM.terms[0]
         x = np.linspace(0.0, 3000.0, 97)
         perm = np.random.default_rng(5).permutation(len(x))
-        asc = qs._kernel(term, x, 1e-3, (0,))[0]
-        assert np.array_equal(qs._kernel(term, x[perm], 1e-3, (0,))[0], asc[perm])
+        asc = qs._kernel(term, x, 1e-3)
+        assert np.array_equal(qs._kernel(term, x[perm], 1e-3), asc[perm])
 
 
     def test_multiple_orders_match_whole_block(self):
@@ -442,7 +459,7 @@ class TestKernel:
             t = float(np.exp(rng.uniform(np.log(5e-3), np.log(0.3))))
             x = rng.uniform(0.01, 40.0 / t, 12)
             x = rng.permutation(np.r_[x, x[:4]])  # unsorted, with duplicates
-            got = qs._kernel(term, x, t, orders)
+            got = _closed(term, x, t, orders)
             assert got.shape == (len(orders), len(x))
             for row, n in zip(got, orders):
                 want = _kernel_whole_block(term, x, t, n)
@@ -462,12 +479,12 @@ class TestKernel:
         t = 1e-3
         x = np.linspace(0.0, 3.0 / t, 4096)
         orders = tuple(range(1, 41))
-        kmax = int(45.0 / (term.gamma * t)) + 10
-        # one unchunked k-by-point-by-order block of float64
-        assert 8 * len(orders) * kmax * len(x) > 1 << 30
+        # one unchunked order-by-power-by-point block of the closed form's
+        # coefficients, float64
+        assert 8 * len(orders) * (max(orders) + 2 * sf._EM_J) * len(x) > 64 << 20
         tracemalloc.start()
         try:
-            got = qs._kernel(term, x, t, orders)
+            got = _closed(term, x, t, orders)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -501,16 +518,17 @@ def wide_calls(draw):
 
 
 class TestKernelBanding:
-    """The k-sum's chunks are banded by cut; each point keeps its bits."""
+    """The k-sum's chunks are banded by cut, and the closed form's rows go in
+    chunks of points; each point keeps its bits."""
 
     @settings(max_examples=30, deadline=None)
     @given(call=wide_calls(), orders=st.sampled_from([(0,), (0, 1, 2, 3, 4)]))
     def test_each_point_has_its_bits_alone(self, call, orders):
         term, x, t = call
         per = isinstance(t, np.ndarray)
-        got = qs._kernel(term, x, t, orders)
+        got = _kernel_or_closed(term, x, t, orders)
         for j in range(len(x)):
-            alone = qs._kernel(term, x[j:j + 1], t[j:j + 1] if per else t, orders)
+            alone = _kernel_or_closed(term, x[j:j + 1], t[j:j + 1] if per else t, orders)
             assert np.array_equal(got[:, j], alone[:, 0]), (orders, x[j])
 
     @settings(max_examples=30, deadline=None)
@@ -520,8 +538,8 @@ class TestKernelBanding:
         # with t per point
         term, x, t = call
         assume(not isinstance(t, np.ndarray))
-        assert np.array_equal(qs._kernel(term, x, t, orders),
-                              qs._kernel(term, x, np.full(len(x), t), orders))
+        assert np.array_equal(_kernel_or_closed(term, x, t, orders),
+                              _kernel_or_closed(term, x, np.full(len(x), t), orders))
 
     def test_bands_skip_masked_terms(self, monkeypatch):
         # a 256-point sum block at t = 0.1 whose w runs from 0.17 to 44
@@ -535,14 +553,14 @@ class TestKernelBanding:
         outer = np.outer
         monkeypatch.setattr(qs.np, "outer", lambda a, b: built.append(
             np.size(a) * np.size(b)) or outer(a, b))
-        qs._kernel(term, x, t, (0,))
+        qs._kernel(term, x, t)
         monkeypatch.undo()
         assert sum(built) <= 2 * kept + 2 * qs._BAND_ELEMS < 65_473
 
 
 class TestKernelBands:
     """Order 0 below w = _W_A in closed form, above it a short k-sum;
-    derivative orders on a k-sum cut by their own decay."""
+    derivative orders from the differentiated closed form."""
 
     @pytest.mark.parametrize("t", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     def test_closed_form_exact_at_zero(self, t):
@@ -554,14 +572,14 @@ class TestKernelBands:
             pi = Decimal("3.1415926535897932384626433832795028841972")
             T = Decimal(t)
             exact = float(pi * pi / (6 * T) - (2 * pi / T).ln() / 2 - T / 24)
-        got = qs._kernel(qs.PochTerm(1.0, 1.0, 1.0, 1.0), np.array([0.0]), t, (0,))[0, 0]
+        got = qs._kernel(qs.PochTerm(1.0, 1.0, 1.0, 1.0), np.array([0.0]), t)[0]
         assert abs(got - exact) <= 2 * math.ulp(exact)
 
     def test_levels_in_v_match_polylogs(self):
         # row j of _EM_V in v = 1/expm1(w) is B_2j/(2j)! Li_(2-2j)(e^-w)
         for w in (0.01, 0.3, 2.0, 9.0):
             v = 1.0 / math.expm1(w)
-            for j, row in enumerate(qs._EM_V, 1):
+            for j, row in enumerate(sf._EM_V, 1):
                 got = sum(c * v ** m for m, c in enumerate(row, 1))
                 want = (float(Fraction(*bernoulli_pair(2 * j))) / math.factorial(2 * j)
                         * polylog(2 - 2 * j, w))
@@ -583,30 +601,31 @@ class TestKernelBands:
         assume(t < 0.45)
         term = qs.PochTerm(1.0, beta, w / t, 1.0)
         want = kernel_ksum(term, 0.0, t)
-        closed = qs._kernel_closed(np.array([term.gamma * t]), beta * t)[0]
-        got = qs._kernel(term, np.array([0.0]), t, (0,))[0, 0]
+        closed = sf.kernel_closed(np.array([term.gamma * t]), beta * t)[0]
+        got = qs._kernel(term, np.array([0.0]), t)[0]
         assert abs(closed - want) <= 1e-13 * want
         assert abs(got - want) <= 1e-13 * want
 
     def test_derivative_cut_matches_fsum(self):
-        # ramanujan's peak at t = 1e-3 (w = 0.963): 45/w + 10 terms missed
-        # 9e-10 of order 18 and 0.72 of order 60; each order alone and all
-        # 64 together, against 5000 terms added exactly
+        # ramanujan's peak at t = 1e-3 (w = 0.963), where a k-sum cut at
+        # 45/w + 10 terms missed 9e-10 of order 18 and 0.72 of order 60:
+        # the closed form, each order alone and all 64 together, against
+        # 5000 terms added exactly
         term = RAM.terms[0]
         t = 1e-3
         x = analyse(RAM).peaks[0].u / t
-        together = qs._kernel(term, np.array([x]), t, tuple(range(1, 65)))[:, 0]
+        together = _closed(term, np.array([x]), t, tuple(range(1, 65)))[:, 0]
         for n in range(1, 65):
             want = kernel_deriv_fsum(term, n, x, t)
-            alone = qs._kernel(term, np.array([x]), t, (n,))[0, 0]
+            alone = _closed(term, np.array([x]), t, (n,))[0, 0]
             assert alone == together[n - 1]
             assert abs(alone - want) <= 1e-12 * abs(want)
 
     def test_long_derivative_sum_in_chunks(self):
-        # at x = 0, t = 1e-4 order 1 needs 450,001 k-terms: several chunks,
-        # each carrying the sum of the rows above it
+        # at x = 0, t = 1e-4 a k-sum of order 1 needs 450,001 terms; the
+        # closed form peels 29 factors and takes the rest in O(1)
         term = RAM.terms[0]
-        got = qs._kernel(term, np.array([0.0]), 1e-4, (1,))[0, 0]
+        got = _closed(term, np.array([0.0]), 1e-4, (1,))[0, 0]
         want = kernel_deriv_fsum(term, 1, 0.0, 1e-4, kmax=460_000)
         assert abs(got - want) <= 1e-12 * abs(want)
 
@@ -632,7 +651,7 @@ class TestKernelBounds:
         # lo <= K(w) <= hi at x = s/t, up to the k-sum's own rounding
         term = qs.PochTerm(alpha, beta, gamma, 1.0)
         x = s / t
-        k = qs._kernel(term, np.array([x]), t, (0,))[0, 0]
+        k = qs._kernel(term, np.array([x]), t)[0]
         lo, hi = qs.kernel_bounds(term, (alpha * x + gamma) * t, t)
         assert lo - 1e-12 * k <= k <= hi + 1e-12 * k
 
@@ -824,6 +843,63 @@ def peak_specs(draw):
     return spec, np.array(ts), np.array(us)
 
 
+@st.composite
+def closed_points(draw):
+    """(term, x, t): one symbol, t in [1e-5, 0.45] and w = (alpha x + gamma) t
+    in [0.05, 40], half of the draws at w below 60 beta t, where the closed
+    form peels factors before its levels."""
+    alpha, beta = draw(st.floats(0.2, 3.0)), draw(st.floats(0.2, 3.0))
+    t = math.exp(draw(st.floats(math.log(1e-5), math.log(0.45))))
+    w = draw(st.floats(0.3, 60.0).map(lambda r: r * beta * t) | st.floats(0.05, 40.0))
+    w = min(max(w, 0.0502), 40.0)       # the oracle's k-sums need w >= 0.05
+    gamma = draw(st.floats(0.05, 1.0)) * w / t
+    return qs.PochTerm(alpha, beta, gamma, 1.0), (w / t - gamma) / alpha, t
+
+
+class TestClosedRows:
+    """The differentiated closed form ``specfun.kernel_rows``, whose rows the asym
+    route reads through log_summand_deriv(..., closed=True)."""
+
+    ORDERS = tuple(range(21))
+
+    @settings(max_examples=30, deadline=None)
+    @given(point=closed_points())
+    @example(point=(RAM.terms[0], 9.62, 0.1))
+    @example(point=(qs.PochTerm(1.0, 3.0, 1.0, 1.0), 0.0, 0.45))     # the peel past bt = 0.37
+    def test_rows_against_the_oracle(self, point):
+        # rows 0..4 within (16 + 2w) ulp of the symbol's part, as the k-sum's
+        # in TestLogSummandDeriv; past order 4 that grows as (r + 1)/5: K^(r)
+        # ~ (r-1)!/w^r carries r + 1 times the rounding of w and of v =
+        # 1/expm1(w), as a k-sum term e^L carries |L| times that of L
+        term, x, t = point
+        got = term.S * _closed(term, np.array([x]), t, self.ORDERS)[:, 0]
+        parts = log_summand_mp(SeriesSpec(0.0, 1.0, 0.0, (term,)), self.ORDERS, x, t)
+        w = (term.alpha * x + term.gamma) * t
+        ratios = []
+        with mp.workdps(40):
+            for r, value in zip(self.ORDERS, got):
+                err = float(abs(mp.mpf(float(value)) - parts[r][1]))
+                ratios.append(err / math.ulp(abs(float(parts[r][1])))
+                              / ((16.0 + 2.0 * w) * max(1.0, (r + 1) / 5.0)))
+        worst = int(np.argmax(ratios))
+        target(ratios[worst])       # steers the search to the worst draw
+        assert ratios[worst] <= 1.0, (worst, ratios[worst], w, t)
+
+    @settings(max_examples=40, deadline=None)
+    @given(drawn=peak_specs(), orders=st.lists(st.integers(0, 20), min_size=1, max_size=5,
+                                                unique=True).map(tuple))
+    def test_bits_independent_of_mates_and_orders(self, drawn, orders):
+        # each point's row r has the bits of its call alone and of any
+        # other set of orders, peel branch (u near 0 or t large) included
+        spec, ts, us = drawn
+        got = log_summand_deriv(spec, orders, us / ts, ts, closed=True)
+        wide = log_summand_deriv(spec, self.ORDERS, us / ts, ts, closed=True)
+        assert np.array_equal(got, wide[list(orders)])
+        for j in range(len(ts)):
+            alone = log_summand_deriv(spec, orders, float(us[j] / ts[j]), float(ts[j]), closed=True)
+            assert np.array_equal(got[:, j], alone), (orders, us[j], ts[j])
+
+
 class TestPerPointT:
     """log_summand_deriv with one t per point: every point has the bits of
     a call at its own t alone, whatever its call-mates."""
@@ -859,15 +935,15 @@ class TestPerPointT:
         self._check(spec, orders, us / ts, ts)
 
     def test_inner_sum_cap_names_the_t(self):
-        # at x = 0 order 1 needs 45/(gamma t) terms: only the point at
-        # t = 4e-6 needs more than the cap
-        with pytest.raises(ConvergenceError, match="at t=4e-06 "):
-            log_summand_deriv(RAM, 1, np.zeros(3), np.array([0.1, 4e-6, 0.01]))
+        # at x = 0 a k-sum of order 1 needs 45/(gamma t) terms, past the old
+        # cap at t = 4e-6; the closed form takes each point in O(1), with
+        # the bits of a call at its t alone
+        self._check(RAM, (1,), np.zeros(3), np.array([0.1, 4e-6, 0.01]))
 
     def test_t_shape_must_match_x(self):
         with pytest.raises(DomainError, match="shape"):
             log_summand_deriv(RAM, 1, np.ones(3), np.array([0.1, 0.2]))
-        with pytest.raises(ConvergenceError, match="got 0.5"):
+        with pytest.raises(DomainError, match="got 0.5"):
             log_summand_deriv(RAM, 1, np.ones(2), np.array([0.1, 0.5]))
 
 

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import qasym.qseries as qs
 import qasym.specfun as sf
 from oracles import BERNOULLI, bernoulli_poly_exact, dilog, dilog_power_series
 from qasym.errors import DomainError, IndexOverflowError
@@ -77,9 +76,9 @@ class TestBernoulli:
         assert [x.hex() for x in sf._LI2_EXP] == [x.hex() for x in li2]
         em_v = np.array([[float(BERNOULLI[2 * j]) / math.factorial(2 * j) / m * c
                           for m, c in enumerate(lineg_coeffs(2 * j - 2)
-                                                + (0,) * (2 * qs._EM_J - 2 * j), 1)]
-                         for j in range(1, qs._EM_J + 1)])
-        assert qs._EM_V.tobytes() == em_v.tobytes()
+                                                + (0,) * (2 * sf._EM_J - 2 * j), 1)]
+                         for j in range(1, sf._EM_J + 1)])
+        assert sf._EM_V.tobytes() == em_v.tobytes()
 
 
 class TestBernoulliPoly:
