@@ -15,7 +15,7 @@ from .errors import (ConvergenceError, DegenerateError, DomainError,
 from .expansion import Analysis, AsymptoticResult, analyse, asym_from_parts, peak_value
 from .phase import (HypothesisReport, StationaryPoint, check_hypothesis, level,
                     stationary_points)
-from .presets import PRESETS, Preset, Reference, get_preset
+from .presets import PRESETS, Preset, get_preset
 from .quad import QuadResult, integral
 from .qseries import (Law, PochTerm, ProductSpec, QuadTerm, SeriesSpec,
                       SumResult, log_summand, log_summand_deriv, normalize,
@@ -27,8 +27,8 @@ __all__ = [
     "Analysis", "AsymptoticResult", "ConvergenceError", "DegenerateError",
     "DomainError", "HypothesisError", "HypothesisReport", "IndexOverflowError",
     "Law", "PRESETS", "PochTerm", "Preset", "ProductSpec", "QasymError",
-    "QuadResult", "QuadTerm", "Reference", "SeriesSpec", "SignError",
-    "SpecError", "StationaryPoint", "SumResult", "analyse", "asym_from_parts",
+    "QuadResult", "QuadTerm", "SeriesSpec", "SignError", "SpecError",
+    "StationaryPoint", "SumResult", "analyse", "asym_from_parts",
     "check_hypothesis", "get_preset", "integral", "level", "log_summand",
     "log_summand_deriv", "normalize", "peak_value", "prefactor_asym",
     "prefactor_exact", "prefactor_law", "series_sum", "stationary_points",

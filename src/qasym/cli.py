@@ -5,11 +5,13 @@
 
 Commands: eval (direct summation), integral (adaptive quadrature), asym
 (asymptotic expansion), verify (all three, cross-validated, CSV), preset
-(list built-ins or dump one as a spec file).
+(list built-ins, or dump one as a spec file with the law ``analyse``
+computes for it).
 
 eval/integral/asym emit a single JSON object; verify emits CSV with one row
 per t.  Numbers are printed with 17 significant digits so output is
-byte-identical across runs and round-trips binary64 exactly.
+byte-identical across runs and round-trips binary64 exactly.  A failure in
+an exact route's row (eval, integral, verify) names the row's t.
 
 Exit status: 0 ok, 1 usage/parse error (including a --rel-tol not finite or
 below 1e-12), 2 hypothesis failure, 3 numeric failure (including a verify
@@ -275,7 +277,8 @@ def grid_rows(series: SeriesSpec, prefactor: tuple[QuadTerm, ...], q_power: floa
     ``asym_from_parts`` of ``an`` at order L, an ``AsymptoticResult`` of
     numbers), each the bits of its t alone.  An exact total is
     (log_value + exact constant product) - q_power t; asym's is log_value.  A
-    row takes the product, the ladder, then each route, as a lone t does."""
+    row takes the product, the ladder, then each route, as a lone t does; its
+    failure is raised as the same class, its message led by "row t=...: "."""
     def whole_grid(build):
         # row j's entry of one build over every t; if that raises, each row
         # builds its own, so the first failing row raises as it would alone
@@ -291,15 +294,18 @@ def grid_rows(series: SeriesSpec, prefactor: tuple[QuadTerm, ...], q_power: floa
         product = whole_grid(lambda g: prefactor_exact(prefactor, g).tolist())
         ladder = whole_grid(lambda g: mass_ladder(series, g))
     for j, t in enumerate(ts):
-        if exact:
-            # the product first: a t past its reach fails before a route is paid for
-            pref, lad = product(j), ladder(j)
-        row = []
-        for route in routes:
-            rec = (asym(j) if route == "asym" else series_sum(series, t, lad)
-                   if route == "sum" else quad_integral(series, t, rel_tol, lad))
-            row.append((rec.log_value if route == "asym"
-                        else (rec.log_value + pref) - q_power * t, rec))
+        try:
+            if exact:
+                # the product first: a t past its reach fails before a route is paid for
+                pref, lad = product(j), ladder(j)
+            row = []
+            for route in routes:
+                rec = (asym(j) if route == "asym" else series_sum(series, t, lad)
+                       if route == "sum" else quad_integral(series, t, rel_tol, lad))
+                row.append((rec.log_value if route == "asym"
+                            else (rec.log_value + pref) - q_power * t, rec))
+        except QasymError as e:
+            raise type(e)(f"row t={_fmt(t)}: {e}") from e
         yield tuple(row)
 
 
@@ -362,18 +368,15 @@ def run_verify(cfg: RunConfig) -> int:
     an = _analyse(cfg)
     lines = [CSV_HEADER]
     devs, floors = [], []
-    try:
-        for t, ((s, _), (i, res), (a, _)) in zip(cfg.t_grid, grid_rows(
-                cfg.series, cfg.prefactor, cfg.q_power, cfg.t_grid,
-                ("sum", "integral", "asym"), cfg.rel_tol, an, cfg.order_L)):
-            r_si = math.exp(s - i)
-            r_sa = math.exp(s - a)
-            devs.append(abs(r_si - 1.0))
-            floors.append(4.0 * (math.ulp(s) + math.ulp(i))
-                          + math.exp(res.abs_error_log - res.log_value))
-            lines.append(",".join(map(_fmt, (t, s, i, a, r_si, r_sa))))
-    except QasymError as e:     # raised by the row after the last one done
-        raise QasymError(f"row t={_fmt(cfg.t_grid[len(devs)])}: {e}") from e
+    for t, ((s, _), (i, res), (a, _)) in zip(cfg.t_grid, grid_rows(
+            cfg.series, cfg.prefactor, cfg.q_power, cfg.t_grid,
+            ("sum", "integral", "asym"), cfg.rel_tol, an, cfg.order_L)):
+        r_si = math.exp(s - i)
+        r_sa = math.exp(s - a)
+        devs.append(abs(r_si - 1.0))
+        floors.append(4.0 * (math.ulp(s) + math.ulp(i))
+                      + math.exp(res.abs_error_log - res.log_value))
+        lines.append(",".join(map(_fmt, (t, s, i, a, r_si, r_sa))))
     _emit("\n".join(lines) + "\n", cfg.output)
     message = _verdict(cfg.t_grid, devs, floors)
     if message:
@@ -387,10 +390,12 @@ def run_preset_cmd(args: argparse.Namespace) -> int:
         sys.stdout.write("\n".join(sorted(PRESETS)) + "\n")
         return 0
     p = get_preset(args.preset)
+    law = analyse(p.series, p.prefactor).law
     doc = {"name": p.name, "A": p.series.A, "B": p.series.B, "v": p.series.v,
            "terms": [q._asdict() for q in p.series.terms],
            "prefactor_quads": [q._asdict() for q in p.prefactor], "q_power": p.q_power,
-           "reference": p.reference._asdict(), "notes": p.notes}
+           "law": {"rate": law.rate, "t_power": law.t_power, "log_constant": law.log_c},
+           "notes": p.notes}
     _emit(_dumps(doc) + "\n", args.out)
     return 0
 

@@ -4,6 +4,7 @@ against.  No route of the package calls them."""
 import heapq
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -12,8 +13,8 @@ import qasym.quad as quad
 
 from qasym.errors import ConvergenceError, DomainError, SignError
 from qasym.phase import level, search_upper_bound
-from qasym.qseries import LOG_2PI, log_summand, log_summand_deriv
-from qasym.specfun import PI2_6, bernoulli_poly, dilog_exp1m
+from qasym.qseries import LOG_2PI, ProductSpec, log_summand, log_summand_deriv
+from qasym.specfun import PI2_6, bernoulli_poly, dilog_exp1m, polylog
 
 
 def bernoulli_recurrence(n_max: int) -> list[Fraction]:
@@ -347,3 +348,119 @@ def log_summand_mp(spec, orders: tuple[int, ...], x: float, t: float) -> list[li
             for row, s in zip(parts, sums):
                 row.append(S * s)
         return parts
+
+
+# ---------------------------------------------------------------------------
+# The presets' t -> 0 laws in closed form, and the raw products they normalize
+
+
+class Reference(NamedTuple):
+    """t -> 0 law: constant * t^t_power * exp(rate/t)."""
+    rate: float
+    t_power: float
+    log_constant: float
+    notes: str = ""
+
+
+PI = math.pi
+PI2 = math.pi * math.pi
+
+F0_ZETA = -math.log((2.0 / 3.0) * math.sqrt(7.0)
+                    * math.cos(math.acos(-1.0 / (2.0 * math.sqrt(7.0))) / 3.0)
+                    - 2.0 / 3.0)
+
+
+def _f0_reference() -> Reference:
+    x = math.exp(-F0_ZETA)
+    rate = polylog(2, F0_ZETA) - F0_ZETA ** 2 - polylog(2, 2.0 * F0_ZETA)
+    log_c = -0.5 * (polylog(1, F0_ZETA) + math.log(2.0 - x + x * x)) + 0.5 * math.log(2.0 * PI)
+    return Reference(rate=rate, t_power=-0.5, log_constant=log_c,
+                     notes="peak at the root of x^3+2x^2-x-1, x = e^(-u)")
+
+
+def rphis(a_vec: tuple[float, ...] = (1.0,), b_vec: tuple[float, ...] = (1.0, 1.0),
+          v: float = 0.0) -> tuple[ProductSpec, Reference]:
+    """Confluent basic hypergeometric series
+    sum_k prod(e^{-t a};e^{-t})_k / prod(e^{-t b};e^{-t})_k * e^{-l t k(k-1)/2} e^{vk}
+    with l = len(b) - len(a) > 0, and its law.  The q-power bookkeeping
+    l*C(k,2) fixes A = l/2 and shifts B by -l/2."""
+    ell = len(b_vec) - len(a_vec)
+    if ell <= 0:
+        raise ValueError(f"need len(b) > len(a), got {len(a_vec)} and {len(b_vec)}")
+    quads = ([(a, 1.0, 1.0, 0.0, -1.0) for a in a_vec]
+             + [(b, 1.0, 1.0, 0.0, 1.0) for b in b_vec])
+    product = ProductSpec.make(ell / 2.0, -ell / 2.0, v, quads)
+    u_star = math.log1p(math.exp(v / ell))
+    rate = (0.5 * ell * (2.0 * v / ell * u_star - u_star ** 2 + PI2 / 3.0
+                         - 2.0 * polylog(2, u_star)))
+    t_power = sum(b_vec) - sum(a_vec) - (ell + 1) / 2.0
+    log_c = ((1.0 - ell) / 2.0 * math.log(2.0 * PI)
+             + 0.5 * ell * (math.log1p(math.exp(v / ell))
+                            - math.log1p(math.exp(-v / ell)))
+             - 0.5 * math.log(ell)
+             + sum(math.lgamma(b) for b in b_vec)
+             - sum(math.lgamma(a) for a in a_vec)
+             + (sum(b_vec) - sum(a_vec) - 0.5) * math.log1p(math.exp(-v / ell)))
+    return product, Reference(rate=rate, t_power=t_power, log_constant=log_c,
+                              notes="single peak at u = log(1+e^(v/l))")
+
+
+def simple_r(A: float = 1.0, B: float = 0.0, C: float = 1.0, D: float = 1.0,
+             E: float = 1.0, F: float = 0.0, G: int = 1) -> tuple[ProductSpec, Reference]:
+    """sum_m q^(A m^2 + B m) / (q^C;q^D)_(E m+F)^G, and its law.
+
+    The default parameters give the Rogers-Ramanujan series
+    sum q^(m^2)/(q;q)_m (rate pi^2/15).  The peak solves
+    x^(2A/(EG)) + x^(DE) = 1 with x = e^(-u), found by bisection (the
+    left side is strictly monotone); its order is always 1.
+    """
+    product = ProductSpec.make(A, B, 0.0, [(C, D, E, F, float(G))])
+    p = 2.0 * A / (E * G)
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid ** p + mid ** (D * E) > 1.0:
+            hi = mid
+        else:
+            lo = mid
+    x = 0.5 * (lo + hi)
+    zeta = -math.log(x)
+    rate = -A * zeta ** 2 + (G / D) * (PI2 / 6.0 - polylog(2, D * E * zeta))
+    t_power = C * G / D - (G + 1) / 2.0
+    log_c = (-(G - 1) / 2.0 * math.log(2.0 * PI)
+             + G * math.lgamma(C / D)
+             + (C / D - 0.5) * G * math.log(D)
+             + zeta * ((2.0 * A / E) * (F + C / D - 0.5) - B)
+             - 0.5 * math.log(2.0 * A + D * G * E * E * x ** (D * E - p)))
+    return product, Reference(rate=rate, t_power=t_power, log_constant=log_c,
+                              notes=f"zeta_R = {zeta!r}")
+
+
+# the raw finite-symbol series of each preset that has one: normalize of
+# it is the preset's series and prefactor
+PRODUCTS: dict[str, ProductSpec] = {
+    # sum_m q^(m(m+1)/2) / (q;q)_m^2
+    "ramanujan": ProductSpec.make(0.5, 0.5, 0.0, [(1, 1, 1, 0, 2)]),
+    # sum_m q^(m^2) / (q^(m+1);q)_m, via (q^(m+1);q)_m = (q;q)_(2m)/(q;q)_m
+    "f0": ProductSpec.make(1.0, 0.0, 0.0, [(1, 1, 1, 0, -1), (1, 1, 2, 0, 1)]),
+    "rphis": rphis()[0],
+    "simple-r": simple_r()[0],
+}
+
+REFERENCES: dict[str, Reference] = {
+    "ramanujan": Reference(rate=PI2 / 5.0, t_power=0.5,
+                           log_constant=-0.5 * math.log(2.0 * PI * math.sqrt(5.0)),
+                           notes="golden-ratio peak; u* = 2 log((1+sqrt5)/2)"),
+    "f0": _f0_reference(),
+    # C_H = 1/2, tail constant Gamma(1/2)/(2 (3/2)^(1/2))
+    "phi-minus": Reference(
+        rate=PI2 / 6.0, t_power=-0.5,
+        log_constant=math.log(0.5) + math.lgamma(0.5) - math.log(2.0) - 0.5 * math.log(1.5),
+        notes="tail-only branch; equals (1/2) sqrt(pi/(6 t)) e^(pi^2/(6t))"),
+    "rphis": rphis()[1],
+    "simple-r": simple_r()[1],
+    "euler": Reference(rate=0.0, t_power=0.0, log_constant=0.0,
+                       notes="exact value 1 for every t"),
+    "euler-b2": Reference(rate=0.0, t_power=1.0, log_constant=0.0,
+                          notes="exact value 1 - e^(-t)"),
+}

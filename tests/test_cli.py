@@ -70,6 +70,17 @@ ALL_PRESETS = ("ramanujan", "f0", "phi-minus", "rphis", "simple-r", "euler",
                "euler-b2")
 
 
+@pytest.mark.parametrize("name", ALL_PRESETS)
+def test_preset_law_is_the_asym_law(name):
+    # one law per spec: the dump's law is the one asym prints on every row,
+    # bit for bit
+    law = json.loads(run_cli("preset", "--preset", name).stdout, parse_float=str)["law"]
+    cp = run_cli("asym", "--preset", name, "--t", "0.05")
+    assert cp.returncode == 0, cp.stderr
+    [row] = json.loads(cp.stdout, parse_float=str)["results"]["rows"]
+    assert law == {k: row[k] for k in ("rate", "t_power", "log_constant")}
+
+
 def test_preset_dump_roundtrips(tmp_path):
     out = tmp_path / "rama.json"
     cp = run_cli("preset", "--preset", "ramanujan", "--out", str(out))
@@ -643,11 +654,11 @@ def test_asym_sweep_output_laws(source, tmp_path):
      "numeric failure: row t=1.0000000000000001e-30: exact prefactor: (a;q)_inf "
      "needs 4.14e+31 factors, more than 10000000\n"),
     (("eval", "--preset", "ramanujan", "--t", "1e-15"), 3,
-     "numeric failure: exact prefactor: (a;q)_inf needs 4.14e+16 factors, "
-     "more than 10000000\n"),
+     "numeric failure: row t=1.0000000000000001e-15: exact prefactor: (a;q)_inf "
+     "needs 4.14e+16 factors, more than 10000000\n"),
     (("eval", "--preset", "f0", "--t", "1e-15"), 3,
-     "numeric failure: exact sum: the window needs 123858762357079 terms, "
-     "more than 134217728\n"),
+     "numeric failure: row t=1.0000000000000001e-15: exact sum: the window "
+     "needs 123858762357079 terms, more than 134217728\n"),
     (("verify", "--preset", "f0", "--t", "0.01,1e-15"), 3,
      "numeric failure: row t=1.0000000000000001e-15: exact sum: the window "
      "needs 123858762357079 terms, more than 134217728\n"),

@@ -43,5 +43,5 @@ def test_all_names_resolve():
     assert len(set(qasym.__all__)) == len(qasym.__all__)
     missing = [name for name in qasym.__all__ if not hasattr(qasym, name)]
     assert missing == []
-    gone = {"PrefactorLaw", "phase_value", "phase_deriv"}
+    gone = {"PrefactorLaw", "phase_value", "phase_deriv", "Reference"}
     assert gone.isdisjoint(qasym.__all__) and not any(hasattr(qasym, n) for n in gone)
