@@ -95,8 +95,7 @@ def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, ts: tuple, rmax: int):
     # power is taken per t by float pow, as numpy's may round otherwise
     two_k = 2 * sp.order
     t_col = np.array(ts, dtype=float)
-    d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)), sp.u / t_col, t_col,
-                          closed=True)
+    d = log_summand_deriv(spec, tuple(range(max(rmax, two_k) + 1)), sp.u / t_col, t_col)
     bad = np.flatnonzero(d[two_k] >= 0)
     if bad.size:
         raise SignError(f"order-{two_k} derivative nonnegative at the peak "

@@ -8,13 +8,14 @@ prefactor, exact (the inner sum's closed form) and by its product asymptotics.
 Truncation policy for the outer sum and its integral: one ladder of pieces
 (``mass_ladder``) certifies a window that leaves out at most 1e-18 of the
 total, from the closed-form sandwich of the inner sum (``kernel_bounds``).
-The inner sum costs the same at every t: a closed form below w = 0.1, at
-most 451 k-terms above (``_kernel``), by slices of points that fit L2,
-skipping a term that moves no bit.  The k-sum is order 0 only: the
-x-derivatives come from the closed form differentiated termwise
-(``kernel_rows``).  Every value is positive and carried
-as its log: the series reach exp(pi^2/(5t)), which overflows binary64 for
-t < 0.0125.
+The two term evaluators are independent.  ``log_summand``, the exact
+routes' term, takes the inner sum at the same cost at every t: a closed form
+below w = 0.1, at most 451 k-terms above (``_kernel``), by slices of points
+that fit L2, skipping a term that moves no bit.  ``log_summand_deriv``, the
+asym route's, takes every row, order 0 included, from the closed form
+differentiated termwise (``kernel_rows``).  Every value is positive and
+carried as its log: the series reach exp(pi^2/(5t)), which overflows binary64
+for t < 0.0125.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ _KLOG_MARGIN = 45.0         # e^-45 ~ 3e-20: inner k-sums stop past this decay
 _KMAX_HARD = 10_000_000     # most factors of the exact prefactor's product
 _CHUNK_ELEMS = 1 << 16      # k-by-point elements per inner-sum chunk (fits L2)
 _BAND_ELEMS = 1 << 13       # a chunk this big ends where its points' cuts halve
-_SLICE = 1 << 14            # points per log_summand_deriv slice (its arrays fit L2)
-_SKIP_MIN = 1 << 10         # order-0 slices this long may skip a term (not GK15 nodes)
+_SLICE = 1 << 14            # points per log_summand slice (its arrays fit L2)
+_SKIP_MIN = 1 << 10         # log_summand slices this long may skip a term (not GK15 nodes)
 MAX_DERIV = 64              # highest x-derivative order log_summand_deriv takes
-_W_A = 0.1                  # order 0: closed form below this w, k-sum above
+_W_A = 0.1                  # _kernel: closed form below this w, k-sum above
 _LADDER = 2.0 ** (1.0 / 32)  # edge ratio of series_sum's certificate ladder
 U_END = 2000.0              # series_sum raises if not stopped by m t = U_END
 _SUM_BUDGET = 1 << 27       # most terms series_sum's window may span
@@ -266,10 +267,22 @@ def _require_t(t) -> None:
                           f"got {t[np.argmin((t > 0.0) & (t < T_MAX))]}")
 
 
+def _points(x, t):
+    # both term evaluators' inputs: t in (0, T_MAX), one or one per point of
+    # x, finite x >= 0; gives x in 1-d, t a float or array, and if x was scalar
+    ta = np.asarray(t, dtype=float)
+    _require_t(ta)
+    xa = np.asarray(x, dtype=float)
+    if ta.ndim and ta.shape != xa.shape:
+        raise DomainError(f"t must be one value or of x's shape, got {ta.shape}")
+    if not np.all((xa >= 0) & (xa < math.inf)):     # nan fails both
+        raise DomainError("log_summand needs finite x >= 0")
+    return np.atleast_1d(xa), (ta if ta.ndim else float(ta)), xa.ndim == 0
+
+
 def _kernel(term: PochTerm, x: np.ndarray, t) -> np.ndarray:
     """K(w) = sum_{k>=1} e^{-kw} / (k (1-e^{-k beta t})), w = (alpha x +
-    gamma) t, for a vector of x >= 0 and t one float or one per point; its
-    derivatives are ``kernel_rows``'.
+    gamma) t, for a vector of x >= 0 and t one float or one per point.
 
     It costs the same at every t: below w = _W_A it is ``kernel_closed``;
     above, a k-sum cut at kc = floor(45/w) + 1, which leaves out less than
@@ -293,34 +306,29 @@ def _kernel(term: PochTerm, x: np.ndarray, t) -> np.ndarray:
     acc_k = acc[near:]
     p0 = 0
     while p0 < len(wk):
-        # points p0 .. p1-1 fit the budget, and past _BAND_ELEMS end where kc
-        # halves; a point that alone does not fit goes in chunks, carrying its sum
-        k1 = k_top = int(kc[p0]) + 1
-        p1 = min(p0 + max(1, _CHUNK_ELEMS // (k1 - 1)), len(wk))
+        # points p0 .. p1-1 fit the budget, and past _BAND_ELEMS end where kc halves;
+        # one chunk holds all their k = kc[p0] .. 1, as kc <= 45/_W_A + 1 < _CHUNK_ELEMS
+        k1 = int(kc[p0]) + 1
+        p1 = min(p0 + _CHUNK_ELEMS // (k1 - 1), len(wk))
         band = p0 + _BAND_ELEMS // (k1 - 1)
         if band < p1 and kc[p1 - 1] < k1 // 2:
             # the first point whose kc is below half of kc[p0]
             half = np.searchsorted(-kc[p0:p1], -(k1 // 2), side="right")
             p1 = max(band, p0 + int(half))
         tp = tk[p0:p1] if per else tk           # the points' t, or the one t
-        while k1 > 1:
-            k0 = max(k1 - _CHUNK_ELEMS, 1)
-            k = np.arange(k1 - 1, k0 - 1, -1, dtype=float)[:, None]   # descending
-            blk = np.outer(-k, wk[p0:p1])       # k by point
-            blk -= np.log(k * -np.expm1(-k * term.beta * tp))
-            top = k1 - 1 - int(kc[p1 - 1])      # past a point's cut: zero terms
-            if top > 0:
-                np.putmask(blk[:top], k[:top] > kc[p0:p1], -np.inf)
-            blk = np.exp(blk, out=blk)
-            if k1 < k_top:                      # past the band's first chunk
-                blk[0] += acc_k[p0:p1]
-            # in order along k: reducing the outer axis adds one k at a
-            # time, and so does cumsum, which a single point needs
-            acc_k[p0:p1] = (np.add.reduce(blk, axis=0) if blk.shape[1] > 1
-                            else np.cumsum(blk, axis=0)[-1])
-            k1 = k0
-            del blk                             # before the next chunk's is made
+        k = np.arange(k1 - 1, 0, -1, dtype=float)[:, None]     # descending
+        blk = np.outer(-k, wk[p0:p1])           # k by point
+        blk -= np.log(k * -np.expm1(-k * term.beta * tp))
+        top = k1 - 1 - int(kc[p1 - 1])          # past a point's cut: zero terms
+        if top > 0:
+            np.putmask(blk[:top], k[:top] > kc[p0:p1], -np.inf)
+        blk = np.exp(blk, out=blk)
+        # in order along k: reducing the outer axis adds one k at a time, and
+        # so does cumsum, which a single point needs
+        acc_k[p0:p1] = (np.add.reduce(blk, axis=0) if blk.shape[1] > 1
+                        else np.cumsum(blk, axis=0)[-1])
         p0 = p1
+        del blk                                 # before the next band's is made
     if near:
         acc[:near] = kernel_closed(w[:near], term.beta * (t[:near] if per else t))
     return acc if order is None else acc[np.argsort(order)]
@@ -328,9 +336,29 @@ def _kernel(term: PochTerm, x: np.ndarray, t) -> np.ndarray:
 
 def log_summand(spec: SeriesSpec, x, t):
     """The logged x-th term of the series: x v - A x^2 t - B x t plus the
-    Pochhammer contribution sum_terms S * kernel.  Accepts scalar or array
-    finite x >= 0 and returns matching shape; t as in ``log_summand_deriv``."""
-    return log_summand_deriv(spec, 0, x, t)
+    Pochhammer contribution sum_terms S * K, each K from ``_kernel``.  Takes
+    scalar or array finite x >= 0 and returns matching shape; t is one float
+    or an array matching x, each point with the bits of a call at its t
+    alone.  Points go by slices of _SLICE, whose arrays fit L2; at one t, a
+    slice of _SKIP_MIN points or more drops a term if 2|S| e^-w/((1 -
+    e^-w)(1 - e^-(beta t))) >= 2|S| K at its least w is below a quarter ulp
+    of the least |partial sum|: it would move no bit."""
+    x, t, scalar = _points(x, t)
+    per = isinstance(t, np.ndarray)
+    parts = []
+    for i in range(0, max(len(x), 1), _SLICE):
+        xs, ts = x[i:i + _SLICE], (t[i:i + _SLICE] if per else t)
+        out = _poly_deriv(spec, 0, xs, ts)
+        skip = len(xs) >= _SKIP_MIN and not per
+        for term in spec.terms:
+            w = (term.alpha * xs.min() + term.gamma) * t if skip else 0.0
+            if skip and (abs(term.S) * math.exp(-w) / (math.expm1(-w) * math.expm1(-term.beta * t))
+                         < np.spacing(np.abs(out).min()) / 8.0):
+                continue
+            out = out + term.S * _kernel(term, xs, ts)
+        parts.append(out)
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return float(out[0]) if scalar else out
 
 
 def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t):
@@ -342,36 +370,6 @@ def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t):
     return -2.0 * spec.A * t
 
 
-def log_summand_deriv(spec: SeriesSpec, n, x, t, closed: bool = False):
-    """n-th x-derivative of log_summand (n = 0 is log_summand itself); for a
-    tuple of orders n, one row per order.  Orders >= 1 come from the
-    differentiated closed form (``kernel_rows``), O(1) in t, and order 0
-    from log_summand's k-sum, or with ``closed`` from the closed form too: an
-    independent evaluation of the same number.  Takes scalar or array finite
-    x >= 0 and returns matching shape; t is one float or an array matching x,
-    each point with the bits of a call at its t, whatever the other orders.
-    Points go in ``_summand_rows`` by slices of _SLICE, whose arrays fit L2."""
-    ta = np.asarray(t, dtype=float)         # one t, or one per point
-    _require_t(ta)
-    orders = n if isinstance(n, tuple) else (n,)
-    if not orders or any(r not in range(MAX_DERIV + 1) for r in orders):  # 1.0 is 1
-        raise DomainError(f"derivative orders must be integers in [0, {MAX_DERIV}], got {n}")
-    xa = np.asarray(x, dtype=float)
-    if ta.ndim and ta.shape != xa.shape:
-        raise DomainError(f"t must be one value or of x's shape, got {ta.shape}")
-    t = ta if ta.ndim else float(ta)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
-    if not np.all((xa >= 0) & (xa < math.inf)):     # nan fails both
-        raise DomainError("log_summand needs finite x >= 0")
-    parts = [_summand_rows(spec, tuple(orders), xa[i:i + _SLICE],
-                           t[i:i + _SLICE] if ta.ndim else t, closed)
-             for i in range(0, max(len(xa), 1), _SLICE)]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    out = out[:, 0] if scalar else out
-    return out if isinstance(n, tuple) else (float(out[0]) if scalar else out[0])
-
-
 @functools.lru_cache(maxsize=256)
 def _term_columns(spec: SeriesSpec) -> np.ndarray:
     # alpha, beta, gamma, S and alpha/beta of the terms, each a column
@@ -379,43 +377,34 @@ def _term_columns(spec: SeriesSpec) -> np.ndarray:
     return alpha, beta, gamma, S, alpha / beta
 
 
-def _summand_rows(spec: SeriesSpec, orders: tuple[int, ...], x: np.ndarray, t,
-                  closed: bool) -> np.ndarray:
-    # the polynomial part, then each S K in order: the closed-form rows from
-    # one kernel_rows call over every term's points, order 0 (unless closed)
-    # from _kernel; there, at one t and _SKIP_MIN points or more, a term goes if
-    # 2|S| e^-w/((1 - e^-w)(1 - e^-(beta t))) >= 2|S| K at the least w is below
-    # a quarter ulp of the least |partial sum|: none would move
+def log_summand_deriv(spec: SeriesSpec, n, x, t):
+    """n-th x-derivative of log_summand; for a tuple of orders n, one row per
+    order.  Every row, order 0 included, comes from the differentiated
+    closed form (``kernel_rows``) in one call over every term's points, O(1)
+    in t: order 0 is an independent evaluation of log_summand's number, not
+    its bits.  Takes x and t as log_summand does and returns matching shape,
+    each point with the bits of a call at its t alone, whatever the other
+    points and orders."""
+    x, t, scalar = _points(x, t)
+    orders = n if isinstance(n, tuple) else (n,)
+    if not orders or any(r not in range(MAX_DERIV + 1) for r in orders):  # 1.0 is 1
+        raise DomainError(f"derivative orders must be integers in [0, {MAX_DERIV}], got {n}")
     out = np.zeros((len(orders), len(x)))
     for i, r in enumerate(orders):
         if r <= 2:
             out[i] = _poly_deriv(spec, r, x, t)
-    rows = [i for i, r in enumerate(orders) if r or closed]
-    if rows and spec.terms and len(x):
+    if spec.terms and len(x):
         alpha, beta, gamma, S, ab = _term_columns(spec)
         tx = t if isinstance(t, np.ndarray) else np.full(len(x), t)
-        rs = sorted({orders[i] for i in rows})
+        rs = sorted(set(orders))
         k = kernel_rows(((alpha * x + gamma) * t).ravel(), (beta * tx).ravel(), (alpha * tx).ravel(),
                         np.repeat(ab, len(x)), tuple(rs)).reshape(len(rs), len(S), -1)
-        if rs != [orders[i] for i in rows]:
-            k = k[[rs.index(orders[i]) for i in rows]]
-        rows = slice(None) if len(rows) == len(orders) else rows
-        acc = out[rows]
+        if rs != list(orders):
+            k = k[[rs.index(r) for r in orders]]
         for j in range(len(S)):
-            acc = acc + S[j] * k[:, j]
-        out[rows] = acc
-    zero = [i for i, r in enumerate(orders) if r == 0 and not closed]
-    skip = orders == (0,) and len(x) >= _SKIP_MIN and not isinstance(t, np.ndarray)
-    for term in spec.terms if zero else ():
-        w = (term.alpha * x.min() + term.gamma) * t if skip else 0.0
-        if skip and (abs(term.S) * math.exp(-w) / (math.expm1(-w) * math.expm1(-term.beta * t))
-                     < np.spacing(np.abs(out).min()) / 8.0):    # twice it below a quarter ulp
-            continue
-        if len(zero) == len(orders):    # a new sum, so the old one goes at once
-            out = out + term.S * _kernel(term, x, t)
-        else:
-            out[zero] = out[zero] + term.S * _kernel(term, x, t)
-    return out
+            out = out + S[j] * k[:, j]
+    out = out[:, 0] if scalar else out
+    return out if isinstance(n, tuple) else (float(out[0]) if scalar else out[0])
 
 
 def kernel_bounds(term: PochTerm, w: float, t: float) -> tuple[float, float]:

@@ -109,6 +109,14 @@ def lineg_coeffs(n: int) -> tuple[int, ...]:
                  for m in range(1, n + 2))
 
 
+def _li2(w: np.ndarray, li1: np.ndarray) -> np.ndarray:
+    # Li_2(e^-w) on arrays from li1 = Li_1(e^-w), as ``polylog`` takes it
+    near = w < 0.69
+    u = np.where(near, w, li1)          # no inf * 0 at w = inf
+    li2 = dilog_exp1m(u)
+    return np.where(near, PI2_6 - u * li1 - li2, li2)
+
+
 def polylog(s, w):
     """Li_s(e^-w) for integer s <= 2 at w > 0 (w = inf gives 0), elementwise
     on arrays; for a tuple of orders, one value per order, all from one
@@ -132,13 +140,9 @@ def polylog(s, w):
     li1 = (np.log1p(v) if arr else float(np.log1p(v))) if top > 0 else None
     out = []
     for r in orders:
-        if r == 2 and arr:
-            near = w < 0.69
-            u = np.where(near, w, li1)          # no inf * 0 at w = inf
-            li2 = dilog_exp1m(u)
-            out.append(np.where(near, PI2_6 - u * li1 - li2, li2))
-        elif r == 2:
-            out.append(PI2_6 - w * li1 - dilog_exp1m(w) if w < 0.69 else dilog_exp1m(li1))
+        if r == 2:
+            out.append(_li2(w, li1) if arr else (PI2_6 - w * li1 - dilog_exp1m(w)
+                                                 if w < 0.69 else dilog_exp1m(li1)))
         elif r >= 0:
             out.append(li1 if r else v)
         else:
@@ -248,11 +252,11 @@ def kernel_rows(w: np.ndarray, bt: np.ndarray, s: np.ndarray, ab: np.ndarray,
                 a = a * v4
                 a += c[m:m + 4 * k]
             e[:] = v * ((a[:k] + v * a[k:2 * k]) + v2 * (a[2 * k:3 * k] + v * a[3 * k:]))
-            if zero:                    # Li_2 and Li_1 = log1p(v)
-                li2, li1 = polylog((2, 1), wp)
-                e[0] += li2 + bc * (0.5 * li1)
+            li1 = np.log1p(v) if zero or one is not None else None     # Li_1
+            if zero:
+                e[0] += _li2(wp, li1) + bc * (0.5 * li1)
             if one is not None:
-                e[one] += np.log1p(v)
+                e[one] += li1
             if N.max() > 0:             # a long chunk peels only the points that do
                 at = np.flatnonzero(N) if len(N) > 64 and N.min() == 0 else slice(None)
                 n = np.arange(N[at].max())[:, None]

@@ -162,7 +162,7 @@ def lambda_table_per_order(spec, sp, t: float,
     route reads it, one log_summand_deriv call per order, F's included."""
     two_k = 2 * sp.order
     x = sp.u / t
-    d2k = log_summand_deriv(spec, two_k, x, t, closed=True)
+    d2k = log_summand_deriv(spec, two_k, x, t)
     if d2k >= 0:
         raise SignError(
             f"order-{two_k} derivative nonnegative at the peak (t={t} too large)")
@@ -171,8 +171,8 @@ def lambda_table_per_order(spec, sp, t: float,
     for r in range(1, rmax + 1):
         if r == two_k:
             continue
-        lams[r] = log_summand_deriv(spec, r, x, t, closed=True) / (math.factorial(r) * V ** r)
-    return log_summand_deriv(spec, 0, x, t, closed=True), V, lams
+        lams[r] = log_summand_deriv(spec, r, x, t) / (math.factorial(r) * V ** r)
+    return log_summand_deriv(spec, 0, x, t), V, lams
 
 
 def _gk15_scalar(f, a: float, b: float) -> tuple[float, float]:

@@ -289,7 +289,7 @@ class TestDerivativeRows:
             for L in range(4):
                 asked.clear()
                 got = peak_value(an.series, sp, ts, L)
-                assert asked == [(tuple(range(max(2 * L, 2 * k) + 1)), {"closed": True})]
+                assert asked == [(tuple(range(max(2 * L, 2 * k) + 1)), {})]
                 wide = _lambda_table(an.series, sp, ts, 2 * k * (2 * k + 1) * L)
                 assert got.tolist() == [
                     _peak_reference(sp, f_u, V, _exp_series(lams, 2 * L)[::2])

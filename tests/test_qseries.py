@@ -493,10 +493,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("t", [1e-3, 1e-4])
     def test_order_zero_bits_independent_of_order_count(self, t):
-        # x = 0 needs many k-chunks; their edges come from the points alone
+        # x = 0, where the closed form peels the most factors: order 0 has
+        # the bits of the int form next to any number of other orders, and
+        # stays near log_summand's k-sum
+        want = log_summand_deriv(RAM, 0, 0.0, t)
         for orders in (tuple(range(65)), tuple(range(13)), (0, 1)):
-            got = log_summand_deriv(RAM, orders, 0.0, t)[0]
-            assert got == log_summand(RAM, 0.0, t)
+            assert log_summand_deriv(RAM, orders, 0.0, t)[0] == want
+        _assert_order_zero_near_log_summand(RAM, 0.0, t)
 
 
 @st.composite
@@ -744,22 +747,32 @@ def oracle_points(draw):
     return spec, x, t
 
 
+def _assert_order_zero_near_log_summand(spec, x, t):
+    # log_summand's k-sum and log_summand_deriv's order 0 evaluate one number
+    # independently; the oracle holds each within (16 + 2w) ulp of its largest
+    # part (TestLogSummandDeriv, TestClosedRows), so they agree within twice it
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    parts = [qs._poly_deriv(spec, 0, x, t)] + [p.S * qs._kernel(p, x, t) for p in spec.terms]
+    w = np.max([(p.alpha * x + p.gamma) * t for p in spec.terms], axis=0, initial=0.0)
+    err = np.abs(log_summand(spec, x, t) - log_summand_deriv(spec, 0, x, t))
+    assert np.all(err <= 2.0 * (16.0 + 2.0 * w) * np.spacing(np.max(np.abs(parts), axis=0)))
+
+
 class TestLogSummandDeriv:
-    def test_order_zero_is_log_summand(self):
-        # order 0 gives log_summand's bits in the int and the tuple form,
-        # also next to another order; 16 points keep the k-sum in chunks
-        # that do not depend on the number of orders
+    def test_order_zero_forms_agree(self):
+        # order 0 has one set of bits in the int and the tuple form, also
+        # next to another order, and stays near log_summand's k-sum
         f0 = SeriesSpec.make(1.0, 0.0, 0.0, [(2, 1, 1, -1), (1, 1, 1, 1)])
         rng = np.random.default_rng(41)
         x = rng.permutation(np.r_[rng.uniform(0.0, 60.0, 12), 0.0, 0.0,
                                   9.62, 9.62])  # unsorted, duplicates, zeros
         t = 0.05
         for spec in (RAM, f0, SeriesSpec(1.0, 2.0, -0.5, ())):
-            want = log_summand(spec, x, t)
-            assert np.array_equal(log_summand_deriv(spec, 0, x, t), want)
+            want = log_summand_deriv(spec, 0, x, t)
             assert np.array_equal(log_summand_deriv(spec, (0,), x, t)[0], want)
             assert np.array_equal(log_summand_deriv(spec, (2, 0), x, t)[1], want)
-            assert log_summand_deriv(spec, 0, 0.0, t) == log_summand(spec, 0.0, t)
+            assert log_summand_deriv(spec, 0, 0.0, t) == want[x == 0.0][0]
+            _assert_order_zero_near_log_summand(spec, x, t)
 
     @pytest.mark.parametrize("n", [-1, 65, 1.5, (0, 1.5), ()])
     def test_order_out_of_range(self, n):
@@ -858,7 +871,7 @@ def closed_points(draw):
 
 class TestClosedRows:
     """The differentiated closed form ``specfun.kernel_rows``, whose rows the asym
-    route reads through log_summand_deriv(..., closed=True)."""
+    route reads through log_summand_deriv."""
 
     ORDERS = tuple(range(21))
 
@@ -892,17 +905,18 @@ class TestClosedRows:
         # each point's row r has the bits of its call alone and of any
         # other set of orders, peel branch (u near 0 or t large) included
         spec, ts, us = drawn
-        got = log_summand_deriv(spec, orders, us / ts, ts, closed=True)
-        wide = log_summand_deriv(spec, self.ORDERS, us / ts, ts, closed=True)
+        got = log_summand_deriv(spec, orders, us / ts, ts)
+        wide = log_summand_deriv(spec, self.ORDERS, us / ts, ts)
         assert np.array_equal(got, wide[list(orders)])
         for j in range(len(ts)):
-            alone = log_summand_deriv(spec, orders, float(us[j] / ts[j]), float(ts[j]), closed=True)
+            alone = log_summand_deriv(spec, orders, float(us[j] / ts[j]), float(ts[j]))
             assert np.array_equal(got[:, j], alone), (orders, us[j], ts[j])
 
 
 class TestPerPointT:
-    """log_summand_deriv with one t per point: every point has the bits of
-    a call at its own t alone, whatever its call-mates."""
+    """log_summand_deriv, and log_summand for order 0 alone, with one t per
+    point: every point has the bits of a call at its own t alone, whatever
+    its call-mates."""
 
     ORDERS = ((0,), (0, 1), (2, 0, 5), (1, 2), tuple(range(13)))
 
@@ -913,6 +927,10 @@ class TestPerPointT:
         for j in range(len(x)):
             alone = log_summand_deriv(spec, orders, float(x[j]), float(t[j]))
             assert np.array_equal(got[:, j], alone), (orders, x[j], t[j])
+        if orders == (0,):
+            got = log_summand(spec, x, t)
+            for j in range(len(x)):
+                assert got[j] == log_summand(spec, float(x[j]), float(t[j])), (x[j], t[j])
 
     @pytest.mark.parametrize("name", [*PRESETS, "two-peak"])
     def test_matches_calls_at_each_t(self, name):
