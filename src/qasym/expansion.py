@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DegenerateError, DomainError, HypothesisError, SignError
 from .phase import StationaryPoint, check_hypothesis, stationary_points
-from .qseries import (Law, QuadTerm, SeriesSpec, _require_t, log_summand_deriv,
+from .qseries import (Law, QuadTerm, SeriesSpec, _exp_series, _require_t, log_summand_deriv,
                       prefactor_asym, prefactor_law)
 
 DEFAULT_L = 2   # correction order of the peak expansion
@@ -105,19 +105,6 @@ def _lambda_table(spec: SeriesSpec, sp: StationaryPoint, ts: tuple, rmax: int):
                        * np.array(V if r == 1 else list(map(pow, V, repeat(r)))))
             for r in range(1, rmax + 1) if r != two_k}
     return d[0], np.array(V), lams
-
-
-def _exp_series(lams: dict, order: int) -> list:
-    # coefficients of exp(sum_r a_r y^r): b_0 = 1, n b_n = sum_r r a_r b_{n-r},
-    # for numbers a_r or columns of them
-    b = [1.0]
-    for n in range(1, order + 1):
-        s = 0.0
-        for r, a in lams.items():
-            if r <= n:
-                s = s + r * a * b[n - r]
-        b.append(s / n)
-    return b
 
 
 def peak_value(spec: SeriesSpec, sp: StationaryPoint, ts: tuple,

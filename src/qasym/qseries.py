@@ -2,8 +2,10 @@
 
 Covers: the canonical normalization from finite-symbol quadruples to
 infinite-symbol terms, the logged general term of the normalized series and
-its x-derivatives, direct log-space summation of the series, and the constant
-prefactor, exact (the inner sum's closed form) and by its product asymptotics.
+its x-derivatives, log-space summation of the series (term by term, or, for
+a long window, in strided Euler-Maclaurin blocks whose end derivatives come
+from the closed-form rows), and the constant prefactor, exact (the inner
+sum's closed form) and by its product asymptotics.
 
 Truncation policy for the outer sum and its integral: one ladder of pieces
 (``mass_ladder``) certifies a window that leaves out at most 1e-18 of the
@@ -20,6 +22,7 @@ for t < 0.0125.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from itertools import repeat
@@ -43,8 +46,13 @@ _W_A = 0.1                  # _kernel: closed form below this w, k-sum above
 _LADDER = 2.0 ** (1.0 / 32)  # edge ratio of series_sum's certificate ladder
 U_END = 2000.0              # series_sum raises if not stopped by m t = U_END
 _SUM_BUDGET = 1 << 27       # most terms series_sum's window may span
+_STRIDE_MIN = 1 << 16       # series_sum strides a window this long (near the measured crossover)
+_EM_STEPS = 16              # steps of a strided block as planned
+_EM_TERMS = 10              # Euler-Maclaurin corrections of a strided block
 
 LOG_2PI = math.log(2.0 * math.pi)
+# B_2j, j = 1..10, for the corrections of a strided block
+_EM_BERN = np.array([p / q for p, q in map(bernoulli_pair, range(2, 21, 2))])
 
 
 def _check_finite(kind: str, fields: tuple[str, ...], values: tuple) -> None:
@@ -407,6 +415,20 @@ def log_summand_deriv(spec: SeriesSpec, n, x, t):
     return out if isinstance(n, tuple) else (float(out[0]) if scalar else out[0])
 
 
+def _exp_series(lams: dict, order: int) -> list:
+    # coefficients of exp(sum_r a_r y^r): b_0 = 1, n b_n = sum_r r a_r b_{n-r},
+    # for numbers a_r or columns of them, keys ascending; each sum adds its
+    # terms in key order, as cumsum adds one term at a time
+    rs = list(lams)
+    ra = np.array([r * a for r, a in lams.items()])
+    b = np.empty((order + 1,) + ra.shape[1:])
+    b[0] = 1.0
+    for n in range(1, order + 1):
+        k = bisect.bisect_right(rs, n)
+        b[n] = np.cumsum(ra[:k] * b[[n - r for r in rs[:k]]], axis=0)[-1] / n if k else 0.0
+    return list(b)
+
+
 def kernel_bounds(term: PochTerm, w: float, t: float) -> tuple[float, float]:
     """(lo, hi) around the inner sum K(w) = sum_k e^{-kw}/(k(1 - e^{-k beta t}))
     at w > 0 (w = inf gives (0, 0)): Euler-Maclaurin levels -1, 0 and 1,
@@ -530,50 +552,55 @@ class SumResult(NamedTuple):
     m_lo: int              # the terms m_lo <= m < m_hi were summed
     m_hi: int
     left_out_log: float    # log of the certified mass of the others
+    evals: int             # terms evaluated (log_summand points)
+    remainder_log: float   # log of the Euler-Maclaurin remainder estimate (-inf: direct)
 
 
 def series_sum(spec: SeriesSpec, t: float, lad: MassLadder | None = None) -> SumResult:
-    """sum_m exp(log_summand(m)) over a certified window [m_lo, m_hi),
-    accumulated in log space in blocks of 256 terms that grow to m/4 past
-    m = 1024 and to 65536 past m = 2^18.
+    """sum_m exp(log_summand(m)) over a certified window [m_lo, m_hi).
 
     m_lo is the cut at the exact term of the window of ``lad``, t's
-    ``mass_ladder`` (built here if None).  Past M the rest is at most
-    the ladder's rest from the edge at or below M, which holds the one-sup
-    bound ``_tail_sup`` at that edge; only a block past 2^18 that starts off
-    an edge takes ``_tail_sup`` at M too.  Its factor 1/(1 - q^B) the flat
-    tail A = v = 0 needs (the terms above 1e-18 relative alone leave out
-    1e-14 of phi-minus at t = 1e-4).  A block ends early at the first edge
-    that the sum so far, or the probe's exact term (which every sum holds),
-    certifies, so the first block too can end short of 256 terms; the sum
-    stops at the first block end past the probe where head plus rest are
-    below 1e-18 of the sum so far, and raises if none does by m t = U_END.
-    So the sum never passes the first edge that the probe's term certifies,
-    and it raises before summing if that edge lies more than _SUM_BUDGET
-    terms past m_lo.
+    ``mass_ladder`` (built here if None).  The sum passes the first edge
+    that the probe's term certifies by a step at most, and it raises before
+    summing if that edge lies more than _SUM_BUDGET terms past m_lo.  A
+    window that spans _STRIDE_MIN terms or more, or reaches past the last
+    block end of the ladder, is summed by strided blocks (``_strided_sum``),
+    in terms about in proportion to its log range; a shorter one term by
+    term.
+
+    The direct sum accumulates in log space in blocks of 256 terms that grow
+    to m/4 past m = 1024, each starting on an edge of the ladder, whose rest
+    there holds the one-sup bound ``_tail_sup``.  Its factor 1/(1 - q^B) the
+    flat tail A = v = 0 needs (the terms above 1e-18 relative alone leave
+    out 1e-14 of phi-minus at t = 1e-4).  A block
+    ends early at the first edge that the sum so far, or the probe's exact
+    term (which every sum holds), certifies, so the first block too can end
+    short of 256 terms; the sum stops at the first block end past the probe
+    where head plus rest are below 1e-18 of the sum so far, and raises if
+    none does by m t = U_END.
     """
     if lad is None:
         lad = mass_ladder(spec, (t,))[0]
     e, ends = lad.edges, lad.ends
     cut, head, left = lad.window(lad.probe_log)
     sure = np.flatnonzero(left <= lad.probe_log + LN_EPS)
-    span = int(e[sure[0]] if len(sure) else e[-1]) - int(e[cut])
+    stop = int(e[sure[0]] if len(sure) else e[-1])
+    span = stop - int(e[cut])
     if span > _SUM_BUDGET:
         raise ConvergenceError(f"exact sum: the window needs "
                                f"{span if span < 1e15 else f'{span:.3g}'} terms, "
                                f"more than {_SUM_BUDGET}")
+    if span >= _STRIDE_MIN or stop > ends[-1]:
+        return _strided_sum(spec, t, lad, int(e[cut]), stop, head, left)
     m0, run_max, acc, total_log = int(e[cut]), -math.inf, 0.0, -math.inf
     while True:
-        j = int(np.searchsorted(e, m0, side="right")) - 1     # e_j <= m0 < e_j+1
-        rest = lad.rest[j] if e[j] == m0 else min(_tail_sup(spec, m0, t), lad.rest[j])
-        left_out = np.logaddexp(head, rest)
+        j = int(np.searchsorted(e, m0, side="right")) - 1     # e_j = m0: blocks start on edges
+        left_out = np.logaddexp(head, lad.rest[j])
         if m0 > lad.probe and left_out <= total_log + LN_EPS:
             break
         if j == len(e) - 1:
-            raise ConvergenceError(f"series terms still significant at m*t = {m0 * t:.1f}, "
-                                   f"past the sum's reach m*t = U_END = {U_END:g}")
-        end = (ends[np.searchsorted(ends, m0, side="right")] if m0 < ends[-1]
-               else m0 + (1 << 16) - (m0 - ends[-1]) % (1 << 16))   # next block end
+            raise _past_reach(m0, t)
+        end = ends[np.searchsorted(ends, m0, side="right")]   # next block end
         # edges certified now, by the sum so far or the probe's term in it
         ok = np.flatnonzero(left[j + 1:] <= max(total_log, lad.probe_log) + LN_EPS)
         m1 = min(end, int(e[j + 1 + ok[0]])) if len(ok) else end
@@ -581,4 +608,186 @@ def series_sum(spec: SeriesSpec, t: float, lad: MassLadder | None = None) -> Sum
         new_max = max(run_max, float(logs.max()))
         acc = acc * math.exp(run_max - new_max) + float(np.exp(logs - new_max).sum())
         run_max, total_log, m0 = new_max, new_max + math.log(acc), m1
-    return SumResult(total_log, int(e[cut]), m0, float(left_out))
+    return SumResult(total_log, int(e[cut]), m0, float(left_out), m0 - int(e[cut]), -math.inf)
+
+
+def _past_reach(m: int, t: float) -> ConvergenceError:
+    return ConvergenceError(f"series terms still significant at m*t = {m * t:.1f}, "
+                            f"past the sum's reach m*t = U_END = {U_END:g}")
+
+
+# ---------------------------------------------------------------------------
+# Strided summation (Euler-Maclaurin)
+
+
+def _radius(spec: SeriesSpec, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # the Taylor radius min_r (r!/|L^(r)|)^(1/r), r = 1..8, of the logged term
+    # at the points x from its rows 1..8, capped at half the distance
+    # x + gamma/alpha to the nearest singularity of a symbol
+    r = np.arange(1.0, 9.0)[:, None]
+    with np.errstate(divide="ignore"):
+        log_r = np.min((np.cumsum(np.log(r), axis=0) - np.log(np.abs(rows))) / r, axis=0)
+    near = min((p.gamma / p.alpha for p in spec.terms), default=math.inf)
+    return np.minimum(np.exp(log_r), 0.5 * (x + near))
+
+
+def _plan(spec: SeriesSpec, t: float, m_lo: int, stop: int):
+    # blocks (a, h, n), n steps of h from a, tiling [m_lo, stop) and at most
+    # a step past: _EM_STEPS steps of the largest power of two h with 4h
+    # below the radius at the samples around the block, or, where that h is
+    # below 8, the terms up to the next sample, one by one.  The samples,
+    # geometric and uniform over the window, take their radius from one
+    # rows call
+    xs = np.concatenate((np.geomspace(max(m_lo, 1), stop, 33),
+                         np.linspace(m_lo, stop, 9))).round()
+    xs.sort()
+    xs = xs[np.concatenate(([True], xs[1:] > xs[:-1]))]
+    R = np.minimum(_radius(spec, log_summand_deriv(spec, tuple(range(1, 9)), xs, t), xs),
+                   stop - m_lo).tolist()
+    xs = xs.astype(np.int64).tolist()
+    a, h, n = [], [], []
+    m, i = m_lo, 0
+    while m < stop:
+        while xs[i + 1] <= m:
+            i += 1
+        step = 1 << max(int(min(R[i], R[i + 1]) / 4.0).bit_length() - 1, 0)
+        while step > 1 and 4 * step > min(R[i:bisect.bisect_left(xs, m + _EM_STEPS * step) + 1]):
+            step //= 2
+        step = step if step >= 8 else 1     # a shorter stride saves less than its rows cost
+        count = min(_EM_STEPS if step > 1 else xs[i + 1] - m, -(-(stop - m) // step))
+        a.append(m)
+        h.append(step)
+        n.append(count)
+        m += step * count
+    return np.array(a), np.array(h), np.array(n)
+
+
+def _accept(spec: SeriesSpec, t: float, probe_log: float, a, h, n):
+    # the blocks (a, h, n) with each h halved until the block passes, as
+    # (h, n, ca, cb, ra, rb): per block the corrections its ends add to the
+    # weights of the terms there, ca at a and -cb at its end, and the size of
+    # its last correction at each, ra and rb, all relative to the term.  One
+    # rows call at the ends of the blocks with h > 1 gives f^(k)/f = k! b_k
+    # at each, b the coefficients of exp(sum_r L^(r) y^r/r!), and the
+    # correction of order j there is E_j = B_2j (h^2j - 1)/(2j) b_(2j-1).  A
+    # block passes if 4h stays below the radius at both ends and, at each,
+    # the last two |E_j| fall and lie below 1e-18 of the probe's term (from
+    # row 0); below h = 2 it is summed term by term
+    size, h = h * n, h.copy()
+    ca, cb, ra, rb = (np.zeros(len(a)) for _ in range(4))
+    s = np.flatnonzero(h > 1)
+    if len(s):
+        J = _EM_TERMS
+        x = np.concatenate((a[s], a[s] + size[s]))
+        order = np.argsort(x, kind="stable")
+        keep = np.concatenate(([True], x[order][1:] > x[order][:-1]))
+        col = np.empty(len(x), dtype=np.int64)
+        col[order] = np.cumsum(keep) - 1           # each end's column
+        ux = x[order][keep].astype(float)
+        rows = log_summand_deriv(spec, tuple(range(max(2 * J, 9))), ux, t)
+        b = _exp_series({r: rows[r] / math.factorial(r) for r in range(1, 2 * J)}, 2 * J - 1)
+        odd = np.array(b[1::2])[:, col]
+        radius = _radius(spec, rows[1:9], ux)[col]
+        rel = rows[0][col] - probe_log
+        j2 = np.arange(2.0, 2 * J + 1, 2.0)[:, None]
+        hs = h[s].astype(float)
+        while True:
+            E = _EM_BERN[:J, None] * (np.tile(hs, 2) ** j2 - 1.0) / j2 * odd
+            last = np.abs(E[-2:])
+            with np.errstate(divide="ignore"):
+                bad = ((last[-1] > last[0]) | (np.log(last.max(axis=0)) + rel > LN_EPS)
+                       | (4.0 * np.tile(hs, 2) > radius))
+            bad = (bad[:len(s)] | bad[len(s):]) & (hs > 1)
+            if not bad.any():
+                break
+            hs[bad] /= 2.0
+        h[s] = hs
+        ca[s], cb[s] = E[:, :len(s)].sum(axis=0), E[:, len(s):].sum(axis=0)
+        ra[s], rb[s] = last[-1, :len(s)], last[-1, len(s):]
+    return h, size // h, ca, cb, ra, rb
+
+
+def _weights(a, h, n, ca, cb, ra, rb):
+    # the points a + i h, i = 0..n, of the blocks, ascending, with the weight
+    # of each in the blocks' sums (h inside, (h + 1)/2 + ca at a and
+    # (h - 1)/2 - cb at the end) and in their remainder estimate (ra and rb);
+    # a point two blocks share is one, with both weights
+    cnt = n + 1
+    first = np.cumsum(cnt) - cnt
+    blk = np.repeat(np.arange(len(a)), cnt)
+    x = a[blk] + h[blk] * (np.arange(cnt.sum()) - first[blk])
+    w, rw = h[blk].astype(float), np.zeros(len(x))
+    w[first], rw[first] = (h + 1) / 2.0 + ca, ra
+    w[first + n], rw[first + n] = (h - 1) / 2.0 - cb, rb
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] > x[:-1])))
+    return x[starts], np.add.reduceat(w, starts), np.add.reduceat(rw, starts)
+
+
+def _strided_sum(spec: SeriesSpec, t: float, lad: MassLadder, m_lo: int, stop: int,
+                 head: float, left: np.ndarray) -> SumResult:
+    """The window from m_lo by blocks (``_plan``, ``_accept``): a block of n
+    steps of h from a sums f(m) = exp(log_summand(m)) over a <= m < b = a + n h
+    as the step-h trapezoid T_h plus (f(a) - f(b))/2 minus sum_{j<=J}
+    B_2j (h^2j - 1)/(2j)! [f^(2j-1)(b) - f^(2j-1)(a)] (Euler-Maclaurin at steps
+    1 and h, whose integrals cancel), J = _EM_TERMS, from the exact terms at
+    its points and the closed-form rows at its ends; h = 1 is the direct sum.
+
+    The sum may stop at a point p past the probe, the end of a strided block
+    or one of 16 points of a direct one, if head plus the rest from p
+    (``_tail_sup`` at p, or the ladder's from an edge at or below it) lie
+    below 1e-18 of the sum before p.  The block holding the first point
+    where the ladder's whole mass would certify that is split into single
+    steps; the blocks before it are summed, and the sum stops at the first
+    point from it on that their sum, or the probe's term, certifies.  The
+    term at p is summed too, so no term past m_hi - 1 = p is evaluated; if
+    no point certifies, the sum raises.  Every term, with its weight, is
+    summed at once by math.fsum of the products; the remainder estimate is
+    the sum of the size of the last correction at each end of each block.
+    A block of h < 8 is summed term by term, as its rows would cost more
+    than the terms it skips."""
+    a, h, n = _plan(spec, t, m_lo, stop)
+    # the points where the sum may stop, each step of a block as planned
+    size = h * n
+    step = np.where(h > 1, h, -(-size // _EM_STEPS))
+    cnt = -(-size // step)
+    blk = np.repeat(np.arange(len(a)), cnt)
+    i = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    p = np.minimum(a[blk] + step[blk] * (i + 1), (a + size)[blk])
+    j = np.searchsorted(lad.edges, p, side="right") - 1
+    rest = np.minimum(_tail_sup(spec, p.astype(float), t), lad.rest[j])
+    lo = np.where(p > lad.probe, np.minimum(np.logaddexp(head, rest),
+                                            np.minimum.accumulate(left)[j]), np.inf)
+    hit = np.flatnonzero(lo <= np.logaddexp.reduce(lad.mass) + LN_EPS)
+    if not len(hit):
+        raise _past_reach(stop, t)
+    k0 = int(blk[hit[0]])
+    if h[k0] > 1:       # split into single steps, each step's point the end of one
+        k1 = k0 + n[k0]
+        blk = np.where(blk < k0, blk, np.where(blk > k0, blk + n[k0] - 1, k0 + i))
+        a = np.concatenate((a[:k0], a[k0] + h[k0] * np.arange(n[k0]), a[k0 + 1:]))
+        h = np.concatenate((h[:k0], np.repeat(h[k0], n[k0]), h[k0 + 1:]))
+        n = np.concatenate((n[:k0], np.ones(k1 - k0, dtype=np.int64), n[k0 + 1:]))
+    # a strided block may stop only at its end
+    stops = np.flatnonzero((blk >= k0) & ((h[blk] == 1) | (p == (a + h * n)[blk])))
+    h, n, ca, cb, ra, rb = _accept(spec, t, lad.probe_log, a, h, n)
+    low, parts = lad.probe_log, []
+    if k0:              # the blocks before
+        xa, wa, rwa = _weights(*(v[:k0] for v in (a, h, n, ca, cb, ra, rb)))
+        la = log_summand(spec, xa.astype(float), t)
+        mx = float(la.max())
+        low = max(low, mx + math.log(float(np.dot(wa, np.exp(la - mx)))))
+        parts.append((la, wa, rwa))
+    q = int(stops[np.flatnonzero(lo[stops] <= low + LN_EPS)[0]])
+    k, end = int(blk[q]), int(p[q])
+    a, h, n, ca, cb, ra, rb = (v[k0:k + 1].copy() for v in (a, h, n, ca, cb, ra, rb))
+    n[-1] = (end - a[-1]) // h[-1]      # a direct block may end early
+    xb, wb, rwb = _weights(a, h, n, ca, cb, ra, rb)
+    wb[-1] += 1.0
+    lb = log_summand(spec, xb[1 if k0 else 0:].astype(float), t)
+    parts.append((np.concatenate((parts[0][0][-1:], lb)) if k0 else lb, wb, rwb))
+    logs, w, rw = (np.concatenate(v) for v in zip(*parts))
+    mx = float(logs.max())
+    f = np.exp(logs - mx)
+    rem = float(np.dot(rw, f))
+    return SumResult(mx + math.log(math.fsum(w * f)), m_lo, end + 1, float(lo[q]),
+                     len(logs) - len(parts) + 1, mx + math.log(rem) if rem > 0 else -math.inf)

@@ -238,7 +238,8 @@ def kernel_rows(w: np.ndarray, bt: np.ndarray, s: np.ndarray, ab: np.ndarray,
             e = out[rows, i:i + step]
             N = np.ceil(np.maximum(inv_rho - wb, big))             # the peel counts
             wp = wc + N * bc
-            v = 1.0 / np.expm1(wp)
+            with np.errstate(over="ignore"):        # w' > 709.78: v = 1/inf = 0
+                v = 1.0 / np.expm1(wp)
             c = levels[_EM_J] * b2      # the levels' coefficients by Horner in bt^2
             for j in range(_EM_J - 1, 0, -1):
                 c += levels[j]

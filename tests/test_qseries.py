@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -1224,10 +1225,10 @@ class TestSeriesSum:
     @staticmethod
     def _brute_logs(spec, t):
         # the brute-force sum runs out to m_end, found from the draw alone:
-        # from m_end on P(m) = m v - (A m^2 + B m) t falls by at least 1e-3 a
-        # step, and P(m_end) plus an elementary bound of the S > 0 inner sums
-        # there, K(w) <= -log(1 - e^-w) + e^-w pi^2/(6 beta t), lies e^-80
-        # below the largest term
+        # from m_end on P(m) = m v - (A m^2 + B m) t falls, by P'(m_end) < 0 a
+        # step at least, and P(m_end) plus an elementary bound of the S > 0
+        # inner sums there, K(w) <= -log(1 - e^-w) + e^-w pi^2/(6 beta t),
+        # over 1 - e^P'(m_end), lies e^-80 below the largest term
         A, B, v = spec.A, spec.B, spec.v
 
         def head_room(m):
@@ -1243,8 +1244,9 @@ class TestSeriesSum:
         m_end = 256
         while True:
             logs = log_summand(spec, np.arange(float(m_end)), t)
-            if (v - (2.0 * A * m_end + B) * t <= -1e-3
-                    and head_room(m_end) <= logs.max() - 80.0):
+            slope = v - (2.0 * A * m_end + B) * t
+            if (slope < 0 and head_room(m_end) - math.log(-math.expm1(slope))
+                    <= logs.max() - 80.0):
                 return logs
             m_end *= 2
 
@@ -1300,6 +1302,90 @@ class TestSeriesSum:
         monkeypatch.setattr(qs, "LN_EPS", 2 * math.log(1e-18))
         tight = series_sum(RAM, 0.05).log_value
         assert abs(tight - base) <= 1e-12 * max(1.0, abs(base))
+
+
+@st.composite
+def strided_specs(draw):
+    """(spec, t): a flat-tail, small-A or v < 0 spec with 1-2 terms S < 0 at
+    t = 1e-3 or 5e-4, whose windows run to thousands of terms or more."""
+    t = draw(st.sampled_from([1e-3, 5e-4]))
+    terms = draw(st.lists(st.tuples(
+        st.floats(0.5, 3.0), st.floats(0.5, 2.0), st.floats(0.3, 2.0),
+        st.floats(-3.0, -0.25)), min_size=1, max_size=2))
+    branch = draw(st.sampled_from(["flat", "small-A", "v<0"]))
+    if branch == "flat":
+        A, B, v = 0.0, draw(st.floats(0.2, 2.0)), 0.0
+    elif branch == "small-A":
+        A, B, v = draw(st.floats(1e-4, 1e-2)), draw(st.floats(0.0, 1.0)), 0.0
+    else:
+        A, B, v = 0.0, draw(st.floats(0.0, 1.0)), draw(st.floats(-0.01, -0.001))
+    return SeriesSpec.make(A, B, v, terms), t
+
+
+class TestStridedSum:
+    # a window of _STRIDE_MIN terms or more is summed by strided
+    # Euler-Maclaurin blocks, with the evaluations and the remainder
+    # estimate in its SumResult
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=strided_specs())
+    def test_matches_brute_force(self, case):
+        # every window strided, short ones too: within _check_window's 4 ulp
+        # of the log-space fsum of every term; and against the fsum of the
+        # window's own terms the gap past the rounding of the two logs (an
+        # ulp each) and of the sum (2 eps) is within the remainder estimate
+        spec, t = case
+        with mock.patch.object(qs, "_STRIDE_MIN", 0):
+            r, _ = TestSeriesSum()._check_window(spec, t, TestSeriesSum._brute_logs(spec, t))
+        logs = log_summand(spec, np.arange(r.m_lo, r.m_hi, dtype=float), t)
+        mx = float(logs.max())
+        window = mx + math.log(math.fsum(np.exp(logs - mx)))
+        assert (abs(r.log_value - window) <= 2.0 * math.ulp(max(abs(window), 1.0))
+                + 2.0 * np.finfo(float).eps + math.exp(r.remainder_log - window))
+        assert r.remainder_log <= r.log_value + qs.LN_EPS
+
+    @pytest.mark.parametrize("name, t", [("euler", 1e-4), ("phi-minus", 1e-4), ("euler", 1e-6)])
+    def test_evaluations_are_few(self, name, t):
+        # a count, not a timing: the direct sum took 461,412, 439,358 and
+        # 45.8M terms; log_summand sees only the counted points
+        seen = []
+
+        def spy(s, x, tt):
+            seen.append(np.size(x))
+            return log_summand(s, x, tt)
+
+        spec = get_preset(name).series
+        lad = qs.mass_ladder(spec, (t,))[0]
+        with mock.patch.object(qs, "log_summand", spy):
+            r = series_sum(spec, t, lad)
+        assert sum(seen) == r.evals <= 2000
+        assert r.remainder_log <= r.log_value + qs.LN_EPS
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-6])
+    def test_exact_identities_at_reach(self, t):
+        # euler sums to 1 and euler-b2 to 1 - q, past any direct sum's reach
+        assert abs(series_sum(EULER, t).log_value) <= 64 * math.ulp(1.0)
+        b2 = series_sum(get_preset("euler-b2").series, t).log_value
+        assert abs(b2 - math.log(-math.expm1(-t))) <= 4e-15
+
+    def test_direct_window_counts_its_terms(self):
+        r = series_sum(RAM, 0.01)
+        assert r.evals == r.m_hi - r.m_lo and r.remainder_log == -math.inf
+
+    def test_mixed_grid_rows_keep_their_bits(self, capsys):
+        # an eval grid with direct rows (t = 0.1, 0.001) and a strided one
+        # (t = 1e-4): every row and its diagnostics as the row alone has them
+        def run(ts):
+            assert main(["eval", "--preset", "phi-minus", "--t", ts]) == 0
+            return json.loads(capsys.readouterr().out)["results"]
+        grid = run("0.1,0.001,0.0001")
+        diag = grid["diagnostics"]
+        assert [k for k, d in diag.items() if d["remainder_log"] > -math.inf] == ["t=0.0001"]
+        for t in ("0.1", "0.001", "0.0001"):
+            alone = run(t)
+            assert alone["rows"][0] in grid["rows"]
+            [(key, value)] = alone["diagnostics"].items()
+            assert diag[key] == value
 
 
 class TestPrefactorExact:
