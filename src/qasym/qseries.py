@@ -11,13 +11,13 @@ Truncation policy for the outer sum and its integral: one ladder of pieces
 (``mass_ladder``) certifies a window that leaves out at most 1e-18 of the
 total, from the closed-form sandwich of the inner sum (``kernel_bounds``).
 The two term evaluators are independent.  ``log_summand``, the exact
-routes' term, takes the inner sum at the same cost at every t: a closed form
-below w = 0.1, at most 451 k-terms above (``_kernel``), by slices of points
-that fit L2, skipping a term that moves no bit.  ``log_summand_deriv``, the
-asym route's, takes every row, order 0 included, from the closed form
-differentiated termwise (``kernel_rows``).  Every value is positive and
-carried as its log: the series reach exp(pi^2/(5t)), which overflows binary64
-for t < 0.0125.
+routes' term, takes the inner sum at the same cost at every t: the closed
+form's row 0 (``kernel_rows``) below w = 0.1, at most 451 k-terms above
+(``_kernel``), by slices of points that fit L2, skipping a term that moves
+no bit.  ``log_summand_deriv``, the asym route's, takes every row, order 0
+included, from the same closed form differentiated termwise.  Every value
+is positive and carried as its log: the series reach exp(pi^2/(5t)), which
+overflows binary64 for t < 0.0125.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SpecError
-from .specfun import bernoulli_pair, bernoulli_poly, kernel_closed, kernel_rows, polylog
+from .specfun import bernoulli_pair, bernoulli_poly, kernel_rows, polylog
 
 T_MAX = 0.5                 # largest t any evaluation accepts
 LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
@@ -240,11 +240,19 @@ def prefactor_asym(law: Law, ts: tuple, log_t=None) -> np.ndarray:
     return out
 
 
+def _closed_kernel(w: np.ndarray, bt) -> np.ndarray:
+    # K(w) in closed form, row 0 of kernel_rows at s = bt, ab = 1; bt is one
+    # float or one per w
+    bt = np.broadcast_to(bt, w.shape)
+    return kernel_rows(w, bt, bt, np.ones(len(w)), (0,))[0]
+
+
 def prefactor_exact(quads: tuple[QuadTerm, ...], t):
     """log of prod (q^a;q^b)_inf^(-S) at t, one float (a float back) or a
-    sequence (an array, each entry the bits of its t alone): in one
-    ``kernel_closed`` call, O(1) in t, each -log (q^a;q^b)_inf is K(w) at the
-    floats a direct product takes, w = -log fl(e^-at) and b t = -log fl(e^-bt).
+    sequence (an array, each entry the bits of its t alone): in one call of
+    the closed form (``_closed_kernel``), O(1) in t, each -log (q^a;q^b)_inf
+    is K(w) at the floats a direct product takes, w = -log fl(e^-at) and
+    b t = -log fl(e^-bt).
     It raises past that product's reach, _KMAX_HARD factors down to
     q^(a+Kb) < 1e-18, counted from a, b and t before q rounds."""
     ts, wb = np.atleast_1d(t).tolist(), []
@@ -259,7 +267,7 @@ def prefactor_exact(quads: tuple[QuadTerm, ...], t):
             if not (qa < 1.0 and qb > 0.0):
                 raise DomainError(f"exact prefactor needs fl(q^a) < 1 and fl(q^b) > 0 at t={s}")
             wb.append((-math.log(qa) if qa else math.inf, -math.log(qb)))
-    ks = kernel_closed(*np.array(wb).T).reshape(-1, len(ts)) if wb else ()
+    ks = _closed_kernel(*np.array(wb).T).reshape(-1, len(ts)) if wb else ()
     out = sum((q.S * k for q, k in zip(quads, ks)), np.zeros(len(ts)))
     return out if np.ndim(t) else float(out[0])
 
@@ -292,7 +300,8 @@ def _kernel(term: PochTerm, x: np.ndarray, t) -> np.ndarray:
     """K(w) = sum_{k>=1} e^{-kw} / (k (1-e^{-k beta t})), w = (alpha x +
     gamma) t, for a vector of x >= 0 and t one float or one per point.
 
-    It costs the same at every t: below w = _W_A it is ``kernel_closed``;
+    It costs the same at every t: below w = _W_A it is the closed form,
+    row 0 of ``kernel_rows`` (``_closed_kernel``);
     above, a k-sum cut at kc = floor(45/w) + 1, which leaves out less than
     e^-45/((kc+1)(1 - e^-w)) of it.  Each point sums at its t from its cut
     down to k = 1, so no value depends on the other points of the call.  The
@@ -338,7 +347,7 @@ def _kernel(term: PochTerm, x: np.ndarray, t) -> np.ndarray:
         p0 = p1
         del blk                                 # before the next band's is made
     if near:
-        acc[:near] = kernel_closed(w[:near], term.beta * (t[:near] if per else t))
+        acc[:near] = _closed_kernel(w[:near], term.beta * (t[:near] if per else t))
     return acc if order is None else acc[np.argsort(order)]
 
 

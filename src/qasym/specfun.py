@@ -1,7 +1,7 @@
 """Special functions: Bernoulli numbers/polynomials, the polylogarithms
 Li_s(e^-w) of integer order s <= 2, taken at w (``polylog``), and from them
 the series' inner sum K(w) = -log (e^-w; e^-bt)_inf and its derivatives
-without a k-sum (``kernel_closed``, ``kernel_rows``), elementwise on arrays.
+without a k-sum, in one closed form (``kernel_rows``), elementwise on arrays.
 
 Bernoulli data is kept exact, as reduced integer (numerator, denominator)
 pairs: the product-asymptotic tail terms alternate in sign and grow
@@ -12,7 +12,7 @@ and Harvey, "Fast computation of Bernoulli, Tangent and Secant numbers",
 division.  The polylogarithms are taken at w, not at x = e^-w: 1 - x keeps
 only the digits of w that survive the rounding of x, and the asymptotics
 live at w -> 0.  The nonpositive orders are positive integer-coefficient
-polynomials in v = 1/expm1(w), as are the closed forms' Euler-Maclaurin
+polynomials in v = 1/expm1(w), as are the closed form's Euler-Maclaurin
 levels.
 
 The Bernoulli table is built at import and the polylogarithm coefficients on
@@ -157,8 +157,7 @@ def polylog(s, w):
 # The inner sum K(w) = sum_k e^-kw/(k (1 - e^-k bt)) = -log (e^-w; e^-bt)_inf
 # without a k-sum, and its derivatives
 
-_EM_J = 6               # Euler-Maclaurin levels j = 1.._EM_J of the closed forms
-_R0 = 0.1               # kernel_closed peels factors until bt/w <= _R0
+_EM_J = 6               # Euler-Maclaurin levels j = 1.._EM_J of the closed form
 _CHUNK_ELEMS = 1 << 16  # kernel_rows' coefficients per chunk of points (fits L2)
 _BANDS = (4, 8, 16, 32, 64)     # kernel_rows' orders up to each peel alike
 # B_2j/(2j)!, j = 1.._EM_J: the closed form's Euler-Maclaurin weights
@@ -171,27 +170,6 @@ def _li_row(n: int, scale: float, size: int) -> list[float]:
     # Li_-n = sum_m m! S(n+1, m) v^m / m (``lineg_coeffs``); none for n < 0
     c = lineg_coeffs(n) if n >= 0 else ()
     return [scale / m * x for m, x in enumerate(c + (0,) * (size - len(c)), 1)]
-
-
-_EM_V = np.array([_li_row(2 * j - 2, b, 2 * _EM_J - 1) for j, b in enumerate(_EM_B, 1)])
-
-
-def kernel_closed(w: np.ndarray, bt) -> np.ndarray:
-    """K(w) = sum_k e^{-kw}/(k(1 - e^{-k bt})) without a k-sum: the product
-    form K(w) = -sum_n log(1 - e^{-(w + n bt)}) peels the fewest N factors
-    that leave w' = w + N bt >= bt/_R0, then Euler-Maclaurin gives K(w') =
-    Li2(e^-w')/bt + Li1(e^-w')/2 + sum_{j<=J} B_2j bt^(2j-1)/(2j)! Li_(2-2j)(e^-w').
-    The first omitted level is about 2 (2J)! (_R0/2pi)^(2J+1)/(2pi) ~ 6e-16,
-    absolute, against K(w') >= Li2(e^-w')/bt.  bt is one float or one per w."""
-    N = np.maximum(np.ceil(1.0 / _R0 - w / bt), 0.0)
-    n = np.arange(N.max())[:, None]      # a product runs along n in order
-    peel = np.log(np.prod(-np.expm1(-np.where(n < N, w + n * bt, np.inf)), axis=0))
-    li2, li1, v = polylog((2, 1, 0), w + N * bt)
-    odd = np.arange(1.0, 2 * _EM_J, 2.0)     # v^m coefficients, per bt its own product
-    c = (np.array([b ** odd @ _EM_V for b in bt]).T if isinstance(bt, np.ndarray)
-         else bt ** odd @ _EM_V)
-    em = v * np.polyval(c[::-1], v)
-    return li2 / bt + (0.5 * li1 + em - peel)
 
 
 @functools.lru_cache(maxsize=256)
@@ -215,9 +193,12 @@ def _deriv_tables(orders: tuple[int, ...]) -> tuple:
 
 def kernel_rows(w: np.ndarray, bt: np.ndarray, s: np.ndarray, ab: np.ndarray,
                 orders: tuple[int, ...]) -> np.ndarray:
-    """s^r K^(r)(w), the x-derivatives of the inner sum at w = (alpha x + gamma) t
-    for increasing orders r, from s = alpha t, bt = beta t and ab = alpha/beta
-    per point, O(1) in t: ``kernel_closed``'s peeled form differentiated,
+    """s^r K^(r)(w), the x-derivatives of the inner sum K(w) = sum_k
+    e^{-kw}/(k(1 - e^{-k bt})) at w = (alpha x + gamma) t for increasing
+    orders r, from s = alpha t, bt = beta t and ab = alpha/beta per point,
+    O(1) in t; K itself is row 0 at s = bt, ab = 1.  The product form K(w) =
+    -sum_n log(1 - e^{-(w + n bt)}) peels N factors, Euler-Maclaurin takes the
+    rest, and the whole is differentiated termwise:
     K^(r)(w) = (-1)^r [sum_{n<N} Li_(1-r)(e^-(w+n bt)) + Li_(2-r)(e^-w')/bt
     + Li_(1-r)(e^-w')/2 + sum_{j<=J} B_2j bt^(2j-1)/(2j)! Li_(2-2j-r)(e^-w')],
     w' = w + N bt.  The orders up to each of _BANDS peel until bt/w' <= 1/(3
@@ -225,8 +206,8 @@ def kernel_rows(w: np.ndarray, bt: np.ndarray, s: np.ndarray, ab: np.ndarray,
     of the rest, is below 3e-18 of it, and past bt = 0.37 until 2 (bt/2pi)^(2J+2)
     e^(-N bt) < 2^-56.  A row is ab s^(r-1) (bt [...] + Li_(2-r)), in range
     where s^r underflows; past the float range (from order 58 at w = 1e-4, 50
-    at 1e-5) it is inf.  All is elementwise on zero-padded coefficients: no
-    bit depends on the other points or bands."""
+    at 1e-5) it is inf, without an overflow warning.  All is elementwise on
+    zero-padded coefficients: no bit depends on the other points or bands."""
     power, sign, *bands = _deriv_tables(orders)
     step = max(1, _CHUNK_ELEMS // max(band[2][0].size for band in bands))
     out = np.empty((len(orders), len(w)))
@@ -262,10 +243,11 @@ def kernel_rows(w: np.ndarray, bt: np.ndarray, s: np.ndarray, ab: np.ndarray,
                 at = np.flatnonzero(N) if len(N) > 64 and N.min() == 0 else slice(None)
                 n = np.arange(N[at].max())[:, None]
                 vn = 1.0 / np.expm1(np.where(n < N[at], wc[at] + n * bc[at], np.inf))[:, None]
-                p = peel[-1] * vn                       # n by row by point
-                for m in range(len(peel) - 2, -1, -1):
-                    p += peel[m]
-                    p *= vn
+                with np.errstate(over="ignore"):        # past the float range: inf
+                    p = peel[-1] * vn                   # n by row by point
+                    for m in range(len(peel) - 2, -1, -1):
+                        p += peel[m]
+                        p *= vn
                 if zero:
                     p[:, 0] = np.log1p(vn[:, 0])
                 e[:, at] += bc[at] * np.cumsum(p, axis=0)[-1]   # along n in order

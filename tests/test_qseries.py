@@ -492,11 +492,13 @@ class TestKernel:
         assert np.all(np.isfinite(got))
         assert peak < 32 << 20
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("t", [1e-3, 1e-4])
     def test_order_zero_bits_independent_of_order_count(self, t):
         # x = 0, where the closed form peels the most factors: order 0 has
         # the bits of the int form next to any number of other orders, and
-        # stays near log_summand's k-sum
+        # stays near log_summand's k-sum; the orders past the float range at
+        # t = 1e-4 are inf without an overflow warning
         want = log_summand_deriv(RAM, 0, 0.0, t)
         for orders in (tuple(range(65)), tuple(range(13)), (0, 1)):
             assert log_summand_deriv(RAM, orders, 0.0, t)[0] == want
@@ -580,35 +582,65 @@ class TestKernelBands:
         assert abs(got - exact) <= 2 * math.ulp(exact)
 
     def test_levels_in_v_match_polylogs(self):
-        # row j of _EM_V in v = 1/expm1(w) is B_2j/(2j)! Li_(2-2j)(e^-w)
-        for w in (0.01, 0.3, 2.0, 9.0):
-            v = 1.0 / math.expm1(w)
-            for j, row in enumerate(sf._EM_V, 1):
-                got = sum(c * v ** m for m, c in enumerate(row, 1))
-                want = (float(Fraction(*bernoulli_pair(2 * j))) / math.factorial(2 * j)
-                        * polylog(2 - 2 * j, w))
-                assert got == pytest.approx(want, rel=1e-13)
+        # in v = 1/expm1(w), order r's level 0 of _deriv_tables is
+        # Li_(1-r)(e^-w)/2, level j = 1.._EM_J is B_2j/(2j)! Li_(2-2j-r)(e^-w)
+        # and the last is Li_(2-r)(e^-w), each zero where its Li has order > 0
+        # (Li_1 and Li_2 are taken apart); order 0's are the levels of K
+        orders = (0, 1, 2, 3, 6, 20)
+        weights = [0.5] + [float(Fraction(*bernoulli_pair(2 * j))) / math.factorial(2 * j)
+                           for j in range(1, sf._EM_J + 1)] + [1.0]
+        for rows, _, levels, *_ in sf._deriv_tables(orders)[2:]:
+            rs = orders[rows]
+            levels = levels.reshape(len(levels), -1, len(rs))
+            for w in (0.01, 0.3, 2.0, 9.0):
+                v = 1.0 / math.expm1(w)
+                for i, r in enumerate(rs):
+                    for j, b in enumerate(weights):
+                        got = sum(c * v ** m for m, c in enumerate(levels[j, :, i], 1))
+                        s = 2 - r if j == sf._EM_J + 1 else 1 - r if j == 0 else 2 - 2 * j - r
+                        want = b * polylog(s, w) if s <= 0 else 0.0
+                        assert got == pytest.approx(want, rel=1e-13), (r, j, w)
 
     @settings(max_examples=150, deadline=None)
-    @given(w=st.floats(2e-3, 0.6), ratio=st.floats(0.0, 12.0),
+    @given(w=st.floats(2e-3, 0.6), ratio=st.floats(0.0, 32.0),
            beta=st.floats(0.2, 3.0))
     @example(w=qs._W_A, ratio=2.0, beta=1.0)                 # at w_a
     @example(w=math.nextafter(qs._W_A, 0.0), ratio=2.0, beta=1.0)
-    @example(w=0.05, ratio=3.0, beta=1.0)                    # N = 7 exactly
-    @example(w=0.05, ratio=math.nextafter(3.0, 4.0), beta=1.0)
-    @example(w=0.05, ratio=10.0, beta=1.0)                   # N = 0
-    @example(w=0.05, ratio=math.nextafter(10.0, 0.0), beta=1.0)
+    @example(w=0.05, ratio=23.0, beta=1.0)                   # N = 7 exactly
+    @example(w=0.05, ratio=math.nextafter(23.0, 24.0), beta=1.0)
+    @example(w=0.05, ratio=30.0, beta=1.0)                   # N = 0
+    @example(w=0.05, ratio=math.nextafter(30.0, 0.0), beta=1.0)
+    @example(w=0.5, ratio=1.25, beta=1.0)                    # beta t = 0.4 > 0.37
     def test_closed_form_matches_ksum(self, w, ratio, beta):
-        # w/(beta t) = ratio sets the peel count N = ceil(10 - ratio), 0..10;
-        # the closed form holds at every w, and _kernel uses it below w_a
+        # w/(beta t) = ratio sets row 0's peel count N = ceil(30 - ratio),
+        # 0..30; the closed form holds at every w, and _kernel uses it below w_a
         t = w / (max(ratio, 1e-3) * beta)
         assume(t < 0.45)
         term = qs.PochTerm(1.0, beta, w / t, 1.0)
         want = kernel_ksum(term, 0.0, t)
-        closed = sf.kernel_closed(np.array([term.gamma * t]), beta * t)[0]
+        bt = np.array([beta * t])
+        closed = sf.kernel_rows(np.array([term.gamma * t]), bt, bt, np.ones(1), (0,))[0, 0]
         got = qs._kernel(term, np.array([0.0]), t)[0]
         assert abs(closed - want) <= 1e-13 * want
         assert abs(got - want) <= 1e-13 * want
+
+    @settings(max_examples=60, deadline=None)
+    @given(alpha=st.floats(0.3, 3.0), beta=st.floats(0.2, 2.5), t=st.floats(1e-5, 0.45),
+           share=st.floats(0.01, 0.9), per=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_closed_form_below_w_a(self, alpha, beta, t, share, per, seed):
+        # below w_a, _kernel's K is kernel_rows' row 0 at s = bt, ab = 1, bit
+        # for bit, at one t and at one t (t/e .. t) per point
+        rng = np.random.default_rng(seed)
+        term = qs.PochTerm(alpha, beta, share * qs._W_A / t, 1.0)
+        if per:
+            t = t * np.exp(rng.uniform(-1.0, 0.0, 24))
+        tx = np.broadcast_to(t, 24)
+        x = (rng.uniform(term.gamma * tx, 0.099) / tx - term.gamma) / alpha
+        w = (alpha * x + term.gamma) * t
+        assert np.all(w < qs._W_A)
+        bt = beta * tx
+        want = sf.kernel_rows(w, bt, bt, np.ones(len(w)), (0,))[0]
+        assert np.array_equal(qs._kernel(term, x, t), want)
 
     def test_derivative_cut_matches_fsum(self):
         # ramanujan's peak at t = 1e-3 (w = 0.963), where a k-sum cut at
@@ -1400,12 +1432,15 @@ class TestPrefactorExact:
     @given(a=st.floats(0.01, 8.0), b=st.floats(0.05, 8.0), t=st.floats(1e-4, 0.49),
            S=st.sampled_from([1.0, -1.0, 2.5]))
     def test_near_the_direct_product(self, a, b, t, S):
-        # the closed form at the direct product's floats e^-at and e^-bt: its
-        # first omitted Euler-Maclaurin level (largest near b t = 1) and its
-        # peel of up to 10 factors leave about 1.5e-15 per unit S, which
-        # 134k uniform draws put at 7 ulp of max(|K|, 1) at most
+        # S times the closed form's row 0, bit for bit, at the direct
+        # product's floats: w = -log fl(e^-at) and b t = -log fl(e^-bt).  Its
+        # peel and its Euler-Maclaurin levels leave about 1.5e-15 per unit S:
+        # 8,600 uniform draws put it within 6 ulp of max(|K|, 1) of a 30-digit
+        # product
         d = -S * qpoch_inf(math.exp(-a * t), math.exp(-b * t))
         p = prefactor_exact((QuadTerm(a, b, 1.0, 0.0, S),), t)
+        w, bt = np.array([[-math.log(math.exp(-a * t))], [-math.log(math.exp(-b * t))]])
+        assert p == S * sf.kernel_rows(w, bt, bt, np.ones(1), (0,))[0, 0]
         assert abs(p - d) <= abs(S) * 8 * math.ulp(max(abs(d / S), 1.0))
 
     @pytest.mark.parametrize("name", ["phi-minus", "ramanujan", "simple-r"])

@@ -13,7 +13,7 @@ import qasym.specfun as sf
 from oracles import BERNOULLI, bernoulli_poly_exact, dilog, dilog_power_series
 from qasym.errors import DomainError, IndexOverflowError
 from qasym.qseries import PochTerm, kernel_bounds
-from qasym.specfun import bernoulli_pair, bernoulli_poly, dilog_exp1m, lineg_coeffs, polylog
+from qasym.specfun import bernoulli_pair, bernoulli_poly, dilog_exp1m, polylog
 
 
 def bernoulli_akiyama_tanigawa(n):
@@ -74,11 +74,6 @@ class TestBernoulli:
         assert sf._BERNOULLI_POLY == poly
         li2 = [float(BERNOULLI[2 * j] / math.factorial(2 * j + 1)) for j in range(10, 0, -1)]
         assert [x.hex() for x in sf._LI2_EXP] == [x.hex() for x in li2]
-        em_v = np.array([[float(BERNOULLI[2 * j]) / math.factorial(2 * j) / m * c
-                          for m, c in enumerate(lineg_coeffs(2 * j - 2)
-                                                + (0,) * (2 * sf._EM_J - 2 * j), 1)]
-                         for j in range(1, sf._EM_J + 1)])
-        assert sf._EM_V.tobytes() == em_v.tobytes()
 
 
 class TestBernoulliPoly:
