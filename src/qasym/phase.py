@@ -27,7 +27,6 @@ MAX_ORDER = 8            # stationary points classified up to order m_u = 8
 _DEGENERACY_RTOL = 1e-8  # |G_0^(2m)| below this * scale counts as zero
 _BISECT_RTOL = 1e-15
 _GRID_MAX = 1 << 22      # most points of the sign-change search
-_BISECT_DEPTH = 8        # bisection steps per slope call
 
 
 def level(spec: SeriesSpec, n: int, r: int, u):
@@ -163,18 +162,14 @@ def _grid(spec: SeriesSpec, u_lo: float, u_hi: float) -> np.ndarray:
 
 
 def _bisect(spec: SeriesSpec, a: float, b: float) -> float:
-    # the loop "mid = 0.5 (a + b); a or b = mid as H'(mid) > 0 or not" while
-    # b - a > _BISECT_RTOL max(1, b), then 0.5 (a + b); each slope call takes
-    # the subtree of the next _BISECT_DEPTH levels of midpoints, in order in E
+    # halve (a, b) at its midpoint, keeping the half where the slope changes
+    # sign, while b - a > _BISECT_RTOL max(1, b); then the last midpoint
     while b - a > _BISECT_RTOL * max(1.0, b):
-        n = 1 << _BISECT_DEPTH
-        E = np.concatenate(([a], np.full(n, b)))
-        for s in (n >> j for j in range(_BISECT_DEPTH)):    # midpoints at width s
-            E[s // 2::s] = 0.5 * (E[:-1:s] + E[s::s])
-        up, E, p = (level(spec, 0, 1, E) > 0.0).tolist(), E.tolist(), 0
-        while n > 1 and b - a > _BISECT_RTOL * max(1.0, b):    # (a, b) = E[p], E[p + n]
-            n //= 2
-            a, b, p = (E[p + n], b, p + n) if up[p + n] else (a, E[p + n], p)
+        mid = 0.5 * (a + b)
+        if level(spec, 0, 1, mid) > 0.0:
+            a = mid
+        else:
+            b = mid
     return 0.5 * (a + b)
 
 
@@ -182,9 +177,11 @@ def stationary_points(spec: SeriesSpec) -> list[StationaryPoint]:
     """All interior local maxima of the leading phase, u ascending.
 
     Brackets sign changes (+ -> -) of the analytic slope on ``_grid``,
-    bisects each to relative width 1e-15 (``_bisect``), then classifies the
-    order as the smallest m with |G_0^(2m)(u)| above 1e-8 * scale.  An empty
-    list is a valid outcome (no interior peak; the tail carries everything).
+    bisects each to relative width 1e-15 (``_bisect``: one scalar slope call
+    per midpoint, 44-46 a bracket, which the once-per-spec analysis can
+    afford), then classifies the order as the smallest m with |G_0^(2m)(u)|
+    above 1e-8 * scale.  An empty list is a valid outcome (no interior peak;
+    the tail carries everything).
     """
     if not spec.falpha and spec.A == 0:
         return []

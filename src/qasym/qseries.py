@@ -13,11 +13,10 @@ total, from the closed-form sandwich of the inner sum (``kernel_bounds``).
 The two term evaluators are independent.  ``log_summand``, the exact
 routes' term, takes the inner sum at the same cost at every t: the closed
 form's row 0 (``kernel_rows``) below w = 0.1, at most 451 k-terms above
-(``_kernel``), by slices of points that fit L2, skipping a term that moves
-no bit.  ``log_summand_deriv``, the asym route's, takes every row, order 0
-included, from the same closed form differentiated termwise.  Every value
-is positive and carried as its log: the series reach exp(pi^2/(5t)), which
-overflows binary64 for t < 0.0125.
+(``_kernel``).  ``log_summand_deriv``, the asym route's, takes every row,
+order 0 included, from the same closed form differentiated termwise.  Every
+value is positive and carried as its log: the series reach exp(pi^2/(5t)),
+which overflows binary64 for t < 0.0125.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ _KLOG_MARGIN = 45.0         # e^-45 ~ 3e-20: inner k-sums stop past this decay
 _KMAX_HARD = 10_000_000     # most factors of the exact prefactor's product
 _CHUNK_ELEMS = 1 << 16      # k-by-point elements per inner-sum chunk (fits L2)
 _BAND_ELEMS = 1 << 13       # a chunk this big ends where its points' cuts halve
-_SLICE = 1 << 14            # points per log_summand slice (its arrays fit L2)
-_SKIP_MIN = 1 << 10         # log_summand slices this long may skip a term (not GK15 nodes)
 MAX_DERIV = 64              # highest x-derivative order log_summand_deriv takes
 _W_A = 0.1                  # _kernel: closed form below this w, k-sum above
 _LADDER = 2.0 ** (1.0 / 32)  # edge ratio of series_sum's certificate ladder
@@ -353,28 +350,14 @@ def _kernel(term: PochTerm, x: np.ndarray, t) -> np.ndarray:
 
 def log_summand(spec: SeriesSpec, x, t):
     """The logged x-th term of the series: x v - A x^2 t - B x t plus the
-    Pochhammer contribution sum_terms S * K, each K from ``_kernel``.  Takes
-    scalar or array finite x >= 0 and returns matching shape; t is one float
-    or an array matching x, each point with the bits of a call at its t
-    alone.  Points go by slices of _SLICE, whose arrays fit L2; at one t, a
-    slice of _SKIP_MIN points or more drops a term if 2|S| e^-w/((1 -
-    e^-w)(1 - e^-(beta t))) >= 2|S| K at its least w is below a quarter ulp
-    of the least |partial sum|: it would move no bit."""
+    Pochhammer contribution sum_terms S * K, each K from ``_kernel`` over all
+    the points at once, added in the order of the terms.  Takes scalar or
+    array finite x >= 0 and returns matching shape; t is one float or an
+    array matching x, each point with the bits of a call at its t alone."""
     x, t, scalar = _points(x, t)
-    per = isinstance(t, np.ndarray)
-    parts = []
-    for i in range(0, max(len(x), 1), _SLICE):
-        xs, ts = x[i:i + _SLICE], (t[i:i + _SLICE] if per else t)
-        out = _poly_deriv(spec, 0, xs, ts)
-        skip = len(xs) >= _SKIP_MIN and not per
-        for term in spec.terms:
-            w = (term.alpha * xs.min() + term.gamma) * t if skip else 0.0
-            if skip and (abs(term.S) * math.exp(-w) / (math.expm1(-w) * math.expm1(-term.beta * t))
-                         < np.spacing(np.abs(out).min()) / 8.0):
-                continue
-            out = out + term.S * _kernel(term, xs, ts)
-        parts.append(out)
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    out = _poly_deriv(spec, 0, x, t)
+    for term in spec.terms:
+        out = out + term.S * _kernel(term, x, t)
     return float(out[0]) if scalar else out
 
 
@@ -385,13 +368,6 @@ def _poly_deriv(spec: SeriesSpec, n: int, x: np.ndarray, t):
     if n == 1:
         return spec.v - 2.0 * spec.A * x * t - spec.B * t
     return -2.0 * spec.A * t
-
-
-@functools.lru_cache(maxsize=256)
-def _term_columns(spec: SeriesSpec) -> np.ndarray:
-    # alpha, beta, gamma, S and alpha/beta of the terms, each a column
-    alpha, beta, gamma, S = np.array(spec.terms).T[:, :, None]
-    return alpha, beta, gamma, S, alpha / beta
 
 
 def log_summand_deriv(spec: SeriesSpec, n, x, t):
@@ -411,11 +387,11 @@ def log_summand_deriv(spec: SeriesSpec, n, x, t):
         if r <= 2:
             out[i] = _poly_deriv(spec, r, x, t)
     if spec.terms and len(x):
-        alpha, beta, gamma, S, ab = _term_columns(spec)
+        alpha, beta, gamma, S = np.array(spec.terms).T[:, :, None]   # one column each
         tx = t if isinstance(t, np.ndarray) else np.full(len(x), t)
         rs = sorted(set(orders))
         k = kernel_rows(((alpha * x + gamma) * t).ravel(), (beta * tx).ravel(), (alpha * tx).ravel(),
-                        np.repeat(ab, len(x)), tuple(rs)).reshape(len(rs), len(S), -1)
+                        np.repeat(alpha / beta, len(x)), tuple(rs)).reshape(len(rs), len(S), -1)
         if rs != list(orders):
             k = k[[rs.index(r) for r in orders]]
         for j in range(len(S)):
