@@ -708,6 +708,19 @@ def _weights(a, h, n, ca, cb, ra, rb):
     return x[starts], np.add.reduceat(w, starts), np.add.reduceat(rw, starts)
 
 
+def _shift_log(mx: float, s: float) -> float:
+    """mx + log(s) to about an ulp of the result.  On a long flat window
+    log(s) is 8 or more and cancels against mx, so rounding it alone would
+    cost half an ulp of log(s), several of the result's; that rounding,
+    log(s e^-l) for l = log(s) rounded, is added back after an exact
+    two-sum of mx and l."""
+    l = math.log(s)
+    hi = mx + l
+    b = hi - mx
+    lo = (mx - (hi - b)) + (l - b)
+    return hi + (lo + math.log(s * math.exp(-l)))
+
+
 def _strided_sum(spec: SeriesSpec, t: float, lad: MassLadder, m_lo: int, stop: int,
                  head: float, left: np.ndarray) -> SumResult:
     """The window from m_lo by blocks (``_plan``, ``_accept``): a block of n
@@ -774,5 +787,5 @@ def _strided_sum(spec: SeriesSpec, t: float, lad: MassLadder, m_lo: int, stop: i
     mx = float(logs.max())
     f = np.exp(logs - mx)
     rem = float(np.dot(rw, f))
-    return SumResult(mx + math.log(math.fsum(w * f)), m_lo, end + 1, float(lo[q]),
+    return SumResult(_shift_log(mx, math.fsum(w * f)), m_lo, end + 1, float(lo[q]),
                      len(logs) - len(parts) + 1, mx + math.log(rem) if rem > 0 else -math.inf)

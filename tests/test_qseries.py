@@ -1345,17 +1345,33 @@ class TestStridedSum:
 
     @settings(max_examples=25, deadline=None)
     @given(case=strided_specs())
+    # flat windows of 10^4-10^5 terms, where log(fsum) is 8 or more and a
+    # float log of it alone is off by up to 4 eps
+    @example(case=(SeriesSpec.make(0.0, 0.984375, 0.0,
+                                   [(2.00001, 0.984375, 0.33882262924408046, -1.1875)]), 5e-4))
+    @example(case=(SeriesSpec.make(0.0, 0.6079972772483506, 0.0,
+                                   [(0.5, 1.859375, 1.2511338751881986, -3.0)]), 1e-3))
+    @example(case=(SeriesSpec.make(0.0, 0.7299367048848695, 0.0,
+                                   [(1.0, 1.419921875, 1.360643979808982, -1.0),
+                                    (1.25, 0.625, 0.9979228531235602, -2.4668669435496016)]),
+                   5e-4))
+    @example(case=(SeriesSpec.make(0.0, 0.7299367048848695, 0.0,
+                                   [(1.0, 0.5463085019177594, 0.9979228531235602,
+                                     -2.4668669435496016),
+                                    (2.0, 1.419921875, 1.360643979808982, -1.0)]), 5e-4))
     def test_matches_brute_force(self, case):
         # every window strided, short ones too: within _check_window's 4 ulp
         # of the log-space fsum of every term; and against the fsum of the
-        # window's own terms the gap past the rounding of the two logs (an
-        # ulp each) and of the sum (2 eps) is within the remainder estimate
+        # window's own terms, its log taken at 40 digits, the gap past the
+        # rounding of the two logs (an ulp each) and of the sum (2 eps) is
+        # within the remainder estimate
         spec, t = case
         with mock.patch.object(qs, "_STRIDE_MIN", 0):
             r, _ = TestSeriesSum()._check_window(spec, t, TestSeriesSum._brute_logs(spec, t))
         logs = log_summand(spec, np.arange(r.m_lo, r.m_hi, dtype=float), t)
         mx = float(logs.max())
-        window = mx + math.log(math.fsum(np.exp(logs - mx)))
+        with mp.workdps(40):
+            window = float(mx + mp.log(math.fsum(np.exp(logs - mx))))
         assert (abs(r.log_value - window) <= 2.0 * math.ulp(max(abs(window), 1.0))
                 + 2.0 * np.finfo(float).eps + math.exp(r.remainder_log - window))
         assert r.remainder_log <= r.log_value + qs.LN_EPS
