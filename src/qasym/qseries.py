@@ -30,15 +30,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SpecError
-from .specfun import bernoulli_pair, bernoulli_poly, kernel_rows, polylog
+from .specfun import _BANDS, _CHUNK_ELEMS, bernoulli_pair, bernoulli_poly, kernel_rows, polylog
 
 T_MAX = 0.5                 # largest t any evaluation accepts
 LN_EPS = math.log(1e-18)    # relative truncation threshold, in log space
 _KLOG_MARGIN = 45.0         # e^-45 ~ 3e-20: inner k-sums stop past this decay
 _KMAX_HARD = 10_000_000     # most factors of the exact prefactor's product
-_CHUNK_ELEMS = 1 << 16      # k-by-point elements per inner-sum chunk (fits L2)
 _BAND_ELEMS = 1 << 13       # a chunk this big ends where its points' cuts halve
-MAX_DERIV = 64              # highest x-derivative order log_summand_deriv takes
+MAX_DERIV = _BANDS[-1]      # highest x-derivative order log_summand_deriv takes
 _W_A = 0.1                  # _kernel: closed form below this w, k-sum above
 _LADDER = 2.0 ** (1.0 / 32)  # edge ratio of series_sum's certificate ladder
 U_END = 2000.0              # series_sum raises if not stopped by m t = U_END
@@ -455,8 +454,8 @@ def log_summand_sup(spec: SeriesSpec, ua, ub, t):
 
 class MassLadder(NamedTuple):
     """The certificate both exact routes take their window from.  Integer
-    ``edges`` run from 0 to m t = U_END (unit steps, ratio _LADDER, and
-    series_sum's block ``ends`` below 2^18, which it reads).  ``mass[j]``,
+    ``edges`` run from 0 to ceil(U_END/t), in unit steps, then ratio
+    _LADDER; series_sum's direct blocks start and end on them.  ``mass[j]``,
     log(e_j+1 - e_j) plus the sup of F over the closed piece [e_j t, e_j+1 t]
     of u, bounds its terms and its integral over x alike; ``rest[j]`` bounds
     the mass from e_j on.  ``probe`` lies in the piece of most mass;
@@ -466,7 +465,6 @@ class MassLadder(NamedTuple):
     rest: np.ndarray
     probe: int
     probe_log: float
-    ends: tuple[int, ...]
 
     def window(self, level: float) -> tuple[int, float, np.ndarray]:
         """(cut, head, left) at e^level: the pieces below e_cut, the longest run
@@ -477,14 +475,6 @@ class MassLadder(NamedTuple):
         head = float(cum[cut - 1]) if cut else -math.inf
         return cut, head, np.where(self.edges > self.probe,
                                    np.logaddexp(head, self.rest), np.inf)
-
-
-def _block_ends(t: float) -> tuple[int, ...]:
-    # series_sum's block ends below min(U_END/t, 2^18): 256 terms, m/4 past 1024
-    ends, stop = [0], min(U_END / t, 1 << 18)
-    while ends[-1] < stop:
-        ends.append(ends[-1] + max(256, ends[-1] // 4))
-    return tuple(ends)
 
 
 def _tail_sup(spec: SeriesSpec, m, t):
@@ -504,14 +494,13 @@ def mass_ladder(spec: SeriesSpec, ts) -> list[MassLadder]:
     probes in one call."""
     if len(ts) == 0:
         return []
-    es, blocks = [], []
+    es = []
     for t in ts:
         _require_t(t)
         if U_END / t >= 2.0 ** 62:      # edges past int64, terms past any budget
             raise ConvergenceError(f"t={t} is below the summation ladder's reach")
         steps = np.ceil(_LADDER ** np.arange(math.log(U_END / t, _LADDER)))
-        blocks.append(_block_ends(t))
-        e = np.sort(np.concatenate((blocks[-1], steps, [math.ceil(U_END / t)])))
+        e = np.concatenate(([0], steps, [math.ceil(U_END / t)]))   # non-decreasing
         # not np.unique, which imports numpy.ma
         es.append(e[np.concatenate(([True], e[1:] > e[:-1]))].astype(np.int64))
     tv = np.array(ts, dtype=float)
@@ -529,7 +518,7 @@ def mass_ladder(spec: SeriesSpec, ts) -> list[MassLadder]:
         for arr in parts[-1][:3]:
             arr.flags.writeable = False         # both exact routes of a row read it
     logs = log_summand(spec, np.array([p[3] for p in parts], dtype=float), tv)
-    return [MassLadder(*part, float(lg), blk) for part, lg, blk in zip(parts, logs, blocks)]
+    return [MassLadder(*part, float(lg)) for part, lg in zip(parts, logs)]
 
 
 class SumResult(NamedTuple):
@@ -548,25 +537,24 @@ def series_sum(spec: SeriesSpec, t: float, lad: MassLadder | None = None) -> Sum
     ``mass_ladder`` (built here if None).  The sum passes the first edge
     that the probe's term certifies by a step at most, and it raises before
     summing if that edge lies more than _SUM_BUDGET terms past m_lo.  A
-    window that spans _STRIDE_MIN terms or more, or reaches past the last
-    block end of the ladder, is summed by strided blocks (``_strided_sum``),
-    in terms about in proportion to its log range; a shorter one term by
-    term.
+    window that spans _STRIDE_MIN terms or more is summed by strided blocks
+    (``_strided_sum``), in terms about in proportion to its log range; a
+    shorter one term by term.
 
-    The direct sum accumulates in log space in blocks of 256 terms that grow
-    to m/4 past m = 1024, each starting on an edge of the ladder, whose rest
-    there holds the one-sup bound ``_tail_sup``.  Its factor 1/(1 - q^B) the
-    flat tail A = v = 0 needs (the terms above 1e-18 relative alone leave
-    out 1e-14 of phi-minus at t = 1e-4).  A block
-    ends early at the first edge that the sum so far, or the probe's exact
-    term (which every sum holds), certifies, so the first block too can end
-    short of 256 terms; the sum stops at the first block end past the probe
-    where head plus rest are below 1e-18 of the sum so far, and raises if
-    none does by m t = U_END.
+    The direct sum accumulates in log space in blocks between edges of the
+    ladder, whose rest there holds the one-sup bound ``_tail_sup``.  Its
+    factor 1/(1 - q^B) the flat tail A = v = 0 needs (the terms above 1e-18
+    relative alone leave out 1e-14 of phi-minus at t = 1e-4).  A block from
+    e_j runs to the first edge at least max(256, e_j/4) past it, or ends
+    early at the first edge that the sum so far, or the probe's exact term
+    (which every sum holds), certifies, so the first block too can be
+    short; the sum stops at the first block end past the probe where head
+    plus rest are below 1e-18 of the sum so far, and raises if none does by
+    the ladder's last edge.
     """
     if lad is None:
         lad = mass_ladder(spec, (t,))[0]
-    e, ends = lad.edges, lad.ends
+    e = lad.edges
     cut, head, left = lad.window(lad.probe_log)
     sure = np.flatnonzero(left <= lad.probe_log + LN_EPS)
     stop = int(e[sure[0]] if len(sure) else e[-1])
@@ -575,25 +563,22 @@ def series_sum(spec: SeriesSpec, t: float, lad: MassLadder | None = None) -> Sum
         raise ConvergenceError(f"exact sum: the window needs "
                                f"{span if span < 1e15 else f'{span:.3g}'} terms, "
                                f"more than {_SUM_BUDGET}")
-    if span >= _STRIDE_MIN or stop > ends[-1]:
+    if span >= _STRIDE_MIN:
         return _strided_sum(spec, t, lad, int(e[cut]), stop, head, left)
-    m0, run_max, acc, total_log = int(e[cut]), -math.inf, 0.0, -math.inf
-    while True:
-        j = int(np.searchsorted(e, m0, side="right")) - 1     # e_j = m0: blocks start on edges
-        left_out = np.logaddexp(head, lad.rest[j])
-        if m0 > lad.probe and left_out <= total_log + LN_EPS:
-            break
+    j, run_max, acc, total_log = cut, -math.inf, 0.0, -math.inf
+    while left[j] > total_log + LN_EPS:     # left is inf up to the probe
         if j == len(e) - 1:
-            raise _past_reach(m0, t)
-        end = ends[np.searchsorted(ends, m0, side="right")]   # next block end
-        # edges certified now, by the sum so far or the probe's term in it
-        ok = np.flatnonzero(left[j + 1:] <= max(total_log, lad.probe_log) + LN_EPS)
-        m1 = min(end, int(e[j + 1 + ok[0]])) if len(ok) else end
-        logs = log_summand(spec, np.arange(m0, m1, dtype=float), t)
+            raise _past_reach(int(e[j]), t)
+        # the first edge max(256, m/4) past m = e_j, or an earlier one that
+        # the sum so far, or the probe's term in it, certifies
+        k = min(int(np.searchsorted(e, e[j] + max(256, e[j] // 4))), len(e) - 1)
+        ok = np.flatnonzero(left[j + 1:k] <= max(total_log, lad.probe_log) + LN_EPS)
+        k = j + 1 + int(ok[0]) if len(ok) else k
+        logs = log_summand(spec, np.arange(e[j], e[k], dtype=float), t)
         new_max = max(run_max, float(logs.max()))
         acc = acc * math.exp(run_max - new_max) + float(np.exp(logs - new_max).sum())
-        run_max, total_log, m0 = new_max, new_max + math.log(acc), m1
-    return SumResult(total_log, int(e[cut]), m0, float(left_out), m0 - int(e[cut]), -math.inf)
+        run_max, total_log, j = new_max, new_max + math.log(acc), k
+    return SumResult(total_log, int(e[cut]), int(e[j]), float(left[j]), int(e[j] - e[cut]), -math.inf)
 
 
 def _past_reach(m: int, t: float) -> ConvergenceError:

@@ -158,8 +158,8 @@ def polylog(s, w):
 # without a k-sum, and its derivatives
 
 _EM_J = 6               # Euler-Maclaurin levels j = 1.._EM_J of the closed form
-_CHUNK_ELEMS = 1 << 16  # kernel_rows' coefficients per chunk of points (fits L2)
-_BANDS = (4, 8, 16, 32, 64)     # kernel_rows' orders up to each peel alike
+_CHUNK_ELEMS = 1 << 16  # elements per chunk of kernel_rows and of the k-sum (fits L2)
+_BANDS = (4, 8, 16, 32, 64)     # kernel_rows' orders up to each peel alike, up to the last
 # B_2j/(2j)!, j = 1.._EM_J: the closed form's Euler-Maclaurin weights
 _EM_B = [num / den / math.factorial(2 * j) for j in range(1, _EM_J + 1)
          for num, den in [bernoulli_pair(2 * j)]]

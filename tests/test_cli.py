@@ -326,7 +326,7 @@ def test_laplace_constant_past_exp_range(tmp_path):
     assert rows[0]["log_constant"] == pytest.approx(4628.73, abs=0.01)
     cp = run_cli("verify", "--spec", spec, "--t", "0.01,0.005")
     assert (cp.returncode, cp.stdout) == (3, "")
-    assert "series terms still significant at m*t = 2167.3" in cp.stderr
+    assert "series terms still significant at m*t = 2000.0" in cp.stderr
 
 
 @pytest.mark.parametrize("name", ["ramanujan", "phi-minus"])

@@ -1000,9 +1000,12 @@ def ladder_grids(draw):
 
 
 def _assert_grid_is_per_t(spec, ts):
-    # every field of each ladder, bit for bit and of the same type
+    # every field of each ladder, bit for bit and of the same type; its
+    # edges strictly ascending from 0 to ceil(U_END/t), the ladder's end
     grid = qs.mass_ladder(spec, ts)
     for t, lad in zip(ts, grid):
+        e = lad.edges
+        assert (e[0], e[-1]) == (0, math.ceil(qs.U_END / t)) and np.all(e[1:] > e[:-1]), t
         alone = qs.mass_ladder(spec, (t,))[0]
         for name in qs.MassLadder._fields:
             a, b = getattr(lad, name), getattr(alone, name)
@@ -1103,7 +1106,7 @@ class TestMassLadderMemo:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_grid_build_is_per_t_on_presets(self, name):
-        _assert_grid_is_per_t(get_preset(name).series, (0.2, 0.05, 0.01, 0.001))
+        _assert_grid_is_per_t(get_preset(name).series, (0.2, 0.05, 0.01, 0.0081, 0.001))
 
     @pytest.mark.parametrize("path", sorted(DATA.glob("*.json")), ids=lambda p: p.stem)
     def test_grid_build_is_per_t_on_data_specs(self, path):
