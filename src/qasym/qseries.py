@@ -524,9 +524,9 @@ def mass_ladder(spec: SeriesSpec, ts) -> list[MassLadder]:
 class SumResult(NamedTuple):
     log_value: float
     m_lo: int              # the terms m_lo <= m < m_hi were summed
-    m_hi: int
+    m_hi: int              # (strided: the last block's end + 1)
     left_out_log: float    # log of the certified mass of the others
-    evals: int             # terms evaluated (log_summand points)
+    evals: int             # terms evaluated (log_summand points; strided: fewer)
     remainder_log: float   # log of the Euler-Maclaurin remainder estimate (-inf: direct)
 
 
@@ -538,8 +538,8 @@ def series_sum(spec: SeriesSpec, t: float, lad: MassLadder | None = None) -> Sum
     that the probe's term certifies by a step at most, and it raises before
     summing if that edge lies more than _SUM_BUDGET terms past m_lo.  A
     window that spans _STRIDE_MIN terms or more is summed by strided blocks
-    (``_strided_sum``), in terms about in proportion to its log range; a
-    shorter one term by term.
+    (``_strided_sum``) to the edge its sampled largest term certifies, in
+    terms about in proportion to its log range; a shorter one term by term.
 
     The direct sum accumulates in log space in blocks between edges of the
     ladder, whose rest there holds the one-sup bound ``_tail_sup``.  Its
@@ -555,7 +555,7 @@ def series_sum(spec: SeriesSpec, t: float, lad: MassLadder | None = None) -> Sum
     if lad is None:
         lad = mass_ladder(spec, (t,))[0]
     e = lad.edges
-    cut, head, left = lad.window(lad.probe_log)
+    cut, _, left = lad.window(lad.probe_log)
     sure = np.flatnonzero(left <= lad.probe_log + LN_EPS)
     stop = int(e[sure[0]] if len(sure) else e[-1])
     span = stop - int(e[cut])
@@ -564,7 +564,7 @@ def series_sum(spec: SeriesSpec, t: float, lad: MassLadder | None = None) -> Sum
                                f"{span if span < 1e15 else f'{span:.3g}'} terms, "
                                f"more than {_SUM_BUDGET}")
     if span >= _STRIDE_MIN:
-        return _strided_sum(spec, t, lad, int(e[cut]), stop, head, left)
+        return _strided_sum(spec, t, lad, int(e[cut]), stop, left)
     j, run_max, acc, total_log = cut, -math.inf, 0.0, -math.inf
     while left[j] > total_log + LN_EPS:     # left is inf up to the probe
         if j == len(e) - 1:
@@ -601,38 +601,42 @@ def _radius(spec: SeriesSpec, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.minimum(np.exp(log_r), 0.5 * (x + near))
 
 
-def _plan(spec: SeriesSpec, t: float, m_lo: int, stop: int):
-    # blocks (a, h, n), n steps of h from a, tiling [m_lo, stop) and at most
-    # a step past: _EM_STEPS steps of the largest power of two h with 4h
-    # below the radius at the samples around the block, or, where that h is
-    # below 8, the terms up to the next sample, one by one.  The samples,
-    # geometric and uniform over the window, take their radius from one
-    # rows call
+def _plan(spec: SeriesSpec, t: float, lad: MassLadder, left: np.ndarray, m_lo: int, stop: int):
+    # the window's level and blocks (a, h, n), n steps of h from a.  One rows
+    # call (orders 0..8) at samples geometric and uniform over [m_lo, stop)
+    # gives the level, the larger of the probe's term and the samples' row 0,
+    # and their radii.  The blocks tile [m_lo, end), end the first edge whose
+    # left lies 1e-18 below the level (else the last), and at most a step
+    # past: _EM_STEPS steps of the largest power of two h with 4h below the
+    # radius at the samples around the block, or, where that h is below 8,
+    # the terms up to the next sample, one by one
     xs = np.concatenate((np.geomspace(max(m_lo, 1), stop, 33),
                          np.linspace(m_lo, stop, 9))).round()
     xs.sort()
     xs = xs[np.concatenate(([True], xs[1:] > xs[:-1]))]
-    R = np.minimum(_radius(spec, log_summand_deriv(spec, tuple(range(1, 9)), xs, t), xs),
-                   stop - m_lo).tolist()
+    rows = log_summand_deriv(spec, tuple(range(9)), xs, t)
+    level = max(lad.probe_log, float(rows[0].max()))
+    end = int(lad.edges[np.append(np.flatnonzero(left <= level + LN_EPS), -1)[0]])
+    R = np.minimum(_radius(spec, rows[1:], xs), end - m_lo).tolist()
     xs = xs.astype(np.int64).tolist()
     a, h, n = [], [], []
     m, i = m_lo, 0
-    while m < stop:
+    while m < end:
         while xs[i + 1] <= m:
             i += 1
         step = 1 << max(int(min(R[i], R[i + 1]) / 4.0).bit_length() - 1, 0)
         while step > 1 and 4 * step > min(R[i:bisect.bisect_left(xs, m + _EM_STEPS * step) + 1]):
             step //= 2
         step = step if step >= 8 else 1     # a shorter stride saves less than its rows cost
-        count = min(_EM_STEPS if step > 1 else xs[i + 1] - m, -(-(stop - m) // step))
+        count = min(_EM_STEPS if step > 1 else xs[i + 1] - m, -(-(end - m) // step))
         a.append(m)
         h.append(step)
         n.append(count)
         m += step * count
-    return np.array(a), np.array(h), np.array(n)
+    return np.array(a), np.array(h), np.array(n), level
 
 
-def _accept(spec: SeriesSpec, t: float, probe_log: float, a, h, n):
+def _accept(spec: SeriesSpec, t: float, level: float, a, h, n):
     # the blocks (a, h, n) with each h halved until the block passes, as
     # (h, n, ca, cb, ra, rb): per block the corrections its ends add to the
     # weights of the terms there, ca at a and -cb at its end, and the size of
@@ -641,8 +645,8 @@ def _accept(spec: SeriesSpec, t: float, probe_log: float, a, h, n):
     # at each, b the coefficients of exp(sum_r L^(r) y^r/r!), and the
     # correction of order j there is E_j = B_2j (h^2j - 1)/(2j) b_(2j-1).  A
     # block passes if 4h stays below the radius at both ends and, at each,
-    # the last two |E_j| fall and lie below 1e-18 of the probe's term (from
-    # row 0); below h = 2 it is summed term by term
+    # the last two |E_j| fall and lie below 1e-18 of e^level (from the
+    # term's row 0); below h = 2 it is summed term by term
     size, h = h * n, h.copy()
     ca, cb, ra, rb = (np.zeros(len(a)) for _ in range(4))
     s = np.flatnonzero(h > 1)
@@ -658,7 +662,7 @@ def _accept(spec: SeriesSpec, t: float, probe_log: float, a, h, n):
         b = _exp_series({r: rows[r] / math.factorial(r) for r in range(1, 2 * J)}, 2 * J - 1)
         odd = np.array(b[1::2])[:, col]
         radius = _radius(spec, rows[1:9], ux)[col]
-        rel = rows[0][col] - probe_log
+        rel = rows[0][col] - level
         j2 = np.arange(2.0, 2 * J + 1, 2.0)[:, None]
         hs = h[s].astype(float)
         while True:
@@ -707,7 +711,7 @@ def _shift_log(mx: float, s: float) -> float:
 
 
 def _strided_sum(spec: SeriesSpec, t: float, lad: MassLadder, m_lo: int, stop: int,
-                 head: float, left: np.ndarray) -> SumResult:
+                 left: np.ndarray) -> SumResult:
     """The window from m_lo by blocks (``_plan``, ``_accept``): a block of n
     steps of h from a sums f(m) = exp(log_summand(m)) over a <= m < b = a + n h
     as the step-h trapezoid T_h plus (f(a) - f(b))/2 minus sum_{j<=J}
@@ -715,62 +719,24 @@ def _strided_sum(spec: SeriesSpec, t: float, lad: MassLadder, m_lo: int, stop: i
     1 and h, whose integrals cancel), J = _EM_TERMS, from the exact terms at
     its points and the closed-form rows at its ends; h = 1 is the direct sum.
 
-    The sum may stop at a point p past the probe, the end of a strided block
-    or one of 16 points of a direct one, if head plus the rest from p
-    (``_tail_sup`` at p, or the ladder's from an edge at or below it) lie
-    below 1e-18 of the sum before p.  The block holding the first point
-    where the ladder's whole mass would certify that is split into single
-    steps; the blocks before it are summed, and the sum stops at the first
-    point from it on that their sum, or the probe's term, certifies.  The
-    term at p is summed too, so no term past m_hi - 1 = p is evaluated; if
-    no point certifies, the sum raises.  Every term, with its weight, is
-    summed at once by math.fsum of the products; the remainder estimate is
-    the sum of the size of the last correction at each end of each block.
-    A block of h < 8 is summed term by term, as its rows would cost more
-    than the terms it skips."""
-    a, h, n = _plan(spec, t, m_lo, stop)
-    # the points where the sum may stop, each step of a block as planned
-    size = h * n
-    step = np.where(h > 1, h, -(-size // _EM_STEPS))
-    cnt = -(-size // step)
-    blk = np.repeat(np.arange(len(a)), cnt)
-    i = np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-    p = np.minimum(a[blk] + step[blk] * (i + 1), (a + size)[blk])
-    j = np.searchsorted(lad.edges, p, side="right") - 1
-    rest = np.minimum(_tail_sup(spec, p.astype(float), t), lad.rest[j])
-    lo = np.where(p > lad.probe, np.minimum(np.logaddexp(head, rest),
-                                            np.minimum.accumulate(left)[j]), np.inf)
-    hit = np.flatnonzero(lo <= np.logaddexp.reduce(lad.mass) + LN_EPS)
-    if not len(hit):
-        raise _past_reach(stop, t)
-    k0 = int(blk[hit[0]])
-    if h[k0] > 1:       # split into single steps, each step's point the end of one
-        k1 = k0 + n[k0]
-        blk = np.where(blk < k0, blk, np.where(blk > k0, blk + n[k0] - 1, k0 + i))
-        a = np.concatenate((a[:k0], a[k0] + h[k0] * np.arange(n[k0]), a[k0 + 1:]))
-        h = np.concatenate((h[:k0], np.repeat(h[k0], n[k0]), h[k0 + 1:]))
-        n = np.concatenate((n[:k0], np.ones(k1 - k0, dtype=np.int64), n[k0 + 1:]))
-    # a strided block may stop only at its end
-    stops = np.flatnonzero((blk >= k0) & ((h[blk] == 1) | (p == (a + h * n)[blk])))
-    h, n, ca, cb, ra, rb = _accept(spec, t, lad.probe_log, a, h, n)
-    low, parts = lad.probe_log, []
-    if k0:              # the blocks before
-        xa, wa, rwa = _weights(*(v[:k0] for v in (a, h, n, ca, cb, ra, rb)))
-        la = log_summand(spec, xa.astype(float), t)
-        mx = float(la.max())
-        low = max(low, mx + math.log(float(np.dot(wa, np.exp(la - mx)))))
-        parts.append((la, wa, rwa))
-    q = int(stops[np.flatnonzero(lo[stops] <= low + LN_EPS)[0]])
-    k, end = int(blk[q]), int(p[q])
-    a, h, n, ca, cb, ra, rb = (v[k0:k + 1].copy() for v in (a, h, n, ca, cb, ra, rb))
-    n[-1] = (end - a[-1]) // h[-1]      # a direct block may end early
-    xb, wb, rwb = _weights(a, h, n, ca, cb, ra, rb)
-    wb[-1] += 1.0
-    lb = log_summand(spec, xb[1 if k0 else 0:].astype(float), t)
-    parts.append((np.concatenate((parts[0][0][-1:], lb)) if k0 else lb, wb, rwb))
-    logs, w, rw = (np.concatenate(v) for v in zip(*parts))
+    The window ends at the first ladder edge whose head plus rest lie 1e-18
+    below the level ``_plan`` samples, and the corrections are gated at
+    1e-18 of that level.  The term at the last block's end is summed too,
+    so m_hi - 1 is the last term evaluated; left_out_log, the least left
+    over the edges up to it, must lie 1e-18 below the total, or the sum
+    raises.  Every term, with its weight, is summed at once by math.fsum of
+    the products; the remainder estimate is the sum of the size of the last
+    correction at each end of each block.  A block of h < 8 is summed term
+    by term, as its rows would cost more than the terms it skips."""
+    a, h, n, level = _plan(spec, t, lad, left, m_lo, stop)
+    x, w, rw = _weights(a, *_accept(spec, t, level, a, h, n))
+    w[-1] += 1.0
+    logs = log_summand(spec, x.astype(float), t)
     mx = float(logs.max())
     f = np.exp(logs - mx)
-    rem = float(np.dot(rw, f))
-    return SumResult(_shift_log(mx, math.fsum(w * f)), m_lo, end + 1, float(lo[q]),
-                     len(logs) - len(parts) + 1, mx + math.log(rem) if rem > 0 else -math.inf)
+    total, rem = _shift_log(mx, math.fsum(w * f)), float(np.dot(rw, f))
+    out = float(left[lad.edges <= x[-1]].min())
+    if out > total + LN_EPS:
+        raise _past_reach(stop, t)
+    return SumResult(total, m_lo, int(x[-1]) + 1, out, len(x),
+                     mx + math.log(rem) if rem > 0 else -math.inf)

@@ -41,9 +41,9 @@ EULER = SeriesSpec.make(0.0, 1.0, 0.0, [(1, 1, 1, -1)])
 V_NEGATIVE = SeriesSpec.make(0.0, -0.5, -0.05, [(1, 1, 1, -2), (2, 1, 0.5, 1)])
 DATA = Path(__file__).parent / "data"
 # m_hi at t = 1e-4 of the sum over [0, stop) that the certified window
-# replaced: blocks from m = 0 checked by the one-sup bound alone
-WHOLE_RANGE_STOP = {"ramanujan": 18618, "f0": 7627, "phi-minus": 467516,
-                    "euler": 533052, "euler-b2": 336444, "two-peak": 88772,
+# replaced: blocks from m = 0 checked by the one-sup bound alone (the
+# direct windows only)
+WHOLE_RANGE_STOP = {"ramanujan": 18618, "f0": 7627, "two-peak": 88772,
                     "v-negative": 56815}
 
 
@@ -1200,11 +1200,13 @@ class TestSeriesSum:
     def test_sums_to_tail_bound(self, name):
         # the certified window agrees with a brute-force sum out to
         # 2 + 10|log t|/min alpha and on until a whole block lies e^-70
-        # below the largest term, and at t = 1e-4 it stops short of that
-        # bound and no later than the sum over [0, stop) it replaced, whose
-        # stops WHOLE_RANGE_STOP lists.  two-peak has a larger maximum at
-        # u = 7.1 past one at u = 0.58, and stays exact to the bit;
-        # v-negative is on the branch A = 0, v < 0
+        # below the largest term, and at t = 1e-4 a direct window stops
+        # short of that bound and no later than the sum over [0, stop) it
+        # replaced, whose stops WHOLE_RANGE_STOP lists; a strided one (the
+        # flat tails phi-minus, euler and euler-b2) ends where its own
+        # samples certify (test_evaluations_are_few).  two-peak has a larger
+        # maximum at u = 7.1 past one at u = 0.58, and stays exact to the
+        # bit; v-negative is on the branch A = 0, v < 0
         if name == "two-peak":
             spec = load_spec(str(DATA / "two_peak.json"))[0]
         elif name == "v-negative":
@@ -1222,8 +1224,9 @@ class TestSeriesSum:
             r, brute = self._check_window(spec, t, np.concatenate(blocks))
             if name == "two-peak":
                 assert r.log_value == brute
-        assert self._last_m(spec, 1e-4) * 1e-4 < old_stop(1e-4)
-        assert series_sum(spec, 1e-4).m_hi <= WHOLE_RANGE_STOP[name]
+        if name in WHOLE_RANGE_STOP:
+            assert self._last_m(spec, 1e-4) * 1e-4 < old_stop(1e-4)
+            assert series_sum(spec, 1e-4).m_hi <= WHOLE_RANGE_STOP[name]
         if name in ("ramanujan", "f0", "phi-minus", "euler"):
             # the head below the mass is left out
             assert r.m_lo > 0
@@ -1379,22 +1382,44 @@ class TestStridedSum:
                 + 2.0 * np.finfo(float).eps + math.exp(r.remainder_log - window))
         assert r.remainder_log <= r.log_value + qs.LN_EPS
 
-    @pytest.mark.parametrize("name, t", [("euler", 1e-4), ("phi-minus", 1e-4), ("euler", 1e-6)])
-    def test_evaluations_are_few(self, name, t):
-        # a count, not a timing: the direct sum took 461,412, 439,358 and
-        # 45.8M terms; log_summand sees only the counted points
+    @staticmethod
+    def _counted_sum(spec, t):
+        # series_sum at t, and the points log_summand saw in it
         seen = []
 
         def spy(s, x, tt):
             seen.append(np.size(x))
             return log_summand(s, x, tt)
 
-        spec = get_preset(name).series
         lad = qs.mass_ladder(spec, (t,))[0]
         with mock.patch.object(qs, "log_summand", spy):
             r = series_sum(spec, t, lad)
-        assert sum(seen) == r.evals <= 2000
+        return r, sum(seen)
+
+    @pytest.mark.parametrize("name, t", [("euler", 1e-4), ("phi-minus", 1e-4),
+                                         ("euler-b2", 1e-4), ("euler", 1e-6)])
+    def test_evaluations_are_few(self, name, t):
+        # a count, not a timing: the direct sum took 461,412, 439,358,
+        # 247,991 and 45.8M terms; log_summand sees only the counted points
+        r, seen = self._counted_sum(get_preset(name).series, t)
+        assert seen == r.evals <= 2000
         assert r.remainder_log <= r.log_value + qs.LN_EPS
+        assert r.left_out_log <= r.log_value + qs.LN_EPS
+
+    @pytest.mark.parametrize("t, bits", [(1e-4, 6.959292079988697), (3.32e-5, None)])
+    def test_level_past_the_probe(self, t, bits):
+        # tail_dominant's symbols cancel, so its probe lies far below the
+        # window's largest term: e^-206 against e^-4.0 at t = 1e-4, e^-618
+        # against e^-4.4 at 3.32e-5.  The window and the corrections take
+        # the sampled level: at 1e-4 the value keeps its bits in few terms
+        # (a gate at 1e-18 of the probe drove h to 1 over 1.4M terms), and
+        # at 3.32e-5 the sum is certified (the stop search it replaced
+        # raised IndexError there)
+        r, seen = self._counted_sum(load_spec(str(DATA / "tail_dominant.json"))[0], t)
+        assert r.left_out_log <= r.log_value + qs.LN_EPS
+        assert seen == r.evals and r.remainder_log <= r.log_value + qs.LN_EPS
+        if bits is not None:
+            assert r.log_value == bits and r.evals <= 60_000
 
     @pytest.mark.parametrize("t", [1e-5, 1e-6])
     def test_exact_identities_at_reach(self, t):
