@@ -2,10 +2,11 @@
 
 Covers: the canonical normalization from finite-symbol quadruples to
 infinite-symbol terms, the logged general term of the normalized series and
-its x-derivatives, log-space summation of the series (term by term, or, for
-a long window, in strided Euler-Maclaurin blocks whose end derivatives come
-from the closed-form rows), and the constant prefactor, exact (the inner
-sum's closed form) and by its product asymptotics.
+its x-derivatives, log-space summation of the series over a window fixed
+before it is summed (in one call of the term, or, for a long window, in
+strided Euler-Maclaurin blocks whose end derivatives come from the
+closed-form rows), and the constant prefactor, exact (the inner sum's closed
+form) and by its product asymptotics.
 
 Truncation policy for the outer sum and its integral: one ladder of pieces
 (``mass_ladder``) certifies a window that leaves out at most 1e-18 of the
@@ -41,8 +42,10 @@ MAX_DERIV = _BANDS[-1]      # highest x-derivative order log_summand_deriv takes
 _W_A = 0.1                  # _kernel: closed form below this w, k-sum above
 _LADDER = 2.0 ** (1.0 / 32)  # edge ratio of series_sum's certificate ladder
 U_END = 2000.0              # series_sum raises if not stopped by m t = U_END
-_SUM_BUDGET = 1 << 27       # most terms series_sum's window may span
-_STRIDE_MIN = 1 << 16       # series_sum strides a window this long (near the measured crossover)
+_SUM_BUDGET = 1 << 27       # most terms a strided window may span
+# series_sum strides a window this long: strided sums beat one call on the
+# 52-55k-term flat tails at t = 1e-3 and lose 4-9x on the 21-27k-term peaks at 1e-5
+_STRIDE_MIN = 1 << 15
 _EM_STEPS = 16              # steps of a strided block as planned
 _EM_TERMS = 10              # Euler-Maclaurin corrections of a strided block
 
@@ -455,7 +458,7 @@ def log_summand_sup(spec: SeriesSpec, ua, ub, t):
 class MassLadder(NamedTuple):
     """The certificate both exact routes take their window from.  Integer
     ``edges`` run from 0 to ceil(U_END/t), in unit steps, then ratio
-    _LADDER; series_sum's direct blocks start and end on them.  ``mass[j]``,
+    _LADDER; both exact routes cut their windows at them.  ``mass[j]``,
     log(e_j+1 - e_j) plus the sup of F over the closed piece [e_j t, e_j+1 t]
     of u, bounds its terms and its integral over x alike; ``rest[j]`` bounds
     the mass from e_j on.  ``probe`` lies in the piece of most mass;
@@ -466,15 +469,14 @@ class MassLadder(NamedTuple):
     probe: int
     probe_log: float
 
-    def window(self, level: float) -> tuple[int, float, np.ndarray]:
-        """(cut, head, left) at e^level: the pieces below e_cut, the longest run
+    def window(self, level: float) -> tuple[int, np.ndarray]:
+        """(cut, left) at e^level: the pieces below e_cut, the longest run
         from 0 holding at most half of 1e-18 of e^level, hold e^head at most;
         left[j] bounds head plus the rest from e_j (inf up to the probe)."""
         cum = np.logaddexp.accumulate(self.mass)
         cut = int(np.searchsorted(cum, level + LN_EPS - math.log(2.0), side="right"))
         head = float(cum[cut - 1]) if cut else -math.inf
-        return cut, head, np.where(self.edges > self.probe,
-                                   np.logaddexp(head, self.rest), np.inf)
+        return cut, np.where(self.edges > self.probe, np.logaddexp(head, self.rest), np.inf)
 
 
 def _tail_sup(spec: SeriesSpec, m, t):
@@ -534,51 +536,32 @@ def series_sum(spec: SeriesSpec, t: float, lad: MassLadder | None = None) -> Sum
     """sum_m exp(log_summand(m)) over a certified window [m_lo, m_hi).
 
     m_lo is the cut at the exact term of the window of ``lad``, t's
-    ``mass_ladder`` (built here if None).  The sum passes the first edge
-    that the probe's term certifies by a step at most, and it raises before
-    summing if that edge lies more than _SUM_BUDGET terms past m_lo.  A
-    window that spans _STRIDE_MIN terms or more is summed by strided blocks
-    (``_strided_sum``) to the edge its sampled largest term certifies, in
-    terms about in proportion to its log range; a shorter one term by term.
-
-    The direct sum accumulates in log space in blocks between edges of the
-    ladder, whose rest there holds the one-sup bound ``_tail_sup``.  Its
-    factor 1/(1 - q^B) the flat tail A = v = 0 needs (the terms above 1e-18
-    relative alone leave out 1e-14 of phi-minus at t = 1e-4).  A block from
-    e_j runs to the first edge at least max(256, e_j/4) past it, or ends
-    early at the first edge that the sum so far, or the probe's exact term
-    (which every sum holds), certifies, so the first block too can be
-    short; the sum stops at the first block end past the probe where head
-    plus rest are below 1e-18 of the sum so far, and raises if none does by
-    the ladder's last edge.
+    ``mass_ladder`` (built here if None), and stop the first edge whose head
+    plus rest lie 1e-18 below that term, the probe's, which every sum holds
+    (else the last edge).  A window [m_lo, stop) of fewer than _STRIDE_MIN
+    terms is summed in one ``log_summand`` call, to m_hi = stop; a longer one
+    by strided blocks (``_strided_sum``) to the edge its sampled largest term
+    certifies, in terms about in proportion to its log range.  Either raises
+    if left_out_log, the least left over the edges up to its end, exceeds
+    1e-18 of the total.  The ladder's rest holds the one-sup bound
+    ``_tail_sup``, whose factor 1/(1 - q^B) the flat tail A = v = 0 needs.
     """
     if lad is None:
         lad = mass_ladder(spec, (t,))[0]
     e = lad.edges
-    cut, _, left = lad.window(lad.probe_log)
+    cut, left = lad.window(lad.probe_log)
+    m_lo = int(e[cut])
     sure = np.flatnonzero(left <= lad.probe_log + LN_EPS)
     stop = int(e[sure[0]] if len(sure) else e[-1])
-    span = stop - int(e[cut])
-    if span > _SUM_BUDGET:
-        raise ConvergenceError(f"exact sum: the window needs "
-                               f"{span if span < 1e15 else f'{span:.3g}'} terms, "
-                               f"more than {_SUM_BUDGET}")
-    if span >= _STRIDE_MIN:
-        return _strided_sum(spec, t, lad, int(e[cut]), stop, left)
-    j, run_max, acc, total_log = cut, -math.inf, 0.0, -math.inf
-    while left[j] > total_log + LN_EPS:     # left is inf up to the probe
-        if j == len(e) - 1:
-            raise _past_reach(int(e[j]), t)
-        # the first edge max(256, m/4) past m = e_j, or an earlier one that
-        # the sum so far, or the probe's term in it, certifies
-        k = min(int(np.searchsorted(e, e[j] + max(256, e[j] // 4))), len(e) - 1)
-        ok = np.flatnonzero(left[j + 1:k] <= max(total_log, lad.probe_log) + LN_EPS)
-        k = j + 1 + int(ok[0]) if len(ok) else k
-        logs = log_summand(spec, np.arange(e[j], e[k], dtype=float), t)
-        new_max = max(run_max, float(logs.max()))
-        acc = acc * math.exp(run_max - new_max) + float(np.exp(logs - new_max).sum())
-        run_max, total_log, j = new_max, new_max + math.log(acc), k
-    return SumResult(total_log, int(e[cut]), int(e[j]), float(left[j]), int(e[j] - e[cut]), -math.inf)
+    if stop - m_lo >= _STRIDE_MIN:
+        return _strided_sum(spec, t, lad, m_lo, stop, left)
+    logs = log_summand(spec, np.arange(m_lo, stop, dtype=float), t)
+    mx = float(logs.max())
+    total = mx + math.log(float(np.exp(logs - mx).sum()))
+    out = float(left[e <= stop].min())
+    if out > total + LN_EPS:
+        raise _past_reach(stop, t)
+    return SumResult(total, m_lo, stop, out, stop - m_lo, -math.inf)
 
 
 def _past_reach(m: int, t: float) -> ConvergenceError:
@@ -609,7 +592,8 @@ def _plan(spec: SeriesSpec, t: float, lad: MassLadder, left: np.ndarray, m_lo: i
     # left lies 1e-18 below the level (else the last), and at most a step
     # past: _EM_STEPS steps of the largest power of two h with 4h below the
     # radius at the samples around the block, or, where that h is below 8,
-    # the terms up to the next sample, one by one
+    # the terms up to the next sample, one by one.  Past _SUM_BUDGET terms
+    # to end it raises before any term is summed
     xs = np.concatenate((np.geomspace(max(m_lo, 1), stop, 33),
                          np.linspace(m_lo, stop, 9))).round()
     xs.sort()
@@ -617,6 +601,11 @@ def _plan(spec: SeriesSpec, t: float, lad: MassLadder, left: np.ndarray, m_lo: i
     rows = log_summand_deriv(spec, tuple(range(9)), xs, t)
     level = max(lad.probe_log, float(rows[0].max()))
     end = int(lad.edges[np.append(np.flatnonzero(left <= level + LN_EPS), -1)[0]])
+    span = end - m_lo
+    if span > _SUM_BUDGET:
+        raise ConvergenceError(f"exact sum: the window needs "
+                               f"{span if span < 1e15 else f'{span:.3g}'} terms, "
+                               f"more than {_SUM_BUDGET}")
     R = np.minimum(_radius(spec, rows[1:], xs), end - m_lo).tolist()
     xs = xs.astype(np.int64).tolist()
     a, h, n = [], [], []

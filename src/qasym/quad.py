@@ -132,7 +132,7 @@ def integral(spec: SeriesSpec, t: float, rel_tol: float = 1e-10,
         lad = mass_ladder(spec, (t,))[0]
     level = lad.probe_log
     for _ in range(2):
-        cut, _, left = lad.window(level)
+        cut, left = lad.window(level)
         ok = np.flatnonzero(left <= level + LN_EPS)
         if not len(ok):
             raise ConvergenceError(f"integrand still significant at u = m*t = U_END = {U_END:g}")

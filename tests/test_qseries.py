@@ -1180,7 +1180,7 @@ class TestSeriesSum:
 
     def _check_window(self, spec, t, logs):
         # series_sum against the log-space fsum of ``logs``, the terms from
-        # m = 0 on: the values are log-space sums run_max + log(acc), so the
+        # m = 0 on: the values are log-space sums mx + log(sum), so the
         # ulps are those of the larger operand.  What the window [m_lo, m_hi)
         # leaves out at both ends is below 1e-18 of the total and below its
         # certificate, and no term past m_hi is evaluated
@@ -1276,11 +1276,11 @@ class TestSeriesSum:
     @given(case=admissible_specs(ts=st.sampled_from([0.1, 0.05])))
     def test_probe_ends_first_block(self, case):
         # every sum holds the probe's exact term, so an edge whose head plus
-        # rest lie 1e-18 below that term ends the sum, the first block too;
+        # rest lie 1e-18 below that term ends the sum before it is summed;
         # what is left out stays within the brute-force law
         spec, t = case
         lad = qs.mass_ladder(spec, (t,))[0]
-        _, _, left = lad.window(lad.probe_log)
+        _, left = lad.window(lad.probe_log)
         ok = np.flatnonzero(left <= lad.probe_log + qs.LN_EPS)
         r, _ = self._check_window(spec, t, self._brute_logs(spec, t))
         if len(ok):
@@ -1296,8 +1296,8 @@ class TestSeriesSum:
     @pytest.mark.parametrize("name, t, count", [("f0", 1e-10, "1252305378"),
                                                  ("euler", 1e-15, "8.39e+16")])
     def test_window_past_budget_raises(self, name, t, count):
-        # the first edge the probe's term certifies bounds the terms before
-        # any is summed; past 2^27 the sum refuses at once
+        # the first edge the strided window's level certifies bounds the
+        # terms before any is summed; past 2^27 the sum refuses at once
         with pytest.raises(ConvergenceError, match=re.escape(
                 f"the window needs {count} terms, more than 134217728")):
             series_sum(get_preset(name).series, t)
@@ -1307,7 +1307,7 @@ class TestSeriesSum:
     def test_window_within_budget(self, name, t):
         # the widest windows that still run: 6.2e7, 3.2e7 and 1.25e6 terms
         lad = qs.mass_ladder(get_preset(name).series, (t,))[0]
-        cut, _, left = lad.window(lad.probe_log)
+        cut, left = lad.window(lad.probe_log)
         stop = lad.edges[np.flatnonzero(left <= lad.probe_log + qs.LN_EPS)[0]]
         assert stop - lad.edges[cut] <= qs._SUM_BUDGET
 
@@ -1383,30 +1383,39 @@ class TestStridedSum:
         assert r.remainder_log <= r.log_value + qs.LN_EPS
 
     @staticmethod
-    def _counted_sum(spec, t):
-        # series_sum at t, and the points log_summand saw in it
-        seen = []
+    def _spied_sum(spec, t):
+        # series_sum at t, its ladder, and the points of each log_summand call in it
+        calls = []
 
         def spy(s, x, tt):
-            seen.append(np.size(x))
+            calls.append(np.array(x, ndmin=1))
             return log_summand(s, x, tt)
 
         lad = qs.mass_ladder(spec, (t,))[0]
         with mock.patch.object(qs, "log_summand", spy):
             r = series_sum(spec, t, lad)
-        return r, sum(seen)
+        return r, lad, calls
+
+    @classmethod
+    def _counted_sum(cls, spec, t):
+        # series_sum at t, and the number of points log_summand saw in it
+        r, _, calls = cls._spied_sum(spec, t)
+        return r, sum(map(len, calls))
 
     @pytest.mark.parametrize("name, t", [("euler", 1e-4), ("phi-minus", 1e-4),
-                                         ("euler-b2", 1e-4), ("euler", 1e-6)])
+                                         ("euler-b2", 1e-4), ("euler", 1e-6),
+                                         ("phi-minus", 1e-3), ("euler", 1e-3)])
     def test_evaluations_are_few(self, name, t):
         # a count, not a timing: the direct sum took 461,412, 439,358,
-        # 247,991 and 45.8M terms; log_summand sees only the counted points
+        # 247,991, 45.8M, 43,662 and 45,433 terms; log_summand sees only the
+        # counted points
         r, seen = self._counted_sum(get_preset(name).series, t)
         assert seen == r.evals <= 2000
         assert r.remainder_log <= r.log_value + qs.LN_EPS
         assert r.left_out_log <= r.log_value + qs.LN_EPS
 
-    @pytest.mark.parametrize("t, bits", [(1e-4, 6.959292079988697), (3.32e-5, None)])
+    @pytest.mark.parametrize("t, bits", [(1e-4, 6.959292079988697), (3.32e-5, None),
+                                         (1e-5, 8.476803942283627)])
     def test_level_past_the_probe(self, t, bits):
         # tail_dominant's symbols cancel, so its probe lies far below the
         # window's largest term: e^-206 against e^-4.0 at t = 1e-4, e^-618
@@ -1414,12 +1423,16 @@ class TestStridedSum:
         # the sampled level: at 1e-4 the value keeps its bits in few terms
         # (a gate at 1e-18 of the probe drove h to 1 over 1.4M terms), and
         # at 3.32e-5 the sum is certified (the stop search it replaced
-        # raised IndexError there)
+        # raised IndexError there).  The term budget counts the window the
+        # level certifies, not the probe: at 1e-5 that is 18.7M terms, the
+        # probe's 2.0e8, and the value is that of a brute-force fsum over it
         r, seen = self._counted_sum(load_spec(str(DATA / "tail_dominant.json"))[0], t)
         assert r.left_out_log <= r.log_value + qs.LN_EPS
         assert seen == r.evals and r.remainder_log <= r.log_value + qs.LN_EPS
         if bits is not None:
-            assert r.log_value == bits and r.evals <= 60_000
+            assert r.log_value == bits
+        if t == 1e-4:
+            assert r.evals <= 60_000
 
     @pytest.mark.parametrize("t", [1e-5, 1e-6])
     def test_exact_identities_at_reach(self, t):
@@ -1432,16 +1445,33 @@ class TestStridedSum:
         r = series_sum(RAM, 0.01)
         assert r.evals == r.m_hi - r.m_lo and r.remainder_log == -math.inf
 
+    @pytest.mark.parametrize("name, t", [("ramanujan", 0.01), ("f0", 0.01),
+                                         ("phi-minus", 0.01), ("euler", 0.01),
+                                         ("two-peak", 1e-3)])
+    def test_direct_window_is_one_call(self, name, t):
+        # a window under _STRIDE_MIN terms is fixed before it is summed: one
+        # log_summand call over [e_cut, stop), stop the first edge the
+        # probe's term certifies, and m_hi is that edge
+        spec = (load_spec(str(DATA / "two_peak.json"))[0] if name == "two-peak"
+                else get_preset(name).series)
+        r, lad, calls = self._spied_sum(spec, t)
+        cut, left = lad.window(lad.probe_log)
+        stop = lad.edges[np.flatnonzero(left <= lad.probe_log + qs.LN_EPS)[0]]
+        assert len(calls) == 1 and stop - lad.edges[cut] < qs._STRIDE_MIN
+        assert (r.m_lo, r.m_hi) == (lad.edges[cut], stop)
+        assert np.array_equal(calls[0], np.arange(r.m_lo, r.m_hi, dtype=float))
+        assert r.left_out_log <= r.log_value + qs.LN_EPS
+
     def test_mixed_grid_rows_keep_their_bits(self, capsys):
-        # an eval grid with direct rows (t = 0.1, 0.001) and a strided one
+        # an eval grid with direct rows (t = 0.1, 0.005) and a strided one
         # (t = 1e-4): every row and its diagnostics as the row alone has them
         def run(ts):
             assert main(["eval", "--preset", "phi-minus", "--t", ts]) == 0
             return json.loads(capsys.readouterr().out)["results"]
-        grid = run("0.1,0.001,0.0001")
+        grid = run("0.1,0.005,0.0001")
         diag = grid["diagnostics"]
         assert [k for k, d in diag.items() if d["remainder_log"] > -math.inf] == ["t=0.0001"]
-        for t in ("0.1", "0.001", "0.0001"):
+        for t in ("0.1", "0.005", "0.0001"):
             alone = run(t)
             assert alone["rows"][0] in grid["rows"]
             [(key, value)] = alone["diagnostics"].items()

@@ -162,7 +162,7 @@ class TestNearZeroCut:
         t = 0.01
         r = integral(S_POSITIVE, t)
         lad = mass_ladder(S_POSITIVE, (t,))[0]
-        _, _, left = lad.window(lad.probe_log)
+        _, left = lad.window(lad.probe_log)
         by_term = left[np.flatnonzero(left <= lad.probe_log + LN_EPS)[0]]
         assert r.log_value < lad.probe_log
         assert by_term > r.log_value + LN_EPS
